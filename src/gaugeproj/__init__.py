@@ -16,9 +16,9 @@ from .hierarchy import (RadiusSchedule, BranchingPlan, DiscHierarchy,
                         derive_radius_schedule, choose_branching,
                         build_hierarchy, build_from_gauge, validate_hierarchy)
 from .measure import (NaturalMeasure, FrostmanScan, EnergyEstimate,
-                      EnergyEstimateError, ball_mass, frostman_scan,
-                      discrete_energy, mc_energy, mc_energy_atoms, potential,
-                      capacity_lower_bound)
+                      EnergyEstimateError, ball_mass, ball_masses,
+                      frostman_scan, discrete_energy, mc_energy,
+                      mc_energy_atoms, potential, capacity_lower_bound)
 from .projection import (IntervalCover, LevelProjection, SweepTable,
                          AveragedProjection, LogDimensionEstimate,
                          merge_intervals, project_disc, project_disc_cover,

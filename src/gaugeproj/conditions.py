@@ -135,8 +135,8 @@ def dyadic_shell_sums(fn, n_shells: int = 4096, order: int = 24,
 
     fn must be vectorised over log radii.  Shells where a low/high order
     comparison disagrees beyond refine_tol (relative to the shell) are
-    re-integrated on four subpanels; one round suffices for the piecewise
-    smooth integrands used here, but up to three are attempted.
+    re-integrated on four subpanels, in one round; that suffices for the
+    piecewise smooth integrands used here.
     """
     edges_hi = -LOG2 * np.arange(n_shells, dtype=float)
     edges_lo = edges_hi - LOG2
@@ -145,17 +145,9 @@ def dyadic_shell_sums(fn, n_shells: int = 4096, order: int = 24,
     sums = fine.copy()
     scale = np.maximum(np.abs(fine), 1e-300)
     bad = np.abs(fine - coarse) > refine_tol * scale
-    splits = 4
-    for _ in range(3):
-        if not bad.any():
-            break
-        idx = np.nonzero(bad)[0]
-        for i in idx:
-            sub = np.linspace(edges_lo[i], edges_hi[i], splits + 1)
-            pieces = _panel_values(fn, sub[:-1], sub[1:], order)
-            sums[i] = pieces.sum()
-        bad = np.zeros_like(bad)
-        splits *= 4
+    for i in np.nonzero(bad)[0]:
+        sub = np.linspace(edges_lo[i], edges_hi[i], 5)
+        sums[i] = _panel_values(fn, sub[:-1], sub[1:], order).sum()
     return sums
 
 

@@ -91,7 +91,7 @@ def run_pipeline(config: RunConfig, out_dir=None) -> PipelineResult:
         stages.append({"stage": stage, "status": "skipped", "reason": reason})
 
     # -- gauges ------------------------------------------------------------
-    f = g = None
+    f = g = fit_g = None
     try:
         f = config.gauge_f()
         g = config.gauge_g()
@@ -187,7 +187,9 @@ def run_pipeline(config: RunConfig, out_dir=None) -> PipelineResult:
                                 "stderr": est.stderr,
                                 "capacity_lower_bound": 1.0 / est.mean,
                                 "collisions_rejected": est.collisions_rejected}
-            fit_g = gauges.doubling_exponent(g, log_grid=gauges.log_radius_grid())
+            if fit_g is None:
+                raise gauges.GaugeError(
+                    "doubling fit of g unavailable: gauges stage failed")
             if fit_g.s < 1.0:
                 ape = projection.averaged_projected_energy(
                     m, g, theta_grid=64, pairs=min(config.pairs, 100_000),

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from gaugeproj import (EnergyEstimateError, GaugeError, NaturalMeasure,
-                       BranchingPlan, ball_mass, build_hierarchy,
-                       capacity_lower_bound, discrete_energy, frostman_scan,
-                       mc_energy, mc_energy_atoms, potential, power,
+                       BranchingPlan, DiscCapExceeded, FrostmanScan, ball_mass,
+                       ball_masses, build_hierarchy, capacity_lower_bound,
+                       discrete_energy, frostman_scan, mc_energy,
+                       mc_energy_atoms, measure, potential, power,
                        schedule_from_radii)
 
 
@@ -62,6 +63,74 @@ def test_disc_mass_equals_split(h05_depth5):
                                                                       abs=0)
 
 
+def reference_ball_mass(m, x, r):
+    """One ball at a time: the per-probe descent the batched one replaced."""
+    h = m.hierarchy
+    x = np.asarray(x, dtype=float)
+    active = np.zeros((1, 2))
+    mass = 0.0
+    level_mass = 1.0
+    for level in range(1, m.depth + 1):
+        r_lvl = h.radius(level)
+        level_mass /= h.counts[level - 1]
+        step = h.offsets(level)[:, None] * h.direction(level)[None, :]
+        children = (active[:, None, :] + step[None, :, :]).reshape(-1, 2)
+        dist = np.hypot(children[:, 0] - x[0], children[:, 1] - x[1])
+        if level == m.depth:
+            return mass + level_mass * int(np.count_nonzero(dist <= r))
+        inside = dist + r_lvl <= r
+        mass += level_mass * int(np.count_nonzero(inside))
+        active = children[(dist <= r + r_lvl) & ~inside]
+        if len(active) == 0:
+            return mass
+    return mass
+
+
+def test_ball_masses_match_brute_force_and_single_probes(h05_depth5):
+    m3 = NaturalMeasure(h05_depth5, 3)
+    atoms = m3.atom_coords()
+    rng = np.random.default_rng(17)
+    xs = m3.sample_atoms(200, rng) + rng.normal(0, h05_depth5.radius(3), (200, 2))
+    rs = np.exp(rng.uniform(h05_depth5.log_radius(3), h05_depth5.log_radius(0), 200))
+    got = ball_masses(m3, xs, rs)
+    assert got.shape == (200,)
+    for x, r, mass in zip(xs, rs, got):
+        hits = np.count_nonzero(np.hypot(atoms[:, 0] - x[0], atoms[:, 1] - x[1]) <= r)
+        assert round(mass * len(atoms)) == hits  # atom masses are equal
+        assert mass == pytest.approx(ball_mass(m3, x, r), abs=0)
+        assert mass == pytest.approx(reference_ball_mass(m3, x, r), abs=0)
+
+
+def test_ball_masses_rejects_mismatched_lengths(m4):
+    with pytest.raises(GaugeError):
+        ball_masses(m4, np.zeros((3, 2)), [0.1, 0.2])
+
+
+def test_descent_cap_is_per_probe(h05_depth5, monkeypatch):
+    m = NaturalMeasure(h05_depth5, 3)
+    x, r = (0.0, 0.0), 0.5 * h05_depth5.radius(0)
+    monkeypatch.setattr(measure, "DESCENT_CAP", 1)
+    with pytest.raises(DiscCapExceeded):
+        ball_mass(m, x, r)
+    # the smallest cap this one ball passes is its largest frontier
+    lo, hi = 1, 10 ** 6
+    while lo < hi:
+        monkeypatch.setattr(measure, "DESCENT_CAP", (lo + hi) // 2)
+        try:
+            ball_mass(m, x, r)
+            hi = (lo + hi) // 2
+        except DiscCapExceeded:
+            lo = (lo + hi) // 2 + 1
+    assert lo > 1
+    monkeypatch.setattr(measure, "DESCENT_CAP", lo)
+    # three copies share one frontier of thrice that size, yet none trips
+    masses = ball_masses(m, [x] * 3, [r] * 3)
+    assert list(masses) == [reference_ball_mass(m, x, r)] * 3
+    monkeypatch.setattr(measure, "DESCENT_CAP", lo - 1)
+    with pytest.raises(DiscCapExceeded):
+        ball_masses(m, [(5.0, 5.0), x], [1.0, r])
+
+
 def test_total_mass_log_sum(h05_depth5):
     for depth in (1, 3, 5):
         m = NaturalMeasure(h05_depth5, depth)
@@ -82,6 +151,49 @@ def test_frostman_scan_zero_violations(m4):
 def test_frostman_negative_control(m4):
     scan = frostman_scan(m4, m4.hierarchy.gauge, 2000, seed=3, mass_scale=10.0)
     assert scan.violations >= 1
+
+
+def reference_scan(m, f, samples, seed, mass_scale=1.0):
+    """The probe-by-probe scan the batched one replaced."""
+    h = m.hierarchy
+    c_bound = max(8.0 / h.a, 1.0 / h.a)
+    rng = np.random.default_rng(seed)
+    probes = [(h.first_path_center(k), h.radius(k)) for k in range(1, m.depth + 1)]
+    n_random = max(samples - len(probes), 0)
+    xs = m.sample_atoms(n_random, rng)
+    log_r = rng.uniform(h.log_radius(m.depth), h.log_radius(0), size=n_random)
+    probes.extend((xs[i], math.exp(log_r[i])) for i in range(n_random))
+    c_emp, worst, violations = 0.0, (0.0, 0.0, 0.0), 0
+    for x, r in probes:
+        ratio = mass_scale * reference_ball_mass(m, x, r) / float(f.value(r))
+        if ratio > c_emp:
+            c_emp = ratio
+            worst = (float(x[0]), float(x[1]), float(r))
+        if ratio > c_bound * (1.0 + 1e-9):
+            violations += 1
+    return FrostmanScan(c_emp, c_bound, violations, len(probes), worst)
+
+
+@pytest.mark.parametrize("s,mass_scale", [(0.3, 1.0), (0.5, 1.0), (0.8, 1.0),
+                                          (0.5, 10.0), (0.5, 0.0)])
+def test_frostman_scan_equals_sequential_reference(s, mass_scale, h03_depth5,
+                                                   h05_depth5, h08_depth5):
+    h = {0.3: h03_depth5, 0.5: h05_depth5, 0.8: h08_depth5}[s]
+    m = NaturalMeasure(h, 4)
+    # more probes than one batch, so chunk boundaries are crossed
+    scan = frostman_scan(m, h.gauge, 2500, seed=13, mass_scale=mass_scale)
+    assert scan == reference_scan(m, h.gauge, 2500, seed=13, mass_scale=mass_scale)
+    assert scan.samples == 2500
+    assert (scan.violations > 0) == (mass_scale > 1.0)
+    assert (scan.worst == (0.0, 0.0, 0.0)) == (mass_scale == 0.0)
+
+
+def test_frostman_scan_below_depth_keeps_first_path_probes(m4):
+    f = m4.hierarchy.gauge
+    scan = frostman_scan(m4, f, 2, seed=1)
+    assert scan.samples == m4.depth
+    assert scan == reference_scan(m4, f, 2, seed=1)
+    assert scan == frostman_scan(m4, f, 0, seed=2)  # no random probes
 
 
 def test_frostman_scan_on_huge_hierarchy(h08_depth5):

@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from gaugeproj import (ConfigError, parse_config, power, run_pipeline,
-                       sweep_partner)
+from gaugeproj import (ConfigError, GaugeFitError, gauges, parse_config,
+                       power, run_pipeline, sweep_partner)
 from gaugeproj.cli import main as cli_main
 from gaugeproj.hierarchy import (BranchingPlan, build_hierarchy,
                                  schedule_from_radii)
@@ -89,6 +89,26 @@ def test_pipeline_records_schedule_failure(tmp_path):
     assert "exceeds 1" in stages["construct"]["error"]
     assert stages["validate"]["status"] == "skipped"
     assert result.exit_code == 2
+
+
+def test_pipeline_energy_needs_the_gauges_stage_fit(tmp_path, monkeypatch):
+    # the energy stage reuses g's doubling fit; without it, it fails plainly
+    real_fit = gauges.doubling_exponent
+    g = sweep_partner(power(0.5))
+
+    def fit_all_but_g(gauge, **kwargs):
+        if gauge == g:
+            raise GaugeFitError("no fit for g")
+        return real_fit(gauge, **kwargs)
+
+    monkeypatch.setattr(gauges, "doubling_exponent", fit_all_but_g)
+    result = run_pipeline(parse_config(json.dumps(FAST)), tmp_path / "out")
+    stages = {s["stage"]: s for s in result.bundle["stages"]}
+    assert stages["gauges"] == {"stage": "gauges", "status": "failed",
+                                "error": "no fit for g"}
+    assert stages["frostman"]["status"] == "ok"
+    assert stages["energy"]["status"] == "failed"
+    assert "gauges stage failed" in stages["energy"]["error"]
 
 
 def test_pipeline_emits_svg(tmp_path):
