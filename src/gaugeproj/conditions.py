@@ -348,7 +348,9 @@ def check_divergence_of_df_over_g(f: GaugeFunction, g: GaugeFunction,
     status, lam, detail = classify_log_tail(log_terms)
     value = float(np.exp(logsumexp(log_terms))) if status == FINITE else None
     diag = f"{n_shells} Stieltjes shells with log-midpoint evaluation; {detail}"
-    return ConditionVerdict(status, value, tuple(np.exp(log_terms).tolist()), diag)
+    with np.errstate(over="ignore"):  # an infinite shell sum is a divergent one
+        shell_sums = np.exp(log_terms)
+    return ConditionVerdict(status, value, tuple(shell_sums.tolist()), diag)
 
 
 # ---------------------------------------------------------------------------

@@ -27,24 +27,41 @@ from .measure import NaturalMeasure, EnergyEstimateError
 COALESCE_GRID = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntervalCover:
-    """Sorted, pairwise-disjoint closed intervals on the line at angle theta."""
+    """Sorted, pairwise-disjoint closed intervals on the line at angle theta.
+
+    The cover is held as two read-only float64 arrays, ``lo`` and ``hi``,
+    so merges, translations and costs stay in numpy; ``intervals`` builds
+    the tuple-of-pairs view on demand.  Covers compare by identity.
+    """
 
     theta: float
-    intervals: tuple[tuple[float, float], ...]
+    lo: np.ndarray
+    hi: np.ndarray
     rho: float
 
     def __post_init__(self):
-        iv = self.intervals
-        if any(b < a for a, b in iv):
+        lo = np.asarray(self.lo, dtype=float).view()
+        hi = np.asarray(self.hi, dtype=float).view()
+        if lo.ndim != 1 or lo.shape != hi.shape:
+            raise GaugeError("lo and hi must be 1-d arrays of equal length")
+        if np.any(hi < lo):
             raise GaugeError("intervals must have lo <= hi")
-        if any(iv[i + 1][0] <= iv[i][1] for i in range(len(iv) - 1)):
+        if np.any(lo[1:] <= hi[:-1]):
             raise GaugeError("intervals must be sorted with positive gaps")
+        lo.flags.writeable = False
+        hi.flags.writeable = False
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    @property
+    def intervals(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self.lo.tolist(), self.hi.tolist()))
 
     @property
     def total_length(self) -> float:
-        return float(sum(b - a for a, b in self.intervals))
+        return float(np.sum(self.hi - self.lo))
 
     def to_dict(self) -> dict:
         return {"theta": self.theta, "rho": self.rho,
@@ -52,14 +69,18 @@ class IntervalCover:
 
 
 def merge_intervals(raw, theta: float = 0.0) -> IntervalCover:
-    """Union of closed intervals as a sorted disjoint cover (sweep merge)."""
-    arr = np.asarray(list(raw), dtype=float).reshape(-1, 2)
-    if len(arr) == 0:
-        return IntervalCover(theta, (), 0.0)
+    """Union of closed intervals as a sorted disjoint cover (sweep merge).
+
+    ``raw`` is an (n, 2) array or any iterable of (lo, hi) pairs."""
+    if not isinstance(raw, np.ndarray):
+        raw = list(raw)
+    arr = np.asarray(raw, dtype=float).reshape(-1, 2)
     return _merge_array(arr[:, 0], arr[:, 1], theta)
 
 
 def _merge_array(lo: np.ndarray, hi: np.ndarray, theta: float) -> IntervalCover:
+    if len(lo) == 0:
+        return IntervalCover(theta, lo, hi, 0.0)
     order = np.argsort(lo, kind="stable")
     lo, hi = lo[order], hi[order]
     running = np.maximum.accumulate(hi)
@@ -69,9 +90,8 @@ def _merge_array(lo: np.ndarray, hi: np.ndarray, theta: float) -> IntervalCover:
     ends = np.append(starts[1:], len(lo)) - 1
     merged_lo = lo[starts]
     merged_hi = running[ends]
-    lengths = merged_hi - merged_lo
-    rho = float(lengths.max()) if len(lengths) else 0.0
-    return IntervalCover(theta, tuple(zip(merged_lo.tolist(), merged_hi.tolist())), rho)
+    return IntervalCover(theta, merged_lo, merged_hi,
+                         float((merged_hi - merged_lo).max()))
 
 
 def project_disc(center, log_r: float, theta: float) -> tuple[float, float]:
@@ -93,9 +113,9 @@ def project_disc_cover(centers, radii, theta: float) -> IntervalCover:
 def cover_cost(g: GaugeFunction, cover: IntervalCover) -> tuple[float, float]:
     """(sum of g(interval length), max length): the cost of this one cover,
     an upper bound for the gauge cover cost at mesh rho."""
-    if not cover.intervals:
+    if cover.lo.size == 0:
         return 0.0, 0.0
-    lengths = np.array([b - a for a, b in cover.intervals])
+    lengths = cover.hi - cover.lo
     costs = np.exp(np.asarray(g.log_value(np.log(lengths)), dtype=float))
     return float(np.sum(np.sort(costs))), float(lengths.max())
 
@@ -103,7 +123,9 @@ def cover_cost(g: GaugeFunction, cover: IntervalCover) -> tuple[float, float]:
 @dataclass(frozen=True)
 class LevelProjection:
     """Merged projection of one hierarchy level plus the per-parent span
-    of its child intervals (identical for every parent by construction)."""
+    of its child intervals (identical for every parent by construction).
+
+    ``cover`` keeps the merged intervals as its ``lo``/``hi`` arrays."""
 
     cover: IntervalCover
     level: int
@@ -134,9 +156,8 @@ def project_hierarchy(h: DiscHierarchy, theta: float, level: int) -> LevelProjec
     pattern_coord = h.offsets(level) * math.cos(h.d[level - 1] - theta)
     pattern = _merge_array(pattern_coord - r, pattern_coord + r, theta)
     parents = _projected_level_coords(h, theta, level - 1)
-    piece = np.asarray(pattern.intervals, dtype=float)
-    lo = (parents[:, None] + piece[None, :, 0]).reshape(-1)
-    hi = (parents[:, None] + piece[None, :, 1]).reshape(-1)
+    lo = (parents[:, None] + pattern.lo[None, :]).reshape(-1)
+    hi = (parents[:, None] + pattern.hi[None, :]).reshape(-1)
     return LevelProjection(_merge_array(lo, hi, theta), level, per_parent_span)
 
 

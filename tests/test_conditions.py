@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -164,6 +165,16 @@ def test_df_over_g_growth_pair_diverges():
 
 def test_df_over_g_identity_diverges():
     assert check_divergence_of_df_over_g(power(1.0), power(1.0)).status == DIVERGENT
+
+
+def test_df_over_g_overflowing_shells_stay_divergent():
+    # f = r**0.2 against g = r**0.8: the deep shell sums exceed the float
+    # range; an infinite shell sum is the divergent answer, not a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = check_divergence_of_df_over_g(power(0.2), power(0.8), n_shells=2048)
+    assert v.status == DIVERGENT
+    assert math.isinf(v.shell_sums[-1])
 
 
 def test_df_over_g_power_pair_finite_with_boundary_shift():

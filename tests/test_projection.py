@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gaugeproj import (BranchingPlan, GaugeError, NaturalMeasure,
+from gaugeproj import (BranchingPlan, GaugeError, IntervalCover, NaturalMeasure,
                        angle_kernel_integral, averaged_projected_energy,
                        build_hierarchy, cover_cost, discrete_energy,
                        estimate_log_dimension, eq35_bound, log_power,
@@ -60,6 +60,71 @@ def test_merge_against_grid_oracle():
     assert abs(cover.total_length - grid.sum() * res) < 2 * res * len(cover.intervals)
 
 
+def _reference_merge(pairs):
+    # sort by lo, keep the running max of hi, merge while lo <= running hi
+    out = []
+    for lo, hi in sorted(pairs, key=lambda p: p[0]):
+        if out and lo <= out[-1][1]:
+            out[-1][1] = max(out[-1][1], hi)
+        else:
+            out.append([lo, hi])
+    return tuple((lo, hi) for lo, hi in out)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_merge_matches_reference(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 400))
+    # quarter-unit grid: exact doubles, so tied lo values, zero lengths and
+    # touching endpoints all occur
+    lo = rng.integers(0, 300, n) * 0.25
+    hi = lo + rng.integers(0, 4, n) * 0.25
+    pairs = list(zip(lo.tolist(), hi.tolist()))
+    # and an off-grid batch with ties copied in
+    flo = rng.uniform(0, 50, n)
+    flo[::3] = flo[0]
+    fhi = flo + rng.uniform(0, 0.3, n)
+    fhi[1::4] = flo[0]
+    fpairs = list(zip(flo.tolist(), np.maximum(fhi, flo).tolist()))
+    for raw in (pairs, fpairs):
+        expected = _reference_merge(raw)
+        for given in (raw, np.array(raw), iter(raw)):
+            cover = merge_intervals(given, theta=0.3)
+            assert cover.intervals == expected
+            assert cover.theta == 0.3
+            assert cover.rho == max(b - a for a, b in expected)
+
+
+def test_merge_accepts_empty_input():
+    for empty in ([], (), iter(()), np.empty((0, 2))):
+        cover = merge_intervals(empty)
+        assert cover.intervals == () and cover.rho == 0.0
+        assert cover.lo.shape == cover.hi.shape == (0,)
+
+
+def test_interval_cover_holds_read_only_arrays():
+    cover = merge_intervals([(2.0, 3.0), (0.0, 1.0)])
+    assert cover.lo.dtype == cover.hi.dtype == np.float64
+    np.testing.assert_array_equal(cover.lo, [0.0, 2.0])
+    np.testing.assert_array_equal(cover.hi, [1.0, 3.0])
+    assert cover.to_dict() == {"theta": 0.0, "rho": 1.0,
+                               "intervals": [[0.0, 1.0], [2.0, 3.0]]}
+    with pytest.raises(ValueError):
+        cover.lo[0] = -1.0
+
+
+@pytest.mark.parametrize("lo, hi, message", [
+    ([0.0, 2.0], [1.0, 1.5], "lo <= hi"),             # lo > hi
+    ([0.0, 0.5], [1.0, 2.0], "positive gaps"),        # overlapping
+    ([0.0, 1.0], [1.0, 2.0], "positive gaps"),        # touching
+    ([2.0, 0.0], [3.0, 1.0], "positive gaps"),        # unsorted
+    ([0.0, 2.0], [1.0], "equal length"),
+])
+def test_interval_cover_rejects_invalid(lo, hi, message):
+    with pytest.raises(GaugeError, match=message):
+        IntervalCover(0.0, np.array(lo), np.array(hi), 1.0)
+
+
 def test_cover_cost_examples():
     c = merge_intervals([(0.0, 0.5), (1.0, 1.5)])
     assert cover_cost(power(1.0), c) == pytest.approx((1.0, 0.5))
@@ -112,6 +177,53 @@ def test_sweep_rows_project_full_level(h05_depth5):
     for row in table.rows:
         pr = project_hierarchy(h, row.theta, row.k + 1)
         assert cover_cost(g, pr.cover)[0] == pytest.approx(row.cost, rel=1e-12)
+
+
+def _tuple_path_cost(h, g, theta, level):
+    """Cost of projecting `level` the way tuple-backed covers computed it:
+    each merge ends in (lo, hi) tuples, the parents translate the tuple
+    pattern, and the cost is read from per-tuple lengths."""
+    def merge(lo, hi):
+        order = np.argsort(lo, kind="stable")
+        lo, hi = lo[order], hi[order]
+        running = np.maximum.accumulate(hi)
+        new_run = np.ones(len(lo), dtype=bool)
+        new_run[1:] = lo[1:] > running[:-1]
+        starts = np.nonzero(new_run)[0]
+        ends = np.append(starts[1:], len(lo)) - 1
+        return tuple(zip(lo[starts].tolist(), running[ends].tolist()))
+
+    r = h.radius(level)
+    c = h.offsets(level) * math.cos(h.d[level - 1] - theta)
+    piece = np.asarray(merge(c - r, c + r), dtype=float)
+    parents = np.zeros(1)
+    for j in range(1, level):
+        step = h.offsets(j) * math.cos(h.d[j - 1] - theta)
+        parents = (parents[:, None] + step[None, :]).reshape(-1)
+    intervals = merge((parents[:, None] + piece[None, :, 0]).reshape(-1),
+                      (parents[:, None] + piece[None, :, 1]).reshape(-1))
+    lengths = np.array([b - a for a, b in intervals])
+    costs = np.exp(np.asarray(g.log_value(np.log(lengths)), dtype=float))
+    return float(np.sum(np.sort(costs))), len(intervals)
+
+
+def test_heavy_arc_sweep_matches_tuple_path(h08_depth5):
+    # inside the level-3 placement arc of power(0.8) depth 5 the projected
+    # level 4 merges to ~8e3 intervals below u ~ 0.48 of the arc and to
+    # ~7.7e5 past it; every row's cost must equal the tuple path exactly
+    h = h08_depth5
+    g = power_log(0.8, 0.15, 1.0)
+    thetas = [math.fmod(h.d[2] + u * h.theta[3] + math.pi / 2, math.pi)
+              for u in (0.2, 0.47, 0.55)]
+    pad = [1.0 + i * 1e-3 for i in range(29)]  # no qualifying level
+    table = sweep_directions(h, g, thetas + pad)
+    assert [(row.theta, row.k) for row in table.rows] == [(t, 3) for t in thetas]
+    counts = []
+    for row in table.rows:
+        cost, n = _tuple_path_cost(h, g, row.theta, 4)
+        assert row.cost == cost
+        counts.append(n)
+    assert counts[0] < 1e4 and counts[-1] > 7e5
 
 
 def test_sweep_on_capped_hierarchy(h08_depth5):
