@@ -8,53 +8,49 @@ file; there are no environment variables and no ambient randomness.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
-import math
 import sys
 from pathlib import Path
 
 from . import conditions, diophantine, gauges, hierarchy, measure, projection
 from .config import ConfigError, parse_config
-from .pipeline import run_pipeline, sweep_partner, _sanitize
-from .svgreport import render_hierarchy_svg, render_shells_svg, render_sweep_svg
+from .pipeline import (resolve_g, run_pipeline, _csv_text, _json_text,
+                       _sanitize, _sweep_csv_text, _write_file)
+from .svgreport import render_hierarchy_svg, render_sweep_svg
+
+_FLAGS = {
+    "--config": {"help": "path to a JSON run config"},
+    "--seed": {"type": int, "help": "seed override"},
+    "--out": {"help": "output directory for report files"},
+    "--emit": {"help": "comma list of csv,json,svg"},
+    "--depth": {"type": int, "help": "construction depth override"},
+    "--angles": {"type": int, "help": "angle grid size override"},
+}
 
 
-def _common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="path to a JSON run config")
-    parser.add_argument("--seed", type=int, help="seed override")
-    parser.add_argument("--out", help="output directory for report files")
-    parser.add_argument("--emit", help="comma list of csv,json,svg")
-    parser.add_argument("--depth", type=int, help="construction depth override")
-    parser.add_argument("--angles", type=int, help="angle grid size override")
+def _flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        parser.add_argument(name, **_FLAGS[name])
 
 
 def _gauge_arg(text: str) -> gauges.GaugeFunction:
     return gauges.parse_gauge(json.loads(text))
 
 
-def _load_config(args, require: bool = False):
+def _load_config(args):
+    """The config file (if any) with the subcommand's flag overrides."""
     doc = {}
     if args.config:
         doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    elif require:
-        raise ConfigError("--config is required for this subcommand")
-    if getattr(args, "f", None):
-        doc["f"] = json.loads(args.f)
-    if getattr(args, "g", None):
-        doc["g"] = json.loads(args.g)
-    if args.seed is not None:
-        doc["seed"] = args.seed
-    if args.depth is not None:
-        doc["depth"] = args.depth
-    if args.angles is not None:
-        doc["angles"] = args.angles
-    if getattr(args, "pairs", None) is not None:
-        doc["pairs"] = args.pairs
+    for key in ("f", "g"):
+        if getattr(args, key, None):
+            doc[key] = json.loads(getattr(args, key))
+    for key in ("seed", "depth", "angles", "pairs"):
+        if getattr(args, key, None) is not None:
+            doc[key] = getattr(args, key)
     # --out stays a CLI concern so the echoed config (and hence the bundle)
     # is identical across runs into different directories
-    if args.emit is not None:
+    if getattr(args, "emit", None) is not None:
         flags = {k: False for k in ("csv", "json", "svg")}
         for token in args.emit.split(","):
             token = token.strip()
@@ -65,29 +61,12 @@ def _load_config(args, require: bool = False):
     return parse_config(doc)
 
 
-def _write_json(args, name: str, payload: dict) -> None:
-    text = json.dumps(_sanitize(payload), sort_keys=True, indent=2) + "\n"
+def _write(args, name: str, text: str) -> None:
+    """Write a document under --out, or to stdout without it."""
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / name).write_text(text, encoding="utf-8", newline="\n")
+        _write_file(Path(args.out), name, text)
     else:
         sys.stdout.write(text)
-
-
-def _write_csv(args, name: str, header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO()
-    wr = csv.writer(buf, lineterminator="\n")
-    wr.writerow(header)
-    for row in rows:
-        wr.writerow(["" if v is None else (repr(v) if isinstance(v, float) else v)
-                     for v in row])
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / name).write_text(buf.getvalue(), encoding="utf-8", newline="\n")
-    else:
-        sys.stdout.write(buf.getvalue())
 
 
 def _verdict_payload(v: conditions.ConditionVerdict) -> dict:
@@ -121,50 +100,44 @@ def cmd_gauge_check(args) -> int:
             conditions.check_rate_condition(f, g))
         payload["df_over_g"] = _verdict_payload(
             conditions.check_divergence_of_df_over_g(f, g, 2048))
-    _write_json(args, "gauge_check.json", payload)
+    _write(args, "gauge_check.json", _json_text(payload))
     return 0
 
 
 def cmd_construct(args) -> int:
     cfg = _load_config(args)
-    f = cfg.gauge_f()
-    schedule = hierarchy.derive_radius_schedule(f, cfg.depth)
-    plan = hierarchy.choose_branching(f, schedule)
-    h = hierarchy.build_hierarchy(f, schedule, plan, cfg.theta_mode,
-                                  disc_cap=cfg.disc_cap)
+    h = hierarchy.build_from_gauge(cfg.gauge_f(), cfg.depth, cfg.theta_mode,
+                                   cfg.disc_cap)
     report = hierarchy.validate_hierarchy(h)
     include = h.disc_count(h.depth) <= cfg.disc_cap
-    _write_json(args, "hierarchy.json",
-                {"hierarchy": h.to_dict(include_centers=include),
-                 "validation": report.to_dict()})
-    _write_csv(args, "validation.csv",
-               ["check_id", "level", "passed", "margin", "note"],
-               [[r.check, r.level, r.passed, r.margin, r.note]
-                for r in report.rows])
-    if cfg.emit.get("svg") and args.out:
-        (Path(args.out) / "hierarchy.svg").write_text(
-            render_hierarchy_svg(h), encoding="utf-8", newline="\n")
+    _write(args, "hierarchy.json", _json_text(
+        {"hierarchy": h.to_dict(include_centers=include),
+         "validation": report.to_dict()}))
+    _write(args, "validation.csv", _csv_text(
+        ["check_id", "level", "passed", "margin", "note"],
+        [[r.check, r.level, r.passed, r.margin, r.note] for r in report.rows]))
+    if cfg.emit["svg"] and args.out:
+        _write(args, "hierarchy.svg", render_hierarchy_svg(h))
     return 0 if report.passed else 1
 
 
 def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     f = cfg.gauge_f()
-    g = cfg.gauge_g() or sweep_partner(f)
+    g = resolve_g(cfg, f)
     h = hierarchy.build_from_gauge(f, cfg.depth, cfg.theta_mode, cfg.disc_cap)
     table = projection.sweep_directions(h, g, cfg.angles, cfg.sweep_level)
-    _write_csv(args, "sweep.csv", ["theta", "k", "cost", "bound", "margin"],
-               [[r.theta, r.k, r.cost, r.bound, r.margin] for r in table.rows])
-    if cfg.emit.get("svg") and args.out:
-        (Path(args.out) / "sweep.svg").write_text(
-            render_sweep_svg(table.to_dicts()), encoding="utf-8", newline="\n")
+    rows = table.to_dicts()
+    _write(args, "sweep.csv", _sweep_csv_text(rows))
+    if cfg.emit["svg"] and args.out:
+        _write(args, "sweep.svg", render_sweep_svg(rows))
     return 0 if not table.violations() else 1
 
 
 def cmd_energy(args) -> int:
     cfg = _load_config(args)
     f = cfg.gauge_f()
-    g = cfg.gauge_g() or sweep_partner(f)
+    g = resolve_g(cfg, f)
     h = hierarchy.build_from_gauge(f, cfg.depth, cfg.theta_mode, cfg.disc_cap)
     m = measure.NaturalMeasure(h, h.depth)
     est = measure.mc_energy(g, m, cfg.pairs, seed=cfg.seed)
@@ -173,7 +146,7 @@ def cmd_energy(args) -> int:
                "collisions_rejected": est.collisions_rejected,
                "capacity_lower_bound": 1.0 / est.mean,
                "seed": cfg.seed}
-    _write_json(args, "energy.json", payload)
+    _write(args, "energy.json", _json_text(payload))
     return 0
 
 
@@ -181,44 +154,44 @@ def cmd_classify(args) -> int:
     f = _gauge_arg(args.f)
     psi = diophantine.parse_approx(json.loads(args.psi))
     sv = diophantine.classify_series(f, psi, args.k, args.blocks)
-    _write_csv(args, "classify.csv",
-               ["family_f", "family_psi", "tau", "k", "verdict",
-                "fitted_exponent", "statement"],
-               [[f.family, psi.family, psi.tau, args.k, sv.verdict.status,
-                 sv.fitted_exponent, sv.measure_statement]])
+    _write(args, "classify.csv", _csv_text(
+        ["family_f", "family_psi", "tau", "k", "verdict", "fitted_exponent",
+         "statement"],
+        [[f.family, psi.family, psi.tau, args.k, sv.verdict.status,
+          sv.fitted_exponent, sv.measure_statement]]))
     if args.out:
-        _write_json(args, "classify.json",
-                    {"verdict": _verdict_payload(sv.verdict),
-                     "fitted_exponent": sv.fitted_exponent,
-                     "statement": sv.measure_statement})
+        _write(args, "classify.json", _json_text(
+            {"verdict": _verdict_payload(sv.verdict),
+             "fitted_exponent": sv.fitted_exponent,
+             "statement": sv.measure_statement}))
     return 0
 
 
 def cmd_gap_report(args) -> int:
     s_values = args.s if args.s else None
     rep = diophantine.gap_report(args.delta, args.k, s_values)
-    rows = [[r.s, r.band, r.integral_status, r.consistent] for r in rep.rows]
-    _write_csv(args, "gap_report.csv",
-               ["s", "band", "integral_condition", "consistent"], rows)
+    _write(args, "gap_report.csv", _csv_text(
+        ["s", "band", "integral_condition", "consistent"],
+        [[r.s, r.band, r.integral_status, r.consistent] for r in rep.rows]))
     if args.out:
-        _write_json(args, "gap_report.json",
-                    {"delta": rep.delta, "k": rep.k, "tau": rep.tau,
-                     "bands": [list(b) for b in rep.bands],
-                     "rows": [{"s": r.s, "band": r.band,
-                               "integral_condition": r.integral_status,
-                               "consistent": r.consistent} for r in rep.rows]})
+        _write(args, "gap_report.json", _json_text(
+            {"delta": rep.delta, "k": rep.k, "tau": rep.tau,
+             "bands": [list(b) for b in rep.bands],
+             "rows": [{"s": r.s, "band": r.band,
+                       "integral_condition": r.integral_status,
+                       "consistent": r.consistent} for r in rep.rows]}))
     return 0
 
 
 def cmd_run(args) -> int:
-    cfg = _load_config(args, require=False)
-    result = run_pipeline(cfg, args.out)
+    result = run_pipeline(_load_config(args), args.out)
     summary = result.bundle["summary"]
     sys.stdout.write(json.dumps(_sanitize(summary), sort_keys=True) + "\n")
     return result.exit_code
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per subcommand, each with only the flags it reads."""
     parser = argparse.ArgumentParser(
         prog="gaugeproj",
         description=("gauge-function cover costs, nested-disc constructions "
@@ -228,25 +201,25 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gauge-check", help="scaling fits and analytic conditions")
     p.add_argument("--f", required=True, help="gauge spec JSON")
     p.add_argument("--g", help="second gauge spec JSON for pair conditions")
-    _common(p)
+    _flags(p, "--out")
     p.set_defaults(fn=cmd_gauge_check)
 
     p = sub.add_parser("construct", help="build and validate a hierarchy")
     p.add_argument("--f", help="gauge spec JSON")
-    _common(p)
+    _flags(p, "--config", "--out", "--emit", "--depth")
     p.set_defaults(fn=cmd_construct)
 
     p = sub.add_parser("sweep", help="angle sweep of projected cover costs")
     p.add_argument("--f", help="gauge spec JSON")
     p.add_argument("--g", help="cover-cost gauge spec JSON")
-    _common(p)
+    _flags(p, "--config", "--out", "--emit", "--depth", "--angles")
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("energy", help="Monte Carlo energy and capacity witness")
     p.add_argument("--f", help="gauge spec JSON")
     p.add_argument("--g", help="energy gauge spec JSON")
     p.add_argument("--pairs", type=int, help="pair count override")
-    _common(p)
+    _flags(p, "--config", "--seed", "--out", "--depth")
     p.set_defaults(fn=cmd_energy)
 
     p = sub.add_parser("classify", help="series criterion for approximable sets")
@@ -254,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi", required=True, help="approximation spec JSON")
     p.add_argument("--k", type=int, default=2, help="ambient dimension")
     p.add_argument("--blocks", type=int, default=16384)
-    _common(p)
+    _flags(p, "--out")
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("gap-report", help="regime bands for the gap family")
@@ -262,11 +235,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--s", type=float, action="append",
                    help="exponent to classify (repeatable)")
-    _common(p)
+    _flags(p, "--out")
     p.set_defaults(fn=cmd_gap_report)
 
     p = sub.add_parser("run", help="full pipeline")
-    _common(p)
+    _flags(p, "--config", "--seed", "--out", "--emit", "--depth", "--angles")
     p.set_defaults(fn=cmd_run)
 
     return parser

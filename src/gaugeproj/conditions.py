@@ -357,15 +357,20 @@ def check_divergence_of_df_over_g(f: GaugeFunction, g: GaugeFunction,
 # Quadrature helpers used by tests and the rate diagnostics
 # ---------------------------------------------------------------------------
 
-def df_over_g_integral(f: GaugeFunction, g: GaugeFunction, log_t: float = 0.0,
-                       v_hi: float = 0.0, n_shells: int = 4096) -> float:
-    """Quadrature value of integral over r in (0, e**v_hi] of df(r)/g(t r)."""
+def _df_over_g_integrand(f: GaugeFunction, g: GaugeFunction, log_t: float):
+    """(f(r)/g(t*r)) * dlog f(r), the density of df(r)/g(t r) in log r."""
     def fn(v):
         lf = np.asarray(f.log_value(v), dtype=float)
         lg = np.asarray(g.log_value(v + log_t), dtype=float)
         dl = np.asarray(f.dlog(v), dtype=float)
         return np.exp(np.clip(lf - lg, -745.0, 700.0)) * dl
+    return fn
 
+
+def df_over_g_integral(f: GaugeFunction, g: GaugeFunction, log_t: float = 0.0,
+                       v_hi: float = 0.0, n_shells: int = 4096) -> float:
+    """Quadrature value of integral over r in (0, e**v_hi] of df(r)/g(t r)."""
+    fn = _df_over_g_integrand(f, g, log_t)
     edges_hi = v_hi - LOG2 * np.arange(n_shells, dtype=float)
     edges_lo = edges_hi - LOG2
     sums = _panel_values(fn, edges_lo, edges_hi, 24)
@@ -386,13 +391,7 @@ def rate_condition_split(f: GaugeFunction, g: GaugeFunction, t: float,
     inner = df_over_g_integral(f, g, log_t=log_t, v_hi=log_t, n_shells=n_shells)
     n_outer = max(int(math.ceil(-log_t / LOG2)), 1)
     edges = np.linspace(log_t, 0.0, n_outer + 1)
-
-    def fn(v):
-        lf = np.asarray(f.log_value(v), dtype=float)
-        lg = np.asarray(g.log_value(v + log_t), dtype=float)
-        dl = np.asarray(f.dlog(v), dtype=float)
-        return np.exp(np.clip(lf - lg, -745.0, 700.0)) * dl
-
+    fn = _df_over_g_integrand(f, g, log_t)
     outer = float(_panel_values(fn, edges[:-1], edges[1:], 24).sum())
     boundary = math.exp(f.log_value(0.0) - g.log_value(log_t))
     total = inner + outer - boundary

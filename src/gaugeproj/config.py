@@ -130,7 +130,7 @@ def parse_config(document) -> RunConfig:
 
     depth = _int_at_least("depth", 1)
     disc_cap = _int_at_least("disc_cap", 1)
-    angles = _int_at_least("angles", 2)
+    angles = _int_at_least("angles", 32)  # the sweep's minimum grid
     pairs = _int_at_least("pairs", 1000)
     scan_samples = _int_at_least("scan_samples", 1)
     seed = _int_at_least("seed", 0)

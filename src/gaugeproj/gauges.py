@@ -21,7 +21,7 @@ forms exp(log_r).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,15 +56,10 @@ class GaugeFunction:
     delta: float = 0.0
     beta: float = 1.0
     table: tuple[tuple[float, float], ...] | None = None
-    # the logstar cutoff; fixed at 1/2, the exact value is immaterial to
-    # every measure-level quantity
-    r_star: float = field(default=0.5, repr=False)
 
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise GaugeError(f"unknown gauge family {self.family!r}")
-        if self.r_star != 0.5:
-            raise GaugeError("the logstar cutoff is fixed at 1/2")
         if self.family == "power" and not self.s > 0:
             raise GaugeError("power gauge needs s > 0")
         if self.family == "logpower" and not self.s > 0:
@@ -251,7 +246,7 @@ def tabulated(samples) -> GaugeFunction:
     return GaugeFunction("table", table=tuple((float(a), float(b)) for a, b in samples))
 
 
-def growth_partner(f: GaugeFunction, scale: float = 1.0) -> GaugeFunction:
+def growth_partner(f: GaugeFunction) -> GaugeFunction:
     """The companion gauge g(r) = f(r * log(1/r)) of a power gauge.
 
     For f(r) = r**s this is r**s * (-log r)**s, the canonical pair whose
@@ -259,8 +254,6 @@ def growth_partner(f: GaugeFunction, scale: float = 1.0) -> GaugeFunction:
     """
     if f.family != "power":
         raise GaugeError("growth partner is defined for power gauges")
-    if scale != 1.0:
-        raise GaugeError("only unit scale is supported")
     return power_log(f.s, f.s, 1.0)
 
 

@@ -165,14 +165,9 @@ def choose_branching(f: GaugeFunction, schedule: RadiusSchedule) -> BranchingPla
     2a / (prod * f(r_{k+1}))]; the interval has width > 2 whenever the
     schedule inequalities hold, so an integer >= 2 always exists.
     """
-    log_a = float(f.log_value(schedule.log_r[0]))
-    a = math.exp(log_a)
     counts: list[int] = []
-    log_prod = 0.0
     for k in range(schedule.depth):
-        lf_next = float(f.log_value(schedule.log_r[k + 1]))
-        lower = math.exp(log_a - log_prod - lf_next)
-        upper = 2.0 * lower
+        lower, upper = branching_interval(f, schedule, counts)
         if upper - lower <= 2.0 * (1.0 - 1e-9):
             raise BranchingError(
                 f"branching interval [{lower:.3f}, {upper:.3f}] at level {k + 1} "
@@ -182,8 +177,8 @@ def choose_branching(f: GaugeFunction, schedule: RadiusSchedule) -> BranchingPla
             raise BranchingError(
                 f"no integer >= 2 in branching interval at level {k + 1}")
         counts.append(n)
-        log_prod += math.log(n)
-    return BranchingPlan(a, tuple(counts))
+    return BranchingPlan(math.exp(float(f.log_value(schedule.log_r[0]))),
+                         tuple(counts))
 
 
 def branching_interval(f: GaugeFunction, schedule: RadiusSchedule,

@@ -253,31 +253,29 @@ def discrete_energy(f: GaugeFunction, points, masses=None,
     return math.inf if coincident else total
 
 
-def _pair_values(f: GaugeFunction, coords: np.ndarray, weights,
-                 pairs: int, rng: np.random.Generator):
-    n = len(coords)
-    if weights is None:
-        draw = lambda k: rng.integers(0, n, size=(2, k))
-    else:
-        p = np.asarray(weights, dtype=float)
-        p = p / p.sum()
-        draw = lambda k: rng.choice(n, size=(2, k), p=p)
-    i, j = draw(pairs)
-    d = np.linalg.norm(coords[i] - coords[j], axis=-1)
+def sample_distinct_pairs(draw, pairs: int):
+    """``pairs`` nonzero difference vectors from ``draw(k)``, which returns
+    k difference vectors as a (k, dim) array.
+
+    Zero-length rows are redrawn, for at most 128 rounds.  Returns
+    (diffs, distances, rejected); raises EnergyEstimateError when the
+    rejections exceed 4 * pairs or the rounds run out.
+    """
+    diff = draw(pairs)
+    d = np.linalg.norm(diff, axis=-1)
     rejected = 0
     for _ in range(128):
         bad = d == 0.0
         n_bad = int(bad.sum())
         if n_bad == 0:
-            break
+            return diff, d, rejected
         rejected += n_bad
         if rejected > 4 * pairs:
             raise EnergyEstimateError(
                 "runaway pair rejection: atoms coincide almost surely")
-        i2, j2 = draw(n_bad)
-        d[bad] = np.linalg.norm(coords[i2] - coords[j2], axis=-1)
-    vals = np.asarray(f.reciprocal(d), dtype=float)
-    return vals, rejected
+        diff[bad] = draw(n_bad)
+        d[bad] = np.linalg.norm(diff[bad], axis=-1)
+    raise EnergyEstimateError("could not draw distinct atom pairs")
 
 
 def _check_self_mass(self_mass: float) -> None:
@@ -304,15 +302,23 @@ def mc_energy_atoms(f: GaugeFunction, points, masses, pairs: int,
         raise GaugeError("use at least 1000 pairs")
     coords = _as_coords(points)
     n = len(coords)
+    rng = np.random.default_rng(seed)
     if masses is None:
         self_mass = 1.0 / n
+        pick = lambda k: rng.integers(0, n, size=(2, k))
     else:
         p = np.asarray(masses, dtype=float)
         p = p / p.sum()
         self_mass = float(np.sum(p * p))
+        pick = lambda k: rng.choice(n, size=(2, k), p=p)
     _check_self_mass(self_mass)
-    rng = np.random.default_rng(seed)
-    vals, rejected = _pair_values(f, coords, masses, pairs, rng)
+
+    def draw(k):
+        i, j = pick(k)
+        return coords[i] - coords[j]
+
+    _, d, rejected = sample_distinct_pairs(draw, pairs)
+    vals = np.asarray(f.reciprocal(d), dtype=float)
     return _estimate(vals, pairs, rejected, self_mass)
 
 
@@ -327,21 +333,8 @@ def mc_energy(f: GaugeFunction, m: NaturalMeasure, pairs: int,
         raise GaugeError("use at least 1000 pairs")
     _check_self_mass(math.exp(m.log_atom_mass))
     rng = np.random.default_rng(seed)
-    a = m.sample_atoms(pairs, rng)
-    b = m.sample_atoms(pairs, rng)
-    d = np.linalg.norm(a - b, axis=-1)
-    rejected = 0
-    for _ in range(128):
-        bad = d == 0.0
-        n_bad = int(bad.sum())
-        if n_bad == 0:
-            break
-        rejected += n_bad
-        if rejected > 4 * pairs:
-            raise EnergyEstimateError(
-                "runaway pair rejection: atoms coincide almost surely")
-        d[bad] = np.linalg.norm(m.sample_atoms(n_bad, rng) - m.sample_atoms(n_bad, rng),
-                                axis=-1)
+    _, d, rejected = sample_distinct_pairs(
+        lambda k: m.sample_atoms(k, rng) - m.sample_atoms(k, rng), pairs)
     vals = np.asarray(f.reciprocal(d), dtype=float)
     return _estimate(vals, pairs, rejected, math.exp(m.log_atom_mass))
 
@@ -353,19 +346,8 @@ def potential(f: GaugeFunction, m: NaturalMeasure, x, pairs: int,
         raise GaugeError("use at least 1000 pairs")
     rng = np.random.default_rng(seed)
     x = np.asarray(x, dtype=float)
-    y = m.sample_atoms(pairs, rng)
-    d = np.linalg.norm(y - x, axis=-1)
-    rejected = 0
-    for _ in range(64):
-        bad = d == 0.0
-        n_bad = int(bad.sum())
-        if n_bad == 0:
-            break
-        rejected += n_bad
-        if rejected > pairs:
-            raise EnergyEstimateError("x coincides with too much of the measure")
-        d[bad] = np.linalg.norm(m.sample_atoms(n_bad, rng) - x, axis=-1)
-    return float(np.mean(1.0 / np.asarray(f.value(d), dtype=float)))
+    _, d, _ = sample_distinct_pairs(lambda k: m.sample_atoms(k, rng) - x, pairs)
+    return float(np.mean(f.reciprocal(d)))
 
 
 def capacity_lower_bound(f: GaugeFunction, m: NaturalMeasure, pairs: int,

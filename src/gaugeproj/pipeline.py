@@ -21,6 +21,8 @@ from .config import RunConfig, SCHEMA_VERSION
 from .svgreport import render_hierarchy_svg, render_shells_svg, render_sweep_svg
 
 SWEEP_PARTNER_LOG_EXPONENT = 0.15
+SHELLS_DRAWN = 1024  # dyadic shells in shells.svg
+SWEEP_COLUMNS = ["theta", "k", "cost", "bound", "margin"]
 
 
 def sweep_partner(f: gauges.GaugeFunction) -> gauges.GaugeFunction:
@@ -34,6 +36,11 @@ def sweep_partner(f: gauges.GaugeFunction) -> gauges.GaugeFunction:
     if f.family != "power":
         raise gauges.GaugeError("automatic sweep partner needs a power gauge")
     return gauges.power_log(f.s, SWEEP_PARTNER_LOG_EXPONENT, 1.0)
+
+
+def resolve_g(config: RunConfig, f: gauges.GaugeFunction) -> gauges.GaugeFunction:
+    """The config's gauge g, or sweep_partner(f) when g is "auto"."""
+    return config.gauge_g() or sweep_partner(f)
 
 
 @dataclass
@@ -68,6 +75,32 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _json_text(payload: dict) -> str:
+    """Canonical JSON document: sorted keys, non-finite floats as null."""
+    return json.dumps(_sanitize(payload), sort_keys=True, indent=2) + "\n"
+
+
+def _csv_text(header: list[str], rows) -> str:
+    """CSV document with floats as repr and None as an empty cell."""
+    buf = io.StringIO()
+    wr = csv.writer(buf, lineterminator="\n")
+    wr.writerow(header)
+    for row in rows:
+        wr.writerow([_fmt(v) for v in row])
+    return buf.getvalue()
+
+
+def _sweep_csv_text(rows: list[dict]) -> str:
+    return _csv_text(SWEEP_COLUMNS, ([r[c] for c in SWEEP_COLUMNS] for r in rows))
+
+
+def _write_file(out: Path, name: str, text: str) -> str:
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / name
+    path.write_text(text, encoding="utf-8", newline="\n")
+    return str(path)
+
+
 def run_pipeline(config: RunConfig, out_dir=None) -> PipelineResult:
     """Execute the full report pipeline for one config.
 
@@ -94,9 +127,7 @@ def run_pipeline(config: RunConfig, out_dir=None) -> PipelineResult:
     f = g = fit_g = None
     try:
         f = config.gauge_f()
-        g = config.gauge_g()
-        if g is None:
-            g = sweep_partner(f)
+        g = resolve_g(config, f)
         fit_f = gauges.doubling_exponent(f, log_grid=gauges.log_radius_grid())
         fit_g = gauges.doubling_exponent(g, log_grid=gauges.log_radius_grid())
         bundle["gauges"] = {"f": f.to_dict(), "g": g.to_dict(),
@@ -107,6 +138,7 @@ def run_pipeline(config: RunConfig, out_dir=None) -> PipelineResult:
         failed("gauges", e)
 
     # -- analytic condition verdicts ----------------------------------------
+    shells = None
     if f is not None and g is not None:
         try:
             pairs = {
@@ -122,6 +154,9 @@ def run_pipeline(config: RunConfig, out_dir=None) -> PipelineResult:
             for name, v in pairs.items():
                 verdicts[name] = {"status": v.status, "value": v.value,
                                   "diagnostics": v.diagnostics}
+            # each dyadic shell's sum is independent of the shell count, so
+            # the figure's 1024 shells are the verdict's first 1024
+            shells = pairs["integral_condition"].shell_sums[:SHELLS_DRAWN]
             ok("conditions")
         except Exception as e:
             failed("conditions", e)
@@ -132,13 +167,11 @@ def run_pipeline(config: RunConfig, out_dir=None) -> PipelineResult:
     h = None
     if f is not None:
         try:
-            schedule = hierarchy.derive_radius_schedule(f, config.depth)
-            plan = hierarchy.choose_branching(f, schedule)
-            h = hierarchy.build_hierarchy(f, schedule, plan, config.theta_mode,
-                                          disc_cap=config.disc_cap)
-            bundle["hierarchy"] = {"k1": schedule.k1, "a": plan.a,
-                                   "N": list(plan.counts),
-                                   "log_r": list(schedule.log_r)}
+            h = hierarchy.build_from_gauge(f, config.depth, config.theta_mode,
+                                           config.disc_cap)
+            bundle["hierarchy"] = {"k1": h.schedule.k1, "a": h.a,
+                                   "N": list(h.counts),
+                                   "log_r": list(h.schedule.log_r)}
             ok("construct", discs=h.disc_count(h.depth))
         except Exception as e:
             failed("construct", e)
@@ -244,11 +277,11 @@ def run_pipeline(config: RunConfig, out_dir=None) -> PipelineResult:
         "margins": {r["check_id"]: r["margin"] for r in check_rows},
     }
 
-    files = _emit(bundle, sweep_rows, h, config, out_dir)
+    files = _emit(bundle, sweep_rows, h, shells, config, out_dir)
     return PipelineResult(bundle, files)
 
 
-def _emit(bundle: dict, sweep_rows: list[dict], h, config: RunConfig,
+def _emit(bundle: dict, sweep_rows: list[dict], h, shells, config: RunConfig,
           out_dir) -> list[str]:
     target = out_dir if out_dir is not None else config.out_dir
     if target is None:
@@ -259,46 +292,20 @@ def _emit(bundle: dict, sweep_rows: list[dict], h, config: RunConfig,
     written: list[str] = []
 
     def write(name: str, text: str):
-        path = out / name
-        path.write_text(text, encoding="utf-8", newline="\n")
-        written.append(str(path))
+        written.append(_write_file(out, name, text))
 
     if emit.get("json", True):
-        write("report.json", json.dumps(_sanitize(bundle), sort_keys=True,
-                                        indent=2) + "\n")
+        write("report.json", _json_text(bundle))
     if emit.get("csv", True):
-        buf = io.StringIO()
-        wr = csv.writer(buf, lineterminator="\n")
-        wr.writerow(["check_id", "where", "passed", "margin", "note"])
-        for r in bundle["checks"]:
-            wr.writerow([r["check_id"], r["where"], r["passed"],
-                         _fmt(r["margin"]), r["note"]])
-        write("checks.csv", buf.getvalue())
-
-        buf = io.StringIO()
-        wr = csv.writer(buf, lineterminator="\n")
-        wr.writerow(["theta", "k", "cost", "bound", "margin"])
-        for r in sweep_rows:
-            wr.writerow([_fmt(r["theta"]), r["k"], _fmt(r["cost"]),
-                         _fmt(r["bound"]), _fmt(r["margin"])])
-        write("sweep.csv", buf.getvalue())
+        write("checks.csv", _csv_text(
+            ["check_id", "where", "passed", "margin", "note"],
+            ([r["check_id"], r["where"], r["passed"], r["margin"], r["note"]]
+             for r in bundle["checks"])))
+        write("sweep.csv", _sweep_csv_text(sweep_rows))
     if emit.get("svg", False):
         if h is not None:
             write("hierarchy.svg", render_hierarchy_svg(h))
         write("sweep.svg", render_sweep_svg(sweep_rows))
-        shells = None
-        v = bundle.get("verdicts", {}).get("integral_condition")
-        if v is not None:
-            shells = _integral_shells(config)
         if shells is not None:
             write("shells.svg", render_shells_svg(shells))
     return written
-
-
-def _integral_shells(config: RunConfig):
-    try:
-        f = config.gauge_f()
-        g = config.gauge_g() or sweep_partner(f)
-        return conditions.check_integral_condition(f, g, 1024).shell_sums
-    except Exception:
-        return None

@@ -22,7 +22,7 @@ from scipy.integrate import quad
 
 from .gauges import GaugeFunction, GaugeError, doubling_exponent, log_radius_grid
 from .hierarchy import DiscHierarchy
-from .measure import NaturalMeasure, EnergyEstimateError
+from .measure import NaturalMeasure, sample_distinct_pairs
 
 COALESCE_GRID = 1e-14
 
@@ -300,19 +300,8 @@ def averaged_projected_energy(m: NaturalMeasure, g: GaugeFunction,
         raise GaugeError(f"fitted doubling exponent {fit.s:.3f} >= 1")
     kernel = angle_kernel_integral(fit.s)
     rng = np.random.default_rng(seed)
-    a = m.sample_atoms(pairs, rng)
-    b = m.sample_atoms(pairs, rng)
-    diff = a - b
-    d = np.linalg.norm(diff, axis=-1)
-    for _ in range(128):
-        bad = d == 0.0
-        n_bad = int(bad.sum())
-        if n_bad == 0:
-            break
-        diff[bad] = m.sample_atoms(n_bad, rng) - m.sample_atoms(n_bad, rng)
-        d[bad] = np.linalg.norm(diff[bad], axis=-1)
-    else:
-        raise EnergyEstimateError("could not draw distinct atom pairs")
+    diff, d, _ = sample_distinct_pairs(
+        lambda k: m.sample_atoms(k, rng) - m.sample_atoms(k, rng), pairs)
     planar = float(np.mean(g.reciprocal(d)))
 
     thetas = (np.arange(theta_grid) + 0.5) * math.pi / theta_grid

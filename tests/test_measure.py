@@ -9,6 +9,7 @@ from gaugeproj import (EnergyEstimateError, GaugeError, NaturalMeasure,
                        discrete_energy, frostman_scan, mc_energy,
                        mc_energy_atoms, measure, potential, power,
                        schedule_from_radii)
+from gaugeproj.measure import sample_distinct_pairs
 
 
 @pytest.fixture(scope="module")
@@ -264,6 +265,72 @@ def test_mc_energy_rejects_tiny_budget(m4):
         mc_energy(power(0.5), m4, 10, seed=0)
 
 
+def _reference_loop(draw, pairs):
+    # reference: an uncapped redraw loop that draws in the same order
+    diff = draw(pairs)
+    d = np.linalg.norm(diff, axis=-1)
+    rejected = 0
+    for _ in range(128):
+        bad = d == 0.0
+        if not bad.any():
+            break
+        rejected += int(bad.sum())
+        diff[bad] = draw(int(bad.sum()))
+        d[bad] = np.linalg.norm(diff[bad], axis=-1)
+    return d, rejected
+
+
+def test_mc_energy_keeps_its_draw_order(h05_depth5):
+    # one level of 9 atoms: about one pair in nine collides and is redrawn
+    m = NaturalMeasure(h05_depth5, 1)
+    est = mc_energy(power(0.5), m, 20_000, seed=3)
+    rng = np.random.default_rng(3)
+    d, rejected = _reference_loop(
+        lambda k: m.sample_atoms(k, rng) - m.sample_atoms(k, rng), 20_000)
+    vals = power(0.5).reciprocal(d)
+    assert rejected > 1000 and est.collisions_rejected == rejected
+    assert est.mean == float(vals.mean()) * (1.0 - math.exp(m.log_atom_mass))
+
+
+def test_mc_energy_atoms_keeps_its_draw_order():
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [3.0, 1.0]])
+    w = np.array([0.4, 0.3, 0.2, 0.1])
+    for masses, pick in ((None, lambda rng, k: rng.integers(0, 4, size=(2, k))),
+                         (w, lambda rng, k: rng.choice(4, size=(2, k), p=w))):
+        est = mc_energy_atoms(power(1.0), pts, masses, 5000, seed=11)
+        rng = np.random.default_rng(11)
+
+        def draw(k):
+            i, j = pick(rng, k)
+            return pts[i] - pts[j]
+
+        d, rejected = _reference_loop(draw, 5000)
+        assert est.collisions_rejected == rejected > 0
+        self_mass = 0.25 if masses is None else float(np.sum((w / w.sum()) ** 2))
+        assert est.mean == float((1.0 / d).mean()) * (1.0 - self_mass)
+
+
+def test_sample_distinct_pairs_redraws_zero_rows():
+    rng = np.random.default_rng(0)
+    draw = lambda k: rng.integers(0, 2, size=(k, 2)).astype(float)  # 1/4 zero
+    diff, d, rejected = sample_distinct_pairs(draw, 4000)
+    assert diff.shape == (4000, 2) and np.all(d > 0)
+    assert np.array_equal(d, np.linalg.norm(diff, axis=-1))
+    assert 0 < rejected < 4 * 4000
+
+
+def test_sample_distinct_pairs_gives_up():
+    with pytest.raises(EnergyEstimateError, match="runaway"):
+        sample_distinct_pairs(lambda k: np.zeros((k, 2)), 1000)
+
+    def one_stuck_row(k):  # rejections stay under 4x pairs; rounds run out
+        out = np.ones((k, 2))
+        out[0] = 0.0
+        return out
+    with pytest.raises(EnergyEstimateError, match="could not draw"):
+        sample_distinct_pairs(one_stuck_row, 1000)
+
+
 def test_self_mass_abort():
     with pytest.raises(EnergyEstimateError, match="50%"):
         mc_energy_atoms(power(1.0), [(0.0, 0.0), (1.0, 0.0)], [0.9, 0.1],
@@ -278,6 +345,13 @@ def test_potential_barycenter_exact():
     m = two_atom_measure()
     val = potential(power(1.0), m, (0.0, 0.0), 2000, seed=4)
     assert val == pytest.approx(4.0, abs=0)  # both atoms at distance 0.25
+
+
+def test_potential_at_an_atom():
+    # half of the measure sits at x itself; the other atom is 0.5 away
+    m = two_atom_measure()
+    for seed in range(40):
+        assert potential(power(1.0), m, (0.25, 0.0), 2000, seed=seed) == 2.0
 
 
 def test_potential_far_point():

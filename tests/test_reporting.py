@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from gaugeproj import (ConfigError, GaugeFitError, gauges, parse_config,
-                       power, run_pipeline, sweep_partner)
+from gaugeproj import (ConfigError, GaugeFitError, conditions, gauges,
+                       parse_config, power, run_pipeline, sweep_partner)
 from gaugeproj.cli import main as cli_main
 from gaugeproj.hierarchy import (BranchingPlan, build_hierarchy,
                                  schedule_from_radii)
@@ -42,6 +42,10 @@ def test_parse_rejects_unknown_keys_and_lists_all_violations():
                                  "depth": 0, "angles": 1, "wat": 1}))
     msg = str(err.value)
     assert "wat" in msg and "depth" in msg and "angles" in msg
+    # the sweep needs at least 32 angles, so the config does too
+    with pytest.raises(ConfigError, match="angles: must be an integer >= 32"):
+        parse_config(json.dumps({"f": {"family": "power", "s": 0.5},
+                                 "depth": 3, "angles": 16}))
 
 
 def test_parse_requires_gauge():
@@ -119,6 +123,21 @@ def test_pipeline_emits_svg(tmp_path):
         path = tmp_path / "out" / name
         assert path.exists()
         ET.parse(path)  # well-formed XML
+
+
+def test_pipeline_checks_the_integral_condition_once(tmp_path, monkeypatch):
+    calls = []
+    real = conditions.check_integral_condition
+
+    def counted(f, g, n_shells):
+        calls.append(n_shells)
+        return real(f, g, n_shells)
+
+    monkeypatch.setattr(conditions, "check_integral_condition", counted)
+    doc = dict(FAST, emit={"csv": True, "json": True, "svg": True})
+    run_pipeline(parse_config(json.dumps(doc)), tmp_path / "out")
+    assert calls == [2048]
+    assert (tmp_path / "out" / "shells.svg").exists()
 
 
 def test_pipeline_determinism(tmp_path):
@@ -254,3 +273,66 @@ def test_sweep_partner_is_a_gap_pair():
     f = power(0.5)
     g = sweep_partner(f)
     assert g.family == "powerlog" and g.delta == 0.5
+
+
+_REQUIRED = {
+    "gauge-check": ["--f", '{"family":"power","s":0.5}'],
+    "classify": ["--f", '{"family":"logpower","s":1.1}',
+                 "--psi", '{"family":"exp_power","tau":3}'],
+    "gap-report": ["--delta", "0.5"],
+    "construct": ["--f", '{"family":"power","s":0.5}'],
+    "sweep": ["--f", '{"family":"power","s":0.5}'],
+    "energy": ["--f", '{"family":"power","s":0.5}'],
+}
+_SHARED = (("--config", "c.json"), ("--seed", "1"), ("--emit", "csv"),
+           ("--depth", "3"), ("--angles", "64"))
+
+
+@pytest.mark.parametrize("cmd, flag, value", [
+    *[("gauge-check", flag, value) for flag, value in _SHARED[1:]],
+    *[("classify", flag, value) for flag, value in _SHARED],
+    *[("gap-report", flag, value) for flag, value in _SHARED],
+    ("construct", "--seed", "1"), ("construct", "--angles", "64"),
+    ("sweep", "--seed", "1"),
+    ("energy", "--angles", "64"), ("energy", "--emit", "json"),
+])
+def test_cli_rejects_flags_a_subcommand_does_not_read(cmd, flag, value, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli_main([cmd, *_REQUIRED[cmd], flag, value])
+    assert err.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def fast_svg_run(tmp_path_factory):
+    """The FAST config with svg on, through ``run``, ``sweep`` and
+    ``construct`` into sibling directories.  Depth 4 and 256 angles give
+    the sweep measured rows; FAST's depth 3 and 64 angles give none."""
+    root = tmp_path_factory.mktemp("shared")
+    cfg = root / "config.json"
+    cfg.write_text(json.dumps(dict(FAST, depth=4, angles=256, emit={
+        "csv": True, "json": True, "svg": True})))
+    for cmd in ("run", "sweep", "construct"):
+        assert cli_main([cmd, "--config", str(cfg), "--out",
+                         str(root / cmd)]) == 0
+    return root
+
+
+def test_cli_sweep_writes_the_run_files(fast_svg_run):
+    assert len((fast_svg_run / "run" / "sweep.csv").read_text().splitlines()) > 2
+    for name in ("sweep.csv", "sweep.svg"):
+        assert (fast_svg_run / "sweep" / name).read_bytes() == \
+            (fast_svg_run / "run" / name).read_bytes()
+
+
+def test_cli_construct_writes_the_run_hierarchy_svg(fast_svg_run):
+    assert (fast_svg_run / "construct" / "hierarchy.svg").read_bytes() == \
+        (fast_svg_run / "run" / "hierarchy.svg").read_bytes()
+
+
+def test_run_shells_svg_is_the_1024_shell_integral(fast_svg_run):
+    # reference: a separate 1024-shell run of the integral condition
+    f = power(0.5)
+    shells = conditions.check_integral_condition(f, sweep_partner(f), 1024)
+    assert (fast_svg_run / "run" / "shells.svg").read_text(encoding="utf-8") == \
+        render_shells_svg(shells.shell_sums)
