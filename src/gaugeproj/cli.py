@@ -33,18 +33,30 @@ def _flags(parser: argparse.ArgumentParser, *names: str) -> None:
         parser.add_argument(name, **_FLAGS[name])
 
 
-def _gauge_arg(text: str) -> gauges.GaugeFunction:
-    return gauges.parse_gauge(json.loads(text))
+def _json_arg(text: str, what: str):
+    """Parsed JSON text; malformed text is a ConfigError naming its source."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as e:
+        raise ConfigError(f"{what} is not valid JSON: {e}") from None
+
+
+def _gauge_arg(text: str, flag: str) -> gauges.GaugeFunction:
+    return gauges.parse_gauge(_json_arg(text, flag))
 
 
 def _load_config(args):
     """The config file (if any) with the subcommand's flag overrides."""
     doc = {}
     if args.config:
-        doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as e:
+            raise ConfigError(f"cannot read config: {e}") from None
+        doc = _json_arg(text, f"config {args.config}")
     for key in ("f", "g"):
         if getattr(args, key, None):
-            doc[key] = json.loads(getattr(args, key))
+            doc[key] = _json_arg(getattr(args, key), f"--{key}")
     for key in ("seed", "depth", "angles", "pairs"):
         if getattr(args, key, None) is not None:
             doc[key] = getattr(args, key)
@@ -74,8 +86,8 @@ def _verdict_payload(v: conditions.ConditionVerdict) -> dict:
 
 
 def cmd_gauge_check(args) -> int:
-    f = _gauge_arg(args.f)
-    g = _gauge_arg(args.g) if args.g else None
+    f = _gauge_arg(args.f, "--f")
+    g = _gauge_arg(args.g, "--g") if args.g else None
     grid = gauges.log_radius_grid()
     payload: dict = {"f": f.to_dict()}
     fit = gauges.doubling_exponent(f, log_grid=grid)
@@ -151,8 +163,8 @@ def cmd_energy(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    f = _gauge_arg(args.f)
-    psi = diophantine.parse_approx(json.loads(args.psi))
+    f = _gauge_arg(args.f, "--f")
+    psi = diophantine.parse_approx(_json_arg(args.psi, "--psi"))
     sv = diophantine.classify_series(f, psi, args.k, args.blocks)
     _write(args, "classify.csv", _csv_text(
         ["family_f", "family_psi", "tau", "k", "verdict", "fitted_exponent",

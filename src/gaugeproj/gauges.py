@@ -90,17 +90,31 @@ class GaugeFunction:
         return v_m if v_m < LOG_HALF else math.inf
 
     def log_value(self, log_r):
-        """log f(e**log_r), computed without forming e**log_r."""
+        """log f(e**log_r), computed without forming e**log_r.
+
+        The logpower and powerlog formulas (in the comments) run step by
+        step in place on working arrays of their own, never on the
+        caller's array, so each step is the float op of the formula.
+        """
         v = np.asarray(log_r, dtype=float)
         if self.family == "power":
             out = self.s * v
         elif self.family == "logpower":
-            u = np.maximum(-v, LOG2)
-            out = -self.s * np.log(u)
+            # -s * log(max(-v, LOG2))
+            out = np.negative(v, out=np.empty_like(v))
+            np.maximum(out, LOG2, out=out)
+            np.log(out, out=out)
+            np.multiply(-self.s, out, out=out)
         elif self.family == "powerlog":
-            vc = np.minimum(v, self._clamp_v)
-            u = np.maximum(-vc, LOG2)
-            out = self.delta * vc + self.s * np.log(self.beta * u)
+            # delta * vc + s * log(beta * max(-vc, LOG2)),  vc = min(v, clamp)
+            vc = np.minimum(v, self._clamp_v, out=np.empty_like(v))
+            u = np.negative(vc, out=np.empty_like(vc))
+            np.maximum(u, LOG2, out=u)
+            np.multiply(self.beta, u, out=u)
+            np.log(u, out=u)
+            np.multiply(self.s, u, out=u)
+            out = np.multiply(self.delta, vc, out=vc)
+            np.add(out, u, out=out)
         else:
             knots = np.asarray(self.table, dtype=float)
             out = np.interp(v, knots[:, 0], knots[:, 1])
@@ -211,12 +225,15 @@ class GaugeFunction:
 
     def reciprocal(self, r):
         """1/f(r), vectorised; the power family skips the log/exp round trip
-        (this sits in every energy hot loop)."""
+        (this sits in every energy hot loop).  Other families negate and
+        exponentiate log_value's fresh array in place."""
         r = np.asarray(r, dtype=float)
         if self.family == "power":
             out = r ** (-self.s)
         else:
-            out = np.exp(-np.asarray(self.log_value(np.log(r))))
+            out = np.asarray(self.log_value(np.log(r)))
+            np.negative(out, out=out)
+            np.exp(out, out=out)
         return out if out.ndim else float(out)
 
     def to_dict(self) -> dict:

@@ -62,11 +62,14 @@ class NaturalMeasure:
         """Centers of n uniformly sampled atoms (equal masses make uniform
         path sampling mass-proportional), without materialising the level."""
         h = self.hierarchy
-        pts = np.zeros((n, 2))
+        x, y = np.zeros(n), np.zeros(n)
         for level in range(1, self.depth + 1):
             idx = rng.integers(0, h.counts[level - 1], size=n)
-            pts += h.offsets(level)[idx, None] * h.direction(level)[None, :]
-        return pts
+            step = h.offsets(level)[idx]
+            ex, ey = h.direction(level)
+            x += step * ex
+            y += step * ey
+        return np.stack([x, y], axis=1)
 
 
 # probes descended together; bounds the per-level children arrays

@@ -33,10 +33,10 @@ def render_hierarchy_svg(h: DiscHierarchy, max_discs: int = 10 ** 5) -> str:
     r0 = h.radius(0)
     scale = (VIEW - 2 * MARGIN) / (2 * r0)
 
-    def sx(x: float) -> float:
+    def sx(x):
         return VIEW / 2 + x * scale
 
-    def sy(y: float) -> float:
+    def sy(y):
         return VIEW / 2 - y * scale
 
     body = [f'<circle cx="{_num(VIEW / 2)}" cy="{_num(VIEW / 2)}" '
@@ -55,11 +55,11 @@ def render_hierarchy_svg(h: DiscHierarchy, max_discs: int = 10 ** 5) -> str:
                         f"{count} paths -->")
         else:
             centers = h.level_centers(level)
-        r = max(h.radius(level) * scale, 0.05)
-        for cx, cy in centers:
-            body.append(f'<circle cx="{_num(sx(cx))}" cy="{_num(sy(cy))}" '
-                        f'r="{_num(r)}" fill="none" stroke="#06c" '
-                        f'stroke-width="0.5"/>')
+        px, py = sx(centers[:, 0]).tolist(), sy(centers[:, 1]).tolist()
+        tail = (f'r="{_num(max(h.radius(level) * scale, 0.05))}" fill="none" '
+                f'stroke="#06c" stroke-width="0.5"/>')
+        body.extend(f'<circle cx="{_num(x)}" cy="{_num(y)}" {tail}'
+                    for x, y in zip(px, py))
         drawn += len(centers)
     for level in range(1, h.depth + 1):
         ex, ey = h.direction(level)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,3 +188,111 @@ def test_doubling_roundtrip_lemma():
         c = doubling_constant(g, log_grid=GRID)
         assert doubling_roundtrip_violations(g, c, 10_000, seed=5,
                                              log_grid=GRID) == 0
+
+
+# ---------------------------------------------------------------------------
+# In-place evaluation: exact against the plain expressions
+# ---------------------------------------------------------------------------
+
+LOG2 = math.log(2.0)
+
+
+def reference_log_value(f, log_r):
+    """log_value as plain chained expressions, one temporary per step."""
+    v = np.asarray(log_r, dtype=float)
+    if f.family == "power":
+        out = f.s * v
+    elif f.family == "logpower":
+        u = np.maximum(-v, LOG2)
+        out = -f.s * np.log(u)
+    elif f.family == "powerlog":
+        vc = np.minimum(v, f._clamp_v)
+        u = np.maximum(-vc, LOG2)
+        out = f.delta * vc + f.s * np.log(f.beta * u)
+    else:
+        knots = np.asarray(f.table, dtype=float)
+        out = np.interp(v, knots[:, 0], knots[:, 1])
+        slope0 = (knots[1, 1] - knots[0, 1]) / (knots[1, 0] - knots[0, 0])
+        below = v < knots[0, 0]
+        if np.any(below):
+            out = np.where(below, knots[0, 1] + slope0 * (v - knots[0, 0]), out)
+    return out if out.ndim else float(out)
+
+
+def reference_reciprocal(f, r):
+    r = np.asarray(r, dtype=float)
+    if f.family == "power":
+        out = r ** (-f.s)
+    else:
+        out = np.exp(-np.asarray(reference_log_value(f, np.log(r))))
+    return out if out.ndim else float(out)
+
+
+# power_log(0.5, 0.5) clamps above r = e**-1; power_log(0.3, -1, 2) has no clamp
+EXACT_GAUGES = [power(0.5), log_power(1.5), power_log(0.5, 0.5),
+                power_log(0.3, -1.0, 2.0), power_log(0.8, 0.8, 0.5),
+                tabulated([(-50.0, -30.0), (-10.0, -5.0), (-1.0, -0.5)])]
+EXACT_RADII = np.concatenate([
+    [1e-300, 1e-200, 1e-30, 1e-12, 0.3, math.exp(-1.0), 0.37, 0.4, 0.49,
+     0.5, 0.6, 0.9, 1.0, 3.0],
+    np.random.default_rng(11).uniform(1e-9, 1.0, 500),
+    np.exp(np.random.default_rng(12).uniform(-690.0, 0.0, 500)),
+])
+
+
+@pytest.mark.parametrize("f", EXACT_GAUGES, ids=lambda f: f.family)
+def test_log_value_and_reciprocal_equal_the_plain_expressions(f):
+    r = EXACT_RADII.copy()
+    log_r = np.log(r)
+    got, want = f.log_value(log_r), reference_log_value(f, log_r)
+    assert got.tobytes() == want.tobytes()
+    got, want = f.reciprocal(r), reference_reciprocal(f, r)
+    assert got.tobytes() == want.tobytes()
+    # a strided view and a 2-d block take the same path
+    assert (f.log_value(log_r[::3]).tobytes()
+            == reference_log_value(f, log_r[::3]).tobytes())
+    block = r[:1000].reshape(40, 25)
+    assert f.reciprocal(block).tobytes() == reference_reciprocal(f, block).tobytes()
+
+
+@pytest.mark.parametrize("f", EXACT_GAUGES, ids=lambda f: f.family)
+@pytest.mark.parametrize("x", [1e-300, 0.01, 0.4, 0.75])
+def test_scalar_and_0d_inputs_return_float(f, x):
+    v = math.log(x)
+    for arg in (v, np.float64(v), np.array(v)):
+        got = f.log_value(arg)
+        assert type(got) is float and got == reference_log_value(f, v)
+    for arg in (x, np.float64(x), np.array(x)):
+        got = f.reciprocal(arg)
+        assert type(got) is float and got == reference_reciprocal(f, x)
+
+
+@pytest.mark.parametrize("f", EXACT_GAUGES, ids=lambda f: f.family)
+def test_evaluation_leaves_the_input_unmodified(f):
+    log_r = np.log(EXACT_RADII)
+    frozen = log_r.copy()
+    frozen.setflags(write=False)  # a write into it would raise
+    f.log_value(frozen)
+    f.log_value_slow(frozen)
+    assert frozen.tobytes() == log_r.tobytes()
+    r = EXACT_RADII.copy()
+    f.reciprocal(r)
+    f.value(r)
+    assert r.tobytes() == EXACT_RADII.tobytes()
+
+
+@pytest.mark.parametrize("f", [power_log(0.5, 0.5), log_power(1.5)],
+                         ids=lambda f: f.family)
+def test_reciprocal_allocation_peak(f):
+    """One reciprocal over 100k radii holds at most three radius-sized
+    buffers at once: the log radii and log_value's working arrays."""
+    r = np.random.default_rng(0).uniform(1e-12, 0.4, 100_000)
+    f.reciprocal(r)
+    tracemalloc.start()
+    try:
+        f.reciprocal(r)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the allowance covers array headers, not another buffer
+    assert peak <= 3 * r.nbytes + 4096

@@ -25,6 +25,33 @@ def two_atom_measure():
 
 
 # ---------------------------------------------------------------------------
+# Atom sampling
+# ---------------------------------------------------------------------------
+
+def reference_sample_atoms(m, n, rng):
+    """sample_atoms as a 2-d accumulation of offset x direction outer products."""
+    h = m.hierarchy
+    pts = np.zeros((n, 2))
+    for level in range(1, m.depth + 1):
+        idx = rng.integers(0, h.counts[level - 1], size=n)
+        pts += h.offsets(level)[idx, None] * h.direction(level)[None, :]
+    return pts
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("fixture", ["h03_depth5", "h05_depth5", "h08_depth5"])
+def test_sample_atoms_equals_the_2d_accumulation(fixture, depth, request):
+    m = NaturalMeasure(request.getfixturevalue(fixture), depth)
+    rng, ref_rng = np.random.default_rng(depth), np.random.default_rng(depth)
+    for n in (1, 2000):
+        got, want = m.sample_atoms(n, rng), reference_sample_atoms(m, n, ref_rng)
+        assert got.shape == want.shape == (n, 2)
+        assert got.tobytes() == want.tobytes()
+    # the same draws were consumed
+    assert rng.integers(0, 2 ** 62) == ref_rng.integers(0, 2 ** 62)
+
+
+# ---------------------------------------------------------------------------
 # Ball mass
 # ---------------------------------------------------------------------------
 

@@ -179,6 +179,63 @@ def test_hierarchy_svg_small_budget_notice(h05_depth5):
     ET.fromstring(svg)
 
 
+def reference_hierarchy_svg(h, max_discs=10 ** 5):
+    """render_hierarchy_svg with one sx/sy/_num call per disc coordinate."""
+    from gaugeproj.svgreport import MARGIN, VIEW, _first_paths, _num, _svg
+    r0 = h.radius(0)
+    scale = (VIEW - 2 * MARGIN) / (2 * r0)
+
+    def sx(x):
+        return VIEW / 2 + x * scale
+
+    def sy(y):
+        return VIEW / 2 - y * scale
+
+    body = [f'<circle cx="{_num(VIEW / 2)}" cy="{_num(VIEW / 2)}" '
+            f'r="{_num(r0 * scale)}" fill="none" stroke="#333" stroke-width="1"/>']
+    drawn = 1
+    for level in range(1, h.depth + 1):
+        count = h.disc_count(level)
+        budget = max_discs - drawn
+        if budget <= 0:
+            body.append(f"<!-- level {level} omitted: disc budget exhausted -->")
+            continue
+        if count > budget or count > h.disc_cap:
+            take = min(budget, h.disc_cap, 4096)
+            centers = _first_paths(h, level, take)
+            body.append(f"<!-- level {level} subsampled: first {take} of "
+                        f"{count} paths -->")
+        else:
+            centers = h.level_centers(level)
+        r = max(h.radius(level) * scale, 0.05)
+        for cx, cy in centers:
+            body.append(f'<circle cx="{_num(sx(cx))}" cy="{_num(sy(cy))}" '
+                        f'r="{_num(r)}" fill="none" stroke="#06c" '
+                        f'stroke-width="0.5"/>')
+        drawn += len(centers)
+    for level in range(1, h.depth + 1):
+        ex, ey = h.direction(level)
+        body.append(f'<line x1="{_num(sx(-r0 * ex))}" y1="{_num(sy(-r0 * ey))}" '
+                    f'x2="{_num(sx(r0 * ex))}" y2="{_num(sy(r0 * ey))}" '
+                    f'stroke="#c60" stroke-width="0.4" stroke-dasharray="4 4"/>')
+    return _svg(body)
+
+
+@pytest.mark.parametrize("fixture, max_discs", [
+    ("h05_depth5", 10 ** 5),  # every level drawn in full
+    ("h08_depth5", 10 ** 5),  # deep levels subsampled
+    ("h05_depth5", 100),      # budget exhausted part way
+])
+def test_hierarchy_svg_equals_the_per_disc_renderer(fixture, max_discs, request):
+    h = request.getfixturevalue(fixture)
+    got = render_hierarchy_svg(h, max_discs=max_discs).split("\n")
+    want = reference_hierarchy_svg(h, max_discs=max_discs).split("\n")
+    # first differing line only: a diff of two megabyte strings takes minutes
+    first = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
+    assert first is None, (first, got[first], want[first])
+    assert len(got) == len(want)
+
+
 def test_empty_sweep_svg_axes_only():
     svg = render_sweep_svg([])
     assert "<polyline" not in svg
@@ -267,6 +324,27 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     code = cli_main(["run", "--config", str(cfg)])
     assert code == 2
     assert "depth" in capsys.readouterr().err
+
+
+_POWER = '{"family":"power","s":0.5}'
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["run", "--config", "MISSING"], "cannot read config"),
+    (["run", "--config", "DIR"], "cannot read config"),
+    (["run", "--config", "NOPE"], "is not valid JSON"),
+    (["gauge-check", "--f", "{nope"], "--f is not valid JSON"),
+    (["gauge-check", "--f", _POWER, "--g", "{nope"], "--g is not valid JSON"),
+    (["classify", "--f", _POWER, "--psi", "{nope"], "--psi is not valid JSON"),
+])
+def test_cli_read_errors_exit_2(argv, message, tmp_path, capsys):
+    (tmp_path / "nope.json").write_text("{nope", encoding="utf-8")
+    paths = {"MISSING": tmp_path / "missing.json", "DIR": tmp_path,
+             "NOPE": tmp_path / "nope.json"}
+    code = cli_main([str(paths.get(a, a)) for a in argv])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_sweep_partner_is_a_gap_pair():
