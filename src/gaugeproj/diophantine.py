@@ -23,7 +23,7 @@ from scipy.special import logsumexp
 
 from .conditions import (ConditionVerdict, FINITE, DIVERGENT, INCONCLUSIVE,
                          classify_log_tail, check_integral_condition)
-from .gauges import GaugeFunction, GaugeError, power_log
+from .gauges import GaugeFunction, GaugeError, power_log, spec_float
 
 LOG2 = math.log(2.0)
 
@@ -87,7 +87,9 @@ def pure_power(tau: float) -> ApproxFunction:
 def parse_approx(doc: dict) -> ApproxFunction:
     if not isinstance(doc, dict) or set(doc) - {"family", "tau"}:
         raise GaugeError("approximation spec must be {family, tau}")
-    return ApproxFunction(doc["family"], float(doc["tau"]))
+    if "family" not in doc:
+        raise GaugeError("spec lacks key 'family'")
+    return ApproxFunction(doc["family"], spec_float(doc, "tau"))
 
 
 def _term_log(f: GaugeFunction, psi: ApproxFunction, k: int,

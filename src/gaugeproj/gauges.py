@@ -288,15 +288,35 @@ def parse_gauge(doc: dict) -> GaugeFunction:
     if extra:
         raise GaugeError(f"unknown gauge keys: {sorted(extra)}")
     if family == "power":
-        return power(float(doc["s"]))
+        return power(spec_float(doc, "s"))
     if family == "logpower":
-        return log_power(float(doc["s"]))
+        return log_power(spec_float(doc, "s"))
     if family == "powerlog":
-        return power_log(float(doc["delta"]), float(doc["s"]),
-                         float(doc.get("beta", 1.0)))
+        return power_log(spec_float(doc, "delta"), spec_float(doc, "s"),
+                         spec_float(doc, "beta", 1.0))
     if family == "table":
-        return tabulated(doc["table"])
+        if "table" not in doc:
+            raise GaugeError("spec lacks key 'table'")
+        try:
+            samples = [(float(a), float(b)) for a, b in doc["table"]]
+        except (TypeError, ValueError):
+            raise GaugeError("spec key 'table' must list [log_r, log_f] "
+                             "number pairs") from None
+        return tabulated(samples)
     raise GaugeError(f"unknown gauge family {family!r}")
+
+
+def spec_float(doc: dict, key: str, default: float | None = None) -> float:
+    """``doc[key]`` as a float; GaugeError naming the key when it is missing
+    (and has no default) or not a number."""
+    if key not in doc:
+        if default is None:
+            raise GaugeError(f"spec lacks key {key!r}")
+        return default
+    try:
+        return float(doc[key])
+    except (TypeError, ValueError):
+        raise GaugeError(f"spec key {key!r} is not a number: {doc[key]!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ disc carries exactly 1/(N_1 ... N_k).  Atoms sit at the centers of the
 deepest built level.  Ball masses are computed by descending the implicit
 tree (prune discs a ball misses, absorb discs it swallows whole), which
 stays exact even when the full atom set is too large to materialise; all
-probes of a scan go through one batched descent.
+probes of a scan go through one batched descent.  A disc's children sit on
+one diameter, so the descent addresses them as index ranges: the children
+a ball swallows are counted, and only those on its boundary are measured.
 
 Energies are the discrete analogue of the double integral of
 1/f(|x - y|): exact chunked double sums for small atom sets, seeded
@@ -72,8 +74,8 @@ class NaturalMeasure:
         return np.stack([x, y], axis=1)
 
 
-# probes descended together; bounds the per-level children arrays
-PROBE_CHUNK = 1024
+# probes descended together; bounds the per-level frontier arrays
+PROBE_CHUNK = 4096
 # most boundary discs one probe's descent may keep at a level
 DESCENT_CAP = 2_000_000
 
@@ -86,12 +88,18 @@ def ball_masses(m: NaturalMeasure, xs, rs) -> np.ndarray:
     a ball contribute their full mass, subtrees a ball cannot reach are
     pruned, and only boundary discs are expanded.  The frontier holds one
     row per (ball, boundary disc) pair, processed PROBE_CHUNK balls at a
-    time.
+    time.  A row's children sit on one diameter, so the children its ball
+    swallows and those it can reach are index ranges: the interior of the
+    swallowed range is counted by index arithmetic, and the distance
+    predicates run only on the two boundary bands between the ranges.
+    Centers and radii must be finite.
     """
     xs = np.asarray(xs, dtype=float).reshape(-1, 2)
     rs = np.asarray(rs, dtype=float).reshape(-1)
     if len(xs) != len(rs):
         raise GaugeError("ball_masses needs one radius per center")
+    if not (np.isfinite(xs).all() and np.isfinite(rs).all()):
+        raise GaugeError("ball centers and radii must be finite")
     out = np.empty(len(rs))
     for lo in range(0, len(rs), PROBE_CHUNK):
         hi = lo + PROBE_CHUNK
@@ -102,26 +110,79 @@ def ball_masses(m: NaturalMeasure, xs, rs) -> np.ndarray:
 def _descend(m: NaturalMeasure, x: np.ndarray, r: np.ndarray) -> np.ndarray:
     h = m.hierarchy
     n_probes = len(r)
+    # frontier rows: the ball's probe, center and radius, the disc's center
     probe = np.arange(n_probes)
-    active = np.zeros((n_probes, 2))
+    px, py, rad = x[:, 0], x[:, 1], r
+    ax = ay = np.zeros(n_probes)
     mass = np.zeros(n_probes)
     level_mass = 1.0
+    # Disc centers lie within r_0 of the origin, so a ball of radius `reach`
+    # swallows every disc with room to spare; the range arithmetic caps
+    # radii there to stay finite.  tol bounds the absolute float error of
+    # every distance and range end below: each rounding is at most eps
+    # times r_0 + |x|_1 + r, and the child distances, the frame (t, q) and
+    # the range ends take a few dozen of them.
+    reach = 2.0 * (h.radius(0) + np.abs(px) + np.abs(py))
+    rad_cap = np.minimum(r, reach)
+    tol = 64.0 * np.finfo(float).eps * float(np.max(reach + rad_cap))
     for level in range(1, m.depth + 1):
         r_lvl = h.radius(level)
         level_mass /= h.counts[level - 1]
-        step = h.offsets(level)[:, None] * h.direction(level)[None, :]
-        children = (active[:, None, :] + step[None, :, :]).reshape(-1, 2)
-        probe = np.repeat(probe, len(step))
-        r_c = r[probe]
-        dist = np.hypot(children[:, 0] - x[probe, 0], children[:, 1] - x[probe, 1])
-        if level == m.depth:
-            mass += level_mass * np.bincount(probe[dist <= r_c], minlength=n_probes)
+        off = h.offsets(level)
+        n = len(off)
+        ex, ey = h.direction(level)
+        last = level == m.depth
+        # Children sit at off[j] = -span + j * step along e, and the ball's
+        # center sits t along e and q off that diameter, so the children
+        # within rho of it are |off[j] - t| <= sqrt(rho**2 - q**2): an index
+        # range.  The reach radius (at the last level the ball's own) is
+        # widened by tol, so nothing outside its range passes; the swallow
+        # radius is narrowed by tol, so everything inside its range passes.
+        vx, vy = px - ax, py - ay
+        t = vx * ex + vy * ey
+        q = np.abs(vx * ey - vy * ex)
+        grow = tol if last else r_lvl + tol
+        rho = np.maximum(rad_cap[:, None] + np.array([grow, -grow]), 0.0)
+        qq = np.maximum(q[:, None] + np.array([-tol, tol]), 0.0)
+        w = np.sqrt(np.maximum(rho - qq, 0.0)) * np.sqrt(rho + qq)
+        w += np.array([tol, -tol])
+        inv_step = (n - 1) / (2.0 * off[-1])
+        c = (t + off[-1]) * inv_step
+        # first index past each range end: reach start, swallow end,
+        # swallow start, reach end
+        half = w[:, [0, 1, 1, 0]] * np.array([-inv_step, inv_step, -inv_step, inv_step])
+        ends = np.floor(c[:, None] + half)
+        ends += 1.0
+        # fmax/fmin also clip a NaN, should a center near the float range
+        # overflow the arithmetic
+        np.fmax(ends, 0.0, out=ends)
+        np.fmin(ends, n, out=ends)
+        ends = ends.astype(np.intp)
+        # an empty swallow range starts and ends inside the reach range
+        np.maximum(ends[:, 1], ends[:, 2], out=ends[:, 1])
+        swallowed = ends[:, 1] - ends[:, 2]
+        # the boundary bands [reach start, swallow start) and
+        # [swallow end, reach end), row by row
+        seg_lo = ends[:, :2].ravel()
+        seg_n = np.maximum(ends[:, 2:].ravel() - seg_lo, 0)
+        start = np.cumsum(seg_n) - seg_n
+        j = np.arange(start[-1] + seg_n[-1]) + np.repeat(seg_lo - start, seg_n)
+        row = np.repeat(np.arange(len(seg_n)) >> 1, seg_n)
+        o = off[j]
+        cx = ax[row] + o * ex
+        cy = ay[row] + o * ey
+        r_c = rad[row]
+        dist = np.hypot(cx - px[row], cy - py[row])
+        hit = dist <= r_c if last else dist + r_lvl <= r_c
+        hits = swallowed + np.bincount(row[hit], minlength=len(probe))
+        mass += level_mass * np.bincount(probe, weights=hits, minlength=n_probes)
+        if last:
             break
-        inside = dist + r_lvl <= r_c
-        mass += level_mass * np.bincount(probe[inside], minlength=n_probes)
-        keep = (dist <= r_c + r_lvl) & ~inside
-        active = children[keep]
-        probe = probe[keep]
+        keep = (dist <= r_c + r_lvl) & ~hit
+        row = row[keep]
+        ax, ay = cx[keep], cy[keep]
+        probe, px, py = probe[row], px[row], py[row]
+        rad, rad_cap = rad[row], rad_cap[row]
         if len(probe) == 0:
             break
         if len(probe) > DESCENT_CAP and np.bincount(probe).max() > DESCENT_CAP:

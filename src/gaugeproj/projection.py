@@ -306,9 +306,16 @@ def averaged_projected_energy(m: NaturalMeasure, g: GaugeFunction,
 
     thetas = (np.arange(theta_grid) + 0.5) * math.pi / theta_grid
     acc = 0.0
+    # projected distances |dx cos + dy sin| go through two reused buffers
+    dx, dy = diff[:, 0].copy(), diff[:, 1].copy()
+    pd, tmp = np.empty_like(dx), np.empty_like(dx)
     for theta in thetas:
-        pd = np.abs(diff[:, 0] * math.cos(theta) + diff[:, 1] * math.sin(theta))
-        acc += float(np.mean(g.reciprocal(np.maximum(pd, 1e-300))))
+        np.multiply(dx, math.cos(theta), out=pd)
+        np.multiply(dy, math.sin(theta), out=tmp)
+        np.add(pd, tmp, out=pd)
+        np.abs(pd, out=pd)
+        np.maximum(pd, 1e-300, out=pd)
+        acc += float(np.mean(g.reciprocal(pd)))
     average = math.pi * acc / theta_grid
     bound = kernel / fit.kappa * planar
     return AveragedProjection(average, bound, planar, kernel, fit.kappa,

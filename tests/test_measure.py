@@ -5,9 +5,9 @@ import pytest
 
 from gaugeproj import (EnergyEstimateError, GaugeError, NaturalMeasure,
                        BranchingPlan, DiscCapExceeded, FrostmanScan, ball_mass,
-                       ball_masses, build_hierarchy, capacity_lower_bound,
-                       discrete_energy, frostman_scan, mc_energy,
-                       mc_energy_atoms, measure, potential, power,
+                       ball_masses, build_from_gauge, build_hierarchy,
+                       capacity_lower_bound, discrete_energy, frostman_scan,
+                       mc_energy, mc_energy_atoms, measure, potential, power,
                        schedule_from_radii)
 from gaugeproj.measure import sample_distinct_pairs
 
@@ -114,6 +114,150 @@ def reference_ball_mass(m, x, r):
     return mass
 
 
+def reference_ball_masses(m, xs, rs):
+    """All balls at once, measuring every child of every boundary disc: the
+    per-child descent the index-range one replaced."""
+    h = m.hierarchy
+    x = np.asarray(xs, dtype=float).reshape(-1, 2)
+    r = np.asarray(rs, dtype=float).reshape(-1)
+    probe = np.arange(len(r))
+    active = np.zeros((len(r), 2))
+    mass = np.zeros(len(r))
+    level_mass = 1.0
+    for level in range(1, m.depth + 1):
+        r_lvl = h.radius(level)
+        level_mass /= h.counts[level - 1]
+        step = h.offsets(level)[:, None] * h.direction(level)[None, :]
+        children = (active[:, None, :] + step[None, :, :]).reshape(-1, 2)
+        probe = np.repeat(probe, len(step))
+        r_c = r[probe]
+        dist = np.hypot(children[:, 0] - x[probe, 0], children[:, 1] - x[probe, 1])
+        if level == m.depth:
+            mass += level_mass * np.bincount(probe[dist <= r_c], minlength=len(r))
+            break
+        inside = dist + r_lvl <= r_c
+        mass += level_mass * np.bincount(probe[inside], minlength=len(r))
+        keep = (dist <= r_c + r_lvl) & ~inside
+        active = children[keep]
+        probe = probe[keep]
+    return mass
+
+
+def path_center(h, path):
+    """Center of the disc at the end of ``path``, summed as the descent does."""
+    c = np.zeros(2)
+    for level, i in enumerate(path, start=1):
+        c = c + h.offsets(level)[i] * h.direction(level)
+    return c
+
+
+def random_path(h, k, rng):
+    return [int(rng.integers(n)) for n in h.counts[:k]]
+
+
+def log_uniform_radius(h, depth, rng):
+    return math.exp(rng.uniform(h.log_radius(depth), h.log_radius(0)))
+
+
+def grazing_probes(h, depth, rng, n):
+    """Balls whose sphere of radius R + r_k, R - r_k (or R at the last
+    level) lies within 1e-12 relative of tangent to a children's diameter,
+    the offsets spread over five decades down towards rounding."""
+    xs, rs = [], []
+    while len(rs) < n:
+        k = int(rng.integers(1, depth + 1))
+        a = path_center(h, random_path(h, k - 1, rng))
+        e = h.direction(k)
+        r_k, R = h.radius(k), log_uniform_radius(h, depth, rng)
+        rho = R if k == depth else [R + r_k, R - r_k][len(rs) % 2]
+        if rho <= 0.0:
+            continue
+        t = rng.uniform(-1.0, 1.0) * h.offsets(k)[-1]
+        graze = rng.uniform(-1e-12, 1e-12) * 10.0 ** rng.uniform(-5.0, 0.0)
+        q = rho * (1.0 + graze) * rng.choice([-1.0, 1.0])
+        xs.append(a + t * e + q * np.array([-e[1], e[0]]))
+        rs.append(R)
+    return xs, rs
+
+
+def diameter_probes(h, depth, rng, n):
+    """Balls centred on a placement diameter (q = 0), inside and past its ends."""
+    xs, rs = [], []
+    for _ in range(n):
+        k = int(rng.integers(1, depth + 1))
+        a = path_center(h, random_path(h, k - 1, rng))
+        t = rng.uniform(-1.5, 1.5) * h.radius(k - 1)
+        xs.append(a + t * h.direction(k))
+        rs.append(log_uniform_radius(h, depth, rng))
+    return xs, rs
+
+
+def disc_radius_probes(h, depth, rng, n):
+    """Balls of radius exactly r_k and r_k +- 1 ulp around level-k centers,
+    and spheres through a child center in float arithmetic."""
+    xs, rs = [], []
+    for i in range(n):
+        k = int(rng.integers(1, depth + 1))
+        c = path_center(h, random_path(h, k, rng))
+        if i % 2:
+            r_k = h.radius(k)
+            xs.append(c)
+            rs.append([r_k, np.nextafter(r_k, 0.0), np.nextafter(r_k, 1.0)][i % 3])
+        else:
+            phi = rng.uniform(0.0, 2.0 * math.pi)
+            x = c + log_uniform_radius(h, depth, rng) * np.array([math.cos(phi),
+                                                                   math.sin(phi)])
+            xs.append(x)
+            rs.append(float(np.hypot(c[0] - x[0], c[1] - x[1])))
+    return xs, rs
+
+
+def outside_probes(h, depth, rng, n):
+    """Centers outside the root disc, with radii that do and do not reach it."""
+    xs, rs = [], []
+    for _ in range(n):
+        phi = rng.uniform(0.0, 2.0 * math.pi)
+        gap = h.radius(0) * math.exp(rng.uniform(-30.0, 1.0))
+        xs.append((h.radius(0) + gap) * np.array([math.cos(phi), math.sin(phi)]))
+        rs.append(gap * rng.choice([0.5, 1.0]) + log_uniform_radius(h, depth, rng))
+    return xs, rs
+
+
+def end_probes(h, depth, rng, n):
+    """Balls over either end of a children's diameter, so the index ranges
+    clip at child 0 or child N - 1."""
+    xs, rs = [], []
+    for i in range(n):
+        k = int(rng.integers(1, depth + 1))
+        a = path_center(h, random_path(h, k - 1, rng))
+        off = h.offsets(k)
+        step = off[1] - off[0]
+        side = 1.0 if i % 2 else -1.0
+        t = side * (off[-1] + rng.uniform(-2.0, 4.0) * step)
+        xs.append(a + t * h.direction(k))
+        rs.append(rng.uniform(0.5, 6.0) * step)
+    return xs, rs
+
+
+BOUNDARY_PROBES = {"grazing": grazing_probes, "diameter": diameter_probes,
+                   "disc radius": disc_radius_probes, "outside": outside_probes,
+                   "ends": end_probes}
+
+
+@pytest.mark.parametrize("kind", sorted(BOUNDARY_PROBES))
+@pytest.mark.parametrize("fixture", ["h03_depth5", "h05_depth5", "h08_depth5"])
+def test_range_descent_equals_per_child_descent(fixture, kind, request):
+    h = request.getfixturevalue(fixture)
+    m = NaturalMeasure(h, 5)
+    rng = np.random.default_rng(sorted(BOUNDARY_PROBES).index(kind))
+    xs, rs = BOUNDARY_PROBES[kind](h, 5, rng, 600)
+    got = ball_masses(m, xs, rs)
+    want = reference_ball_masses(m, xs, rs)
+    assert 0 < np.count_nonzero(want) < len(want)  # the probes hit and miss
+    bad = np.nonzero(got != want)[0]
+    assert len(bad) == 0, [(xs[i].tolist(), rs[i], got[i], want[i]) for i in bad[:3]]
+
+
 def test_ball_masses_match_brute_force_and_single_probes(h05_depth5):
     m3 = NaturalMeasure(h05_depth5, 3)
     atoms = m3.atom_coords()
@@ -127,6 +271,28 @@ def test_ball_masses_match_brute_force_and_single_probes(h05_depth5):
         assert round(mass * len(atoms)) == hits  # atom masses are equal
         assert mass == pytest.approx(ball_mass(m3, x, r), abs=0)
         assert mass == pytest.approx(reference_ball_mass(m3, x, r), abs=0)
+
+
+def test_range_descent_on_balls_far_larger_than_the_hierarchy(h03_depth5,
+                                                             h08_depth5):
+    # radii and centers many orders beyond r_0 keep the range arithmetic
+    # finite (RuntimeWarnings are errors under pytest) and exact
+    for h in (h03_depth5, h08_depth5):
+        m = NaturalMeasure(h, 5)
+        r0 = h.radius(0)
+        xs = [(0.0, 0.0), (1e200, 0.0), (0.0, 1e-300), (1e100, 1e100),
+              (3 * r0, 0.0), (0.0, 0.0), (-2 * r0, r0)]
+        rs = [1e250, 1.0, 1e300, 1e120, 1e-300, 2 * r0, 4 * r0]
+        got = ball_masses(m, xs, rs)
+        assert list(got) == list(reference_ball_masses(m, xs, rs))
+        assert list(got) == [1.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("x, r", [((math.nan, 0.0), 1.0), ((0.0, math.inf), 1.0),
+                                  ((0.0, 0.0), math.inf), ((0.0, 0.0), math.nan)])
+def test_ball_masses_rejects_non_finite_balls(m4, x, r):
+    with pytest.raises(GaugeError, match="finite"):
+        ball_masses(m4, [(0.0, 0.0), x], [1.0, r])
 
 
 def test_ball_masses_rejects_mismatched_lengths(m4):
@@ -181,8 +347,9 @@ def test_frostman_negative_control(m4):
     assert scan.violations >= 1
 
 
-def reference_scan(m, f, samples, seed, mass_scale=1.0):
-    """The probe-by-probe scan the batched one replaced."""
+def reference_scan(m, f, samples, seed, mass_scale=1.0, batched=False):
+    """The probe-by-probe scan the batched one replaced; ``batched`` takes
+    the masses from the per-child batched descent instead."""
     h = m.hierarchy
     c_bound = max(8.0 / h.a, 1.0 / h.a)
     rng = np.random.default_rng(seed)
@@ -191,9 +358,14 @@ def reference_scan(m, f, samples, seed, mass_scale=1.0):
     xs = m.sample_atoms(n_random, rng)
     log_r = rng.uniform(h.log_radius(m.depth), h.log_radius(0), size=n_random)
     probes.extend((xs[i], math.exp(log_r[i])) for i in range(n_random))
+    if batched:
+        masses = reference_ball_masses(m, [x for x, _ in probes],
+                                       [r for _, r in probes])
+    else:
+        masses = [reference_ball_mass(m, x, r) for x, r in probes]
     c_emp, worst, violations = 0.0, (0.0, 0.0, 0.0), 0
-    for x, r in probes:
-        ratio = mass_scale * reference_ball_mass(m, x, r) / float(f.value(r))
+    for (x, r), mass in zip(probes, masses):
+        ratio = mass_scale * float(mass) / float(f.value(r))
         if ratio > c_emp:
             c_emp = ratio
             worst = (float(x[0]), float(x[1]), float(r))
@@ -214,6 +386,21 @@ def test_frostman_scan_equals_sequential_reference(s, mass_scale, h03_depth5,
     assert scan.samples == 2500
     assert (scan.violations > 0) == (mass_scale > 1.0)
     assert (scan.worst == (0.0, 0.0, 0.0)) == (mass_scale == 0.0)
+
+
+@pytest.mark.parametrize("depth", [4, 5])
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.8])
+def test_frostman_scan_equals_per_child_reference_on_run_matrix(
+        s, depth, h03_depth5, h05_depth5, h08_depth5):
+    # the configs `gaugeproj run` is benchmarked on, at their probe count
+    h = ({0.3: h03_depth5, 0.5: h05_depth5, 0.8: h08_depth5}[s] if depth == 5
+         else build_from_gauge(power(s), depth))
+    m = NaturalMeasure(h, depth)
+    scan = frostman_scan(m, h.gauge, 10_000, seed=1)
+    ref = reference_scan(m, h.gauge, 10_000, seed=1, batched=True)
+    assert (scan.c_emp, scan.worst, scan.violations) == (ref.c_emp, ref.worst,
+                                                         ref.violations)
+    assert scan.samples == 10_000 and scan.violations == 0
 
 
 def test_frostman_scan_below_depth_keeps_first_path_probes(m4):

@@ -347,6 +347,29 @@ def test_cli_read_errors_exit_2(argv, message, tmp_path, capsys):
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gauge-check", "--f", '{"family":"power"}'], "lacks key 's'"),
+    (["gauge-check", "--f", _POWER, "--g", '{"family":"powerlog","s":0.5}'],
+     "lacks key 'delta'"),
+    (["gauge-check", "--f", '{"family":"logpower","s":"half"}'],
+     "key 's' is not a number"),
+    (["gauge-check", "--f", '{"family":"table"}'], "lacks key 'table'"),
+    (["gauge-check", "--f", '{"family":"table","table":5}'], "key 'table' must"),
+    (["gauge-check", "--f", '{"family":"table","table":[[0,0],[1]]}'],
+     "key 'table' must"),
+    (["gauge-check", "--f", '{"family":"table","table":[["a","b"],[1,1]]}'],
+     "key 'table' must"),
+    (["classify", "--f", _POWER, "--psi", '{"family":"power"}'], "lacks key 'tau'"),
+    (["classify", "--f", _POWER, "--psi", '{"tau":3}'], "lacks key 'family'"),
+    (["classify", "--f", _POWER, "--psi", '{"family":"exp_power","tau":[3]}'],
+     "key 'tau' is not a number"),
+])
+def test_cli_incomplete_specs_exit_2(argv, message, capsys):
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_sweep_partner_is_a_gap_pair():
     f = power(0.5)
     g = sweep_partner(f)
