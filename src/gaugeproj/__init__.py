@@ -23,7 +23,7 @@ from .projection import (IntervalCover, LevelProjection, SweepTable,
                          AveragedProjection, LogDimensionEstimate,
                          merge_intervals, project_disc, project_disc_cover,
                          cover_cost, project_hierarchy, eq35_bound,
-                         qualifying_levels, sweep_directions, project_measure,
+                         qualifying_levels, sweep_directions,
                          angle_kernel_integral, averaged_projected_energy,
                          estimate_log_dimension)
 from .diophantine import (ApproxFunction, SeriesVerdict, RegimeReport,

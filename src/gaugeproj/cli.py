@@ -12,10 +12,12 @@ import json
 import sys
 from pathlib import Path
 
-from . import conditions, diophantine, gauges, hierarchy, measure, projection
+from . import diophantine, gauges, hierarchy, measure
 from .config import ConfigError, parse_config
-from .pipeline import (resolve_g, run_pipeline, _csv_text, _json_text,
-                       _sanitize, _sweep_csv_text, _write_file)
+from .pipeline import (condition_verdicts, construct_hierarchy,
+                       energy_estimate, resolve_g, run_pipeline, sweep_table,
+                       verdict_payload, _csv_text, _json_text, _sanitize,
+                       _sweep_csv_text, _write_file)
 from .svgreport import render_hierarchy_svg, render_sweep_svg
 
 _FLAGS = {
@@ -81,45 +83,27 @@ def _write(args, name: str, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _verdict_payload(v: conditions.ConditionVerdict) -> dict:
-    return {"status": v.status, "value": v.value, "diagnostics": v.diagnostics}
-
-
 def cmd_gauge_check(args) -> int:
     f = _gauge_arg(args.f, "--f")
     g = _gauge_arg(args.g, "--g") if args.g else None
-    grid = gauges.log_radius_grid()
-    payload: dict = {"f": f.to_dict()}
-    fit = gauges.doubling_exponent(f, log_grid=grid)
-    payload["doubling"] = {"s": fit.s, "kappa": fit.kappa, "constant": fit.constant}
+    fit = f.doubling
+    payload: dict = {"f": f.to_dict(), "doubling": {
+        "s": fit.s, "kappa": fit.kappa, "constant": fit.constant}}
     try:
-        co = gauges.codoubling_exponent(f, log_grid=grid)
+        co = gauges.codoubling_exponent(f, log_grid=gauges.log_radius_grid())
         payload["codoubling"] = {"s": co.s, "kappa": co.kappa}
     except gauges.GaugeFitError as e:
         payload["codoubling"] = {"failed": str(e)}
-    try:
-        payload["length_criterion"] = _verdict_payload(
-            conditions.check_length_criterion(f, 2048))
-    except gauges.GaugeError as e:
-        payload["length_criterion"] = {"status": "error", "error": str(e)}
     if g is not None:
         payload["g"] = g.to_dict()
-        payload["integral_condition"] = _verdict_payload(
-            conditions.check_integral_condition(f, g, 2048))
-        payload["limit_condition"] = _verdict_payload(
-            conditions.check_limit_condition(f, g))
-        payload["rate_condition"] = _verdict_payload(
-            conditions.check_rate_condition(f, g))
-        payload["df_over_g"] = _verdict_payload(
-            conditions.check_divergence_of_df_over_g(f, g, 2048))
+    payload.update(condition_verdicts(f, g)[0])
     _write(args, "gauge_check.json", _json_text(payload))
     return 0
 
 
 def cmd_construct(args) -> int:
     cfg = _load_config(args)
-    h = hierarchy.build_from_gauge(cfg.gauge_f(), cfg.depth, cfg.theta_mode,
-                                   cfg.disc_cap)
+    h = construct_hierarchy(cfg, cfg.gauge_f())
     report = hierarchy.validate_hierarchy(h)
     include = h.disc_count(h.depth) <= cfg.disc_cap
     _write(args, "hierarchy.json", _json_text(
@@ -137,8 +121,7 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     f = cfg.gauge_f()
     g = resolve_g(cfg, f)
-    h = hierarchy.build_from_gauge(f, cfg.depth, cfg.theta_mode, cfg.disc_cap)
-    table = projection.sweep_directions(h, g, cfg.angles, cfg.sweep_level)
+    table = sweep_table(cfg, construct_hierarchy(cfg, f), g)
     rows = table.to_dicts()
     _write(args, "sweep.csv", _sweep_csv_text(rows))
     if cfg.emit["svg"] and args.out:
@@ -150,9 +133,8 @@ def cmd_energy(args) -> int:
     cfg = _load_config(args)
     f = cfg.gauge_f()
     g = resolve_g(cfg, f)
-    h = hierarchy.build_from_gauge(f, cfg.depth, cfg.theta_mode, cfg.disc_cap)
-    m = measure.NaturalMeasure(h, h.depth)
-    est = measure.mc_energy(g, m, cfg.pairs, seed=cfg.seed)
+    h = construct_hierarchy(cfg, f)
+    est = energy_estimate(cfg, g, measure.NaturalMeasure(h, h.depth))
     payload = {"gauge": g.to_dict(), "pairs": est.pairs_used,
                "mean": est.mean, "stderr": est.stderr,
                "collisions_rejected": est.collisions_rejected,
@@ -173,7 +155,7 @@ def cmd_classify(args) -> int:
           sv.fitted_exponent, sv.measure_statement]]))
     if args.out:
         _write(args, "classify.json", _json_text(
-            {"verdict": _verdict_payload(sv.verdict),
+            {"verdict": verdict_payload(sv.verdict),
              "fitted_exponent": sv.fitted_exponent,
              "statement": sv.measure_statement}))
     return 0

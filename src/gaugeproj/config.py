@@ -8,10 +8,9 @@ report bundles.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
-from .gauges import GaugeFunction, parse_gauge
+from .gauges import GaugeFunction, is_finite_number, parse_gauge
 
 SCHEMA_VERSION = 1
 
@@ -137,16 +136,16 @@ def parse_config(document) -> RunConfig:
 
     sweep_level = merged["sweep_level"]
     if sweep_level is not None and (not isinstance(sweep_level, int)
+                                    or isinstance(sweep_level, bool)
                                     or sweep_level < 1):
         problems.append("sweep_level: must be null or an integer >= 1")
 
     theta_mode = merged["theta_mode"]
     if theta_mode != "default":
-        try:
+        if (isinstance(theta_mode, (list, tuple))
+                and all(is_finite_number(t) for t in theta_mode)):
             theta_mode = tuple(float(t) for t in theta_mode)
-            if any(not math.isfinite(t) for t in theta_mode):
-                raise ValueError
-        except (TypeError, ValueError):
+        else:
             problems.append("theta_mode: must be \"default\" or a list of angles")
             theta_mode = "default"
 

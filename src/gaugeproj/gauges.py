@@ -20,7 +20,9 @@ forms exp(log_r).
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -236,6 +238,12 @@ class GaugeFunction:
             np.exp(out, out=out)
         return out if out.ndim else float(out)
 
+    @functools.cached_property
+    def doubling(self) -> ExponentFit:
+        """doubling_exponent on the default radius grid, fitted once per
+        instance and shared by every reader of this gauge."""
+        return doubling_exponent(self, log_grid=log_radius_grid())
+
     def to_dict(self) -> dict:
         doc: dict = {"family": self.family}
         if self.family == "power" or self.family == "logpower":
@@ -306,17 +314,22 @@ def parse_gauge(doc: dict) -> GaugeFunction:
     raise GaugeError(f"unknown gauge family {family!r}")
 
 
+def is_finite_number(value) -> bool:
+    """Whether a parsed JSON value is a finite number (booleans are not)."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def spec_float(doc: dict, key: str, default: float | None = None) -> float:
     """``doc[key]`` as a float; GaugeError naming the key when it is missing
-    (and has no default) or not a number."""
+    (and has no default) or not a finite JSON number."""
     if key not in doc:
         if default is None:
             raise GaugeError(f"spec lacks key {key!r}")
         return default
-    try:
-        return float(doc[key])
-    except (TypeError, ValueError):
-        raise GaugeError(f"spec key {key!r} is not a number: {doc[key]!r}") from None
+    if not is_finite_number(doc[key]):
+        raise GaugeError(f"spec key {key!r} is not a number: {doc[key]!r}")
+    return float(doc[key])
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gauges import GaugeFunction, GaugeError, doubling_exponent, log_radius_grid
+from .gauges import GaugeFunction, GaugeError
 
 LOG2 = math.log(2.0)
 LOG_QUARTER = math.log(0.25)
@@ -107,7 +107,7 @@ def derive_radius_schedule(f: GaugeFunction, K: int,
     """
     if K < 2:
         raise ScheduleError("need depth K >= 2")
-    fit = doubling_exponent(f, log_grid=log_radius_grid())
+    fit = f.doubling
     if fit.s > 1.0 + 1e-9:
         raise ScheduleError(
             f"doubling exponent {fit.s:.4f} exceeds 1; construction needs <= 1")

@@ -1,19 +1,24 @@
 """Pipeline orchestration: schedule, construction, scans, sweeps, verdicts.
 
-Stages run in dependency order; a failed stage is recorded with its error
-and every dependent stage is skipped with a reason.  The bundle carries a
-machine-readable summary of all inequality checks, each row tagged with
-the stable check id it verifies (Eq20 .. Eq36trend), and serialises to
-byte-identical CSV/JSON for identical configs.
+``STAGES`` is the run's stage table.  Each row names a stage, the run
+values it reads (f, g or h), the reason it is skipped without them and its
+function, which sets the values later stages read.  One loop records every
+stage as ok, failed (with its error) or skipped (with the reason).  The CLI
+subcommands call the stages' own functions for what they share with a run:
+``construct_hierarchy``, ``sweep_table``, ``energy_estimate`` and
+``condition_verdicts``.  The bundle tags each inequality check with the
+stable id it verifies (Eq20 .. Eq36trend) and serialises to byte-identical
+CSV/JSON for identical configs.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import conditions, gauges, hierarchy, measure, projection
@@ -41,6 +46,49 @@ def sweep_partner(f: gauges.GaugeFunction) -> gauges.GaugeFunction:
 def resolve_g(config: RunConfig, f: gauges.GaugeFunction) -> gauges.GaugeFunction:
     """The config's gauge g, or sweep_partner(f) when g is "auto"."""
     return config.gauge_g() or sweep_partner(f)
+
+
+def construct_hierarchy(config: RunConfig,
+                        f: gauges.GaugeFunction) -> hierarchy.DiscHierarchy:
+    """The config's disc construction for f."""
+    return hierarchy.build_from_gauge(f, config.depth, config.theta_mode,
+                                      config.disc_cap)
+
+
+def sweep_table(config: RunConfig, h: hierarchy.DiscHierarchy,
+                g: gauges.GaugeFunction) -> projection.SweepTable:
+    """The config's angle sweep of h's projected g-cover costs."""
+    return projection.sweep_directions(h, g, config.angles, config.sweep_level)
+
+
+def energy_estimate(config: RunConfig, g: gauges.GaugeFunction,
+                    m: measure.NaturalMeasure) -> measure.EnergyEstimate:
+    """The config's Monte Carlo g-energy of m, drawn at seed + 1 (the
+    Frostman scan draws at seed, the averaged projection at seed + 2)."""
+    return measure.mc_energy(g, m, config.pairs, seed=config.seed + 1)
+
+
+def verdict_payload(v: conditions.ConditionVerdict) -> dict:
+    """The JSON payload of one condition verdict."""
+    return {"status": v.status, "value": v.value, "diagnostics": v.diagnostics}
+
+
+def condition_verdicts(f: gauges.GaugeFunction, g: gauges.GaugeFunction | None):
+    """Payloads of f's length criterion and, given g, of the four pair
+    verdicts; and the integral-condition verdict (None without g).  A
+    length criterion f does not admit is an error payload."""
+    verdicts = {} if g is None else {
+        "integral_condition": conditions.check_integral_condition(f, g, 2048),
+        "limit_condition": conditions.check_limit_condition(f, g),
+        "rate_condition": conditions.check_rate_condition(f, g),
+        "df_over_g": conditions.check_divergence_of_df_over_g(f, g, 2048)}
+    payloads = {name: verdict_payload(v) for name, v in verdicts.items()}
+    try:
+        payloads["length_criterion"] = verdict_payload(
+            conditions.check_length_criterion(f, 2048))
+    except gauges.GaugeError as e:
+        payloads["length_criterion"] = {"status": "error", "error": str(e)}
+    return payloads, verdicts.get("integral_condition")
 
 
 @dataclass
@@ -101,6 +149,120 @@ def _write_file(out: Path, name: str, text: str) -> str:
     return str(path)
 
 
+@dataclass
+class _Run:
+    """The values one run's stages hand on to each other."""
+
+    config: RunConfig
+    bundle: dict
+    f: gauges.GaugeFunction | None = None
+    g: gauges.GaugeFunction | None = None
+    fit_g: gauges.ExponentFit | None = None
+    h: hierarchy.DiscHierarchy | None = None
+    shells: tuple | None = None
+    sweep_rows: list = field(default_factory=list)
+
+    @functools.cached_property
+    def m(self) -> measure.NaturalMeasure:
+        """The natural measure at the construction's depth."""
+        return measure.NaturalMeasure(self.h, self.h.depth)
+
+    def check(self, check_id: str, where, passed: bool, margin, note: str):
+        self.bundle["checks"].append({"check_id": check_id, "where": where,
+                                      "passed": passed, "margin": margin,
+                                      "note": note})
+
+
+def _gauges(run: _Run):
+    run.f = run.config.gauge_f()
+    run.g = resolve_g(run.config, run.f)
+    fit_f, run.fit_g = run.f.doubling, run.g.doubling
+    run.bundle["gauges"] = {
+        "f": run.f.to_dict(), "g": run.g.to_dict(),
+        "doubling": {"f": {"s": fit_f.s, "kappa": fit_f.kappa},
+                     "g": {"s": run.fit_g.s, "kappa": run.fit_g.kappa}}}
+
+
+def _conditions(run: _Run):
+    payloads, integral = condition_verdicts(run.f, run.g)
+    run.bundle["verdicts"].update(payloads)
+    # each dyadic shell's sum is independent of the shell count, so the
+    # figure's 1024 shells are the verdict's first 1024
+    run.shells = integral.shell_sums[:SHELLS_DRAWN]
+
+
+def _construct(run: _Run):
+    h = run.h = construct_hierarchy(run.config, run.f)
+    run.bundle["hierarchy"] = {"k1": h.schedule.k1, "a": h.a,
+                               "N": list(h.counts),
+                               "log_r": list(h.schedule.log_r)}
+    return {"discs": h.disc_count(h.depth)}
+
+
+def _validate(run: _Run):
+    report = hierarchy.validate_hierarchy(run.h)
+    for row in report.rows:
+        run.check(row.check, row.level, row.passed, row.margin, row.note)
+    run.bundle["validation_assumptions"] = list(report.assumptions)
+
+
+def _frostman(run: _Run):
+    scan = measure.frostman_scan(run.m, run.f, run.config.scan_samples,
+                                 seed=run.config.seed)
+    run.check("Eq34", run.h.depth, scan.violations == 0,
+              scan.c_bound - scan.c_emp, f"{scan.samples} samples")
+    run.bundle["frostman"] = {"c_emp": scan.c_emp, "c_bound": scan.c_bound,
+                              "violations": scan.violations}
+
+
+def _energy(run: _Run):
+    config = run.config
+    est = energy_estimate(config, run.g, run.m)
+    energy = run.bundle["energy"] = {
+        "gauge": "g", "mean": est.mean, "stderr": est.stderr,
+        "capacity_lower_bound": 1.0 / est.mean,
+        "collisions_rejected": est.collisions_rejected}
+    if run.fit_g is None:
+        raise gauges.GaugeError(
+            "doubling fit of g unavailable: gauges stage failed")
+    if run.fit_g.s < 1.0:
+        ape = projection.averaged_projected_energy(
+            run.m, run.g, theta_grid=64, pairs=min(config.pairs, 100_000),
+            seed=config.seed + 2)
+        run.check("AvgProjEnergy", run.h.depth,
+                  ape.average <= ape.bound * 1.05,
+                  ape.bound * 1.05 - ape.average, f"kernel {ape.kernel:.4f}")
+        energy["averaged_projection"] = {"average": ape.average,
+                                         "bound": ape.bound, "ratio": ape.ratio}
+
+
+def _sweep(run: _Run):
+    h, g = run.h, run.g
+    table = sweep_table(run.config, h, g)
+    run.sweep_rows = table.to_dicts()
+    measured = [r for r in table.rows if r.cost is not None]
+    run.check("Eq35", len(measured), not table.violations(),
+              min((r.margin for r in measured), default=math.nan),
+              f"{len(table.rows)} qualifying rows")
+    bounds = [projection.eq35_bound(h, g, k) for k in range(1, h.depth)]
+    steps = [a - b for a, b in zip(bounds, bounds[1:])]
+    run.check("Eq36trend", h.depth - 1, all(d > 0 for d in steps),
+              min(steps, default=math.nan), "per-level budget sequence")
+    run.bundle["sweep"] = {"rows": len(run.sweep_rows), "bounds": bounds}
+
+
+# stage, the run values it reads, why it is skipped without them, function
+STAGES = (
+    ("gauges", (), None, _gauges),
+    ("conditions", ("f", "g"), "gauges unavailable", _conditions),
+    ("construct", ("f",), "gauge f unavailable", _construct),
+    ("validate", ("h",), "no hierarchy", _validate),
+    ("frostman", ("h",), "no hierarchy", _frostman),
+    ("energy", ("h",), "no hierarchy", _energy),
+    ("sweep", ("h",), "no hierarchy", _sweep),
+)
+
+
 def run_pipeline(config: RunConfig, out_dir=None) -> PipelineResult:
     """Execute the full report pipeline for one config.
 
@@ -109,203 +271,56 @@ def run_pipeline(config: RunConfig, out_dir=None) -> PipelineResult:
     inequality fails (1) or a stage could not run at all (2).
     """
     stages: list[dict] = []
-    check_rows: list[dict] = []
-    verdicts: dict = {}
     bundle: dict = {"schema_version": SCHEMA_VERSION, "config": config.to_dict(),
-                    "stages": stages, "checks": check_rows, "verdicts": verdicts}
-
-    def ok(stage: str, **extra):
-        stages.append({"stage": stage, "status": "ok", **extra})
-
-    def failed(stage: str, err: Exception):
-        stages.append({"stage": stage, "status": "failed", "error": str(err)})
-
-    def skipped(stage: str, reason: str):
-        stages.append({"stage": stage, "status": "skipped", "reason": reason})
-
-    # -- gauges ------------------------------------------------------------
-    f = g = fit_g = None
-    try:
-        f = config.gauge_f()
-        g = resolve_g(config, f)
-        fit_f = gauges.doubling_exponent(f, log_grid=gauges.log_radius_grid())
-        fit_g = gauges.doubling_exponent(g, log_grid=gauges.log_radius_grid())
-        bundle["gauges"] = {"f": f.to_dict(), "g": g.to_dict(),
-                            "doubling": {"f": {"s": fit_f.s, "kappa": fit_f.kappa},
-                                         "g": {"s": fit_g.s, "kappa": fit_g.kappa}}}
-        ok("gauges")
-    except Exception as e:
-        failed("gauges", e)
-
-    # -- analytic condition verdicts ----------------------------------------
-    shells = None
-    if f is not None and g is not None:
+                    "stages": stages, "checks": [], "verdicts": {}}
+    run = _Run(config, bundle)
+    for stage, needs, reason, fn in STAGES:
+        if any(getattr(run, v) is None for v in needs):
+            stages.append({"stage": stage, "status": "skipped", "reason": reason})
+            continue
         try:
-            pairs = {
-                "integral_condition": conditions.check_integral_condition(f, g, 2048),
-                "limit_condition": conditions.check_limit_condition(f, g),
-                "rate_condition": conditions.check_rate_condition(f, g),
-                "df_over_g": conditions.check_divergence_of_df_over_g(f, g, 2048),
-            }
-            try:
-                pairs["length_criterion"] = conditions.check_length_criterion(f, 2048)
-            except gauges.GaugeError as e:
-                verdicts["length_criterion"] = {"status": "error", "error": str(e)}
-            for name, v in pairs.items():
-                verdicts[name] = {"status": v.status, "value": v.value,
-                                  "diagnostics": v.diagnostics}
-            # each dyadic shell's sum is independent of the shell count, so
-            # the figure's 1024 shells are the verdict's first 1024
-            shells = pairs["integral_condition"].shell_sums[:SHELLS_DRAWN]
-            ok("conditions")
+            extra = fn(run) or {}
         except Exception as e:
-            failed("conditions", e)
-    else:
-        skipped("conditions", "gauges unavailable")
+            stages.append({"stage": stage, "status": "failed", "error": str(e)})
+        else:
+            stages.append({"stage": stage, "status": "ok", **extra})
 
-    # -- construction --------------------------------------------------------
-    h = None
-    if f is not None:
-        try:
-            h = hierarchy.build_from_gauge(f, config.depth, config.theta_mode,
-                                           config.disc_cap)
-            bundle["hierarchy"] = {"k1": h.schedule.k1, "a": h.a,
-                                   "N": list(h.counts),
-                                   "log_r": list(h.schedule.log_r)}
-            ok("construct", discs=h.disc_count(h.depth))
-        except Exception as e:
-            failed("construct", e)
-    else:
-        skipped("construct", "gauge f unavailable")
-
-    # -- validation ----------------------------------------------------------
-    if h is not None:
-        try:
-            report = hierarchy.validate_hierarchy(h)
-            for row in report.rows:
-                check_rows.append({"check_id": row.check, "where": row.level,
-                                   "passed": row.passed, "margin": row.margin,
-                                   "note": row.note})
-            bundle["validation_assumptions"] = list(report.assumptions)
-            ok("validate")
-        except Exception as e:
-            failed("validate", e)
-    else:
-        skipped("validate", "no hierarchy")
-
-    # -- mass-bound scan -------------------------------------------------------
-    if h is not None:
-        try:
-            m = measure.NaturalMeasure(h, h.depth)
-            scan = measure.frostman_scan(m, f, config.scan_samples,
-                                         seed=config.seed)
-            check_rows.append({"check_id": "Eq34", "where": h.depth,
-                               "passed": scan.violations == 0,
-                               "margin": scan.c_bound - scan.c_emp,
-                               "note": f"{scan.samples} samples"})
-            bundle["frostman"] = {"c_emp": scan.c_emp, "c_bound": scan.c_bound,
-                                  "violations": scan.violations}
-            ok("frostman")
-        except Exception as e:
-            failed("frostman", e)
-    else:
-        skipped("frostman", "no hierarchy")
-
-    # -- energies ---------------------------------------------------------------
-    if h is not None:
-        try:
-            m = measure.NaturalMeasure(h, h.depth)
-            est = measure.mc_energy(g, m, config.pairs, seed=config.seed + 1)
-            bundle["energy"] = {"gauge": "g", "mean": est.mean,
-                                "stderr": est.stderr,
-                                "capacity_lower_bound": 1.0 / est.mean,
-                                "collisions_rejected": est.collisions_rejected}
-            if fit_g is None:
-                raise gauges.GaugeError(
-                    "doubling fit of g unavailable: gauges stage failed")
-            if fit_g.s < 1.0:
-                ape = projection.averaged_projected_energy(
-                    m, g, theta_grid=64, pairs=min(config.pairs, 100_000),
-                    seed=config.seed + 2)
-                check_rows.append({"check_id": "AvgProjEnergy", "where": h.depth,
-                                   "passed": ape.average <= ape.bound * 1.05,
-                                   "margin": ape.bound * 1.05 - ape.average,
-                                   "note": f"kernel {ape.kernel:.4f}"})
-                bundle["energy"]["averaged_projection"] = {
-                    "average": ape.average, "bound": ape.bound,
-                    "ratio": ape.ratio}
-            ok("energy")
-        except Exception as e:
-            failed("energy", e)
-    else:
-        skipped("energy", "no hierarchy")
-
-    # -- sweep ---------------------------------------------------------------
-    sweep_rows = []
-    if h is not None:
-        try:
-            table = projection.sweep_directions(h, g, config.angles,
-                                                config.sweep_level)
-            sweep_rows = table.to_dicts()
-            bad = table.violations()
-            measured = [r for r in table.rows if r.cost is not None]
-            check_rows.append({"check_id": "Eq35", "where": len(measured),
-                               "passed": not bad,
-                               "margin": min((r.margin for r in measured),
-                                             default=math.nan),
-                               "note": f"{len(table.rows)} qualifying rows"})
-            bounds = [projection.eq35_bound(h, g, k) for k in range(1, h.depth)]
-            decreasing = all(a > b for a, b in zip(bounds, bounds[1:]))
-            check_rows.append({"check_id": "Eq36trend", "where": h.depth - 1,
-                               "passed": decreasing,
-                               "margin": min((a - b for a, b in
-                                              zip(bounds, bounds[1:])),
-                                             default=math.nan),
-                               "note": "per-level budget sequence"})
-            bundle["sweep"] = {"rows": len(sweep_rows), "bounds": bounds}
-            ok("sweep")
-        except Exception as e:
-            failed("sweep", e)
-    else:
-        skipped("sweep", "no hierarchy")
-
+    check_rows = bundle["checks"]
     n_pass = sum(1 for r in check_rows if r["passed"])
     bundle["summary"] = {
         "schema_version": SCHEMA_VERSION,
         "inequalities": {"pass": n_pass, "fail": len(check_rows) - n_pass},
-        "verdicts": {k: v.get("status") for k, v in verdicts.items()},
+        "verdicts": {k: v.get("status") for k, v in bundle["verdicts"].items()},
         "margins": {r["check_id"]: r["margin"] for r in check_rows},
     }
 
-    files = _emit(bundle, sweep_rows, h, shells, config, out_dir)
-    return PipelineResult(bundle, files)
+    return PipelineResult(bundle, _emit(run, out_dir))
 
 
-def _emit(bundle: dict, sweep_rows: list[dict], h, shells, config: RunConfig,
-          out_dir) -> list[str]:
-    target = out_dir if out_dir is not None else config.out_dir
+def _emit(run: _Run, out_dir) -> list[str]:
+    target = out_dir if out_dir is not None else run.config.out_dir
     if target is None:
         return []
     out = Path(target)
     out.mkdir(parents=True, exist_ok=True)
-    emit = config.emit
+    emit = run.config.emit
     written: list[str] = []
 
     def write(name: str, text: str):
         written.append(_write_file(out, name, text))
 
     if emit.get("json", True):
-        write("report.json", _json_text(bundle))
+        write("report.json", _json_text(run.bundle))
     if emit.get("csv", True):
         write("checks.csv", _csv_text(
             ["check_id", "where", "passed", "margin", "note"],
             ([r["check_id"], r["where"], r["passed"], r["margin"], r["note"]]
-             for r in bundle["checks"])))
-        write("sweep.csv", _sweep_csv_text(sweep_rows))
+             for r in run.bundle["checks"])))
+        write("sweep.csv", _sweep_csv_text(run.sweep_rows))
     if emit.get("svg", False):
-        if h is not None:
-            write("hierarchy.svg", render_hierarchy_svg(h))
-        write("sweep.svg", render_sweep_svg(sweep_rows))
-        if shells is not None:
-            write("shells.svg", render_shells_svg(shells))
+        if run.h is not None:
+            write("hierarchy.svg", render_hierarchy_svg(run.h))
+        write("sweep.svg", render_sweep_svg(run.sweep_rows))
+        if run.shells is not None:
+            write("shells.svg", render_shells_svg(run.shells))
     return written

@@ -20,11 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import quad
 
-from .gauges import GaugeFunction, GaugeError, doubling_exponent, log_radius_grid
+from .gauges import GaugeFunction, GaugeError
 from .hierarchy import DiscHierarchy
 from .measure import NaturalMeasure, sample_distinct_pairs
-
-COALESCE_GRID = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,21 +238,8 @@ def sweep_directions(h: DiscHierarchy, g: GaugeFunction, theta_grid,
 
 
 # ---------------------------------------------------------------------------
-# Projected measures and energies
+# Projected energies
 # ---------------------------------------------------------------------------
-
-def project_measure(m: NaturalMeasure, theta: float):
-    """Pushforward of the atoms onto the line at angle theta.
-
-    Returns (coords, masses) with atoms coalesced by coordinate equality
-    after rounding at the 1e-14 grid; total mass is preserved exactly.
-    """
-    coords = m.atom_coords() @ np.array([math.cos(theta), math.sin(theta)])
-    keys = np.round(coords / COALESCE_GRID).astype(np.int64)
-    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    masses = np.bincount(inverse, weights=m.atom_masses())
-    return coords[first], masses
-
 
 def angle_kernel_integral(s: float) -> float:
     """B(s) = integral over [0, pi] of |cos u|**(-s) du, by adaptive
@@ -295,7 +280,7 @@ def averaged_projected_energy(m: NaturalMeasure, g: GaugeFunction,
     shrinks by |cos| of the angle to the pair direction) transfers directly
     to the averages.  Requires g doubling with fitted exponent below 1.
     """
-    fit = doubling_exponent(g, log_grid=log_radius_grid())
+    fit = g.doubling
     if fit.s >= 1.0:
         raise GaugeError(f"fitted doubling exponent {fit.s:.3f} >= 1")
     kernel = angle_kernel_integral(fit.s)

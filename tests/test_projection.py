@@ -9,7 +9,7 @@ from gaugeproj import (BranchingPlan, GaugeError, IntervalCover, NaturalMeasure,
                        build_hierarchy, cover_cost, discrete_energy,
                        estimate_log_dimension, eq35_bound, log_power,
                        merge_intervals, power, power_log, project_disc,
-                       project_disc_cover, project_hierarchy, project_measure,
+                       project_disc_cover, project_hierarchy,
                        qualifying_levels, schedule_from_radii, sweep_directions,
                        tabulated)
 
@@ -261,24 +261,8 @@ def test_projected_cover_cost_never_exceeds_planar():
 
 
 # ---------------------------------------------------------------------------
-# Projected measures and energies
+# Projected energies
 # ---------------------------------------------------------------------------
-
-def test_project_measure_preserves_mass(h05_depth5):
-    m = NaturalMeasure(h05_depth5, 3)
-    coords, masses = project_measure(m, 0.7)
-    assert masses.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_project_measure_passthrough_on_axis():
-    sched = schedule_from_radii([0.5, 0.2])
-    h = build_hierarchy(power(0.5), sched, BranchingPlan(math.sqrt(0.5), (2,)),
-                        theta=[0.0])
-    m = NaturalMeasure(h, 1)  # atoms at (+-0.3, 0)
-    coords, masses = project_measure(m, 0.0)
-    np.testing.assert_allclose(sorted(coords), [-0.3, 0.3])
-    np.testing.assert_allclose(masses, [0.5, 0.5])
-
 
 def test_interval_cover_invariants():
     cover = merge_intervals([(0.0, 0.5), (2.0, 2.25), (0.4, 1.0)])
@@ -289,24 +273,14 @@ def test_interval_cover_invariants():
     assert all(g > 0 for g in gaps)
 
 
-def test_project_measure_coalesces():
-    sched = schedule_from_radii([0.5, 0.2])
-    h = build_hierarchy(power(0.5), sched, BranchingPlan(math.sqrt(0.5), (2,)),
-                        theta=[0.0])
-    m = NaturalMeasure(h, 1)  # atoms at (+-0.3, 0)
-    coords, masses = project_measure(m, math.pi / 2)
-    assert len(coords) == 1
-    assert masses[0] == pytest.approx(1.0)
-
-
 def test_projected_energy_dominates_planar(h05_depth5):
     # 1/g(projected distance) >= 1/g(planar distance), pairwise
     m = NaturalMeasure(h05_depth5, 2)
     atoms = m.atom_coords()
     g = power(0.25)
     for theta in (0.1, 0.9, 2.3):
-        coords, masses = project_measure(m, theta)
-        proj = discrete_energy(g, coords, masses)
+        coords = atoms @ np.array([math.cos(theta), math.sin(theta)])
+        proj = discrete_energy(g, coords, m.atom_masses())
         planar = discrete_energy(g, atoms, m.atom_masses())
         assert proj >= planar * (1 - 1e-12)
 

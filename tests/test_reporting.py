@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -42,6 +43,15 @@ def test_parse_rejects_unknown_keys_and_lists_all_violations():
                                  "depth": 0, "angles": 1, "wat": 1}))
     msg = str(err.value)
     assert "wat" in msg and "depth" in msg and "angles" in msg
+    # JSON booleans are not integers or angles, and a string is not a list
+    with pytest.raises(ConfigError) as err:
+        parse_config(json.dumps({"f": {"family": "power", "s": 0.5},
+                                 "sweep_level": True, "theta_mode": "123"}))
+    msg = str(err.value)
+    assert "sweep_level: must be" in msg and "theta_mode: must be" in msg
+    with pytest.raises(ConfigError, match="theta_mode: must be"):
+        parse_config(json.dumps({"f": {"family": "power", "s": 0.5},
+                                 "theta_mode": [0.1, True, 0.2]}))
     # the sweep needs at least 32 angles, so the config does too
     with pytest.raises(ConfigError, match="angles: must be an integer >= 32"):
         parse_config(json.dumps({"f": {"family": "power", "s": 0.5},
@@ -113,6 +123,43 @@ def test_pipeline_energy_needs_the_gauges_stage_fit(tmp_path, monkeypatch):
     assert stages["frostman"]["status"] == "ok"
     assert stages["energy"]["status"] == "failed"
     assert "gauges stage failed" in stages["energy"]["error"]
+
+
+def test_pipeline_fits_each_gauge_once(tmp_path, monkeypatch):
+    # every module that binds doubling_exponent counts its calls
+    calls = []
+    real = gauges.doubling_exponent
+
+    def counted(gauge, *args, **kwargs):
+        calls.append(gauge)
+        return real(gauge, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "gaugeproj"
+                and getattr(module, "doubling_exponent", None) is real):
+            monkeypatch.setattr(module, "doubling_exponent", counted)
+    result = run_pipeline(parse_config(json.dumps(FAST)), tmp_path / "out")
+    assert all(s["status"] == "ok" for s in result.bundle["stages"])
+    assert "averaged_projection" in result.bundle["energy"]
+    assert calls == [power(0.5), sweep_partner(power(0.5))]
+
+
+def test_pipeline_stages_of_a_logpower_gauge_with_auto_g(tmp_path):
+    doc = dict(FAST, f={"family": "logpower", "s": 2})
+    result = run_pipeline(parse_config(json.dumps(doc)), tmp_path / "out")
+    stages = result.bundle["stages"]
+    assert [(s["stage"], s["status"], s.get("reason")) for s in stages] == [
+        ("gauges", "failed", None),
+        ("conditions", "skipped", "gauges unavailable"),
+        ("construct", "failed", None),
+        ("validate", "skipped", "no hierarchy"),
+        ("frostman", "skipped", "no hierarchy"),
+        ("energy", "skipped", "no hierarchy"),
+        ("sweep", "skipped", "no hierarchy"),
+    ]
+    assert stages[0]["error"] == "automatic sweep partner needs a power gauge"
+    assert stages[2]["error"].startswith("no admissible start k1")
+    assert result.exit_code == 2
 
 
 def test_pipeline_emits_svg(tmp_path):
@@ -363,6 +410,12 @@ def test_cli_read_errors_exit_2(argv, message, tmp_path, capsys):
     (["classify", "--f", _POWER, "--psi", '{"tau":3}'], "lacks key 'family'"),
     (["classify", "--f", _POWER, "--psi", '{"family":"exp_power","tau":[3]}'],
      "key 'tau' is not a number"),
+    (["gauge-check", "--f", '{"family":"power","s":true}'],
+     "key 's' is not a number"),
+    (["gauge-check", "--f", '{"family":"power","s":"0.5"}'],
+     "key 's' is not a number"),
+    (["gauge-check", "--f", '{"family":"power","s":Infinity}'],
+     "key 's' is not a number"),
 ])
 def test_cli_incomplete_specs_exit_2(argv, message, capsys):
     assert cli_main(argv) == 2
@@ -406,14 +459,15 @@ def test_cli_rejects_flags_a_subcommand_does_not_read(cmd, flag, value, capsys):
 
 @pytest.fixture(scope="module")
 def fast_svg_run(tmp_path_factory):
-    """The FAST config with svg on, through ``run``, ``sweep`` and
-    ``construct`` into sibling directories.  Depth 4 and 256 angles give
-    the sweep measured rows; FAST's depth 3 and 64 angles give none."""
+    """The FAST config with svg on, through ``run``, ``sweep``,
+    ``construct`` and ``energy`` into sibling directories.  Depth 4 and 256
+    angles give the sweep measured rows; FAST's depth 3 and 64 angles give
+    none."""
     root = tmp_path_factory.mktemp("shared")
     cfg = root / "config.json"
     cfg.write_text(json.dumps(dict(FAST, depth=4, angles=256, emit={
         "csv": True, "json": True, "svg": True})))
-    for cmd in ("run", "sweep", "construct"):
+    for cmd in ("run", "sweep", "construct", "energy"):
         assert cli_main([cmd, "--config", str(cfg), "--out",
                          str(root / cmd)]) == 0
     return root
@@ -429,6 +483,13 @@ def test_cli_sweep_writes_the_run_files(fast_svg_run):
 def test_cli_construct_writes_the_run_hierarchy_svg(fast_svg_run):
     assert (fast_svg_run / "construct" / "hierarchy.svg").read_bytes() == \
         (fast_svg_run / "run" / "hierarchy.svg").read_bytes()
+
+
+def test_cli_energy_draws_the_run_energy(fast_svg_run):
+    energy = json.loads((fast_svg_run / "energy" / "energy.json").read_text())
+    report = json.loads((fast_svg_run / "run" / "report.json").read_text())
+    for key in ("mean", "stderr", "collisions_rejected"):
+        assert energy[key] == report["energy"][key]
 
 
 def test_run_shells_svg_is_the_1024_shell_integral(fast_svg_run):
