@@ -24,7 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import logsumexp
 
 from .gauges import GaugeFunction, GaugeError, log_ratio
 
@@ -65,6 +64,29 @@ class ConditionVerdict:
 # Tail classification
 # ---------------------------------------------------------------------------
 
+def _logsumexp(a, axis=None):
+    """log(sum(exp(a))) over ``axis`` (every entry when None), without
+    overflow and without RuntimeWarnings.
+
+    SciPy's algorithm, so results agree with ``scipy.special.logsumexp``
+    bit for bit: every entry equal to the maximum is split off the shifted
+    sum s, the result is log1p(s / m) + log(m) + max for m maximal entries,
+    and where that is not finite (all entries -inf, an inf or a NaN) it is
+    the direct log(sum(exp(a))).
+    """
+    a = np.asarray(a, dtype=float)
+    with np.errstate(all="ignore"):
+        a_max = np.max(a, axis=axis, keepdims=True)
+        at_max = a == a_max
+        m = np.sum(at_max, axis=axis, keepdims=True, dtype=float)
+        s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=axis,
+                   keepdims=True)
+        out = np.log1p(s / m) + np.log(m) + a_max
+        direct = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))
+    out = np.squeeze(np.where(np.isfinite(out), out, direct), axis=axis)
+    return out[()]
+
+
 def classify_log_tail(log_terms, finite_below: float = FINITE_BELOW,
                       divergent_above: float = DIVERGENT_ABOVE):
     """Classify a positive-term tail given the logs of its terms.
@@ -78,7 +100,7 @@ def classify_log_tail(log_terms, finite_below: float = FINITE_BELOW,
     blocks = []
     j = 0
     while 2 ** (j + 1) <= n:
-        blocks.append(logsumexp(lt[2 ** j:2 ** (j + 1)]))
+        blocks.append(_logsumexp(lt[2 ** j:2 ** (j + 1)]))
         j += 1
     blocks = np.asarray(blocks)
     if len(blocks) < 3:
@@ -346,7 +368,7 @@ def check_divergence_of_df_over_g(f: GaugeFunction, g: GaugeFunction,
     log_g_mid = np.asarray(g.log_value(v_hi - 0.5 * LOG2), dtype=float)
     log_terms = log_df - log_g_mid
     status, lam, detail = classify_log_tail(log_terms)
-    value = float(np.exp(logsumexp(log_terms))) if status == FINITE else None
+    value = float(np.exp(_logsumexp(log_terms))) if status == FINITE else None
     diag = f"{n_shells} Stieltjes shells with log-midpoint evaluation; {detail}"
     with np.errstate(over="ignore"):  # an infinite shell sum is a divergent one
         shell_sums = np.exp(log_terms)

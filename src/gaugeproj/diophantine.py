@@ -19,10 +19,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .conditions import (ConditionVerdict, FINITE, DIVERGENT, INCONCLUSIVE,
-                         classify_log_tail, check_integral_condition)
+                         _logsumexp, classify_log_tail,
+                         check_integral_condition)
 from .gauges import GaugeFunction, GaugeError, power_log, spec_float
 
 LOG2 = math.log(2.0)
@@ -149,7 +149,7 @@ def _octave_log_sums(f: GaugeFunction, psi: ApproxFunction, k: int,
     for i in range(exact_until):
         n = i + 1
         lq = np.log(np.arange(2 ** n, 2 ** (n + 1), dtype=float))
-        out[i] = logsumexp(_term_log(f, psi, k, lq))
+        out[i] = _logsumexp(_term_log(f, psi, k, lq))
     if n_blocks > exact_until:
         nodes = 24
         x = (np.arange(nodes) + 0.5) / nodes
@@ -157,7 +157,7 @@ def _octave_log_sums(f: GaugeFunction, psi: ApproxFunction, k: int,
         lq = (ns[:, None] + x[None, :]) * LOG2
         terms = _term_log(f, psi, k, lq.ravel()).reshape(lq.shape)
         # octave sum ~ integral of e**(term + log q) d log q
-        out[exact_until:] = logsumexp(terms + lq, axis=1) + math.log(LOG2 / nodes)
+        out[exact_until:] = _logsumexp(terms + lq, axis=1) + math.log(LOG2 / nodes)
     return out
 
 
@@ -176,7 +176,7 @@ def classify_series(f: GaugeFunction, psi: ApproxFunction, k: int,
     _check_monotone_premise(f, psi, k, n_blocks)
     log_blocks = _octave_log_sums(f, psi, k, n_blocks)
     status, lam, detail = classify_log_tail(log_blocks)
-    value = float(np.exp(logsumexp(log_blocks))) if status == FINITE else None
+    value = float(np.exp(_logsumexp(log_blocks))) if status == FINITE else None
 
     lq = LOG2 * np.arange(2, 42, dtype=float)
     terms = _term_log(f, psi, k, lq)

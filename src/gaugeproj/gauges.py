@@ -305,12 +305,13 @@ def parse_gauge(doc: dict) -> GaugeFunction:
     if family == "table":
         if "table" not in doc:
             raise GaugeError("spec lacks key 'table'")
-        try:
-            samples = [(float(a), float(b)) for a, b in doc["table"]]
-        except (TypeError, ValueError):
+        table = doc["table"]
+        if not (isinstance(table, (list, tuple)) and all(
+                isinstance(p, (list, tuple)) and len(p) == 2
+                and all(map(is_finite_number, p)) for p in table)):
             raise GaugeError("spec key 'table' must list [log_r, log_f] "
-                             "number pairs") from None
-        return tabulated(samples)
+                             "number pairs")
+        return tabulated(table)
     raise GaugeError(f"unknown gauge family {family!r}")
 
 

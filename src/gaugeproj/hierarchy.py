@@ -34,6 +34,8 @@ LOG_QUARTER = math.log(0.25)
 LOG3 = math.log(3.0)
 
 DEFAULT_DISC_CAP = 10 ** 7
+PAIRWISE_CAP = 200_000  # levels up to this many discs get the all-pairs check
+_PAIR_CHUNK = 1 << 20   # candidate pairs tested per numpy pass
 
 
 class ScheduleError(GaugeError):
@@ -364,13 +366,63 @@ class HierarchyReport:
         }
 
 
-def validate_hierarchy(h: DiscHierarchy, pairwise_cap: int = 200_000) -> HierarchyReport:
+def _close_pair_count(centers: np.ndarray, thr: float) -> int:
+    """Number of unordered center pairs with dx**2 + dy**2 <= thr**2.
+
+    Centers are bucketed on a square grid, then sorted by cell.  Cells are
+    a little wider than thr, so rounding never puts a pair within thr two
+    cells apart, and at least 2**-30 of the set's extent, so cell keys fit
+    in int64.  A pair within thr
+    lies in one cell or in two neighbouring ones, so each center is tested
+    only against the centers after it in its own cell and in the four
+    forward neighbours (0, 1), (1, -1), (1, 0), (1, 1).  In cell order the
+    first two and the last three are each one contiguous index range; the
+    candidates are counted in chunks, never kept as a pair set.
+    """
+    n = len(centers)
+    if n < 2:
+        return 0
+    x, y = centers[:, 0], centers[:, 1]
+    x0, y0 = x.min(), y.min()
+    span = max(x.max() - x0, y.max() - y0)
+    side = max(thr, span * 2.0 ** -30) * (1.0 + 1e-3) or 1.0
+    cy = np.floor((y - y0) / side).astype(np.int64) + 1  # rows 1 .. ncol - 2
+    ncol = int(cy.max()) + 2
+    key = np.floor((x - x0) / side).astype(np.int64) * ncol + cy
+    order = np.argsort(key, kind="stable")
+    key, xs, ys = key[order], x[order], y[order]
+    start = np.concatenate([np.arange(1, n + 1),
+                            np.searchsorted(key, key + (ncol - 1))])
+    lens = np.concatenate([np.searchsorted(key, key + 2),
+                           np.searchsorted(key, key + (ncol + 2))]) - start
+    owner = np.concatenate([np.arange(n), np.arange(n)])
+    keep = lens > 0
+    start, lens, owner = start[keep], lens[keep], owner[keep]
+    cum = np.cumsum(lens)
+    thr2 = thr * thr
+    count, lo = 0, 0
+    while lo < len(lens):
+        base = cum[lo] - lens[lo]
+        hi = max(int(np.searchsorted(cum, base + _PAIR_CHUNK, side="right")),
+                 lo + 1)
+        ln = lens[lo:hi]
+        i = np.repeat(owner[lo:hi], ln)
+        j = (np.repeat(start[lo:hi] - (cum[lo:hi] - ln - base), ln)
+             + np.arange(cum[hi - 1] - base))
+        dx, dy = xs[i] - xs[j], ys[i] - ys[j]
+        count += int(np.count_nonzero(dx * dx + dy * dy <= thr2))
+        lo = hi
+    return count
+
+
+def validate_hierarchy(h: DiscHierarchy) -> HierarchyReport:
     """Exact per-level verification of every construction inequality.
 
     Margins are log-space slacks where the inequality is multiplicative
-    and relative residuals for the spacing identity.  Levels whose disc
-    count fits under ``pairwise_cap`` additionally get an independent
-    all-pairs disjointness check on materialised centers.
+    and relative residuals for the spacing identity.  Levels of at most
+    ``PAIRWISE_CAP`` discs additionally get an independent all-pairs
+    disjointness check on materialised centers: the number of center
+    pairs closer than 2 r_k (1 - 1e-12), counted on a grid, must be 0.
     """
     f = h.gauge
     lr = h.schedule.log_r
@@ -417,14 +469,12 @@ def validate_hierarchy(h: DiscHierarchy, pairwise_cap: int = 200_000) -> Hierarc
         m_in = (r_prev * (1.0 + 1e-12) - reach) / r_prev
         rows.append(CheckRow("child-containment", k, m_in >= 0.0, m_in))
 
-        if h.disc_count(k) <= pairwise_cap:
+        if h.disc_count(k) <= PAIRWISE_CAP:
             centers = h.level_centers(k)
             if len(centers) > 1:
-                from scipy.spatial import cKDTree
-                tree = cKDTree(centers)
-                pairs = tree.query_pairs(2.0 * r_k * (1.0 - 1e-12))
-                rows.append(CheckRow("level-disjoint", k, len(pairs) == 0,
-                                     float(len(pairs)),
+                close = _close_pair_count(centers, 2.0 * r_k * (1.0 - 1e-12))
+                rows.append(CheckRow("level-disjoint", k, close == 0,
+                                     float(close),
                                      note="all-pairs center distances"))
 
     if h.theta:

@@ -1,10 +1,11 @@
 """Pipeline orchestration: schedule, construction, scans, sweeps, verdicts.
 
 ``STAGES`` is the run's stage table.  Each row names a stage, the run
-values it reads (f, g or h), the reason it is skipped without them and its
-function, which sets the values later stages read.  One loop records every
-stage as ok, failed (with its error) or skipped (with the reason).  The CLI
-subcommands call the stages' own functions for what they share with a run:
+values it reads (f, g or h) and its function, which sets the values later
+stages read.  One loop records every stage as ok, failed (with its error)
+or skipped (with the ``SKIP_REASONS`` entry of the first value it reads
+that the run lacks).  The CLI subcommands call the stages' own functions
+for what they share with a run:
 ``construct_hierarchy``, ``sweep_table``, ``energy_estimate`` and
 ``condition_verdicts``.  The bundle tags each inequality check with the
 stable id it verifies (Eq20 .. Eq36trend) and serialises to byte-identical
@@ -251,15 +252,19 @@ def _sweep(run: _Run):
     run.bundle["sweep"] = {"rows": len(run.sweep_rows), "bounds": bounds}
 
 
-# stage, the run values it reads, why it is skipped without them, function
+# why a stage is skipped: the first value it reads that the run lacks
+SKIP_REASONS = {"f": "gauge f unavailable", "g": "gauges unavailable",
+                "h": "no hierarchy"}
+
+# stage, the run values it reads, function
 STAGES = (
-    ("gauges", (), None, _gauges),
-    ("conditions", ("f", "g"), "gauges unavailable", _conditions),
-    ("construct", ("f",), "gauge f unavailable", _construct),
-    ("validate", ("h",), "no hierarchy", _validate),
-    ("frostman", ("h",), "no hierarchy", _frostman),
-    ("energy", ("h",), "no hierarchy", _energy),
-    ("sweep", ("h",), "no hierarchy", _sweep),
+    ("gauges", (), _gauges),
+    ("conditions", ("f", "g"), _conditions),
+    ("construct", ("f",), _construct),
+    ("validate", ("h",), _validate),
+    ("frostman", ("h",), _frostman),
+    ("energy", ("h", "g"), _energy),
+    ("sweep", ("h", "g"), _sweep),
 )
 
 
@@ -274,9 +279,11 @@ def run_pipeline(config: RunConfig, out_dir=None) -> PipelineResult:
     bundle: dict = {"schema_version": SCHEMA_VERSION, "config": config.to_dict(),
                     "stages": stages, "checks": [], "verdicts": {}}
     run = _Run(config, bundle)
-    for stage, needs, reason, fn in STAGES:
-        if any(getattr(run, v) is None for v in needs):
-            stages.append({"stage": stage, "status": "skipped", "reason": reason})
+    for stage, needs, fn in STAGES:
+        missing = next((v for v in needs if getattr(run, v) is None), None)
+        if missing:
+            stages.append({"stage": stage, "status": "skipped",
+                           "reason": SKIP_REASONS[missing]})
             continue
         try:
             extra = fn(run) or {}

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .gauges import GaugeFunction, GaugeError
 from .hierarchy import DiscHierarchy
@@ -242,15 +241,18 @@ def sweep_directions(h: DiscHierarchy, g: GaugeFunction, theta_grid,
 # ---------------------------------------------------------------------------
 
 def angle_kernel_integral(s: float) -> float:
-    """B(s) = integral over [0, pi] of |cos u|**(-s) du, by adaptive
-    quadrature around the integrable singularity at pi/2 (requires s < 1)."""
+    """B(s) = integral over [0, pi] of |cos u|**(-s) du for s < 1.
+
+    The closed form sqrt(pi) Gamma((1 - s)/2) / Gamma(1 - s/2), through
+    ``math.lgamma``, holds for every s < 1 (negative s included); at s = 0
+    it is one ulp off pi, so pi itself is returned there.
+    """
     if s >= 1.0:
         raise GaugeError("the angle kernel integral requires exponent s < 1")
-    if s <= 0.0:
+    if s == 0.0:
         return math.pi
-    val, _ = quad(lambda u: abs(math.cos(u)) ** (-s), 0.0, math.pi,
-                  points=[math.pi / 2.0], limit=200)
-    return float(val)
+    return math.sqrt(math.pi) * math.exp(math.lgamma((1.0 - s) / 2.0)
+                                         - math.lgamma(1.0 - s / 2.0))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ from gaugeproj import (DIVERGENT, FINITE, INCONCLUSIVE, GaugeError,
                        check_length_criterion, check_limit_condition,
                        check_rate_condition, classify_log_tail, log_power,
                        power, power_log)
-from gaugeproj.conditions import df_over_g_integral, rate_condition_split
+from gaugeproj.conditions import (_logsumexp, df_over_g_integral,
+                                  rate_condition_split)
 
 TAU = 6.0
 GAP_WITNESS = (power(0.5), power_log(0.5, 0.5, 1.0))
@@ -226,3 +227,51 @@ def test_classifier_vanished_tail_is_finite():
     terms[:8] = 0.0
     status, _, detail = classify_log_tail(terms)
     assert status == FINITE and "vanished" in detail
+
+
+# ---------------------------------------------------------------------------
+# log-sum-exp without SciPy
+# ---------------------------------------------------------------------------
+
+_INF = math.inf
+_LSE_CASES = [
+    [0.0], [1.0, 2.0, 3.0], [-3.5, 0.25, 7.0, -1e3],
+    [-_INF, 0.0], [-_INF, -2.0, -_INF], [-_INF], [-_INF, -_INF, -_INF],
+    [_INF, 1.0], [_INF, -_INF], [_INF, _INF], [math.nan, 1.0],
+    [1.0, math.nan, _INF], [-_INF, math.nan],
+    [5.0, 5.0, 5.0], [3.0, 3.0, 1.0], [-_INF, 4.0, 4.0, -_INF],
+    [709.0, 709.5, 710.0], [710.0, 710.0], [709.78, 709.79], [711.0, -711.0],
+    [-745.0, -746.0], [-800.0, -800.0, -1e4], [1e308, 1e308],
+    [0.0, -1e-300], list(-0.01 * np.arange(5000)),
+    list(np.random.default_rng(3).normal(scale=50.0, size=999)),
+]
+
+
+def _bits(x):
+    x = np.asarray(x)
+    return x.dtype, x.shape, x.tobytes()
+
+
+@pytest.mark.parametrize("terms", _LSE_CASES)
+def test_logsumexp_matches_scipy_bit_for_bit(terms):
+    from scipy.special import logsumexp
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _logsumexp(np.array(terms))
+    assert type(got) is type(logsumexp(np.array(terms)))
+    assert _bits(got) == _bits(logsumexp(np.array(terms)))
+
+
+def test_logsumexp_matches_scipy_along_axis_1():
+    from scipy.special import logsumexp
+    a = np.random.default_rng(5).normal(scale=300.0, size=(40, 24))
+    a[3, :] = -_INF
+    a[4, 5] = _INF
+    a[7, 2] = math.nan
+    a[9, :4] = a[9].max()
+    a[11, :] = 709.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _logsumexp(a, axis=1)
+    assert got.shape == (40,)
+    assert _bits(got) == _bits(logsumexp(a, axis=1))

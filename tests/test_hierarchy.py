@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from gaugeproj import (BranchingError, BranchingPlan, DiscCapExceeded,
                        ScheduleError, build_from_gauge, build_hierarchy,
                        choose_branching, derive_radius_schedule, power,
                        raw_log_radii, schedule_from_radii, validate_hierarchy)
-from gaugeproj.hierarchy import branching_interval
+from gaugeproj.hierarchy import (PAIRWISE_CAP, _close_pair_count,
+                                 branching_interval)
 
 
 def test_schedule_scan_power_half():
@@ -102,6 +104,10 @@ def test_validate_negative_control_reports_eq23():
     assert not report.passed
     assert {r.check for r in report.failures()} >= {"Eq23", "sibling-disjoint",
                                                     "Eq33"}
+    # four radius-0.3 discs 0.467 apart: the three neighbouring pairs overlap
+    oracle = _oracle_pairs(h.level_centers(1), 2 * h.radius(1) * (1 - 1e-12))
+    (row,) = report.by_check("level-disjoint")
+    assert not row.passed and row.margin == float(oracle) == 3.0
 
 
 def test_margin_table_depth4(h05_depth5):
@@ -162,3 +168,60 @@ def test_hierarchy_serialisation_shape(h05_depth5):
     assert doc["levels"][2]["centers"] is None
     doc = h05_depth5.to_dict()
     assert len(doc["levels"][1]["centers"]) == h05_depth5.counts[0]
+
+
+# ---------------------------------------------------------------------------
+# Center pair count behind the level-disjoint check
+# ---------------------------------------------------------------------------
+
+def _oracle_pairs(centers, r):
+    return len(cKDTree(centers).query_pairs(r)) if len(centers) > 1 else 0
+
+
+def test_close_pair_count_small_sets():
+    assert _close_pair_count(np.zeros((0, 2)), 1.0) == 0
+    assert _close_pair_count(np.array([[0.3, 0.4]]), 1.0) == 0
+    dup = np.repeat(np.random.default_rng(2).random((30, 2)), 3, axis=0)
+    assert _close_pair_count(dup, 1e-3) == _oracle_pairs(dup, 1e-3) == 90
+    same = np.full((5, 2), 0.25)
+    assert _close_pair_count(same, 0.0) == _oracle_pairs(same, 0.0) == 10
+
+
+@pytest.mark.parametrize("r", [1 / 999, 0.01, 0.5])
+def test_close_pair_count_vertical_line(r):
+    line = np.column_stack([np.full(1000, 0.3), np.linspace(0.0, 1.0, 1000)])
+    assert _close_pair_count(line, r) == _oracle_pairs(line, r)
+
+
+@pytest.mark.parametrize("step", [-1, 0, 1])
+def test_close_pair_count_at_the_threshold(step):
+    r = 0.1
+    d = {-1: np.nextafter(r, 0.0), 0: r, 1: np.nextafter(r, 1.0)}[step]
+    pts = np.array([[0.0, 0.0], [d, 0.0], [0.5, 0.5], [0.5, 0.5 + d],
+                    [0.2, 0.7], [0.2 + 0.6 * d, 0.7 + 0.8 * d],
+                    [-0.4, 0.1], [-0.4 - d, 0.1]])
+    assert _close_pair_count(pts, r) == _oracle_pairs(pts, r)
+
+
+def test_close_pair_count_random_sets():
+    rng = np.random.default_rng(11)
+    for n, r in ((50, 0.3), (2000, 0.01), (2000, 0.05), (20000, 0.002)):
+        pts = rng.random((n, 2))
+        assert _close_pair_count(pts, r) == _oracle_pairs(pts, r)
+    cluster = rng.random((3000, 2)) * 1e-3 + 0.7
+    assert _close_pair_count(cluster, 1e-4) == _oracle_pairs(cluster, 1e-4)
+
+
+@pytest.mark.parametrize("fixture", ["h03_depth5", "h05_depth5", "h08_depth5"])
+def test_close_pair_count_matches_kdtree_on_levels(fixture, request):
+    h = request.getfixturevalue(fixture)
+    levels = [k for k in range(1, h.depth + 1)
+              if h.disc_count(k) <= PAIRWISE_CAP]
+    assert levels
+    for k in levels:
+        centers = h.level_centers(k)
+        spacing = float(h.offsets(k)[1] - h.offsets(k)[0])
+        # the check's threshold, and one that takes in neighbouring siblings
+        for thr in (2 * h.radius(k) * (1 - 1e-12), 1.5 * spacing):
+            assert _close_pair_count(centers, thr) == _oracle_pairs(centers, thr)
+        assert _oracle_pairs(centers, 1.5 * spacing) > 0

@@ -296,6 +296,13 @@ def test_angle_kernel_quadrature():
         angle_kernel_integral(1.0)
 
 
+@pytest.mark.parametrize("s", [-0.5, 0.25, 0.5, 0.75, 0.95])
+def test_angle_kernel_matches_adaptive_quadrature(s):
+    expected, _ = quad(lambda u: abs(math.cos(u)) ** (-s), 0.0, math.pi,
+                       points=[math.pi / 2.0], limit=200)
+    assert angle_kernel_integral(s) == pytest.approx(expected, rel=1e-10)
+
+
 def test_averaged_projected_energy_bound(h05_depth5):
     m = NaturalMeasure(h05_depth5, 4)
     ape = averaged_projected_energy(m, power(0.25), theta_grid=64,

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
 
+import gaugeproj
 from gaugeproj import (ConfigError, GaugeFitError, conditions, gauges,
                        parse_config, power, run_pipeline, sweep_partner)
 from gaugeproj.cli import main as cli_main
@@ -159,6 +164,25 @@ def test_pipeline_stages_of_a_logpower_gauge_with_auto_g(tmp_path):
     ]
     assert stages[0]["error"] == "automatic sweep partner needs a power gauge"
     assert stages[2]["error"].startswith("no admissible start k1")
+    assert result.exit_code == 2
+
+
+def test_pipeline_stages_of_a_powerlog_gauge_with_auto_g(tmp_path):
+    # f parses and builds a hierarchy, but g = "auto" needs a power f, so
+    # every stage that reads g is skipped rather than failing on None
+    doc = dict(FAST, f={"family": "powerlog", "delta": 0.5, "s": 0.5})
+    result = run_pipeline(parse_config(json.dumps(doc)), tmp_path / "out")
+    stages = result.bundle["stages"]
+    assert [(s["stage"], s["status"], s.get("reason")) for s in stages] == [
+        ("gauges", "failed", None),
+        ("conditions", "skipped", "gauges unavailable"),
+        ("construct", "ok", None),
+        ("validate", "ok", None),
+        ("frostman", "ok", None),
+        ("energy", "skipped", "gauges unavailable"),
+        ("sweep", "skipped", "gauges unavailable"),
+    ]
+    assert stages[0]["error"] == "automatic sweep partner needs a power gauge"
     assert result.exit_code == 2
 
 
@@ -416,6 +440,10 @@ def test_cli_read_errors_exit_2(argv, message, tmp_path, capsys):
      "key 's' is not a number"),
     (["gauge-check", "--f", '{"family":"power","s":Infinity}'],
      "key 's' is not a number"),
+    (["gauge-check", "--f", '{"family":"table","table":[[-20,"-10"],[0,true]]}'],
+     "key 'table' must"),
+    (["gauge-check", "--f", '{"family":"table","table":[[-20,-10],[0,NaN]]}'],
+     "key 'table' must"),
 ])
 def test_cli_incomplete_specs_exit_2(argv, message, capsys):
     assert cli_main(argv) == 2
@@ -498,3 +526,50 @@ def test_run_shells_svg_is_the_1024_shell_integral(fast_svg_run):
     shells = conditions.check_integral_condition(f, sweep_partner(f), 1024)
     assert (fast_svg_run / "run" / "shells.svg").read_text(encoding="utf-8") == \
         render_shells_svg(shells.shell_sums)
+
+
+_NO_SCIPY = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None  # every import of scipy or a submodule fails
+from gaugeproj.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        rc = main(argv)
+    results.append([rc, buf.getvalue()])
+loaded = sorted(name for name, mod in sys.modules.items()
+                if name.split(".")[0] == "scipy" and mod is not None)
+print(json.dumps({"results": results, "scipy": loaded}))
+"""
+
+
+def test_every_subcommand_runs_without_scipy(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(FAST))
+    f = '{"family":"power","s":0.5}'
+    argvs = [
+        ["gauge-check", "--f", f, "--g", '{"family":"power","s":0.25}'],
+        ["construct", "--f", f, "--depth", "3"],
+        ["sweep", "--f", f, "--depth", "3", "--angles", "64"],
+        ["energy", "--f", f, "--depth", "3", "--pairs", "2000"],
+        ["classify", "--f", '{"family":"logpower","s":1.1}',
+         "--psi", '{"family":"exp_power","tau":3}', "--blocks", "4096"],
+        ["gap-report", "--delta", "0.5"],
+        ["run", "--config", str(cfg)],
+    ]
+    src = str(Path(gaugeproj.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["scipy"] == []
+    expected = []
+    for argv in argvs:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            rc = cli_main(argv)
+        expected.append([rc, buf.getvalue()])
+    assert [rc for rc, _ in expected] == [0] * len(argvs)
+    assert got["results"] == expected
