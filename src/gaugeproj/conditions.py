@@ -87,13 +87,14 @@ def _logsumexp(a, axis=None):
     return out[()]
 
 
-def classify_log_tail(log_terms, finite_below: float = FINITE_BELOW,
-                      divergent_above: float = DIVERGENT_ABOVE):
+def classify_log_tail(log_terms):
     """Classify a positive-term tail given the logs of its terms.
 
     Returns (status, fitted_block_exponent, detail).  Terms may be -inf
     (exact zeros).  A window of trailing base-2 blocks is fitted with
-    least squares on log2(block sum) against block index.
+    least squares on log2(block sum) against block index; the fitted
+    exponent is finite at or below ``FINITE_BELOW`` and divergent at or
+    above ``DIVERGENT_ABOVE``.
     """
     lt = np.asarray(log_terms, dtype=float)
     n = len(lt)
@@ -120,10 +121,10 @@ def classify_log_tail(log_terms, finite_below: float = FINITE_BELOW,
     x0 = idx - idx.mean()
     lam = float(np.dot(x0, y) / np.dot(x0, x0))
     detail = (f"block decay exponent {lam:.4f} over trailing {finite_mask.sum()} "
-              f"blocks (finite <= {finite_below}, divergent >= {divergent_above})")
-    if lam <= finite_below:
+              f"blocks (finite <= {FINITE_BELOW}, divergent >= {DIVERGENT_ABOVE})")
+    if lam <= FINITE_BELOW:
         return FINITE, lam, detail
-    if lam >= divergent_above:
+    if lam >= DIVERGENT_ABOVE:
         return DIVERGENT, lam, detail
     return INCONCLUSIVE, lam, detail
 
@@ -151,39 +152,40 @@ def _panel_values(fn, lo: np.ndarray, hi: np.ndarray, order: int) -> np.ndarray:
     return width * (vals @ w)
 
 
-def dyadic_shell_sums(fn, n_shells: int = 4096, order: int = 24,
-                      refine_tol: float = 1e-11) -> np.ndarray:
+def dyadic_shell_sums(fn, n_shells: int = 4096) -> np.ndarray:
     """Per-shell integrals of fn(log r) d(log r) over [2**-(n+1), 2**-n].
 
-    fn must be vectorised over log radii.  Shells where a low/high order
-    comparison disagrees beyond refine_tol (relative to the shell) are
-    re-integrated on four subpanels, in one round; that suffices for the
-    piecewise smooth integrands used here.
+    fn must be vectorised over log radii.  Each shell gets 24-point
+    Gauss-Legendre quadrature; shells where the 12-point value disagrees
+    beyond 1e-11 (relative to the shell) are re-integrated on four
+    subpanels, in one round; that suffices for the piecewise smooth
+    integrands used here.
     """
     edges_hi = -LOG2 * np.arange(n_shells, dtype=float)
     edges_lo = edges_hi - LOG2
-    coarse = _panel_values(fn, edges_lo, edges_hi, max(order // 2, 8))
-    fine = _panel_values(fn, edges_lo, edges_hi, order)
+    coarse = _panel_values(fn, edges_lo, edges_hi, 12)
+    fine = _panel_values(fn, edges_lo, edges_hi, 24)
     sums = fine.copy()
     scale = np.maximum(np.abs(fine), 1e-300)
-    bad = np.abs(fine - coarse) > refine_tol * scale
+    bad = np.abs(fine - coarse) > 1e-11 * scale
     for i in np.nonzero(bad)[0]:
         sub = np.linspace(edges_lo[i], edges_hi[i], 5)
-        sums[i] = _panel_values(fn, sub[:-1], sub[1:], order).sum()
+        sums[i] = _panel_values(fn, sub[:-1], sub[1:], 24).sum()
     return sums
 
 
-def _tail_integral(fn, u0: float, order: int = 16, max_panels: int = 200) -> float:
+def _tail_integral(fn, u0: float) -> float:
     """Integral of fn(-u) du over [u0, inf), via u = e**w unit panels.
 
     fn is the same log-radius integrand; u = -log r.  Converges whenever
-    the integrand decays at least like a power of u.
+    the integrand decays at least like a power of u; at most 200 panels
+    of 16-point quadrature are summed.
     """
     w0 = math.log(u0)
     total = 0.0
-    for m in range(max_panels):
+    for m in range(200):
         lo, hi = w0 + m, w0 + m + 1.0
-        x, w = _gl(order)
+        x, w = _gl(16)
         ws = lo + (hi - lo) * x
         us = np.exp(ws)
         vals = fn(-us) * us
@@ -199,6 +201,21 @@ def _log_of(sums: np.ndarray) -> np.ndarray:
         return np.where(sums > 0, np.log(np.maximum(sums, 1e-320)), -math.inf)
 
 
+def _shell_verdict(fn, n_shells: int):
+    """Dyadic shell sums of fn, their tail class and, when the tail is
+    finite, the continuation below 2**-n_shells and the total.
+
+    Returns (sums, status, detail, tail, total); tail and total are None
+    unless the status is finite.
+    """
+    sums = dyadic_shell_sums(fn, n_shells)
+    status, _, detail = classify_log_tail(_log_of(sums))
+    if status != FINITE:
+        return sums, status, detail, None, None
+    tail = _tail_integral(fn, n_shells * LOG2)
+    return sums, status, detail, tail, float(sums.sum() + tail)
+
+
 def _check_g_increasing(g: GaugeFunction, probe: np.ndarray) -> None:
     d = np.asarray(g.dlog(probe))
     if np.any(d < -1e-12):
@@ -210,8 +227,9 @@ def _check_g_increasing(g: GaugeFunction, probe: np.ndarray) -> None:
 def _ratio_integrand(f: GaugeFunction, g: GaugeFunction, shift: float = 0.0):
     """(f(r)/g(t*r)) * dlog g(t*r), the density of -f d(1/g(t.)) in log r.
 
-    The ratio is assembled from the power/slow decomposition of each gauge
-    so that shared power factors cancel exactly.
+    ``shift`` is log t; the integral condition reads it at t = 1.  The
+    ratio is assembled from the power/slow decomposition of each gauge so
+    that shared power factors cancel exactly.
     """
     d_alpha = f.power_part - g.power_part
     g_alpha_shift = g.power_part * shift
@@ -240,35 +258,28 @@ def check_integral_condition(f: GaugeFunction, g: GaugeFunction,
     """
     probe = -LOG2 * np.arange(1, 64, dtype=float)
     _check_g_increasing(g, probe)
-    fn = _ratio_integrand(f, g)
-    sums = dyadic_shell_sums(fn, n_shells)
-    status, lam, detail = classify_log_tail(_log_of(sums))
-    value = None
-    tail_note = ""
-    if status == FINITE:
-        tail = _tail_integral(fn, n_shells * LOG2)
-        value = float(sums.sum() + tail)
-        tail_note = f"; tail continuation {tail:.3e}"
+    sums, status, detail, tail, value = _shell_verdict(
+        _ratio_integrand(f, g), n_shells)
+    tail_note = "" if tail is None else f"; tail continuation {tail:.3e}"
     diag = (f"{n_shells} dyadic shells, quadrature in log r; {detail}{tail_note}")
     return ConditionVerdict(status, value, tuple(sums.tolist()), diag)
 
 
-def check_limit_condition(f: GaugeFunction, g: GaugeFunction,
-                          max_log2_n: int = 60) -> ConditionVerdict:
+def check_limit_condition(f: GaugeFunction, g: GaugeFunction) -> ConditionVerdict:
     """Verdict on lim_{r->0} f(r)/g(r) = 0.
 
-    The ratio is sampled at r = 2**-n with n log-spaced up to 2**max_log2_n
+    The ratio is sampled at r = 2**-n with n log-spaced up to 2**60
     (log-space evaluation makes arbitrarily deep radii free), so slowly
     vanishing ratios still certify below the 1e-6 tolerance.
     """
-    ns = 2.0 ** np.arange(0, max_log2_n + 1)
+    ns = 2.0 ** np.arange(0, 61)
     v = -ns * LOG2
     lr = np.asarray(log_ratio(f, g, v), dtype=float)
     ratios = np.exp(np.clip(lr, -745.0, 700.0))
     tail = ratios[-12:]
     decreasing = bool(np.all(np.diff(tail) <= 1e-12 * np.maximum(tail[:-1], 1e-300)))
     if decreasing and tail[-1] < 1e-6:
-        diag = f"ratio at r = 2^-2^{max_log2_n}: {tail[-1]:.3e}; decreasing tail"
+        diag = f"ratio at r = 2^-2^60: {tail[-1]:.3e}; decreasing tail"
         return ConditionVerdict(FINITE, 0.0, tuple(ratios.tolist()), diag)
     lt = np.log(np.maximum(tail, 1e-320))
     slope = float(np.polyfit(np.arange(len(tail)), lt, 1)[0])
@@ -279,35 +290,18 @@ def check_limit_condition(f: GaugeFunction, g: GaugeFunction,
     return ConditionVerdict(INCONCLUSIVE, None, tuple(ratios.tolist()), diag)
 
 
-def _shifted_total(f: GaugeFunction, g: GaugeFunction, log_t: float,
-                   n_shells: int):
-    fn = _ratio_integrand(f, g, shift=log_t)
-    sums = dyadic_shell_sums(fn, n_shells)
-    status, lam, detail = classify_log_tail(_log_of(sums))
-    total = None
-    if status == FINITE:
-        total = float(sums.sum() + _tail_integral(fn, n_shells * LOG2))
-    return status, total, detail
-
-
-def check_rate_condition(f: GaugeFunction, g: GaugeFunction, t_grid=None,
-                         n_shells: int = 2048) -> ConditionVerdict:
+def check_rate_condition(f: GaugeFunction, g: GaugeFunction) -> ConditionVerdict:
     """Verdict on sup_t g(t) * (-integral_0^1 f(r) d(1/g(t r))) < infinity.
 
-    Each scaled integral is evaluated like the plain integral condition;
-    the rescaled values R(t) are then examined for boundedness along a
-    t grid decreasing toward the floating-point range.
+    Each scaled integral is evaluated like the plain integral condition,
+    over 2048 shells; the rescaled values R(t) are then examined for
+    boundedness along t = 2**-8, 2**-16, ..., 2**-512.
     """
-    if t_grid is None:
-        log_t = [-(8.0 * 2 ** j) * LOG2 for j in range(7)]
-    else:
-        t = np.asarray(t_grid, dtype=float)
-        if np.any(t <= 0) or np.any(t >= 1):
-            raise GaugeError("t grid must lie in (0, 1)")
-        log_t = list(np.log(np.sort(t)[::-1]))
+    log_t = [-(8.0 * 2 ** j) * LOG2 for j in range(7)]
     rates = []
     for lt in log_t:
-        status, total, detail = _shifted_total(f, g, lt, n_shells)
+        _, status, detail, _, total = _shell_verdict(
+            _ratio_integrand(f, g, shift=lt), 2048)
         if status != FINITE:
             diag = f"scaled integral at log t = {lt:.1f} is {status}: {detail}"
             return ConditionVerdict(DIVERGENT, None, tuple(rates), diag)
@@ -337,13 +331,9 @@ def check_length_criterion(f: GaugeFunction, n_shells: int = 4096) -> ConditionV
         lf = np.asarray(f.log_value(v), dtype=float)
         return np.exp(np.clip(lf - v, -745.0, 700.0))
 
-    sums = dyadic_shell_sums(fn, n_shells)
-    status, lam, detail = classify_log_tail(_log_of(sums))
-    value = None
-    note = ""
-    if status == FINITE:
-        value = float(sums.sum() + _tail_integral(fn, n_shells * LOG2))
-        note = "; a.e. projection has positive length predicted"
+    sums, status, detail, _, value = _shell_verdict(fn, n_shells)
+    note = ("; a.e. projection has positive length predicted"
+            if status == FINITE else "")
     diag = f"shell quadrature of f(r)/r^2; {detail}{note}"
     return ConditionVerdict(status, value, tuple(sums.tolist()), diag)
 
@@ -399,8 +389,7 @@ def df_over_g_integral(f: GaugeFunction, g: GaugeFunction, log_t: float = 0.0,
     return float(sums.sum() + _tail_integral(fn, -(v_hi - n_shells * LOG2)))
 
 
-def rate_condition_split(f: GaugeFunction, g: GaugeFunction, t: float,
-                         n_shells: int = 2048) -> dict:
+def rate_condition_split(f: GaugeFunction, g: GaugeFunction, t: float) -> dict:
     """Decomposition of the scaled integral at one t.
 
     Returns the inner piece (r <= t), the outer piece (t < r <= 1) of
@@ -410,7 +399,7 @@ def rate_condition_split(f: GaugeFunction, g: GaugeFunction, t: float,
     if not 0 < t < 1:
         raise GaugeError("t must lie in (0, 1)")
     log_t = math.log(t)
-    inner = df_over_g_integral(f, g, log_t=log_t, v_hi=log_t, n_shells=n_shells)
+    inner = df_over_g_integral(f, g, log_t=log_t, v_hi=log_t, n_shells=2048)
     n_outer = max(int(math.ceil(-log_t / LOG2)), 1)
     edges = np.linspace(log_t, 0.0, n_outer + 1)
     fn = _df_over_g_integrand(f, g, log_t)

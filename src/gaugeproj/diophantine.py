@@ -173,6 +173,8 @@ def classify_series(f: GaugeFunction, psi: ApproxFunction, k: int,
     """
     if k < 1:
         raise GaugeError("ambient dimension k must be >= 1")
+    if n_blocks < 0:
+        raise GaugeError("block count must be >= 0")
     _check_monotone_premise(f, psi, k, n_blocks)
     log_blocks = _octave_log_sums(f, psi, k, n_blocks)
     status, lam, detail = classify_log_tail(log_blocks)
@@ -245,12 +247,15 @@ class RegimeReport:
     rows: tuple[RegimeRow, ...]
 
     def classify(self, s: float) -> str:
-        if s <= 0:
-            raise GaugeError("exponent s must be positive")
-        for lo, hi, label in self.bands:
-            if lo < s <= hi:
-                return label
-        raise AssertionError("bands must cover every positive s")
+        return _band(self.bands, s)
+
+
+def _band(bands, s: float) -> str:
+    """The label of the band (lo, hi] holding s; the bands cover every
+    positive finite s."""
+    if not (math.isfinite(s) and s > 0):
+        raise GaugeError(f"exponent s must be a positive finite number, got {s}")
+    return next(label for lo, hi, label in bands if lo < s <= hi)
 
 
 def gap_report(delta: float, k: int = 2, s_values=None) -> RegimeReport:
@@ -273,7 +278,7 @@ def gap_report(delta: float, k: int = 2, s_values=None) -> RegimeReport:
     rows = []
     for s in s_values:
         s = float(s)
-        label = next(lbl for lo, hi, lbl in bands if lo < s <= hi)
+        label = _band(bands, s)
         status = check_integral_condition(f_ref, power_log(delta, s, 1.0 / tau),
                                           n_shells=2048).status
         consistent = (status == FINITE) == (label == INFINITE_BAND)

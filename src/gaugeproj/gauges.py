@@ -366,11 +366,10 @@ def log_ratio(f: GaugeFunction, g: GaugeFunction, log_r):
     return out if out.ndim else float(out)
 
 
-def log_radius_grid(log10_top: float = -2.0, decades: float = 120.0,
-                    points_per_decade: int = 64) -> np.ndarray:
-    """Log radii (natural log), descending from 10**log10_top."""
-    n = int(round(decades * points_per_decade)) + 1
-    log10_r = np.linspace(log10_top, log10_top - decades, n)
+def log_radius_grid(decades: float = 120.0) -> np.ndarray:
+    """Log radii (natural log), 64 per decade, descending from 10**-2."""
+    n = int(round(decades * 64)) + 1
+    log10_r = np.linspace(-2.0, -2.0 - decades, n)
     return log10_r * math.log(10.0)
 
 
@@ -390,14 +389,11 @@ class ExponentFit:
     diagnostics: str = ""
 
 
-def _as_log_grid(f: GaugeFunction, r_grid, log_grid) -> np.ndarray:
-    if log_grid is not None:
-        v = np.sort(np.asarray(log_grid, dtype=float))[::-1]
-    else:
-        r = np.asarray(r_grid, dtype=float)
-        if np.any(r <= 0):
-            raise GaugeError("grid radii must be positive")
-        v = np.sort(np.log(r))[::-1]
+def _as_log_grid(log_grid) -> np.ndarray:
+    """The log radii in descending order; log_radius_grid() when None."""
+    if log_grid is None:
+        log_grid = log_radius_grid()
+    v = np.sort(np.asarray(log_grid, dtype=float))[::-1]
     if len(v) < 16:
         raise GaugeError("grid needs at least 16 points")
     if v[0] - v[-1] < 6 * math.log(10.0):
@@ -421,7 +417,7 @@ def _pair_margins(v: np.ndarray, log_f: np.ndarray, s: float) -> np.ndarray:
     return np.concatenate(margins)
 
 
-def doubling_exponent(f: GaugeFunction, r_grid=None, *, log_grid=None) -> ExponentFit:
+def doubling_exponent(f: GaugeFunction, *, log_grid=None) -> ExponentFit:
     """Least-squares scaling exponent with the largest kappa <= 1 for which
     f(lambda*r) >= kappa * lambda**s * f(r) holds on all sampled grid pairs.
 
@@ -429,7 +425,7 @@ def doubling_exponent(f: GaugeFunction, r_grid=None, *, log_grid=None) -> Expone
     grid-average slope, which sinks toward the asymptotic exponent as the
     grid extends.
     """
-    v = _as_log_grid(f, r_grid, log_grid)
+    v = _as_log_grid(log_grid)
     log_f = np.asarray(f.log_value(v), dtype=float)
     s = _ls_slope(v, log_f)
     if not math.isfinite(s):
@@ -445,13 +441,13 @@ def doubling_exponent(f: GaugeFunction, r_grid=None, *, log_grid=None) -> Expone
                        f"ls fit over {len(v)} points, {span:.0f} decades")
 
 
-def codoubling_exponent(f: GaugeFunction, r_grid=None, *, log_grid=None) -> ExponentFit:
+def codoubling_exponent(f: GaugeFunction, *, log_grid=None) -> ExponentFit:
     """Largest exponent s with f(lambda*r) <= kappa * lambda**s * f(r) on the grid.
 
     Fails for gauges whose local slope collapses toward zero at depth
     (they decay slower than any power, so no positive exponent works).
     """
-    v = _as_log_grid(f, r_grid, log_grid)
+    v = _as_log_grid(log_grid)
     log_f = np.asarray(f.log_value(v), dtype=float)
     q = len(v) // 4
     s_head = _ls_slope(v[:q], log_f[:q])
@@ -470,20 +466,20 @@ def codoubling_exponent(f: GaugeFunction, r_grid=None, *, log_grid=None) -> Expo
                        f"deep-half ls fit over {len(v)} points, {span:.0f} decades")
 
 
-def doubling_constant(f: GaugeFunction, r_grid=None, *, log_grid=None) -> float:
+def doubling_constant(f: GaugeFunction, *, log_grid=None) -> float:
     """Largest sampled ratio f(2r)/f(r), the doubling constant witnessed on the grid."""
-    v = _as_log_grid(f, r_grid, log_grid)
+    v = _as_log_grid(log_grid)
     v = v[v + LOG2 <= 0.0]
     ratios = np.asarray(f.log_value(v + LOG2)) - np.asarray(f.log_value(v))
     return float(np.exp(ratios.max()))
 
 
 def doubling_roundtrip_violations(f: GaugeFunction, c: float, n_pairs: int,
-                                  seed: int, *, log_grid=None,
-                                  rtol: float = 1e-9) -> int:
-    """Count violations of f(lambda*r) >= (1/c) * lambda**log2(c) * f(r)
-    on random (lambda, r) pairs drawn from the grid range."""
-    v = _as_log_grid(f, None, log_grid if log_grid is not None else log_radius_grid())
+                                  seed: int, *, log_grid=None) -> int:
+    """Count violations of f(lambda*r) >= (1/c) * lambda**log2(c) * f(r),
+    beyond a log-space slack of 1e-9, on random (lambda, r) pairs drawn
+    from the grid range."""
+    v = _as_log_grid(log_grid)
     v_min, v_max = float(v[-1]), float(v[0])
     rng = np.random.default_rng(seed)
     log_r = rng.uniform(v_min, v_max, n_pairs)
@@ -491,4 +487,4 @@ def doubling_roundtrip_violations(f: GaugeFunction, c: float, n_pairs: int,
     s = math.log2(c)
     lhs = np.asarray(f.log_value(log_r + log_lam))
     rhs = -math.log(c) + s * log_lam + np.asarray(f.log_value(log_r))
-    return int(np.sum(lhs < rhs - rtol))
+    return int(np.sum(lhs < rhs - 1e-9))

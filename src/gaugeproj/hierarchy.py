@@ -99,13 +99,12 @@ def raw_log_radii(ks) -> np.ndarray:
     return -k * np.log(product)
 
 
-def derive_radius_schedule(f: GaugeFunction, K: int,
-                           k_max: int = 10 ** 6) -> RadiusSchedule:
+def derive_radius_schedule(f: GaugeFunction, K: int) -> RadiusSchedule:
     """Least shift k1 making the raw radius sequence admissible for f over
     K consecutive levels, returned as the shifted schedule r_k = r'_{k+k1}.
 
     Requires f doubling with fitted exponent <= 1; fails with a diagnostic
-    when no shift up to k_max works.
+    when no shift up to 10**6 works.
     """
     if K < 2:
         raise ScheduleError("need depth K >= 2")
@@ -121,6 +120,7 @@ def derive_radius_schedule(f: GaugeFunction, K: int,
         ks = ks + 1.0
 
     chunk = 1 << 16
+    k_max = 10 ** 6
     k_lo = start
     while k_lo <= k_max:
         k_hi = min(k_lo + chunk, k_max + K + 1)
@@ -251,28 +251,29 @@ class DiscHierarchy:
         ang = self.d[level - 1]
         return np.array([math.cos(ang), math.sin(ang)])
 
+    def first_paths(self, level: int, take: int) -> np.ndarray:
+        """Absolute centers of the first `take` level-`level` discs,
+        lexicographic in path.  The first `take` children have their
+        parents among the first `take` parents, so no level keeps more."""
+        centers = np.zeros((1, 2))
+        for j in range(1, level + 1):
+            step = self.offsets(j)[:, None] * self.direction(j)[None, :]
+            centers = (np.repeat(centers, len(step), axis=0)
+                       + np.tile(step, (len(centers), 1)))[:take]
+        return centers
+
     def level_centers(self, level: int) -> np.ndarray:
-        """Absolute centers of all level-`level` discs, lexicographic in path."""
-        if level == 0:
-            return np.zeros((1, 2))
-        if self.disc_count(level) > self.disc_cap:
+        """Absolute centers of all level-`level` discs, lexicographic in
+        path; cached, and capped at ``disc_cap`` discs."""
+        count = self.disc_count(level)
+        if count > self.disc_cap:
             raise DiscCapExceeded(
-                f"level {level} holds {self.disc_count(level)} discs, "
+                f"level {level} holds {count} discs, "
                 f"over the cap of {self.disc_cap}")
         key = ("centers", level)
         if key not in self._cache:
-            parents = self.level_centers(level - 1)
-            step = self.offsets(level)[:, None] * self.direction(level)[None, :]
-            centers = np.repeat(parents, len(step), axis=0) + np.tile(step, (len(parents), 1))
-            self._cache[key] = centers
+            self._cache[key] = self.first_paths(level, count)
         return self._cache[key]
-
-    def first_path_center(self, level: int) -> np.ndarray:
-        """Center of the lexicographically first level-`level` disc."""
-        c = np.zeros(2)
-        for j in range(1, level + 1):
-            c = c + self.offsets(j)[0] * self.direction(j)
-        return c
 
     def to_dict(self, include_centers: bool = True) -> dict:
         levels = []

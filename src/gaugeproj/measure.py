@@ -212,22 +212,24 @@ class FrostmanScan:
 
 
 def frostman_scan(m: NaturalMeasure, f: GaugeFunction, samples: int, seed: int,
-                  kappa: float = 1.0, mass_scale: float = 1.0) -> FrostmanScan:
+                  mass_scale: float = 1.0) -> FrostmanScan:
     """Sample ratios mass(B(x, r)) / f(r) against the construction bound
-    C = max(8/(a*kappa), 1/a).
+    C = max(8/(a*kappa), 1/a), with kappa the prefactor of f's doubling fit
+    (``f.doubling.kappa``; 1 for power gauges).
 
     x ranges over atoms, log r uniformly over [log r_depth, log r_0]; a
-    deterministic probe at each level's first disc center with r = r_k is
-    always included, which pins the scan's sensitivity near 1/a.
+    deterministic probe at each level's first disc center
+    (``first_paths(k, 1)``) with r = r_k is always included, which pins
+    the scan's sensitivity near 1/a.
     ``mass_scale`` rescales the measured masses and exists as a negative
     control (scaled masses must violate the bound).
     """
     h = m.hierarchy
-    c_bound = max(8.0 / (h.a * kappa), 1.0 / h.a)
+    c_bound = max(8.0 / (h.a * f.doubling.kappa), 1.0 / h.a)
     rng = np.random.default_rng(seed)
     levels = range(1, m.depth + 1)
     n_random = max(samples - m.depth, 0)
-    xs = np.vstack([[h.first_path_center(k) for k in levels],
+    xs = np.vstack([[h.first_paths(k, 1)[0] for k in levels],
                     m.sample_atoms(n_random, rng)])
     log_r = rng.uniform(h.log_radius(m.depth), h.log_radius(0), size=n_random)
     rs = np.array([h.radius(k) for k in levels] + [math.exp(v) for v in log_r])
@@ -266,8 +268,7 @@ def _as_coords(points) -> np.ndarray:
     return pts
 
 
-def discrete_energy(f: GaugeFunction, points, masses=None,
-                    chunk: int = 1024) -> float:
+def discrete_energy(f: GaugeFunction, points, masses=None) -> float:
     """Exact off-diagonal double sum of m_i m_j / f(|x_i - x_j|).
 
     Returns inf if distinct atoms coincide; raises when all atoms do.
@@ -282,6 +283,7 @@ def discrete_energy(f: GaugeFunction, points, masses=None,
     total = 0.0
     seen_distinct = False
     coincident = False
+    chunk = 1024
     # reused buffers keep the block loop at memory bandwidth
     dist = np.empty((min(chunk, n), n))
     aux = np.empty_like(dist) if pts.shape[1] == 2 else None
@@ -304,11 +306,7 @@ def discrete_energy(f: GaugeFunction, points, masses=None,
         coincident = coincident or bool(zero.any())
         np.fill_diagonal(zero[:, i0:i1], True)  # back to all zero-distance cells
         d[zero] = 1.0  # dummy; these entries are zeroed below
-        if f.family == "power":
-            np.power(d, -f.s, out=d)
-            vals = d
-        else:
-            vals = np.asarray(f.reciprocal(d))
+        vals = np.asarray(f.reciprocal(d))
         vals[zero] = 0.0
         seen_distinct = seen_distinct or bool((vals > 0).any())
         total += float(w[i0:i1] @ (vals @ w))

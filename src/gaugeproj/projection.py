@@ -195,9 +195,9 @@ class SweepRow:
 class SweepTable:
     rows: tuple[SweepRow, ...]
 
-    def violations(self, rtol: float = 1e-9) -> list[SweepRow]:
+    def violations(self) -> list[SweepRow]:
         return [r for r in self.rows
-                if r.cost is not None and r.cost > r.bound * (1.0 + rtol)]
+                if r.cost is not None and r.cost > r.bound * (1.0 + 1e-9)]
 
     def to_dicts(self) -> list[dict]:
         return [{"theta": r.theta, "k": r.k, "cost": r.cost, "bound": r.bound,
@@ -320,7 +320,7 @@ class LogDimensionEstimate:
     trends: tuple[tuple[float, str], ...]
 
 
-def _cost_trend(costs, tol: float = 0.05) -> str:
+def _cost_trend(costs) -> str:
     c = np.asarray(costs, dtype=float)
     if np.any(c <= 0):
         return "shrinks"  # hit exact zero: certainly vanishing
@@ -328,9 +328,9 @@ def _cost_trend(costs, tol: float = 0.05) -> str:
     y = np.log(c)
     x0 = x - x.mean()
     slope = float(np.dot(x0, y) / np.dot(x0, x0))
-    if slope <= -tol:
+    if slope <= -0.05:
         return "shrinks"
-    if slope >= tol:
+    if slope >= 0.05:
         return "grows"
     return "flat"
 

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .hierarchy import DiscHierarchy
 
 VIEW = 1000.0
@@ -50,7 +48,7 @@ def render_hierarchy_svg(h: DiscHierarchy, max_discs: int = 10 ** 5) -> str:
             continue
         if count > budget or count > h.disc_cap:
             take = min(budget, h.disc_cap, 4096)
-            centers = _first_paths(h, level, take)
+            centers = h.first_paths(level, take)
             body.append(f"<!-- level {level} subsampled: first {take} of "
                         f"{count} paths -->")
         else:
@@ -67,18 +65,6 @@ def render_hierarchy_svg(h: DiscHierarchy, max_discs: int = 10 ** 5) -> str:
                     f'x2="{_num(sx(r0 * ex))}" y2="{_num(sy(r0 * ey))}" '
                     f'stroke="#c60" stroke-width="0.4" stroke-dasharray="4 4"/>')
     return _svg(body)
-
-
-def _first_paths(h: DiscHierarchy, level: int, take: int) -> np.ndarray:
-    """Centers of the lexicographically first `take` paths at a level."""
-    centers = np.zeros((1, 2))
-    for j in range(1, level + 1):
-        step = h.offsets(j)[:, None] * h.direction(j)[None, :]
-        centers = (np.repeat(centers, len(step), axis=0)
-                   + np.tile(step, (len(centers), 1)))
-        if len(centers) > take:
-            centers = centers[:take]
-    return centers
 
 
 def _axes() -> list[str]:

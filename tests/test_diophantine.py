@@ -143,3 +143,19 @@ def test_gap_report_validates_inputs():
         gap_report(0.5, k=0)
     with pytest.raises(GaugeError):
         gap_report(0.5).classify(0.0)
+
+
+@pytest.mark.parametrize("s", [0.0, -1.0, math.nan, math.inf])
+def test_gap_bands_reject_s_that_is_not_positive_finite(s):
+    rep = gap_report(0.5)
+    with pytest.raises(GaugeError, match="positive finite"):
+        rep.classify(s)
+    with pytest.raises(GaugeError, match="positive finite"):
+        gap_report(0.5, 2, [2.5, s])
+
+
+def test_classify_series_block_count():
+    f, psi = log_power(1.1), exp_power(3.0)
+    assert classify_series(f, psi, 2, 0).verdict.status == "inconclusive"
+    with pytest.raises(GaugeError, match="block count"):
+        classify_series(f, psi, 2, -5)

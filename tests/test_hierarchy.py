@@ -225,3 +225,18 @@ def test_close_pair_count_matches_kdtree_on_levels(fixture, request):
         for thr in (2 * h.radius(k) * (1 - 1e-12), 1.5 * spacing):
             assert _close_pair_count(centers, thr) == _oracle_pairs(centers, thr)
         assert _oracle_pairs(centers, 1.5 * spacing) > 0
+
+
+@pytest.mark.parametrize("fixture", ["h03_depth5", "h05_depth5", "h08_depth5"])
+def test_first_paths_are_the_leading_level_centers(fixture, request):
+    h = request.getfixturevalue(fixture)
+    levels = [k for k in range(h.depth + 1) if h.disc_count(k) <= h.disc_cap]
+    assert levels[-1] >= 3
+    for k in levels:
+        centers = h.level_centers(k)
+        count = h.disc_count(k)
+        for take in (1, 100, 4096, count, count + 1):
+            got = h.first_paths(k, take)
+            want = centers[:take]
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()

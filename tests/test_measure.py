@@ -8,7 +8,7 @@ from gaugeproj import (EnergyEstimateError, GaugeError, NaturalMeasure,
                        ball_masses, build_from_gauge, build_hierarchy,
                        capacity_lower_bound, discrete_energy, frostman_scan,
                        mc_energy, mc_energy_atoms, measure, potential, power,
-                       schedule_from_radii)
+                       power_log, schedule_from_radii)
 from gaugeproj.measure import sample_distinct_pairs
 
 
@@ -353,7 +353,7 @@ def reference_scan(m, f, samples, seed, mass_scale=1.0, batched=False):
     h = m.hierarchy
     c_bound = max(8.0 / h.a, 1.0 / h.a)
     rng = np.random.default_rng(seed)
-    probes = [(h.first_path_center(k), h.radius(k)) for k in range(1, m.depth + 1)]
+    probes = [(h.first_paths(k, 1)[0], h.radius(k)) for k in range(1, m.depth + 1)]
     n_random = max(samples - len(probes), 0)
     xs = m.sample_atoms(n_random, rng)
     log_r = rng.uniform(h.log_radius(m.depth), h.log_radius(0), size=n_random)
@@ -409,6 +409,49 @@ def test_frostman_scan_below_depth_keeps_first_path_probes(m4):
     assert scan.samples == m4.depth
     assert scan == reference_scan(m4, f, 2, seed=1)
     assert scan == frostman_scan(m4, f, 0, seed=2)  # no random probes
+
+
+def reference_first_path_center(h, level):
+    """Center of the lexicographically first level-`level` disc, one level
+    offset at a time."""
+    c = np.zeros(2)
+    for j in range(1, level + 1):
+        c = c + h.offsets(j)[0] * h.direction(j)
+    return c
+
+
+@pytest.mark.parametrize("fixture", ["h03_depth5", "h05_depth5", "h08_depth5"])
+def test_frostman_fixed_probes_are_the_first_paths(fixture, request,
+                                                   monkeypatch):
+    h = request.getfixturevalue(fixture)
+    m = NaturalMeasure(h, h.depth)
+    seen = []
+
+    def recording_ball_masses(m, xs, rs):
+        seen.append(np.array(xs))
+        return ball_masses(m, xs, rs)
+
+    monkeypatch.setattr(measure, "ball_masses", recording_ball_masses)
+    frostman_scan(m, h.gauge, 50, seed=4)
+    (xs,) = seen
+    for k in range(1, h.depth + 1):
+        want = reference_first_path_center(h, k)
+        assert h.first_paths(k, 1)[0].tobytes() == want.tobytes()
+        assert xs[k - 1].tobytes() == want.tobytes()
+
+
+def test_frostman_bound_reads_kappa_from_the_gauge():
+    # powerlog's doubling prefactor is below 1, so C = max(8/(a kappa), 1/a)
+    # exceeds the power-gauge value 8/a
+    f = power_log(0.5, 0.5)
+    h = build_from_gauge(f, 4)
+    scan = frostman_scan(NaturalMeasure(h, 4), f, 2000, seed=1)
+    kappa = f.doubling.kappa
+    assert 0.0 < kappa < 1.0
+    assert scan.c_bound == max(8.0 / (h.a * kappa), 1.0 / h.a)
+    assert scan.c_bound > 8.0 / h.a
+    assert scan.c_bound == pytest.approx(24.01, abs=0.01)
+    assert scan.violations == 0
 
 
 def test_frostman_scan_on_huge_hierarchy(h08_depth5):

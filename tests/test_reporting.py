@@ -252,7 +252,7 @@ def test_hierarchy_svg_small_budget_notice(h05_depth5):
 
 def reference_hierarchy_svg(h, max_discs=10 ** 5):
     """render_hierarchy_svg with one sx/sy/_num call per disc coordinate."""
-    from gaugeproj.svgreport import MARGIN, VIEW, _first_paths, _num, _svg
+    from gaugeproj.svgreport import MARGIN, VIEW, _num, _svg
     r0 = h.radius(0)
     scale = (VIEW - 2 * MARGIN) / (2 * r0)
 
@@ -273,7 +273,7 @@ def reference_hierarchy_svg(h, max_discs=10 ** 5):
             continue
         if count > budget or count > h.disc_cap:
             take = min(budget, h.disc_cap, 4096)
-            centers = _first_paths(h, level, take)
+            centers = h.first_paths(level, take)
             body.append(f"<!-- level {level} subsampled: first {take} of "
                         f"{count} paths -->")
         else:
@@ -444,6 +444,11 @@ def test_cli_read_errors_exit_2(argv, message, tmp_path, capsys):
      "key 'table' must"),
     (["gauge-check", "--f", '{"family":"table","table":[[-20,-10],[0,NaN]]}'],
      "key 'table' must"),
+    (["gap-report", "--delta", "0.5", "--s", "0"], "positive finite"),
+    (["gap-report", "--delta", "0.5", "--s", "-1"], "positive finite"),
+    (["gap-report", "--delta", "0.5", "--s", "nan"], "positive finite"),
+    (["classify", "--f", _POWER, "--psi", '{"family":"exp_power","tau":3}',
+      "--blocks", "-5"], "block count"),
 ])
 def test_cli_incomplete_specs_exit_2(argv, message, capsys):
     assert cli_main(argv) == 2
