@@ -15,6 +15,7 @@ infimum claim is made.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,31 +120,35 @@ def cover_cost(g: GaugeFunction, cover: IntervalCover) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class LevelProjection:
-    """Merged projection of one hierarchy level plus the per-parent span
-    of its child intervals (identical for every parent by construction).
+    """Projection of one hierarchy level as ``copies`` disjoint translates
+    of one merged ``pattern``, plus the per-parent span of its child
+    intervals (identical for every parent by construction).
 
-    ``cover`` keeps the merged intervals as its ``lo``/``hi`` arrays."""
+    ``pattern`` is the merged projection of the descendants of one ancestor,
+    in that ancestor's frame; the translates are separated by positive gaps,
+    so the merged projection of the whole level is their union and its
+    cover cost is ``copies`` times the pattern's.
+    """
 
-    cover: IntervalCover
+    pattern: IntervalCover
+    copies: int
     level: int
     per_parent_span: float
-
-
-def _projected_level_coords(h: DiscHierarchy, theta: float, level: int) -> np.ndarray:
-    coords = np.zeros(1)
-    for j in range(1, level + 1):
-        step = h.offsets(j) * math.cos(h.d[j - 1] - theta)
-        coords = (coords[:, None] + step[None, :]).reshape(-1)
-    return coords
 
 
 def project_hierarchy(h: DiscHierarchy, theta: float, level: int) -> LevelProjection:
     """Project every level-`level` disc onto the line at angle theta.
 
     The children of every parent share the same projected offset pattern,
-    so the pattern is merged once and translated to each projected parent
-    center before the global merge.
+    so the pattern is merged once.  Climbing towards the root, each level
+    translates the current pattern by its sorted projected offsets: when
+    adjacent translates are disjoint (touching endpoints merge, as in the
+    merge itself) they are only counted, and only overlapping translates
+    are materialised, together with the counted levels below them, and
+    merged.  Every coordinate is relative to an ancestor, never the origin.
     """
+    if not math.isfinite(theta):
+        raise GaugeError("projection angle must be finite")
     if not 1 <= level <= h.depth:
         raise GaugeError("level must lie within the built hierarchy")
     r = h.radius(level)
@@ -152,10 +157,23 @@ def project_hierarchy(h: DiscHierarchy, theta: float, level: int) -> LevelProjec
 
     pattern_coord = h.offsets(level) * math.cos(h.d[level - 1] - theta)
     pattern = _merge_array(pattern_coord - r, pattern_coord + r, theta)
-    parents = _projected_level_coords(h, theta, level - 1)
-    lo = (parents[:, None] + pattern.lo[None, :]).reshape(-1)
-    hi = (parents[:, None] + pattern.hi[None, :]).reshape(-1)
-    return LevelProjection(_merge_array(lo, hi, theta), level, per_parent_span)
+    counted: list[np.ndarray] = []  # steps of the counted levels, inner first
+    span_lo, span_hi = pattern.lo[0], pattern.hi[-1]
+    for j in range(level - 1, 0, -1):
+        step = np.sort(h.offsets(j) * math.cos(h.d[j - 1] - theta))
+        if np.all(step[1:] + span_lo > step[:-1] + span_hi):
+            counted.append(step)
+            span_lo, span_hi = span_lo + step[0], span_hi + step[-1]
+            continue
+        lo, hi = pattern.lo, pattern.hi
+        for s in counted + [step]:
+            lo = (s[:, None] + lo[None, :]).reshape(-1)
+            hi = (s[:, None] + hi[None, :]).reshape(-1)
+        pattern = _merge_array(lo, hi, theta)
+        counted = []
+        span_lo, span_hi = pattern.lo[0], pattern.hi[-1]
+    copies = math.prod(len(s) for s in counted)
+    return LevelProjection(pattern, copies, level, per_parent_span)
 
 
 def eq35_bound(h: DiscHierarchy, g: GaugeFunction, k: int) -> float:
@@ -171,7 +189,9 @@ def eq35_bound(h: DiscHierarchy, g: GaugeFunction, k: int) -> float:
 def qualifying_levels(h: DiscHierarchy, theta: float, max_k: int | None = None) -> list[int]:
     """Levels k whose placement arc [d_k, d_k + theta_{k+1}) contains the
     projection direction d_theta = theta + pi/2 (mod pi)."""
-    d_theta = math.fmod(theta + math.pi / 2.0, math.pi)
+    if not math.isfinite(theta):
+        raise GaugeError("projection angle must be finite")
+    d_theta = (theta + math.pi / 2.0) % math.pi  # fmod, shifted into [0, pi)
     top = h.depth - 1 if max_k is None else min(max_k, h.depth - 1)
     out = []
     for k in range(1, top + 1):
@@ -210,14 +230,18 @@ def sweep_directions(h: DiscHierarchy, g: GaugeFunction, theta_grid,
     captures it, the measured cover cost of projecting level k+1 and the
     budget it must respect.
 
-    ``theta_grid`` is either an int (uniform grid on [0, pi)) or explicit
-    angles.  Levels whose disc count exceeds the hierarchy cap report the
-    bound without a measured cost.
+    ``theta_grid`` is either an integral count (uniform grid on [0, pi))
+    or explicit finite angles.  Levels whose disc count exceeds the
+    hierarchy cap report the bound without a measured cost.  A measured
+    cost is the pattern's cover cost times its count of disjoint copies.
     """
-    if isinstance(theta_grid, int):
-        if theta_grid < 32:
+    if isinstance(theta_grid, bool):
+        raise GaugeError("angle grid must be a point count or a sequence of angles")
+    if isinstance(theta_grid, numbers.Integral):
+        n = int(theta_grid)
+        if n < 32:
             raise GaugeError("angle grid needs at least 32 points")
-        thetas = [i * math.pi / theta_grid for i in range(theta_grid)]
+        thetas = [i * math.pi / n for i in range(n)]
     else:
         thetas = [float(t) for t in theta_grid]
         if len(thetas) < 32:
@@ -227,8 +251,8 @@ def sweep_directions(h: DiscHierarchy, g: GaugeFunction, theta_grid,
         for k in qualifying_levels(h, theta, None if level is None else level - 1):
             bound = eq35_bound(h, g, k)
             if h.disc_count(k) <= h.disc_cap:
-                cover = project_hierarchy(h, theta, k + 1).cover
-                cost, _ = cover_cost(g, cover)
+                pr = project_hierarchy(h, theta, k + 1)
+                cost = pr.copies * cover_cost(g, pr.pattern)[0]
                 rows.append(SweepRow(theta, k, cost, bound, bound - cost))
             else:
                 rows.append(SweepRow(theta, k, None, bound, None,

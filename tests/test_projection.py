@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy.integrate import quad
 
 from gaugeproj import (BranchingPlan, GaugeError, IntervalCover, NaturalMeasure,
                        angle_kernel_integral, averaged_projected_energy,
-                       build_hierarchy, cover_cost, discrete_energy,
+                       build_from_gauge, build_hierarchy, cover_cost, discrete_energy,
                        estimate_log_dimension, eq35_bound, log_power,
                        merge_intervals, power, power_log, project_disc,
                        project_disc_cover, project_hierarchy,
@@ -163,6 +164,52 @@ def test_sweep_eq35_and_trend(h05_depth5):
     assert all(a > b for a, b in zip(bounds, bounds[1:]))
 
 
+def test_qualifying_levels_are_periodic_in_pi(h05_depth5):
+    # the direction reduces into [0, pi) for negative angles too; before,
+    # theta = -4.6684 qualified [3, 4] and theta + 2 pi only [3]
+    h = h05_depth5
+    assert qualifying_levels(h, -4.6684) == qualifying_levels(h, -4.6684 + 2 * math.pi)
+    thetas = np.linspace(-2 * math.pi, 2 * math.pi, 2000, endpoint=False)
+    arcs = [h.d[k - 1] + u * h.theta[k] - math.pi / 2
+            for k in range(1, h.depth) for u in (0.1, 0.5, 0.9)]
+    for theta in list(thetas) + arcs:
+        levels = qualifying_levels(h, theta)
+        for shift in (-2 * math.pi, -math.pi, math.pi, 2 * math.pi):
+            assert qualifying_levels(h, theta + shift) == levels
+
+
+def test_qualifying_levels_keep_nonnegative_reduction(h05_depth5):
+    h = h05_depth5
+    for theta in np.linspace(0.0, 4 * math.pi, 997):
+        d_theta = math.fmod(theta + math.pi / 2, math.pi)
+        expected = [k for k in range(1, h.depth)
+                    if math.fmod(d_theta - h.d[k - 1] + math.pi, math.pi) <= h.theta[k]]
+        assert qualifying_levels(h, theta) == expected
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sweep_rejects_non_finite_angles(h05_depth5, bad):
+    grid = [i * math.pi / 32 for i in range(32)]
+    with pytest.raises(GaugeError, match="finite"):
+        sweep_directions(h05_depth5, power(0.5), grid[:-1] + [bad])
+    with pytest.raises(GaugeError, match="finite"):
+        project_hierarchy(h05_depth5, bad, 2)
+    with pytest.raises(GaugeError, match="finite"):
+        qualifying_levels(h05_depth5, bad)
+
+
+def test_sweep_accepts_integral_grid_counts(h05_depth5):
+    g = power_log(0.5, 0.15, 1.0)
+    table = sweep_directions(h05_depth5, g, 256)
+    for n in (np.int64(256), np.int32(256), np.uint16(256)):
+        other = sweep_directions(h05_depth5, g, n)
+        assert other.to_dicts() == table.to_dicts()
+        assert all(type(row.theta) is float for row in other.rows)
+    for bad in (True, np.int64(31)):
+        with pytest.raises(GaugeError):
+            sweep_directions(h05_depth5, g, bad)
+
+
 def test_sweep_angle_without_qualifying_level(h05_depth5):
     # a direction far from every placement arc yields no rows
     table = sweep_directions(h05_depth5, power(0.5),
@@ -170,47 +217,69 @@ def test_sweep_angle_without_qualifying_level(h05_depth5):
     assert table.rows == ()
 
 
+def _exact_level_lengths(h, theta, level):
+    """Merged lengths of the projected level `level`, computed exactly.
+
+    The float offsets, cosines and radius are dyadic rationals, so the
+    projected offsets o * cos and the radius are integer multiples of one
+    power of two; coordinates are those integers, every sum and comparison
+    is exact and only the final lengths are rounded.  The child pattern is
+    merged once, then translated to every parent's exact projected center
+    and the whole level merged: the union of the merged patterns is the
+    union of all child intervals.
+    """
+    terms = [[Fraction(o) * Fraction(math.cos(h.d[j - 1] - theta))
+              for o in h.offsets(j).tolist()] for j in range(1, level + 1)]
+    radius = Fraction(h.radius(level))
+    den = max([radius.denominator] + [t.denominator for ts in terms for t in ts])
+    steps = [np.array([t.numerator * (den // t.denominator) for t in ts], dtype=object)
+             for ts in terms]
+    r = radius.numerator * (den // radius.denominator)
+
+    def merge(lo, hi):
+        order = sorted(range(len(lo)), key=lo.__getitem__)
+        lo, hi = lo[order], hi[order]
+        running = np.maximum.accumulate(hi)
+        new_run = np.ones(len(lo), dtype=bool)
+        new_run[1:] = (lo[1:] > running[:-1]).astype(bool)  # touching merges
+        starts = np.nonzero(new_run)[0]
+        ends = np.append(starts[1:], len(lo)) - 1
+        return lo[starts], running[ends]
+
+    piece_lo, piece_hi = merge(steps[-1] - r, steps[-1] + r)
+    parents = np.zeros(1, dtype=object)
+    for step in steps[:-1]:
+        parents = (parents[:, None] + step[None, :]).reshape(-1)
+    lo, hi = merge((parents[:, None] + piece_lo[None, :]).reshape(-1),
+                   (parents[:, None] + piece_hi[None, :]).reshape(-1))
+    return (hi - lo).astype(float) / float(den)
+
+
+def _reference_cost(g, lengths):
+    return math.fsum(np.exp(np.asarray(g.log_value(np.log(lengths)))).tolist())
+
+
+def _measured_cost(h, g, theta, level):
+    pr = project_hierarchy(h, theta, level)
+    return pr.copies * cover_cost(g, pr.pattern)[0], pr
+
+
 def test_sweep_rows_project_full_level(h05_depth5):
     h = h05_depth5
     g = power_log(0.5, 0.15, 1.0)
     table = sweep_directions(h, g, 256)
+    assert table.rows
     for row in table.rows:
-        pr = project_hierarchy(h, row.theta, row.k + 1)
-        assert cover_cost(g, pr.cover)[0] == pytest.approx(row.cost, rel=1e-12)
+        exact = _reference_cost(g, _exact_level_lengths(h, row.theta, row.k + 1))
+        assert row.cost == pytest.approx(exact, rel=1e-13, abs=0)
+        assert _measured_cost(h, g, row.theta, row.k + 1)[0] == row.cost
 
 
-def _tuple_path_cost(h, g, theta, level):
-    """Cost of projecting `level` the way tuple-backed covers computed it:
-    each merge ends in (lo, hi) tuples, the parents translate the tuple
-    pattern, and the cost is read from per-tuple lengths."""
-    def merge(lo, hi):
-        order = np.argsort(lo, kind="stable")
-        lo, hi = lo[order], hi[order]
-        running = np.maximum.accumulate(hi)
-        new_run = np.ones(len(lo), dtype=bool)
-        new_run[1:] = lo[1:] > running[:-1]
-        starts = np.nonzero(new_run)[0]
-        ends = np.append(starts[1:], len(lo)) - 1
-        return tuple(zip(lo[starts].tolist(), running[ends].tolist()))
-
-    r = h.radius(level)
-    c = h.offsets(level) * math.cos(h.d[level - 1] - theta)
-    piece = np.asarray(merge(c - r, c + r), dtype=float)
-    parents = np.zeros(1)
-    for j in range(1, level):
-        step = h.offsets(j) * math.cos(h.d[j - 1] - theta)
-        parents = (parents[:, None] + step[None, :]).reshape(-1)
-    intervals = merge((parents[:, None] + piece[None, :, 0]).reshape(-1),
-                      (parents[:, None] + piece[None, :, 1]).reshape(-1))
-    lengths = np.array([b - a for a, b in intervals])
-    costs = np.exp(np.asarray(g.log_value(np.log(lengths)), dtype=float))
-    return float(np.sum(np.sort(costs))), len(intervals)
-
-
-def test_heavy_arc_sweep_matches_tuple_path(h08_depth5):
+def test_heavy_arc_sweep_matches_exact_reference(h08_depth5):
     # inside the level-3 placement arc of power(0.8) depth 5 the projected
     # level 4 merges to ~8e3 intervals below u ~ 0.48 of the arc and to
-    # ~7.7e5 past it; every row's cost must equal the tuple path exactly
+    # ~7.7e5 past it; every row's cost must match the exact merge of all
+    # of them
     h = h08_depth5
     g = power_log(0.8, 0.15, 1.0)
     thetas = [math.fmod(h.d[2] + u * h.theta[3] + math.pi / 2, math.pi)
@@ -220,10 +289,90 @@ def test_heavy_arc_sweep_matches_tuple_path(h08_depth5):
     assert [(row.theta, row.k) for row in table.rows] == [(t, 3) for t in thetas]
     counts = []
     for row in table.rows:
-        cost, n = _tuple_path_cost(h, g, row.theta, 4)
-        assert row.cost == cost
-        counts.append(n)
+        lengths = _exact_level_lengths(h, row.theta, 4)
+        assert row.cost == pytest.approx(_reference_cost(g, lengths), rel=1e-13, abs=0)
+        _, pr = _measured_cost(h, g, row.theta, 4)
+        assert pr.copies * len(pr.pattern.lo) == len(lengths)
+        counts.append(len(lengths))
     assert counts[0] < 1e4 and counts[-1] > 7e5
+
+
+def _brute_force_cost(h, g, theta, level):
+    # every level-`level` disc's interval as Fractions, merged by the
+    # reference merge: no pattern, no translate, no float sum
+    coords = [Fraction(0)]
+    for j in range(1, level + 1):
+        c = Fraction(math.cos(h.d[j - 1] - theta))
+        coords = [p + Fraction(o) * c for p in coords for o in h.offsets(j).tolist()]
+    r = Fraction(h.radius(level))
+    merged = _reference_merge([(x - r, x + r) for x in coords])
+    return _reference_cost(g, np.array([float(b - a) for a, b in merged])), len(merged)
+
+
+def _small_hierarchy(rng):
+    depth = int(rng.integers(1, 5))
+    ratios = rng.uniform(0.05, 0.2, depth)
+    radii = np.cumprod(np.concatenate([[rng.uniform(0.1, 1.0)], ratios]))
+    counts = tuple(int(n) for n in rng.integers(2, 6, depth))
+    theta = [float(t) for t in rng.choice([0.0, math.pi / 2, rng.uniform(0, math.pi)],
+                                          depth)]
+    return build_hierarchy(power(0.5), schedule_from_radii(radii),
+                           BranchingPlan(1.0, counts), theta=theta)
+
+
+def test_projection_matches_brute_force_on_small_hierarchies():
+    rng = np.random.default_rng(2024)
+    gs = (power(0.5), power_log(0.8, 0.15, 1.0), log_power(1.0))
+    worst = 0.0
+    paths = {"counted": 0, "merged": 0}  # level > 1 with copies > 1 / == 1
+    for case in range(200):
+        h = _small_hierarchy(rng)
+        level = int(rng.integers(1, h.depth + 1))
+        # uniform angles, angles inside a placement arc (collapsed pattern)
+        # and angles near a placement direction's normal (stacked translates)
+        j = int(rng.integers(0, h.depth))
+        theta = float(rng.choice([rng.uniform(-math.pi, 2 * math.pi),
+                                  h.d[j] + math.pi / 2 + rng.uniform(-1e-3, 1e-3),
+                                  h.d[j] + math.pi / 2]))
+        g = gs[case % len(gs)]
+        expected, count = _brute_force_cost(h, g, theta, level)
+        cost, pr = _measured_cost(h, g, theta, level)
+        assert pr.copies * len(pr.pattern.lo) == count
+        worst = max(worst, abs(cost - expected) / expected)
+        if level > 1:
+            paths["counted" if pr.copies > 1 else "merged"] += 1
+    assert worst <= 1e-12
+    assert min(paths.values()) >= 20
+
+
+def test_projection_merges_touching_translates():
+    # exact dyadic geometry on one line: the level-2 pieces [-0.125, 0] and
+    # [0, 0.125] of the two level-1 parents touch, and touching intervals merge
+    h = build_hierarchy(power(0.5), schedule_from_radii([1.0, 0.5, 0.0625]),
+                        BranchingPlan(1.0, (2, 2)), theta=[0.0, 0.0])
+    assert [h.radius(k) for k in range(3)] == [1.0, 0.5, 0.0625]
+    pr = project_hierarchy(h, 0.0, 2)
+    assert pr.copies == 1
+    assert pr.pattern.intervals == ((-1.0, -0.875), (-0.125, 0.125), (0.875, 1.0))
+    assert _brute_force_cost(h, power(1.0), 0.0, 2) == (0.5, 3)
+
+
+def test_projection_materialises_overlapping_translates():
+    # level 1 is placed along angle 0 and levels 2 and 3 along pi/2, so near
+    # theta = pi/2 the level-1 translates stack on each other and must be
+    # materialised together with the counted level-2 copies below them; at
+    # `shifted` they move by about one level-2 spacing, which clears a
+    # level-3 pattern but not a level-2 span, so pieces partly overlap
+    h = build_from_gauge(power(0.5), 3, theta=(0.0, math.pi / 2, 0.0))
+    g = power(0.5)
+    ratio = np.diff(h.offsets(2))[0] / np.diff(h.offsets(1))[0]
+    shifted = math.pi / 2 - math.asin(1.02 * ratio)
+    for theta in (math.pi / 2, math.pi / 2 + 1e-7, math.pi / 2 - 1e-4, shifted):
+        for level in (2, 3):
+            expected, count = _brute_force_cost(h, g, theta, level)
+            cost, pr = _measured_cost(h, g, theta, level)
+            assert pr.copies * len(pr.pattern.lo) == count
+            assert cost == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_sweep_on_capped_hierarchy(h08_depth5):
