@@ -62,15 +62,17 @@ class NaturalMeasure:
 
     def sample_atoms(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Centers of n uniformly sampled atoms (equal masses make uniform
-        path sampling mass-proportional), without materialising the level."""
+        path sampling mass-proportional), without materialising the level.
+        Each level adds its children's x and y offsets, looked up by the
+        drawn index in N_k-entry tables."""
         h = self.hierarchy
         x, y = np.zeros(n), np.zeros(n)
         for level in range(1, self.depth + 1):
             idx = rng.integers(0, h.counts[level - 1], size=n)
-            step = h.offsets(level)[idx]
+            off = h.offsets(level)
             ex, ey = h.direction(level)
-            x += step * ex
-            y += step * ey
+            x += (off * ex)[idx]
+            y += (off * ey)[idx]
         return np.stack([x, y], axis=1)
 
 
@@ -315,6 +317,16 @@ def discrete_energy(f: GaugeFunction, points, masses=None) -> float:
     return math.inf if coincident else total
 
 
+def _row_norms(diff: np.ndarray) -> np.ndarray:
+    """Row lengths of a (k, dim) array, summing squares one column at a
+    time instead of one short row at a time.  For one or two columns, as
+    every draw here has, this is np.linalg.norm(diff, axis=-1) bit for bit."""
+    sq = diff[:, 0] * diff[:, 0]
+    for j in range(1, diff.shape[1]):
+        sq += diff[:, j] * diff[:, j]
+    return np.sqrt(sq, out=sq)
+
+
 def sample_distinct_pairs(draw, pairs: int):
     """``pairs`` nonzero difference vectors from ``draw(k)``, which returns
     k difference vectors as a (k, dim) array.
@@ -324,7 +336,7 @@ def sample_distinct_pairs(draw, pairs: int):
     rejections exceed 4 * pairs or the rounds run out.
     """
     diff = draw(pairs)
-    d = np.linalg.norm(diff, axis=-1)
+    d = _row_norms(diff)
     rejected = 0
     for _ in range(128):
         bad = d == 0.0
@@ -336,7 +348,7 @@ def sample_distinct_pairs(draw, pairs: int):
             raise EnergyEstimateError(
                 "runaway pair rejection: atoms coincide almost surely")
         diff[bad] = draw(n_bad)
-        d[bad] = np.linalg.norm(diff[bad], axis=-1)
+        d[bad] = _row_norms(diff[bad])
     raise EnergyEstimateError("could not draw distinct atom pairs")
 
 

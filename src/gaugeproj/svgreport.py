@@ -1,14 +1,16 @@
 """Self-emitted SVG figures: disc hierarchies, sweep curves, shell decays.
 
 Everything is plain string assembly over a fixed viewport, so documents
-are byte-stable across runs.  Deep levels are subsampled keeping the
-lexicographically first paths, with the notice embedded as an SVG
-comment.
+are byte-stable across runs.  The hierarchy figure draws one panel per
+level in its parent's local frame, so its size grows with the sum of the
+branching counts, not with their product, and no level is left out.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .hierarchy import DiscHierarchy
 
@@ -20,51 +22,58 @@ def _num(x: float) -> str:
     return f"{x:.4f}".rstrip("0").rstrip(".")
 
 
-def _svg(body: list[str]) -> str:
+def _svg(body: list[str], height: float = VIEW) -> str:
     head = (f'<svg xmlns="http://www.w3.org/2000/svg" '
-            f'viewBox="0 0 {_num(VIEW)} {_num(VIEW)}">')
+            f'viewBox="0 0 {_num(VIEW)} {_num(height)}">')
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
-def render_hierarchy_svg(h: DiscHierarchy, max_discs: int = 10 ** 5) -> str:
-    """Nested circles with the placement-direction rays of each level."""
-    r0 = h.radius(0)
-    scale = (VIEW - 2 * MARGIN) / (2 * r0)
+def render_hierarchy_svg(h: DiscHierarchy) -> str:
+    """One panel per level k = 1..K, drawn in the level-(k-1) parent's frame.
 
-    def sx(x):
-        return VIEW / 2 + x * scale
-
-    def sy(y):
-        return VIEW / 2 - y * scale
-
-    body = [f'<circle cx="{_num(VIEW / 2)}" cy="{_num(VIEW / 2)}" '
-            f'r="{_num(r0 * scale)}" fill="none" stroke="#333" stroke-width="1"/>']
-    drawn = 1
-    for level in range(1, h.depth + 1):
-        count = h.disc_count(level)
-        budget = max_discs - drawn
-        if budget <= 0:
-            body.append(f"<!-- level {level} omitted: disc budget exhausted -->")
-            continue
-        if count > budget or count > h.disc_cap:
-            take = min(budget, h.disc_cap, 4096)
-            centers = h.first_paths(level, take)
-            body.append(f"<!-- level {level} subsampled: first {take} of "
-                        f"{count} paths -->")
-        else:
-            centers = h.level_centers(level)
-        px, py = sx(centers[:, 0]).tolist(), sy(centers[:, 1]).tolist()
-        tail = (f'r="{_num(max(h.radius(level) * scale, 0.05))}" fill="none" '
-                f'stroke="#06c" stroke-width="0.5"/>')
-        body.extend(f'<circle cx="{_num(x)}" cy="{_num(y)}" {tail}'
-                    for x, y in zip(px, py))
-        drawn += len(centers)
-    for level in range(1, h.depth + 1):
-        ex, ey = h.direction(level)
-        body.append(f'<line x1="{_num(sx(-r0 * ex))}" y1="{_num(sy(-r0 * ey))}" '
-                    f'x2="{_num(sx(r0 * ex))}" y2="{_num(sy(r0 * ey))}" '
-                    f'stroke="#c60" stroke-width="0.4" stroke-dasharray="4 4"/>')
-    return _svg(body)
+    Each panel (``<g id="level-k">``) holds the parent disc scaled to the
+    panel, its N_k children on the diameter at direction d_k, the dashed
+    diameter itself and, below the deepest level, the placement arc
+    [d_k, d_k + theta_{k+1}] just outside the parent.  The geometry uses
+    only rho = r_k / r_{k-1}, from the log radii, and the children's
+    parent-relative offsets, so the figure is right at any depth.  The
+    label gives N_k, rho, the Eq33 margin (gap - r_k)/r_k and the arc.
+    """
+    cols = math.ceil(math.sqrt(h.depth))
+    rows = math.ceil(h.depth / cols)
+    cell = (VIEW - 2 * MARGIN) / cols
+    big = 0.36 * cell  # parent radius in the panel
+    tx, ty = _num(-0.5 * cell + 4), -0.45 * cell  # label origin
+    body = ['<g font-family="monospace" font-size="9">']
+    for k in range(1, h.depth + 1):
+        row, col = divmod(k - 1, cols)
+        rho = math.exp(h.log_radius(k) - h.log_radius(k - 1))
+        n = h.counts[k - 1]
+        local = np.linspace(-(1.0 - rho), 1.0 - rho, n)  # units of r_{k-1}
+        eq33 = (float(local[1] - local[0]) - 3.0 * rho) / rho
+        arc = f", arc {h.theta[k]:.3g} rad" if k < h.depth else ""
+        cx, cy = MARGIN + (col + 0.5) * cell, MARGIN + (row + 0.55) * cell
+        body += [
+            f'<g id="level-{k}" transform="translate({_num(cx)} {_num(cy)})">',
+            f'<text x="{tx}" y="{_num(ty)}">level {k}: N={n}, '
+            f'r_k/r_(k-1)={rho:.3g}</text>',
+            f'<text x="{tx}" y="{_num(ty + 11)}">Eq33 margin {eq33:.3g}{arc}</text>',
+            f'<g transform="rotate({_num(-math.degrees(h.d[k - 1]))})" fill="none">',
+            f'<circle r="{_num(big)}" stroke="#333" stroke-width="1"/>',
+            f'<line x1="{_num(-big)}" x2="{_num(big)}" stroke="#c60" '
+            f'stroke-width="0.4" stroke-dasharray="4 4"/>',
+        ]
+        if k < h.depth:
+            out, end = 1.08 * big, h.theta[k]
+            body.append(f'<path d="M {_num(out)} 0 A {_num(out)} {_num(out)} 0 0 0 '
+                        f'{_num(out * math.cos(end))} {_num(-out * math.sin(end))}" '
+                        f'stroke="#c30" stroke-width="2"/>')
+        tail = f'r="{_num(rho * big)}"/>'
+        body.append('<g stroke="#06c" stroke-width="0.5">')
+        body.extend(f'<circle cx="{_num(x)}" {tail}' for x in (local * big).tolist())
+        body += ["</g>", "</g>", "</g>"]
+    body.append("</g>")
+    return _svg(body, 2 * MARGIN + rows * cell)
 
 
 def _axes() -> list[str]:
@@ -88,21 +97,22 @@ def _scaled(values, lo, hi, out_lo, out_hi):
     return [out_lo + (v - lo) / (hi - lo) * (out_hi - out_lo) for v in values]
 
 
-def render_sweep_svg(rows) -> str:
-    """Cover cost and budget against angle; empty tables draw axes only.
+def _markers(xs, ys, color: str) -> list[str]:
+    return [f'<g fill="{color}">',
+            *(f'<circle cx="{_num(x)}" cy="{_num(y)}" r="3"/>' for x, y in zip(xs, ys)),
+            "</g>"]
 
-    ``rows`` are sweep rows (objects or dicts) with theta, cost, bound.
+
+def render_sweep_svg(rows) -> str:
+    """Cover cost and budget against angle, each a polyline with a marker
+    at every measured row; empty tables draw axes only.
+
+    ``rows`` are ``SweepTable.to_dicts()`` rows with theta, cost, bound.
     """
     body = _axes()
-    pts = []
-    for r in rows:
-        theta = r["theta"] if isinstance(r, dict) else r.theta
-        cost = r["cost"] if isinstance(r, dict) else r.cost
-        bound = r["bound"] if isinstance(r, dict) else r.bound
-        if cost is not None:
-            pts.append((theta, cost, bound))
+    pts = sorted((r["theta"], r["cost"], r["bound"]) for r in rows
+                 if r["cost"] is not None)
     if pts:
-        pts.sort()
         thetas = [p[0] for p in pts]
         vals = [p[1] for p in pts] + [p[2] for p in pts]
         logs = [math.log10(max(v, 1e-300)) for v in vals]
@@ -114,6 +124,8 @@ def render_sweep_svg(rows) -> str:
                           lo, hi, VIEW - MARGIN, MARGIN)
         body.append(_polyline(xs, y_cost, "#06c"))
         body.append(_polyline(xs, y_bound, "#c30"))
+        body.extend(_markers(xs, y_cost, "#06c"))
+        body.extend(_markers(xs, y_bound, "#c30"))
     return _svg(body)
 
 

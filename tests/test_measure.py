@@ -9,7 +9,7 @@ from gaugeproj import (EnergyEstimateError, GaugeError, NaturalMeasure,
                        capacity_lower_bound, discrete_energy, frostman_scan,
                        mc_energy, mc_energy_atoms, measure, potential, power,
                        power_log, schedule_from_radii)
-from gaugeproj.measure import sample_distinct_pairs
+from gaugeproj.measure import _row_norms, sample_distinct_pairs
 
 
 @pytest.fixture(scope="module")
@@ -574,6 +574,17 @@ def test_sample_distinct_pairs_redraws_zero_rows():
     assert diff.shape == (4000, 2) and np.all(d > 0)
     assert np.array_equal(d, np.linalg.norm(diff, axis=-1))
     assert 0 < rejected < 4 * 4000
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_row_norms_are_the_linalg_norms(dim):
+    rng = np.random.default_rng(dim)
+    diff = rng.normal(size=(5000, dim)) * np.exp(rng.uniform(-300, 300, (5000, 1)))
+    diff[::7] = 0.0
+    want = np.linalg.norm(diff, axis=-1)
+    assert _row_norms(diff).tobytes() == want.tobytes()
+    # strided rows, as the redraw loop passes them
+    assert _row_norms(diff[::3]).tobytes() == want[::3].tobytes()
 
 
 def test_sample_distinct_pairs_gives_up():

@@ -8,14 +8,16 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gaugeproj
 from gaugeproj import (ConfigError, GaugeFitError, conditions, gauges,
                        parse_config, power, run_pipeline, sweep_partner)
 from gaugeproj.cli import main as cli_main
-from gaugeproj.hierarchy import (BranchingPlan, build_hierarchy,
-                                 schedule_from_radii)
+from gaugeproj.hierarchy import (BranchingPlan, RadiusSchedule, build_from_gauge,
+                                 build_hierarchy, schedule_from_radii,
+                                 validate_hierarchy)
 from gaugeproj.svgreport import (render_hierarchy_svg, render_shells_svg,
                                  render_sweep_svg)
 
@@ -236,75 +238,88 @@ def test_hierarchy_svg_circle_count():
     ET.fromstring(svg)
 
 
-def test_hierarchy_svg_full_circle_count(h05_depth5):
-    svg = render_hierarchy_svg(h05_depth5, max_discs=10 ** 5)
-    h = h05_depth5
-    expected = 1 + sum(h.disc_count(k) for k in range(1, h.depth + 1))
-    assert svg.count("<circle") == expected
-    assert "subsampled" not in svg
+SVG = "{http://www.w3.org/2000/svg}"
 
 
-def test_hierarchy_svg_small_budget_notice(h05_depth5):
-    svg = render_hierarchy_svg(h05_depth5, max_discs=100)
-    assert "subsampled" in svg
+def _panels(svg):
+    """level -> (parent radius, [(cx, cy, r) of each child], label text)."""
+    out = {}
+    for g in ET.fromstring(svg).iter(SVG + "g"):
+        if g.get("id", "").startswith("level-"):
+            parent, *children = g.iter(SVG + "circle")
+            assert parent.get("cx") is None and parent.get("cy") is None
+            out[int(g.get("id")[len("level-"):])] = (
+                float(parent.get("r")),
+                [(float(c.get("cx", 0)), float(c.get("cy", 0)), float(c.get("r")))
+                 for c in children],
+                " ".join(t.text for t in g.iter(SVG + "text")))
+    return out
+
+
+def _power_hierarchy(s, depth):
+    """build_from_gauge; depth 1, which it does not build, is the first
+    level of the depth-2 construction."""
+    if depth > 1:
+        return build_from_gauge(power(s), depth)
+    h = build_from_gauge(power(s), 2)
+    return build_hierarchy(h.gauge, RadiusSchedule(h.schedule.log_r[:2]),
+                           BranchingPlan(h.a, h.counts[:1]), theta=h.theta[:1])
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.8])
+def test_hierarchy_svg_panels_at_depth_10(s):
+    h = _power_hierarchy(s, 10)
+    eq33 = {r.level: r.margin for r in validate_hierarchy(h).by_check("Eq33")}
+    panels = _panels(render_hierarchy_svg(h))
+    assert sorted(panels) == list(range(1, 11))
+    for k, (big, children, label) in panels.items():
+        # one parent and N_k children, in the parent's frame
+        assert len(children) == h.counts[k - 1]
+        rho = math.exp(h.log_radius(k) - h.log_radius(k - 1))
+        for cx, cy, r in children:
+            assert cy == 0.0
+            assert r == pytest.approx(rho * big, abs=5e-5)
+            assert abs(cx) + r <= big + 1e-4  # inside the parent, up to rounding
+        want = h.offsets(k) / h.radius(k - 1) * big
+        np.testing.assert_allclose([c[0] for c in children], want, rtol=0, atol=5e-5)
+        assert f"N={h.counts[k - 1]}," in label
+        assert f"Eq33 margin {eq33[k]:.3g}" in label
+        assert ("arc" in label) == (k < h.depth)
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.8])
+def test_hierarchy_svg_is_small_and_stable_at_every_depth(s):
+    for depth in range(1, 11):
+        h = _power_hierarchy(s, depth)
+        svg = render_hierarchy_svg(h)
+        ET.fromstring(svg)
+        assert len(svg.encode("utf-8")) < 100_000
+        assert sum(len(c) for _, c, _ in _panels(svg).values()) == sum(h.counts)
+        assert render_hierarchy_svg(_power_hierarchy(s, depth)) == svg
+
+
+def test_hierarchy_svg_needs_only_local_ratios():
+    # radii below the float range draw the same figure as radii of order one
+    plan = BranchingPlan(1.0, (3, 4))
+    near = build_hierarchy(power(0.5), RadiusSchedule((0.0, -5.0, -10.5)), plan)
+    deep = build_hierarchy(power(0.5), RadiusSchedule((-790.0, -795.0, -800.5)),
+                           plan, theta=near.theta)
+    assert deep.radius(1) == 0.0
+    assert render_hierarchy_svg(deep) == render_hierarchy_svg(near)
+
+
+def test_sweep_svg_marks_every_measured_row():
+    row = {"theta": 1.0, "k": 3, "cost": 0.1, "bound": 0.4, "margin": 0.3,
+           "note": ""}
+    svg = render_sweep_svg([row])
+    assert svg.count("<polyline") == 2
+    assert svg.count("<circle") == 2  # one cost and one budget marker
     ET.fromstring(svg)
-
-
-def reference_hierarchy_svg(h, max_discs=10 ** 5):
-    """render_hierarchy_svg with one sx/sy/_num call per disc coordinate."""
-    from gaugeproj.svgreport import MARGIN, VIEW, _num, _svg
-    r0 = h.radius(0)
-    scale = (VIEW - 2 * MARGIN) / (2 * r0)
-
-    def sx(x):
-        return VIEW / 2 + x * scale
-
-    def sy(y):
-        return VIEW / 2 - y * scale
-
-    body = [f'<circle cx="{_num(VIEW / 2)}" cy="{_num(VIEW / 2)}" '
-            f'r="{_num(r0 * scale)}" fill="none" stroke="#333" stroke-width="1"/>']
-    drawn = 1
-    for level in range(1, h.depth + 1):
-        count = h.disc_count(level)
-        budget = max_discs - drawn
-        if budget <= 0:
-            body.append(f"<!-- level {level} omitted: disc budget exhausted -->")
-            continue
-        if count > budget or count > h.disc_cap:
-            take = min(budget, h.disc_cap, 4096)
-            centers = h.first_paths(level, take)
-            body.append(f"<!-- level {level} subsampled: first {take} of "
-                        f"{count} paths -->")
-        else:
-            centers = h.level_centers(level)
-        r = max(h.radius(level) * scale, 0.05)
-        for cx, cy in centers:
-            body.append(f'<circle cx="{_num(sx(cx))}" cy="{_num(sy(cy))}" '
-                        f'r="{_num(r)}" fill="none" stroke="#06c" '
-                        f'stroke-width="0.5"/>')
-        drawn += len(centers)
-    for level in range(1, h.depth + 1):
-        ex, ey = h.direction(level)
-        body.append(f'<line x1="{_num(sx(-r0 * ex))}" y1="{_num(sy(-r0 * ey))}" '
-                    f'x2="{_num(sx(r0 * ex))}" y2="{_num(sy(r0 * ey))}" '
-                    f'stroke="#c60" stroke-width="0.4" stroke-dasharray="4 4"/>')
-    return _svg(body)
-
-
-@pytest.mark.parametrize("fixture, max_discs", [
-    ("h05_depth5", 10 ** 5),  # every level drawn in full
-    ("h08_depth5", 10 ** 5),  # deep levels subsampled
-    ("h05_depth5", 100),      # budget exhausted part way
-])
-def test_hierarchy_svg_equals_the_per_disc_renderer(fixture, max_discs, request):
-    h = request.getfixturevalue(fixture)
-    got = render_hierarchy_svg(h, max_discs=max_discs).split("\n")
-    want = reference_hierarchy_svg(h, max_discs=max_discs).split("\n")
-    # first differing line only: a diff of two megabyte strings takes minutes
-    first = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
-    assert first is None, (first, got[first], want[first])
-    assert len(got) == len(want)
+    bound_only = dict(row, theta=2.0, cost=None, margin=None)
+    rows = [row, dict(row, theta=0.5, cost=0.2), bound_only]
+    svg = render_sweep_svg(rows)
+    assert svg.count("<circle") == 4
+    ET.fromstring(svg)
 
 
 def test_empty_sweep_svg_axes_only():
