@@ -15,9 +15,9 @@ from pathlib import Path
 from . import diophantine, gauges, hierarchy, measure
 from .config import ConfigError, parse_config
 from .pipeline import (condition_verdicts, construct_hierarchy,
-                       energy_estimate, resolve_g, run_pipeline, sweep_table,
-                       verdict_payload, _csv_text, _json_text, _sanitize,
-                       _sweep_csv_text, _write_file)
+                       energy_estimate, energy_payload, resolve_g,
+                       run_pipeline, sweep_table, verdict_payload, _csv_text,
+                       _json_text, _sanitize, _sweep_csv_text, _write_file)
 from .svgreport import render_hierarchy_svg, render_sweep_svg
 
 _FLAGS = {
@@ -136,10 +136,7 @@ def cmd_energy(args) -> int:
     h = construct_hierarchy(cfg, f)
     est = energy_estimate(cfg, g, measure.NaturalMeasure(h, h.depth))
     payload = {"gauge": g.to_dict(), "pairs": est.pairs_used,
-               "mean": est.mean, "stderr": est.stderr,
-               "collisions_rejected": est.collisions_rejected,
-               "capacity_lower_bound": 1.0 / est.mean,
-               "seed": cfg.seed}
+               **energy_payload(est), "seed": cfg.seed}
     _write(args, "energy.json", _json_text(payload))
     return 0
 

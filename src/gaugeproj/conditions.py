@@ -51,14 +51,6 @@ class ConditionVerdict:
     shell_sums: tuple[float, ...]
     diagnostics: str
 
-    @property
-    def is_finite(self) -> bool:
-        return self.status == FINITE
-
-    @property
-    def is_divergent(self) -> bool:
-        return self.status == DIVERGENT
-
 
 # ---------------------------------------------------------------------------
 # Tail classification
@@ -363,49 +355,3 @@ def check_divergence_of_df_over_g(f: GaugeFunction, g: GaugeFunction,
     with np.errstate(over="ignore"):  # an infinite shell sum is a divergent one
         shell_sums = np.exp(log_terms)
     return ConditionVerdict(status, value, tuple(shell_sums.tolist()), diag)
-
-
-# ---------------------------------------------------------------------------
-# Quadrature helpers used by tests and the rate diagnostics
-# ---------------------------------------------------------------------------
-
-def _df_over_g_integrand(f: GaugeFunction, g: GaugeFunction, log_t: float):
-    """(f(r)/g(t*r)) * dlog f(r), the density of df(r)/g(t r) in log r."""
-    def fn(v):
-        lf = np.asarray(f.log_value(v), dtype=float)
-        lg = np.asarray(g.log_value(v + log_t), dtype=float)
-        dl = np.asarray(f.dlog(v), dtype=float)
-        return np.exp(np.clip(lf - lg, -745.0, 700.0)) * dl
-    return fn
-
-
-def df_over_g_integral(f: GaugeFunction, g: GaugeFunction, log_t: float = 0.0,
-                       v_hi: float = 0.0, n_shells: int = 4096) -> float:
-    """Quadrature value of integral over r in (0, e**v_hi] of df(r)/g(t r)."""
-    fn = _df_over_g_integrand(f, g, log_t)
-    edges_hi = v_hi - LOG2 * np.arange(n_shells, dtype=float)
-    edges_lo = edges_hi - LOG2
-    sums = _panel_values(fn, edges_lo, edges_hi, 24)
-    return float(sums.sum() + _tail_integral(fn, -(v_hi - n_shells * LOG2)))
-
-
-def rate_condition_split(f: GaugeFunction, g: GaugeFunction, t: float) -> dict:
-    """Decomposition of the scaled integral at one t.
-
-    Returns the inner piece (r <= t), the outer piece (t < r <= 1) of
-    integral df(r)/g(t r), the boundary term f(1)/g(t) and the rescaled
-    total R(t).  Useful for checking explicit proof constants.
-    """
-    if not 0 < t < 1:
-        raise GaugeError("t must lie in (0, 1)")
-    log_t = math.log(t)
-    inner = df_over_g_integral(f, g, log_t=log_t, v_hi=log_t, n_shells=2048)
-    n_outer = max(int(math.ceil(-log_t / LOG2)), 1)
-    edges = np.linspace(log_t, 0.0, n_outer + 1)
-    fn = _df_over_g_integrand(f, g, log_t)
-    outer = float(_panel_values(fn, edges[:-1], edges[1:], 24).sum())
-    boundary = math.exp(f.log_value(0.0) - g.log_value(log_t))
-    total = inner + outer - boundary
-    rate = math.exp(g.log_value(log_t)) * total
-    return {"t": t, "inner": inner, "outer": outer, "boundary": boundary,
-            "total": total, "rate": rate}

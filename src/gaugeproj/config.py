@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass, field
 
 from .gauges import GaugeFunction, is_finite_number, parse_gauge
+from .hierarchy import DEFAULT_DISC_CAP
 
 SCHEMA_VERSION = 1
 
@@ -18,7 +19,7 @@ _DEFAULTS = {
     "schema_version": SCHEMA_VERSION,
     "g": "auto",
     "depth": 4,
-    "disc_cap": 10 ** 7,
+    "disc_cap": DEFAULT_DISC_CAP,
     "theta_mode": "default",
     "angles": 256,
     "sweep_level": None,
@@ -73,9 +74,6 @@ class RunConfig:
             "emit": dict(sorted(self.emit.items())),
         }
 
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
 
 def parse_config(document) -> RunConfig:
     """Validated config from JSON text or an already-parsed object.
@@ -127,7 +125,7 @@ def parse_config(document) -> RunConfig:
             return minimum
         return v
 
-    depth = _int_at_least("depth", 1)
+    depth = _int_at_least("depth", 2)  # derive_radius_schedule needs K >= 2
     disc_cap = _int_at_least("disc_cap", 1)
     angles = _int_at_least("angles", 32)  # the sweep's minimum grid
     pairs = _int_at_least("pairs", 1000)

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import (ConditionVerdict, FINITE, DIVERGENT, INCONCLUSIVE,
-                         _logsumexp, classify_log_tail,
-                         check_integral_condition)
+from .conditions import (ConditionVerdict, FINITE, DIVERGENT, _logsumexp,
+                         classify_log_tail, check_integral_condition)
 from .gauges import GaugeFunction, GaugeError, power_log, spec_float
 
 LOG2 = math.log(2.0)
@@ -65,12 +64,6 @@ class ApproxFunction:
             out = math.log(self.tau) + np.log(lq)
         return out if out.ndim else float(out)
 
-    def psi(self, q):
-        return np.exp(self.log_psi(np.log(np.asarray(q, dtype=float))))
-
-    def to_dict(self) -> dict:
-        return {"family": self.family, "tau": self.tau}
-
 
 def exp_power(tau: float) -> ApproxFunction:
     return ApproxFunction("exp_power", tau)
@@ -78,10 +71,6 @@ def exp_power(tau: float) -> ApproxFunction:
 
 def power_log_power(tau: float) -> ApproxFunction:
     return ApproxFunction("power_log_power", tau)
-
-
-def pure_power(tau: float) -> ApproxFunction:
-    return ApproxFunction("pure_power", tau)
 
 
 def parse_approx(doc: dict) -> ApproxFunction:
@@ -97,13 +86,6 @@ def _term_log(f: GaugeFunction, psi: ApproxFunction, k: int,
     with np.errstate(over="ignore", invalid="ignore"):
         out = k * lq + np.asarray(f.log_value_deep(psi.log_depth(lq)), dtype=float)
     return np.where(np.isnan(out), -math.inf, out)
-
-
-def series_term(f: GaugeFunction, psi: ApproxFunction, k: int, q) -> float:
-    """log(q**k * f(psi(q))), assembled without forming psi(q)."""
-    lq = np.log(np.asarray(q, dtype=float))
-    out = _term_log(f, psi, k, np.atleast_1d(lq))
-    return out if np.ndim(q) else float(out[0])
 
 
 @dataclass(frozen=True)
@@ -200,16 +182,6 @@ def classify_series(f: GaugeFunction, psi: ApproxFunction, k: int,
     block_sums = np.exp(np.minimum(log_blocks, 700.0))
     verdict = ConditionVerdict(status, value, tuple(block_sums.tolist()), diag)
     return SeriesVerdict(verdict, statement, fitted)
-
-
-def w_log_dimension(psi: ApproxFunction, k: int) -> float:
-    """Critical log-scale exponent (k+1)/tau of the approximable set for
-    rates exp(-q**tau)."""
-    if psi.family != "exp_power":
-        raise GaugeError("the closed form applies to exp-power rates")
-    if k < 1:
-        raise GaugeError("ambient dimension k must be >= 1")
-    return (k + 1) / psi.tau
 
 
 # ---------------------------------------------------------------------------

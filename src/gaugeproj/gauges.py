@@ -14,8 +14,8 @@ maximum at r = exp(-s/delta); values above that point are clamped to the
 maximum so the function stays (weakly) increasing.
 
 All deep evaluation happens in log coordinates: radii far below the
-floating-point range are handled through ``evaluate_log``, which never
-forms exp(log_r).
+floating-point range are handled through ``GaugeFunction.log_value``,
+which never forms exp(log_r).
 """
 
 from __future__ import annotations
@@ -39,10 +39,6 @@ class GaugeError(ValueError):
 
 class GaugeFitError(GaugeError):
     """A scaling-exponent fit failed (non-doubling or non-codoubling input)."""
-
-
-class EvaluationUnderflow(GaugeError):
-    """evaluate() underflowed; use evaluate_log instead."""
 
 
 @dataclass(frozen=True)
@@ -271,17 +267,6 @@ def tabulated(samples) -> GaugeFunction:
     return GaugeFunction("table", table=tuple((float(a), float(b)) for a, b in samples))
 
 
-def growth_partner(f: GaugeFunction) -> GaugeFunction:
-    """The companion gauge g(r) = f(r * log(1/r)) of a power gauge.
-
-    For f(r) = r**s this is r**s * (-log r)**s, the canonical pair whose
-    projected cover costs the disc construction drives to zero.
-    """
-    if f.family != "power":
-        raise GaugeError("growth partner is defined for power gauges")
-    return power_log(f.s, f.s, 1.0)
-
-
 def parse_gauge(doc: dict) -> GaugeFunction:
     """Build a gauge from its JSON object form.
 
@@ -331,31 +316,6 @@ def spec_float(doc: dict, key: str, default: float | None = None) -> float:
     if not is_finite_number(doc[key]):
         raise GaugeError(f"spec key {key!r} is not a number: {doc[key]!r}")
     return float(doc[key])
-
-
-# ---------------------------------------------------------------------------
-# Evaluation helpers
-# ---------------------------------------------------------------------------
-
-def evaluate(f: GaugeFunction, r: float) -> float:
-    """f(r) in linear coordinates.
-
-    Raises EvaluationUnderflow when the result is not representable; deep
-    radii should go through evaluate_log.
-    """
-    if r <= 0:
-        raise GaugeError("gauge argument must be positive")
-    log_val = f.log_value(math.log(r))
-    val = math.exp(log_val) if log_val > -745 else 0.0
-    if val == 0.0:
-        raise EvaluationUnderflow(
-            f"f(r) underflows at log r = {math.log(r):.3g}; use evaluate_log")
-    return val
-
-
-def evaluate_log(f: GaugeFunction, log_r: float):
-    """log f(e**log_r); the primitive all deep machinery uses."""
-    return f.log_value(log_r)
 
 
 def log_ratio(f: GaugeFunction, g: GaugeFunction, log_r):

@@ -83,13 +83,6 @@ class RadiusSchedule:
         return math.exp(self.log_r[k])
 
 
-def schedule_from_radii(radii) -> RadiusSchedule:
-    r = [float(x) for x in radii]
-    if any(x <= 0 for x in r):
-        raise ScheduleError("radii must be positive")
-    return RadiusSchedule(tuple(math.log(x) for x in r))
-
-
 def raw_log_radii(ks) -> np.ndarray:
     """log r'_k for the schedule r'_k = (k log k log log k)**-k, k >= 3."""
     k = np.asarray(ks, dtype=float)
@@ -351,9 +344,6 @@ class HierarchyReport:
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.rows)
-
-    def failures(self) -> list[CheckRow]:
-        return [r for r in self.rows if not r.passed]
 
     def by_check(self, check: str) -> list[CheckRow]:
         return [r for r in self.rows if r.check == check]

@@ -45,21 +45,6 @@ class NaturalMeasure:
     def log_atom_mass(self) -> float:
         return -sum(math.log(n) for n in self.hierarchy.counts[:self.depth])
 
-    @property
-    def atom_count(self) -> int:
-        return self.hierarchy.disc_count(self.depth)
-
-    def atom_coords(self) -> np.ndarray:
-        """Materialised atom locations; raises DiscCapExceeded when too many."""
-        return self.hierarchy.level_centers(self.depth)
-
-    def atom_masses(self) -> np.ndarray:
-        return np.full(self.atom_count, math.exp(self.log_atom_mass))
-
-    def total_log_mass(self) -> float:
-        """log of the summed atom masses; zero up to rounding."""
-        return math.log(self.atom_count) + self.log_atom_mass
-
     def sample_atoms(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Centers of n uniformly sampled atoms (equal masses make uniform
         path sampling mass-proportional), without materialising the level.
@@ -207,11 +192,6 @@ class FrostmanScan:
     samples: int
     worst: tuple[float, float, float]  # (x0, x1, r) achieving c_emp
 
-    def to_dict(self) -> dict:
-        return {"c_emp": self.c_emp, "c_bound": self.c_bound,
-                "violations": self.violations, "samples": self.samples,
-                "worst": list(self.worst)}
-
 
 def frostman_scan(m: NaturalMeasure, f: GaugeFunction, samples: int, seed: int,
                   mass_scale: float = 1.0) -> FrostmanScan:
@@ -256,11 +236,6 @@ class EnergyEstimate:
     stderr: float
     pairs_used: int
     collisions_rejected: int
-
-    def to_dict(self) -> dict:
-        return {"mean": self.mean, "stderr": self.stderr,
-                "pairs_used": self.pairs_used,
-                "collisions_rejected": self.collisions_rejected}
 
 
 def _as_coords(points) -> np.ndarray:
@@ -422,10 +397,3 @@ def potential(f: GaugeFunction, m: NaturalMeasure, x, pairs: int,
     x = np.asarray(x, dtype=float)
     _, d, _ = sample_distinct_pairs(lambda k: m.sample_atoms(k, rng) - x, pairs)
     return float(np.mean(f.reciprocal(d)))
-
-
-def capacity_lower_bound(f: GaugeFunction, m: NaturalMeasure, pairs: int,
-                         seed: int) -> float:
-    """1 / (estimated energy): one admissible measure's witness that the
-    capacity is at least this large."""
-    return 1.0 / mc_energy(f, m, pairs, seed).mean

@@ -5,11 +5,11 @@ values it reads (f, g or h) and its function, which sets the values later
 stages read.  One loop records every stage as ok, failed (with its error)
 or skipped (with the ``SKIP_REASONS`` entry of the first value it reads
 that the run lacks).  The CLI subcommands call the stages' own functions
-for what they share with a run:
-``construct_hierarchy``, ``sweep_table``, ``energy_estimate`` and
-``condition_verdicts``.  The bundle tags each inequality check with the
-stable id it verifies (Eq20 .. Eq36trend) and serialises to byte-identical
-CSV/JSON for identical configs.
+for what they share with a run: ``construct_hierarchy``, ``sweep_table``,
+``energy_estimate`` with ``energy_payload``, and ``condition_verdicts``.
+The bundle tags each inequality check with the stable id it verifies
+(Eq20 .. Eq36trend) and serialises to byte-identical CSV/JSON for
+identical configs.
 """
 
 from __future__ import annotations
@@ -67,6 +67,14 @@ def energy_estimate(config: RunConfig, g: gauges.GaugeFunction,
     """The config's Monte Carlo g-energy of m, drawn at seed + 1 (the
     Frostman scan draws at seed, the averaged projection at seed + 2)."""
     return measure.mc_energy(g, m, config.pairs, seed=config.seed + 1)
+
+
+def energy_payload(est: measure.EnergyEstimate) -> dict:
+    """The JSON payload of one energy estimate, with its capacity witness
+    1/mean."""
+    return {"mean": est.mean, "stderr": est.stderr,
+            "capacity_lower_bound": 1.0 / est.mean,
+            "collisions_rejected": est.collisions_rejected}
 
 
 def verdict_payload(v: conditions.ConditionVerdict) -> dict:
@@ -219,10 +227,7 @@ def _frostman(run: _Run):
 def _energy(run: _Run):
     config = run.config
     est = energy_estimate(config, run.g, run.m)
-    energy = run.bundle["energy"] = {
-        "gauge": "g", "mean": est.mean, "stderr": est.stderr,
-        "capacity_lower_bound": 1.0 / est.mean,
-        "collisions_rejected": est.collisions_rejected}
+    energy = run.bundle["energy"] = {"gauge": "g", **energy_payload(est)}
     if run.fit_g is None:
         raise gauges.GaugeError(
             "doubling fit of g unavailable: gauges stage failed")

@@ -57,14 +57,6 @@ class IntervalCover:
     def intervals(self) -> tuple[tuple[float, float], ...]:
         return tuple(zip(self.lo.tolist(), self.hi.tolist()))
 
-    @property
-    def total_length(self) -> float:
-        return float(np.sum(self.hi - self.lo))
-
-    def to_dict(self) -> dict:
-        return {"theta": self.theta, "rho": self.rho,
-                "intervals": [list(iv) for iv in self.intervals]}
-
 
 def merge_intervals(raw, theta: float = 0.0) -> IntervalCover:
     """Union of closed intervals as a sorted disjoint cover (sweep merge).
@@ -90,14 +82,6 @@ def _merge_array(lo: np.ndarray, hi: np.ndarray, theta: float) -> IntervalCover:
     merged_hi = running[ends]
     return IntervalCover(theta, merged_lo, merged_hi,
                          float((merged_hi - merged_lo).max()))
-
-
-def project_disc(center, log_r: float, theta: float) -> tuple[float, float]:
-    """Projection of a disc onto the line at angle theta: an interval of the
-    same diameter around the projected center."""
-    c = float(center[0]) * math.cos(theta) + float(center[1]) * math.sin(theta)
-    r = math.exp(log_r)
-    return c - r, c + r
 
 
 def project_disc_cover(centers, radii, theta: float) -> IntervalCover:

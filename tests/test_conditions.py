@@ -9,8 +9,7 @@ from gaugeproj import (DIVERGENT, FINITE, INCONCLUSIVE, GaugeError,
                        check_length_criterion, check_limit_condition,
                        check_rate_condition, classify_log_tail, log_power,
                        power, power_log)
-from gaugeproj.conditions import (_logsumexp, df_over_g_integral,
-                                  rate_condition_split)
+from gaugeproj.conditions import _logsumexp
 
 TAU = 6.0
 GAP_WITNESS = (power(0.5), power_log(0.5, 0.5, 1.0))
@@ -111,17 +110,14 @@ def test_rate_power_pair_bounded():
     assert v.value == pytest.approx(1.0, rel=1e-9)
 
 
-def test_rate_logpower_pair_bounded_and_inner_constant():
+def test_rate_logpower_pair_closed_form():
+    # for t <= 2**-8, -int f d(1/g(t.)) = int_0^inf f(e**-u) du = 2/log 2,
+    # so R(t) = g(t) * 2/log 2 = 2/(-log t * log 2), largest at t = 2**-8
     v = check_rate_condition(log_power(2.0), log_power(1.0))
     assert v.status == FINITE
-    # the inner-piece budget 2**s_g * int df/g matches its closed form
-    bound = 2.0 ** 1.0 * df_over_g_integral(log_power(2.0), log_power(1.0))
-    assert bound == pytest.approx(4.0 / math.log(2.0), rel=0.05)
-    for t in (2.0 ** -12, 2.0 ** -24, 2.0 ** -48):
-        row = rate_condition_split(log_power(2.0), log_power(1.0), t)
-        assert row["inner"] <= bound
-        # exact inner piece for this pair is 3/(-log t)
-        assert row["inner"] == pytest.approx(3.0 / -math.log(t), rel=1e-6)
+    expected = [2.0 / (8.0 * 2 ** j * math.log(2.0) ** 2) for j in range(7)]
+    assert v.shell_sums == pytest.approx(expected, rel=1e-9)
+    assert v.value == pytest.approx(expected[0], rel=1e-9)
 
 
 def test_rate_equal_gauges_diverges():

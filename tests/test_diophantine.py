@@ -3,16 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from gaugeproj import (GAP_BAND, INFINITE_BAND, ZERO_BAND, GaugeError,
-                       classify_series, exp_power, gap_report, log_power,
-                       parse_approx, power, power_log, power_log_power,
-                       pure_power, series_term, tabulated, w_log_dimension)
+from gaugeproj import (GAP_BAND, INFINITE_BAND, ZERO_BAND, ApproxFunction,
+                       GaugeError, classify_series, exp_power, gap_report,
+                       log_power, parse_approx, power, power_log,
+                       power_log_power, tabulated)
+from gaugeproj.diophantine import _term_log
+
+
+def pure_power(tau):
+    return ApproxFunction("pure_power", tau)
+
+
+def series_term(f, psi, k, q):
+    """log(q**k * f(psi(q))) at one q, as the series machinery forms it."""
+    return float(_term_log(f, psi, k, np.log([q]))[0])
 
 
 def test_approx_functions_decrease():
     qs = np.arange(2, 20)
     for psi in (exp_power(2.0), power_log_power(3.0), pure_power(1.5)):
-        vals = psi.psi(qs)
+        vals = np.exp(psi.log_psi(np.log(qs)))
         assert np.all(vals > 0)
         assert np.all(np.diff(vals) < 0)
         # log form keeps decreasing far beyond the representable range
@@ -91,14 +101,6 @@ def test_classify_premise_rejects_nonmonotone():
                      (-10.0, -5.0)])
     with pytest.raises(GaugeError, match="monotone"):
         classify_series(bad, pure_power(1.0), 1)
-
-
-def test_w_log_dimension():
-    assert w_log_dimension(exp_power(3.0), 2) == pytest.approx(1.0)
-    assert w_log_dimension(exp_power(2.0), 1) == pytest.approx(1.0)
-    assert w_log_dimension(exp_power(1e6), 2) == pytest.approx(0.0, abs=1e-5)
-    with pytest.raises(GaugeError):
-        w_log_dimension(pure_power(2.0), 2)
 
 
 # ---------------------------------------------------------------------------

@@ -5,47 +5,49 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gaugeproj import (EvaluationUnderflow, GaugeError, GaugeFitError,
-                       codoubling_exponent, doubling_constant,
-                       doubling_exponent, doubling_roundtrip_violations,
-                       evaluate, evaluate_log, log_power, log_radius_grid,
-                       log_ratio, parse_gauge, power, power_log, tabulated)
+from gaugeproj import (GaugeError, GaugeFitError, codoubling_exponent,
+                       doubling_constant, doubling_exponent,
+                       doubling_roundtrip_violations, log_power,
+                       log_radius_grid, log_ratio, parse_gauge, power,
+                       power_log, tabulated)
 
 GRID = log_radius_grid()
 
 
 def test_evaluate_power():
-    assert evaluate(power(0.5), 0.25) == pytest.approx(0.5, abs=1e-15)
+    assert power(0.5).value(0.25) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_evaluate_logpower():
-    assert evaluate(log_power(1.0), math.exp(-2)) == pytest.approx(0.5, abs=1e-15)
+    assert log_power(1.0).value(math.exp(-2)) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_evaluate_powerlog():
     # r**0.5 * (-log r)**2 at r = e**-4
     expected = math.exp(-2) * 16
-    assert evaluate(power_log(0.5, 2, 1.0), math.exp(-4)) == pytest.approx(expected)
+    assert power_log(0.5, 2, 1.0).value(math.exp(-4)) == pytest.approx(expected)
 
 
 def test_evaluate_domain_error():
     with pytest.raises(GaugeError):
-        evaluate(power(0.5), 0.0)
+        power(0.5).value(0.0)
     with pytest.raises(GaugeError):
-        evaluate(power(0.5), -1.0)
+        power(0.5).value(-1.0)
 
 
 def test_evaluate_underflow_recommends_log():
-    assert evaluate(power(0.5), 1e-300) == pytest.approx(1e-150, rel=1e-12)
-    with pytest.raises(EvaluationUnderflow, match="evaluate_log"):
-        evaluate(power(2.5), 1e-300)
+    assert power(0.5).value(1e-300) == pytest.approx(1e-150, rel=1e-12)
+    # f(r) underflows in linear coordinates; log f stays exact
+    assert power(2.5).value(1e-300) == 0.0
+    assert power(2.5).log_value(math.log(1e-300)) == pytest.approx(
+        2.5 * math.log(1e-300), rel=1e-15)
 
 
 def test_evaluate_log_examples():
-    assert evaluate_log(power(0.5), -1000.0) == -500.0
-    assert evaluate_log(log_power(2.0), -math.e) == pytest.approx(-2.0, abs=1e-14)
+    assert power(0.5).log_value(-1000.0) == -500.0
+    assert log_power(2.0).log_value(-math.e) == pytest.approx(-2.0, abs=1e-14)
     expected = -50 + 2 * math.log(100)
-    assert evaluate_log(power_log(0.5, 2, 1.0), -100.0) == pytest.approx(expected)
+    assert power_log(0.5, 2, 1.0).log_value(-100.0) == pytest.approx(expected)
 
 
 def test_evaluate_log_consistency():
@@ -54,8 +56,8 @@ def test_evaluate_log_consistency():
     rs = np.exp(np.linspace(-20, -0.05, 61))
     for g in gs:
         for r in rs:
-            lhs = evaluate_log(g, math.log(r))
-            rhs = math.log(evaluate(g, r))
+            lhs = g.log_value(math.log(r))
+            rhs = math.log(g.value(r))
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -75,14 +77,14 @@ def test_monotone_and_vanishing(g):
 
 def test_logstar_cutoff_flat_above_half():
     g = log_power(2.0)
-    assert evaluate(g, 0.5) == evaluate(g, 0.9) == evaluate(g, 2.0)
+    assert g.value(0.5) == g.value(0.9) == g.value(2.0)
 
 
 def test_powerlog_clamp_keeps_max():
     g = power_log(0.5, 2.0, 1.0)  # unclamped peak at r = e**-4
-    peak = evaluate(g, math.exp(-4))
-    assert evaluate(g, math.exp(-3)) == pytest.approx(peak)
-    assert evaluate(g, 0.4) == pytest.approx(peak)
+    peak = g.value(math.exp(-4))
+    assert g.value(math.exp(-3)) == pytest.approx(peak)
+    assert g.value(0.4) == pytest.approx(peak)
 
 
 def test_gauge_validation():
@@ -102,11 +104,11 @@ def test_gauge_validation():
 
 def test_table_interpolation_log_linear():
     g = tabulated([(-10.0, -5.0), (-2.0, -1.0)])
-    assert evaluate_log(g, -6.0) == pytest.approx(-3.0)
+    assert g.log_value(-6.0) == pytest.approx(-3.0)
     # constant above the largest sample
-    assert evaluate_log(g, -0.5) == pytest.approx(-1.0)
+    assert g.log_value(-0.5) == pytest.approx(-1.0)
     # first-segment slope below the smallest
-    assert evaluate_log(g, -12.0) == pytest.approx(-6.0)
+    assert g.log_value(-12.0) == pytest.approx(-6.0)
 
 
 def test_parse_gauge_round_trip():
@@ -158,7 +160,7 @@ def test_doubling_logpower_sinks_with_grid():
     assert fits[2] < 0.05
     # doubling ratio f(2r)/f(r) approaches 1 at depth
     g = log_power(3.0)
-    deep = math.exp(evaluate_log(g, -1e5 + math.log(2)) - evaluate_log(g, -1e5))
+    deep = math.exp(g.log_value(-1e5 + math.log(2)) - g.log_value(-1e5))
     assert deep == pytest.approx(1.0, abs=1e-3)
 
 

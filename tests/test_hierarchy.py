@@ -7,9 +7,11 @@ from scipy.spatial import cKDTree
 from gaugeproj import (BranchingError, BranchingPlan, DiscCapExceeded,
                        ScheduleError, build_from_gauge, build_hierarchy,
                        choose_branching, derive_radius_schedule, power,
-                       raw_log_radii, schedule_from_radii, validate_hierarchy)
+                       raw_log_radii, validate_hierarchy)
 from gaugeproj.hierarchy import (PAIRWISE_CAP, _close_pair_count,
                                  branching_interval)
+
+from conftest import schedule_from_radii
 
 
 def test_schedule_scan_power_half():
@@ -91,7 +93,7 @@ def test_build_three_children_vertical():
 def test_validate_constructive_hierarchies_pass(h05_depth5, h03_depth5, h08_depth5):
     for h in (h05_depth5, h03_depth5, h08_depth5):
         report = validate_hierarchy(h)
-        assert report.passed, report.failures()
+        assert report.passed, [r for r in report.rows if not r.passed]
         assert report.assumptions
 
 
@@ -102,8 +104,8 @@ def test_validate_negative_control_reports_eq23():
     rows = report.by_check("Eq23")
     assert len(rows) == 1 and not rows[0].passed
     assert not report.passed
-    assert {r.check for r in report.failures()} >= {"Eq23", "sibling-disjoint",
-                                                    "Eq33"}
+    assert {r.check for r in report.rows if not r.passed} >= {
+        "Eq23", "sibling-disjoint", "Eq33"}
     # four radius-0.3 discs 0.467 apart: the three neighbouring pairs overlap
     oracle = _oracle_pairs(h.level_centers(1), 2 * h.radius(1) * (1 - 1e-12))
     (row,) = report.by_check("level-disjoint")

@@ -6,10 +6,12 @@ import pytest
 from gaugeproj import (EnergyEstimateError, GaugeError, NaturalMeasure,
                        BranchingPlan, DiscCapExceeded, FrostmanScan, ball_mass,
                        ball_masses, build_from_gauge, build_hierarchy,
-                       capacity_lower_bound, discrete_energy, frostman_scan,
-                       mc_energy, mc_energy_atoms, measure, potential, power,
-                       power_log, schedule_from_radii)
+                       discrete_energy, frostman_scan, mc_energy,
+                       mc_energy_atoms, measure, potential, power, power_log)
 from gaugeproj.measure import _row_norms, sample_distinct_pairs
+from gaugeproj.pipeline import energy_payload
+
+from conftest import schedule_from_radii
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +72,7 @@ def test_ball_mass_single_child(h05_depth5):
 
 def test_ball_mass_matches_brute_force(h05_depth5):
     m3 = NaturalMeasure(h05_depth5, 3)
-    atoms = m3.atom_coords()
+    atoms = h05_depth5.level_centers(3)
     rng = np.random.default_rng(7)
     for _ in range(20):
         x = atoms[rng.integers(len(atoms))] + rng.normal(0, h05_depth5.radius(1), 2)
@@ -260,7 +262,7 @@ def test_range_descent_equals_per_child_descent(fixture, kind, request):
 
 def test_ball_masses_match_brute_force_and_single_probes(h05_depth5):
     m3 = NaturalMeasure(h05_depth5, 3)
-    atoms = m3.atom_coords()
+    atoms = h05_depth5.level_centers(3)
     rng = np.random.default_rng(17)
     xs = m3.sample_atoms(200, rng) + rng.normal(0, h05_depth5.radius(3), (200, 2))
     rs = np.exp(rng.uniform(h05_depth5.log_radius(3), h05_depth5.log_radius(0), 200))
@@ -328,7 +330,8 @@ def test_descent_cap_is_per_probe(h05_depth5, monkeypatch):
 def test_total_mass_log_sum(h05_depth5):
     for depth in (1, 3, 5):
         m = NaturalMeasure(h05_depth5, depth)
-        assert abs(m.total_log_mass()) < 1e-12
+        log_count = math.log(h05_depth5.disc_count(depth))
+        assert abs(log_count + m.log_atom_mass) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +500,7 @@ def test_mc_energy_two_atoms_exact():
 
 
 def test_mc_matches_exact_on_small_sets(h05_depth5):
-    sub = NaturalMeasure(h05_depth5, 4).atom_coords()[:81]
+    sub = h05_depth5.level_centers(4)[:81]
     exact = discrete_energy(power(0.25), sub)
     est = mc_energy_atoms(power(0.25), sub, None, 10 ** 6, seed=9)
     assert abs(exact - est.mean) <= 3 * est.stderr
@@ -641,6 +644,9 @@ def test_potential_energy_identity(m4):
 
 
 def test_capacity_lower_bound(m4):
+    def capacity_lower_bound(g, m, pairs, seed):
+        return energy_payload(mc_energy(g, m, pairs, seed))["capacity_lower_bound"]
+
     m = two_atom_measure()
     assert capacity_lower_bound(power(1.0), m, 2000, seed=6) == pytest.approx(1.0)
     # segment with f = r**0.5: reciprocal of the 8/3 energy

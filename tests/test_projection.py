@@ -9,10 +9,11 @@ from gaugeproj import (BranchingPlan, GaugeError, IntervalCover, NaturalMeasure,
                        angle_kernel_integral, averaged_projected_energy,
                        build_from_gauge, build_hierarchy, cover_cost, discrete_energy,
                        estimate_log_dimension, eq35_bound, log_power,
-                       merge_intervals, power, power_log, project_disc,
-                       project_disc_cover, project_hierarchy,
-                       qualifying_levels, schedule_from_radii, sweep_directions,
+                       merge_intervals, power, power_log, project_disc_cover,
+                       project_hierarchy, qualifying_levels, sweep_directions,
                        tabulated)
+
+from conftest import schedule_from_radii
 
 
 # ---------------------------------------------------------------------------
@@ -20,22 +21,25 @@ from gaugeproj import (BranchingPlan, GaugeError, IntervalCover, NaturalMeasure,
 # ---------------------------------------------------------------------------
 
 def test_project_disc_examples():
-    assert project_disc((3, 4), 0.0, 0.0) == pytest.approx((2.0, 4.0))
-    assert project_disc((3, 4), 0.0, math.pi / 2) == pytest.approx((3.0, 5.0))
-    lo, hi = project_disc((1, 1), math.log(0.5), math.pi / 4)
+    def project_disc(center, r, theta):
+        return project_disc_cover([center], [r], theta).intervals[0]
+
+    assert project_disc((3, 4), 1.0, 0.0) == pytest.approx((2.0, 4.0))
+    assert project_disc((3, 4), 1.0, math.pi / 2) == pytest.approx((3.0, 5.0))
+    lo, hi = project_disc((1, 1), 0.5, math.pi / 4)
     assert (lo, hi) == pytest.approx((math.sqrt(2) - 0.5, math.sqrt(2) + 0.5))
 
 
 def test_merge_overlapping():
     c = merge_intervals([(0.0, 1.0), (0.5, 2.0)])
     assert c.intervals == ((0.0, 2.0),)
-    assert c.total_length == 2.0 and c.rho == 2.0
+    assert np.sum(c.hi - c.lo) == 2.0 and c.rho == 2.0
 
 
 def test_merge_disjoint_unchanged():
     c = merge_intervals([(3.0, 4.0), (0.0, 1.0)])
     assert c.intervals == ((0.0, 1.0), (3.0, 4.0))
-    assert c.total_length == 2.0 and c.rho == 1.0
+    assert np.sum(c.hi - c.lo) == 2.0 and c.rho == 1.0
 
 
 def test_merge_idempotent_and_order_independent():
@@ -58,7 +62,7 @@ def test_merge_against_grid_oracle():
     for a, b in zip(lo, hi):
         grid[int(a / res): int(b / res) + 1] = True
     # the grid overcounts by at most one cell per merged-interval endpoint
-    assert abs(cover.total_length - grid.sum() * res) < 2 * res * len(cover.intervals)
+    assert abs(np.sum(cover.hi - cover.lo) - grid.sum() * res) < 2 * res * len(cover.intervals)
 
 
 def _reference_merge(pairs):
@@ -108,8 +112,8 @@ def test_interval_cover_holds_read_only_arrays():
     assert cover.lo.dtype == cover.hi.dtype == np.float64
     np.testing.assert_array_equal(cover.lo, [0.0, 2.0])
     np.testing.assert_array_equal(cover.hi, [1.0, 3.0])
-    assert cover.to_dict() == {"theta": 0.0, "rho": 1.0,
-                               "intervals": [[0.0, 1.0], [2.0, 3.0]]}
+    assert cover.intervals == ((0.0, 1.0), (2.0, 3.0))
+    assert cover.theta == 0.0 and cover.rho == 1.0
     with pytest.raises(ValueError):
         cover.lo[0] = -1.0
 
@@ -424,13 +428,13 @@ def test_interval_cover_invariants():
 
 def test_projected_energy_dominates_planar(h05_depth5):
     # 1/g(projected distance) >= 1/g(planar distance), pairwise
-    m = NaturalMeasure(h05_depth5, 2)
-    atoms = m.atom_coords()
+    # the natural measure at level 2: equal masses on the level centers
+    atoms = h05_depth5.level_centers(2)
     g = power(0.25)
     for theta in (0.1, 0.9, 2.3):
         coords = atoms @ np.array([math.cos(theta), math.sin(theta)])
-        proj = discrete_energy(g, coords, m.atom_masses())
-        planar = discrete_energy(g, atoms, m.atom_masses())
+        proj = discrete_energy(g, coords)
+        planar = discrete_energy(g, atoms)
         assert proj >= planar * (1 - 1e-12)
 
 

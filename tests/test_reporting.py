@@ -16,10 +16,11 @@ from gaugeproj import (ConfigError, GaugeFitError, conditions, gauges,
                        parse_config, power, run_pipeline, sweep_partner)
 from gaugeproj.cli import main as cli_main
 from gaugeproj.hierarchy import (BranchingPlan, RadiusSchedule, build_from_gauge,
-                                 build_hierarchy, schedule_from_radii,
-                                 validate_hierarchy)
+                                 build_hierarchy, validate_hierarchy)
 from gaugeproj.svgreport import (render_hierarchy_svg, render_shells_svg,
                                  render_sweep_svg)
+
+from conftest import schedule_from_radii
 
 FAST = {"f": {"family": "power", "s": 0.5}, "depth": 3, "angles": 64,
         "pairs": 5000, "scan_samples": 200, "seed": 7}
@@ -42,6 +43,10 @@ def test_parse_minimal_config_applies_defaults():
 def test_parse_rejects_bad_depth():
     with pytest.raises(ConfigError, match="depth"):
         parse_config('{"f": {"family": "power", "s": 0.5}, "depth": 0}')
+    # the radius schedule needs two levels; depth 2 is the shallowest run
+    with pytest.raises(ConfigError, match="depth: must be an integer >= 2"):
+        parse_config('{"f": {"family": "power", "s": 0.5}, "depth": 1}')
+    assert parse_config('{"f": {"family": "power", "s": 0.5}, "depth": 2}').depth == 2
 
 
 def test_parse_rejects_unknown_keys_and_lists_all_violations():
@@ -73,10 +78,11 @@ def test_parse_requires_gauge():
 
 
 def test_config_round_trip_canonical():
+    # to_dict is the config report.json echoes; parsing it back is lossless
     cfg = parse_config(json.dumps(FAST))
-    text = cfg.canonical_json()
+    text = json.dumps(cfg.to_dict(), sort_keys=True)
     again = parse_config(text)
-    assert again.canonical_json() == text
+    assert json.dumps(again.to_dict(), sort_keys=True) == text
     assert again == cfg
 
 
@@ -410,6 +416,15 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     code = cli_main(["run", "--config", str(cfg)])
     assert code == 2
     assert "depth" in capsys.readouterr().err
+    # a --depth 1 override is rejected before any file is written
+    cfg.write_text(json.dumps(FAST))
+    out = tmp_path / "out"
+    code = cli_main(["run", "--config", str(cfg), "--out", str(out),
+                     "--depth", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: invalid config: depth: must be an integer >= 2\n")
+    assert not out.exists()
 
 
 _POWER = '{"family":"power","s":0.5}'
@@ -536,7 +551,7 @@ def test_cli_construct_writes_the_run_hierarchy_svg(fast_svg_run):
 def test_cli_energy_draws_the_run_energy(fast_svg_run):
     energy = json.loads((fast_svg_run / "energy" / "energy.json").read_text())
     report = json.loads((fast_svg_run / "run" / "report.json").read_text())
-    for key in ("mean", "stderr", "collisions_rejected"):
+    for key in ("mean", "stderr", "capacity_lower_bound", "collisions_rejected"):
         assert energy[key] == report["energy"][key]
 
 
