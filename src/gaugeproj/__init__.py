@@ -14,9 +14,8 @@ from .hierarchy import (RadiusSchedule, BranchingPlan, DiscHierarchy,
                         choose_branching, build_hierarchy, build_from_gauge,
                         validate_hierarchy)
 from .measure import (NaturalMeasure, FrostmanScan, EnergyEstimate,
-                      EnergyEstimateError, ball_mass, ball_masses,
-                      frostman_scan, discrete_energy, mc_energy,
-                      mc_energy_atoms, potential)
+                      ball_mass, ball_masses, frostman_scan, discrete_energy,
+                      mc_energy, mc_energy_atoms, potential)
 from .projection import (IntervalCover, LevelProjection, SweepTable,
                          AveragedProjection, LogDimensionEstimate,
                          merge_intervals, project_disc_cover, cover_cost,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .gauges import GaugeFunction, is_finite_number, parse_gauge
+from .gauges import GaugeFunction, parse_gauge
 from .hierarchy import DEFAULT_DISC_CAP
 
 SCHEMA_VERSION = 1
@@ -20,9 +20,7 @@ _DEFAULTS = {
     "g": "auto",
     "depth": 4,
     "disc_cap": DEFAULT_DISC_CAP,
-    "theta_mode": "default",
     "angles": 256,
-    "sweep_level": None,
     "pairs": 200_000,
     "scan_samples": 10_000,
     "seed": 0,
@@ -41,9 +39,7 @@ class RunConfig:
     g_spec: object  # gauge spec dict or "auto"
     depth: int
     disc_cap: int
-    theta_mode: object  # "default" or tuple of floats
     angles: int
-    sweep_level: int | None
     pairs: int
     scan_samples: int
     seed: int
@@ -63,10 +59,7 @@ class RunConfig:
             "g": self.g_spec,
             "depth": self.depth,
             "disc_cap": self.disc_cap,
-            "theta_mode": (self.theta_mode if isinstance(self.theta_mode, str)
-                           else list(self.theta_mode)),
             "angles": self.angles,
-            "sweep_level": self.sweep_level,
             "pairs": self.pairs,
             "scan_samples": self.scan_samples,
             "seed": self.seed,
@@ -132,21 +125,6 @@ def parse_config(document) -> RunConfig:
     scan_samples = _int_at_least("scan_samples", 1)
     seed = _int_at_least("seed", 0)
 
-    sweep_level = merged["sweep_level"]
-    if sweep_level is not None and (not isinstance(sweep_level, int)
-                                    or isinstance(sweep_level, bool)
-                                    or sweep_level < 1):
-        problems.append("sweep_level: must be null or an integer >= 1")
-
-    theta_mode = merged["theta_mode"]
-    if theta_mode != "default":
-        if (isinstance(theta_mode, (list, tuple))
-                and all(is_finite_number(t) for t in theta_mode)):
-            theta_mode = tuple(float(t) for t in theta_mode)
-        else:
-            problems.append("theta_mode: must be \"default\" or a list of angles")
-            theta_mode = "default"
-
     emit = merged["emit"]
     if (not isinstance(emit, dict) or set(emit) - {"csv", "json", "svg"}
             or not all(isinstance(v, bool) for v in emit.values())):
@@ -163,5 +141,5 @@ def parse_config(document) -> RunConfig:
     if problems:
         raise ConfigError("invalid config: " + "; ".join(problems))
 
-    return RunConfig(f_spec, g_spec, depth, disc_cap, theta_mode, angles,
-                     sweep_level, pairs, scan_samples, seed, out_dir, emit)
+    return RunConfig(f_spec, g_spec, depth, disc_cap, angles, pairs,
+                     scan_samples, seed, out_dir, emit)

@@ -10,9 +10,11 @@ one diameter, so the descent addresses them as index ranges: the children
 a ball swallows are counted, and only those on its boundary are measured.
 
 Energies are the discrete analogue of the double integral of
-1/f(|x - y|): exact chunked double sums for small atom sets, seeded
-mass-proportional pair sampling for large ones.  Coincident pairs are
-resampled, never divided by f(0).
+1/f(|x - y|): exact chunked double sums for small atom sets, seeded pair
+sampling for large ones.  The natural measure's pairs are drawn level by
+level: two atoms first diverge at level k with probability p_k, and their
+difference is built from the offsets of level k and below only, so no
+pair coincides and no pair difference loses digits to the root frame.
 """
 
 from __future__ import annotations
@@ -24,10 +26,6 @@ import numpy as np
 
 from .gauges import GaugeFunction, GaugeError
 from .hierarchy import DiscHierarchy, DiscCapExceeded
-
-
-class EnergyEstimateError(RuntimeError):
-    """The pair sampler could not produce enough distinct pairs."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,11 +229,25 @@ def frostman_scan(m: NaturalMeasure, f: GaugeFunction, samples: int, seed: int,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class LevelEnergy:
+    """The pairs that first diverge at ``level``: their probability ``p``
+    under two independent atom draws, and the mean of 1/f over the
+    stratum's ``pairs`` draws with its standard error."""
+
+    level: int
+    p: float
+    pairs: int
+    mean: float
+    stderr: float
+
+
+@dataclass(frozen=True)
 class EnergyEstimate:
     mean: float
     stderr: float
     pairs_used: int
     collisions_rejected: int
+    levels: tuple[LevelEnergy, ...] = ()
 
 
 def _as_coords(points) -> np.ndarray:
@@ -243,6 +255,13 @@ def _as_coords(points) -> np.ndarray:
     if pts.ndim == 1:
         pts = pts[:, None]
     return pts
+
+
+def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
+    mean = float(vals.mean())
+    if not math.isfinite(mean):  # distinct atoms coincide
+        return mean, math.inf
+    return mean, float(vals.std(ddof=1) / math.sqrt(len(vals)))
 
 
 def discrete_energy(f: GaugeFunction, points, masses=None) -> float:
@@ -292,108 +311,89 @@ def discrete_energy(f: GaugeFunction, points, masses=None) -> float:
     return math.inf if coincident else total
 
 
-def _row_norms(diff: np.ndarray) -> np.ndarray:
-    """Row lengths of a (k, dim) array, summing squares one column at a
-    time instead of one short row at a time.  For one or two columns, as
-    every draw here has, this is np.linalg.norm(diff, axis=-1) bit for bit."""
-    sq = diff[:, 0] * diff[:, 0]
-    for j in range(1, diff.shape[1]):
-        sq += diff[:, j] * diff[:, j]
-    return np.sqrt(sq, out=sq)
-
-
-def sample_distinct_pairs(draw, pairs: int):
-    """``pairs`` nonzero difference vectors from ``draw(k)``, which returns
-    k difference vectors as a (k, dim) array.
-
-    Zero-length rows are redrawn, for at most 128 rounds.  Returns
-    (diffs, distances, rejected); raises EnergyEstimateError when the
-    rejections exceed 4 * pairs or the rounds run out.
+def divergence_pairs(m: NaturalMeasure, pairs: int, rng: np.random.Generator):
+    """Atom pairs of m drawn level by level.  Yields, for k = 1 .. depth,
+    (k, p_k, dx, dy): the probability p_k = (1 - 1/N_k) / (N_1 ... N_{k-1})
+    that two independent atoms first diverge at level k, and the
+    differences of pairs // depth such pairs (the remainder goes to the
+    first levels).  A pair takes children i and j = (i + U{1..N_k - 1}) mod
+    N_k at level k and independent paths below it; its difference sums
+    per-level offsets from level k down, never absolute coordinates.
     """
-    diff = draw(pairs)
-    d = _row_norms(diff)
-    rejected = 0
-    for _ in range(128):
-        bad = d == 0.0
-        n_bad = int(bad.sum())
-        if n_bad == 0:
-            return diff, d, rejected
-        rejected += n_bad
-        if rejected > 4 * pairs:
-            raise EnergyEstimateError(
-                "runaway pair rejection: atoms coincide almost surely")
-        diff[bad] = draw(n_bad)
-        d[bad] = _row_norms(diff[bad])
-    raise EnergyEstimateError("could not draw distinct atom pairs")
-
-
-def _check_self_mass(self_mass: float) -> None:
-    if self_mass > 0.5:
-        raise EnergyEstimateError(
-            "pair rejection rate above 50%: measure too atomic at this depth")
-
-
-def _estimate(vals: np.ndarray, pairs: int, rejected: int,
-              self_mass: float) -> EnergyEstimate:
-    # resampling estimates the mean conditional on distinct locations;
-    # rescaling by the exact self-pair probability sum(m_i^2) recovers the
-    # off-diagonal double sum that discrete_energy computes
-    scale = 1.0 - self_mass
-    mean = float(vals.mean()) * scale
-    stderr = float(vals.std(ddof=1) / math.sqrt(len(vals))) * scale
-    return EnergyEstimate(mean, stderr, pairs, rejected)
+    h = m.hierarchy
+    share, extra = divmod(pairs, m.depth)
+    if share < 2:
+        raise GaugeError("energy draws need at least two pairs per level")
+    for k in range(1, m.depth + 1):
+        n = share + (k <= extra)
+        count = h.counts[k - 1]
+        i = rng.integers(0, count, size=n)
+        j = (i + rng.integers(1, count, size=n)) % count
+        off = h.offsets(k)
+        step = off[i] - off[j]
+        ex, ey = h.direction(k)
+        dx, dy = step * ex, step * ey
+        for level in range(k + 1, m.depth + 1):
+            off = h.offsets(level)
+            a, b = rng.integers(0, len(off), size=(2, n))
+            step = off[a] - off[b]
+            ex, ey = h.direction(level)
+            dx += step * ex
+            dy += step * ey
+        yield k, (1.0 - 1.0 / count) / h.disc_count(k - 1), dx, dy
 
 
 def mc_energy_atoms(f: GaugeFunction, points, masses, pairs: int,
                     seed: int) -> EnergyEstimate:
-    """Monte Carlo energy of an explicit weighted atom list."""
+    """Monte Carlo energy of an explicit weighted atom list: over
+    independent mass-proportional index pairs, a same-index pair counting
+    0, the mean estimates the off-diagonal sum :func:`discrete_energy`
+    computes (inf when distinct atoms coincide).  ``collisions_rejected``
+    counts the same-index pairs."""
     if pairs < 10 ** 3:
         raise GaugeError("use at least 1000 pairs")
     coords = _as_coords(points)
     n = len(coords)
     rng = np.random.default_rng(seed)
     if masses is None:
-        self_mass = 1.0 / n
-        pick = lambda k: rng.integers(0, n, size=(2, k))
+        i, j = rng.integers(0, n, size=(2, pairs))
     else:
         p = np.asarray(masses, dtype=float)
-        p = p / p.sum()
-        self_mass = float(np.sum(p * p))
-        pick = lambda k: rng.choice(n, size=(2, k), p=p)
-    _check_self_mass(self_mass)
-
-    def draw(k):
-        i, j = pick(k)
-        return coords[i] - coords[j]
-
-    _, d, rejected = sample_distinct_pairs(draw, pairs)
-    vals = np.asarray(f.reciprocal(d), dtype=float)
-    return _estimate(vals, pairs, rejected, self_mass)
+        i, j = rng.choice(n, size=(2, pairs), p=p / p.sum())
+    same = i == j
+    d = np.linalg.norm(coords[i] - coords[j], axis=-1)
+    d[same] = 1.0  # dummy; these pairs count 0
+    with np.errstate(divide="ignore"):  # 1/f(0) of coincident atoms is inf
+        vals = np.asarray(f.reciprocal(d), dtype=float)
+    vals[same] = 0.0
+    return EnergyEstimate(*_mean_stderr(vals), pairs, int(same.sum()))
 
 
 def mc_energy(f: GaugeFunction, m: NaturalMeasure, pairs: int,
               seed: int) -> EnergyEstimate:
-    """Monte Carlo estimate of the natural measure's energy for gauge f.
-
-    Atom pairs are sampled mass-proportionally (uniform paths, since the
-    split is equal) without materialising the atom set.
-    """
+    """Monte Carlo estimate of the natural measure's energy for gauge f:
+    sum_k p_k mean_k over the levels of :func:`divergence_pairs`, the
+    off-diagonal double sum :func:`discrete_energy` computes on the atoms,
+    with stderr sqrt(sum_k p_k**2 stderr_k**2).  No pair coincides, so
+    ``collisions_rejected`` is 0."""
     if pairs < 10 ** 3:
         raise GaugeError("use at least 1000 pairs")
-    _check_self_mass(math.exp(m.log_atom_mass))
     rng = np.random.default_rng(seed)
-    _, d, rejected = sample_distinct_pairs(
-        lambda k: m.sample_atoms(k, rng) - m.sample_atoms(k, rng), pairs)
-    vals = np.asarray(f.reciprocal(d), dtype=float)
-    return _estimate(vals, pairs, rejected, math.exp(m.log_atom_mass))
+    levels = tuple(
+        LevelEnergy(k, p, len(dx), *_mean_stderr(f.reciprocal(np.hypot(dx, dy))))
+        for k, p, dx, dy in divergence_pairs(m, pairs, rng))
+    mean = sum(lv.p * lv.mean for lv in levels)
+    stderr = math.sqrt(sum((lv.p * lv.stderr) ** 2 for lv in levels))
+    return EnergyEstimate(mean, stderr, pairs, 0, levels)
 
 
 def potential(f: GaugeFunction, m: NaturalMeasure, x, pairs: int,
               seed: int) -> float:
-    """Monte Carlo estimate of the potential integral of 1/f(|x - y|) d mu(y)."""
+    """Monte Carlo estimate of the potential integral of 1/f(|x - y|) d mu(y)
+    over the atoms y != x."""
     if pairs < 10 ** 3:
         raise GaugeError("use at least 1000 pairs")
     rng = np.random.default_rng(seed)
-    x = np.asarray(x, dtype=float)
-    _, d, _ = sample_distinct_pairs(lambda k: m.sample_atoms(k, rng) - x, pairs)
-    return float(np.mean(f.reciprocal(d)))
+    d = np.linalg.norm(m.sample_atoms(pairs, rng) - np.asarray(x, dtype=float),
+                       axis=-1)
+    return float(np.mean(f.reciprocal(d[d > 0.0])))

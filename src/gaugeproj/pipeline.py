@@ -19,7 +19,7 @@ import functools
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import conditions, gauges, hierarchy, measure, projection
@@ -52,14 +52,14 @@ def resolve_g(config: RunConfig, f: gauges.GaugeFunction) -> gauges.GaugeFunctio
 def construct_hierarchy(config: RunConfig,
                         f: gauges.GaugeFunction) -> hierarchy.DiscHierarchy:
     """The config's disc construction for f."""
-    return hierarchy.build_from_gauge(f, config.depth, config.theta_mode,
-                                      config.disc_cap)
+    return hierarchy.build_from_gauge(f, config.depth,
+                                      disc_cap=config.disc_cap)
 
 
 def sweep_table(config: RunConfig, h: hierarchy.DiscHierarchy,
                 g: gauges.GaugeFunction) -> projection.SweepTable:
     """The config's angle sweep of h's projected g-cover costs."""
-    return projection.sweep_directions(h, g, config.angles, config.sweep_level)
+    return projection.sweep_directions(h, g, config.angles)
 
 
 def energy_estimate(config: RunConfig, g: gauges.GaugeFunction,
@@ -71,10 +71,11 @@ def energy_estimate(config: RunConfig, g: gauges.GaugeFunction,
 
 def energy_payload(est: measure.EnergyEstimate) -> dict:
     """The JSON payload of one energy estimate, with its capacity witness
-    1/mean."""
+    1/mean and one entry per divergence level."""
     return {"mean": est.mean, "stderr": est.stderr,
             "capacity_lower_bound": 1.0 / est.mean,
-            "collisions_rejected": est.collisions_rejected}
+            "collisions_rejected": est.collisions_rejected,
+            "levels": [asdict(lv) for lv in est.levels]}
 
 
 def verdict_payload(v: conditions.ConditionVerdict) -> dict:

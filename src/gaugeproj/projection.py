@@ -22,7 +22,7 @@ import numpy as np
 
 from .gauges import GaugeFunction, GaugeError
 from .hierarchy import DiscHierarchy
-from .measure import NaturalMeasure, sample_distinct_pairs
+from .measure import NaturalMeasure, divergence_pairs
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,15 +170,14 @@ def eq35_bound(h: DiscHierarchy, g: GaugeFunction, k: int) -> float:
     return math.exp(log_val)
 
 
-def qualifying_levels(h: DiscHierarchy, theta: float, max_k: int | None = None) -> list[int]:
+def qualifying_levels(h: DiscHierarchy, theta: float) -> list[int]:
     """Levels k whose placement arc [d_k, d_k + theta_{k+1}) contains the
     projection direction d_theta = theta + pi/2 (mod pi)."""
     if not math.isfinite(theta):
         raise GaugeError("projection angle must be finite")
     d_theta = (theta + math.pi / 2.0) % math.pi  # fmod, shifted into [0, pi)
-    top = h.depth - 1 if max_k is None else min(max_k, h.depth - 1)
     out = []
-    for k in range(1, top + 1):
+    for k in range(1, h.depth):
         arc = math.fmod(d_theta - h.d[k - 1] + math.pi, math.pi)
         if arc <= h.theta[k]:
             out.append(k)
@@ -208,8 +207,7 @@ class SweepTable:
                  "margin": r.margin, "note": r.note} for r in self.rows]
 
 
-def sweep_directions(h: DiscHierarchy, g: GaugeFunction, theta_grid,
-                     level: int | None = None) -> SweepTable:
+def sweep_directions(h: DiscHierarchy, g: GaugeFunction, theta_grid) -> SweepTable:
     """Angle sweep: for each direction, the levels whose placement arc
     captures it, the measured cover cost of projecting level k+1 and the
     budget it must respect.
@@ -232,7 +230,7 @@ def sweep_directions(h: DiscHierarchy, g: GaugeFunction, theta_grid,
             raise GaugeError("angle grid needs at least 32 points")
     rows: list[SweepRow] = []
     for theta in thetas:
-        for k in qualifying_levels(h, theta, None if level is None else level - 1):
+        for k in qualifying_levels(h, theta):
             bound = eq35_bound(h, g, k)
             if h.disc_count(k) <= h.disc_cap:
                 pr = project_hierarchy(h, theta, k + 1)
@@ -285,32 +283,34 @@ def averaged_projected_energy(m: NaturalMeasure, g: GaugeFunction,
                               seed: int = 0) -> AveragedProjection:
     """Angle average of the projected energies against kappa**-1 B(s) I_g.
 
-    One batch of mass-proportional atom pairs is shared across the whole
-    midpoint angle grid, so the per-pair inequality (the projected distance
-    shrinks by |cos| of the angle to the pair direction) transfers directly
-    to the averages.  Requires g doubling with fitted exponent below 1.
+    One batch of divergence-level pairs (:func:`divergence_pairs`) is
+    shared across the whole midpoint angle grid, so the per-pair inequality
+    (the projected distance shrinks by |cos| of the angle to the pair
+    direction) transfers directly to the sums.  Level k's pairs weigh p_k
+    over their count, as in ``mc_energy``.  Requires g doubling with
+    fitted exponent below 1.
     """
     fit = g.doubling
     if fit.s >= 1.0:
         raise GaugeError(f"fitted doubling exponent {fit.s:.3f} >= 1")
     kernel = angle_kernel_integral(fit.s)
     rng = np.random.default_rng(seed)
-    diff, d, _ = sample_distinct_pairs(
-        lambda k: m.sample_atoms(k, rng) - m.sample_atoms(k, rng), pairs)
-    planar = float(np.mean(g.reciprocal(d)))
-
     thetas = (np.arange(theta_grid) + 0.5) * math.pi / theta_grid
-    acc = 0.0
-    # projected distances |dx cos + dy sin| go through two reused buffers
-    dx, dy = diff[:, 0].copy(), diff[:, 1].copy()
-    pd, tmp = np.empty_like(dx), np.empty_like(dx)
-    for theta in thetas:
-        np.multiply(dx, math.cos(theta), out=pd)
-        np.multiply(dy, math.sin(theta), out=tmp)
-        np.add(pd, tmp, out=pd)
-        np.abs(pd, out=pd)
-        np.maximum(pd, 1e-300, out=pd)
-        acc += float(np.mean(g.reciprocal(pd)))
+    planar = acc = 0.0
+    # one level at a time, so the loop's temporaries stay small enough for
+    # the allocator to reuse; arrays of all the pairs page-faulted per angle
+    for _, p, dx, dy in divergence_pairs(m, pairs, rng):
+        w = p / len(dx)
+        planar += w * float(np.sum(g.reciprocal(np.hypot(dx, dy))))
+        # projected distances |dx cos + dy sin| go through two reused buffers
+        pd, tmp = np.empty_like(dx), np.empty_like(dx)
+        for theta in thetas:
+            np.multiply(dx, math.cos(theta), out=pd)
+            np.multiply(dy, math.sin(theta), out=tmp)
+            np.add(pd, tmp, out=pd)
+            np.abs(pd, out=pd)
+            np.maximum(pd, 1e-300, out=pd)
+            acc += w * float(np.sum(g.reciprocal(pd)))
     average = math.pi * acc / theta_grid
     bound = kernel / fit.kappa * planar
     return AveragedProjection(average, bound, planar, kernel, fit.kappa,

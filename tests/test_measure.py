@@ -1,14 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from gaugeproj import (EnergyEstimateError, GaugeError, NaturalMeasure,
-                       BranchingPlan, DiscCapExceeded, FrostmanScan, ball_mass,
-                       ball_masses, build_from_gauge, build_hierarchy,
-                       discrete_energy, frostman_scan, mc_energy,
-                       mc_energy_atoms, measure, potential, power, power_log)
-from gaugeproj.measure import _row_norms, sample_distinct_pairs
+from gaugeproj import (GaugeError, NaturalMeasure, BranchingPlan,
+                       DiscCapExceeded, FrostmanScan, ball_mass, ball_masses,
+                       build_from_gauge, build_hierarchy, discrete_energy,
+                       frostman_scan, mc_energy, mc_energy_atoms, measure,
+                       potential, power, power_log, sweep_partner)
 from gaugeproj.pipeline import energy_payload
 
 from conftest import schedule_from_radii
@@ -496,7 +496,8 @@ def test_mc_energy_two_atoms_exact():
     m = two_atom_measure()
     est = mc_energy(power(1.0), m, 2000, seed=2)
     assert est.mean == pytest.approx(1.0, abs=0)  # only one distinct pair
-    assert est.collisions_rejected > 0
+    assert est.stderr == 0.0 and est.collisions_rejected == 0
+    assert [(lv.level, lv.p, lv.pairs) for lv in est.levels] == [(1, 0.5, 2000)]
 
 
 def test_mc_matches_exact_on_small_sets(h05_depth5):
@@ -525,87 +526,116 @@ def test_mc_energy_rejects_tiny_budget(m4):
         mc_energy(power(0.5), m4, 10, seed=0)
 
 
-def _reference_loop(draw, pairs):
-    # reference: an uncapped redraw loop that draws in the same order
-    diff = draw(pairs)
-    d = np.linalg.norm(diff, axis=-1)
-    rejected = 0
-    for _ in range(128):
-        bad = d == 0.0
-        if not bad.any():
-            break
-        rejected += int(bad.sum())
-        diff[bad] = draw(int(bad.sum()))
-        d[bad] = np.linalg.norm(diff[bad], axis=-1)
-    return d, rejected
+def reference_divergence_energy(f, m, pairs, seed):
+    """mc_energy written out: per level k, pairs // depth pairs (one more
+    on the first pairs % depth levels) take children i != j at k and
+    independent children below; the differences accumulate as 2-d offset
+    x direction outer products."""
+    h = m.hierarchy
+    rng = np.random.default_rng(seed)
+    levels = []
+    for k in range(1, m.depth + 1):
+        n = pairs // m.depth + (k <= pairs % m.depth)
+        count = h.counts[k - 1]
+        i = rng.integers(0, count, size=n)
+        j = (i + rng.integers(1, count, size=n)) % count
+        diff = (h.offsets(k)[i] - h.offsets(k)[j])[:, None] * h.direction(k)
+        for level in range(k + 1, m.depth + 1):
+            a, b = rng.integers(0, h.counts[level - 1], size=(2, n))
+            off = h.offsets(level)
+            diff += (off[a] - off[b])[:, None] * h.direction(level)
+        vals = f.reciprocal(np.hypot(diff[:, 0], diff[:, 1]))
+        p = (1.0 - 1.0 / count) / math.prod(h.counts[:k - 1])
+        levels.append((k, p, n, float(vals.mean()),
+                       float(vals.std(ddof=1) / math.sqrt(n))))
+    return levels
 
 
-def test_mc_energy_keeps_its_draw_order(h05_depth5):
-    # one level of 9 atoms: about one pair in nine collides and is redrawn
-    m = NaturalMeasure(h05_depth5, 1)
-    est = mc_energy(power(0.5), m, 20_000, seed=3)
-    rng = np.random.default_rng(3)
-    d, rejected = _reference_loop(
-        lambda k: m.sample_atoms(k, rng) - m.sample_atoms(k, rng), 20_000)
-    vals = power(0.5).reciprocal(d)
-    assert rejected > 1000 and est.collisions_rejected == rejected
-    assert est.mean == float(vals.mean()) * (1.0 - math.exp(m.log_atom_mass))
+def test_mc_energy_keeps_its_draw_order(h05_depth5, h08_depth5):
+    for h, depth, pairs in ((h05_depth5, 1, 20_000), (h05_depth5, 4, 20_003),
+                            (h08_depth5, 5, 20_004)):
+        m, g = NaturalMeasure(h, depth), sweep_partner(h.gauge)
+        est = mc_energy(g, m, pairs, seed=3)
+        levels = reference_divergence_energy(g, m, pairs, seed=3)
+        assert [tuple(vars(lv).values()) for lv in est.levels] == levels
+        assert est.mean == sum(p * mean for _, p, _, mean, _ in levels)
+        assert est.stderr == math.sqrt(
+            sum((p * se) ** 2 for _, p, _, _, se in levels))
+        assert est.pairs_used == pairs and est.collisions_rejected == 0
+
+
+@pytest.mark.parametrize("fixture,depth", [("h05_depth5", 3), ("h08_depth5", 2)])
+def test_mc_energy_matches_the_exact_energy(fixture, depth, request):
+    h = request.getfixturevalue(fixture)
+    g = sweep_partner(h.gauge)
+    exact = discrete_energy(g, h.level_centers(depth))
+    est = mc_energy(g, NaturalMeasure(h, depth), 200_000, seed=1)
+    assert abs(est.mean - exact) <= 3 * est.stderr
+
+
+def test_mc_energy_levels_split_the_pairs(h08_depth5):
+    m = NaturalMeasure(h08_depth5, 5)
+    est = mc_energy(sweep_partner(h08_depth5.gauge), m, 200_000, seed=1)
+    assert [lv.level for lv in est.levels] == [1, 2, 3, 4, 5]
+    assert all(lv.pairs >= 40_000 for lv in est.levels)
+    assert sum(lv.pairs for lv in est.levels) == 200_000
+    # the strata cover every distinct pair: sum p_k = 1 - sum m_i**2
+    assert sum(lv.p for lv in est.levels) == pytest.approx(
+        1.0 - 1.0 / h08_depth5.disc_count(5), rel=1e-12)
+    # no pair coincides, down to the deepest level's gaps
+    rng = np.random.default_rng(1)
+    for _, _, dx, dy in measure.divergence_pairs(m, 200_000, rng):
+        assert np.hypot(dx, dy).min() > 0.0
+    assert [lv.pairs for lv in mc_energy(power(0.5), m, 1003, 1).levels] == [
+        201, 201, 201, 200, 200]
+
+
+def test_mc_energy_is_stable_across_seeds_at_depth(h08_depth5):
+    m = NaturalMeasure(h08_depth5, 5)
+    g = sweep_partner(h08_depth5.gauge)
+    ests = [mc_energy(g, m, 200_000, seed=seed) for seed in (1, 2, 3)]
+    assert all(e.stderr / e.mean < 0.01 for e in ests)
+    for a in ests:
+        for b in ests:
+            assert abs(a.mean - b.mean) <= 3 * math.hypot(a.stderr, b.stderr)
+
+
+def test_mc_energy_needs_two_pairs_per_level(m4):
+    with pytest.raises(GaugeError, match="two pairs per level"):
+        list(measure.divergence_pairs(m4, 7, np.random.default_rng(0)))
 
 
 def test_mc_energy_atoms_keeps_its_draw_order():
+    # one draw of index pairs; a same-index pair counts 0 and is not redrawn
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [3.0, 1.0]])
     w = np.array([0.4, 0.3, 0.2, 0.1])
-    for masses, pick in ((None, lambda rng, k: rng.integers(0, 4, size=(2, k))),
-                         (w, lambda rng, k: rng.choice(4, size=(2, k), p=w))):
+    for masses, pick in ((None, lambda rng: rng.integers(0, 4, size=(2, 5000))),
+                         (w, lambda rng: rng.choice(4, size=(2, 5000), p=w))):
         est = mc_energy_atoms(power(1.0), pts, masses, 5000, seed=11)
-        rng = np.random.default_rng(11)
-
-        def draw(k):
-            i, j = pick(rng, k)
-            return pts[i] - pts[j]
-
-        d, rejected = _reference_loop(draw, 5000)
-        assert est.collisions_rejected == rejected > 0
-        self_mass = 0.25 if masses is None else float(np.sum((w / w.sum()) ** 2))
-        assert est.mean == float((1.0 / d).mean()) * (1.0 - self_mass)
+        i, j = pick(np.random.default_rng(11))
+        d = np.linalg.norm(pts[i] - pts[j], axis=-1)
+        vals = np.where(i == j, 0.0, 1.0 / np.where(i == j, 1.0, d))
+        assert est.collisions_rejected == int((i == j).sum()) > 0
+        assert est.mean == float(vals.mean())
+        assert est.stderr == float(vals.std(ddof=1) / math.sqrt(5000))
 
 
-def test_sample_distinct_pairs_redraws_zero_rows():
-    rng = np.random.default_rng(0)
-    draw = lambda k: rng.integers(0, 2, size=(k, 2)).astype(float)  # 1/4 zero
-    diff, d, rejected = sample_distinct_pairs(draw, 4000)
-    assert diff.shape == (4000, 2) and np.all(d > 0)
-    assert np.array_equal(d, np.linalg.norm(diff, axis=-1))
-    assert 0 < rejected < 4 * 4000
+def test_mc_energy_atoms_weighted_off_diagonal():
+    # the heavy atom pairs with itself 81% of the time; those pairs count 0
+    pts, masses = [(0.0, 0.0), (1.0, 0.0)], [0.9, 0.1]
+    exact = discrete_energy(power(1.0), pts, masses)
+    assert exact == pytest.approx(0.18)
+    est = mc_energy_atoms(power(1.0), pts, masses, 2000, seed=1)
+    assert abs(est.mean - exact) <= 3 * est.stderr
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_row_norms_are_the_linalg_norms(dim):
-    rng = np.random.default_rng(dim)
-    diff = rng.normal(size=(5000, dim)) * np.exp(rng.uniform(-300, 300, (5000, 1)))
-    diff[::7] = 0.0
-    want = np.linalg.norm(diff, axis=-1)
-    assert _row_norms(diff).tobytes() == want.tobytes()
-    # strided rows, as the redraw loop passes them
-    assert _row_norms(diff[::3]).tobytes() == want[::3].tobytes()
-
-
-def test_sample_distinct_pairs_gives_up():
-    with pytest.raises(EnergyEstimateError, match="runaway"):
-        sample_distinct_pairs(lambda k: np.zeros((k, 2)), 1000)
-
-    def one_stuck_row(k):  # rejections stay under 4x pairs; rounds run out
-        out = np.ones((k, 2))
-        out[0] = 0.0
-        return out
-    with pytest.raises(EnergyEstimateError, match="could not draw"):
-        sample_distinct_pairs(one_stuck_row, 1000)
-
-
-def test_self_mass_abort():
-    with pytest.raises(EnergyEstimateError, match="50%"):
-        mc_energy_atoms(power(1.0), [(0.0, 0.0), (1.0, 0.0)], [0.9, 0.1],
-                        2000, seed=1)
+def test_mc_energy_atoms_coincident_atoms():
+    pts = [(0.0, 0.0), (0.0, 0.0), (1.0, 0.0)]
+    assert discrete_energy(power(1.0), pts) == math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = mc_energy_atoms(power(1.0), pts, None, 2000, seed=1)
+    assert est.mean == math.inf and est.stderr == math.inf
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ from gaugeproj import (BranchingPlan, GaugeError, IntervalCover, NaturalMeasure,
                        angle_kernel_integral, averaged_projected_energy,
                        build_from_gauge, build_hierarchy, cover_cost, discrete_energy,
                        estimate_log_dimension, eq35_bound, log_power,
-                       merge_intervals, power, power_log, project_disc_cover,
-                       project_hierarchy, qualifying_levels, sweep_directions,
-                       tabulated)
+                       mc_energy, merge_intervals, power, power_log,
+                       project_disc_cover, project_hierarchy, qualifying_levels,
+                       sweep_directions, tabulated)
 
 from conftest import schedule_from_radii
 
@@ -475,7 +475,10 @@ def test_averaged_projected_energy_two_atom_oracle():
     d = 0.5
     oracle = quad(lambda t: (d * abs(math.cos(t))) ** -0.5, 0, math.pi,
                   points=[math.pi / 2])[0]
-    assert ape.average == pytest.approx(oracle, rel=0.01)
+    # the off-diagonal pair mass 2 * (1/2)**2, as in mc_energy
+    assert ape.planar_energy == pytest.approx(
+        mc_energy(power(0.5), m, 2000, seed=1).mean, rel=1e-12)
+    assert ape.average == pytest.approx(0.5 * oracle, rel=0.01)
 
 
 def test_averaged_projected_energy_flat_limit(h05_depth5):

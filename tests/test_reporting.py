@@ -55,15 +55,11 @@ def test_parse_rejects_unknown_keys_and_lists_all_violations():
                                  "depth": 0, "angles": 1, "wat": 1}))
     msg = str(err.value)
     assert "wat" in msg and "depth" in msg and "angles" in msg
-    # JSON booleans are not integers or angles, and a string is not a list
-    with pytest.raises(ConfigError) as err:
+    # the sweep level and placement angles are not config keys
+    with pytest.raises(ConfigError,
+                       match=r"unknown keys: \['sweep_level', 'theta_mode'\]"):
         parse_config(json.dumps({"f": {"family": "power", "s": 0.5},
-                                 "sweep_level": True, "theta_mode": "123"}))
-    msg = str(err.value)
-    assert "sweep_level: must be" in msg and "theta_mode: must be" in msg
-    with pytest.raises(ConfigError, match="theta_mode: must be"):
-        parse_config(json.dumps({"f": {"family": "power", "s": 0.5},
-                                 "theta_mode": [0.1, True, 0.2]}))
+                                 "sweep_level": 2, "theta_mode": "default"}))
     # the sweep needs at least 32 angles, so the config does too
     with pytest.raises(ConfigError, match="angles: must be an integer >= 32"):
         parse_config(json.dumps({"f": {"family": "power", "s": 0.5},
@@ -392,6 +388,12 @@ def test_cli_energy(tmp_path):
     assert code == 0
     doc = json.loads((tmp_path / "energy.json").read_text())
     assert doc["mean"] > 0 and doc["capacity_lower_bound"] > 0
+    assert doc["collisions_rejected"] == 0
+    # one stratum per divergence level; the mean is their p-weighted sum
+    assert [lv["level"] for lv in doc["levels"]] == [1, 2, 3]
+    assert sum(lv["pairs"] for lv in doc["levels"]) == 5000
+    assert doc["mean"] == pytest.approx(
+        sum(lv["p"] * lv["mean"] for lv in doc["levels"]), rel=1e-12)
 
 
 def test_cli_classify(tmp_path):
@@ -551,7 +553,8 @@ def test_cli_construct_writes_the_run_hierarchy_svg(fast_svg_run):
 def test_cli_energy_draws_the_run_energy(fast_svg_run):
     energy = json.loads((fast_svg_run / "energy" / "energy.json").read_text())
     report = json.loads((fast_svg_run / "run" / "report.json").read_text())
-    for key in ("mean", "stderr", "capacity_lower_bound", "collisions_rejected"):
+    for key in ("mean", "stderr", "capacity_lower_bound", "collisions_rejected",
+                "levels"):
         assert energy[key] == report["energy"][key]
 
 
