@@ -105,9 +105,8 @@ def cmd_construct(args) -> int:
     cfg = _load_config(args)
     h = construct_hierarchy(cfg, cfg.gauge_f())
     report = hierarchy.validate_hierarchy(h)
-    include = h.disc_count(h.depth) <= cfg.disc_cap
     _write(args, "hierarchy.json", _json_text(
-        {"hierarchy": h.to_dict(include_centers=include),
+        {"hierarchy": h.to_dict(),
          "validation": report.to_dict()}))
     _write(args, "validation.csv", _csv_text(
         ["check_id", "level", "passed", "margin", "note"],

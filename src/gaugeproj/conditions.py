@@ -36,6 +36,8 @@ INCONCLUSIVE = "inconclusive"
 FINITE_BELOW = -0.1    # block decay exponent at or under this: summable
 DIVERGENT_ABOVE = -0.02  # at or over this: bounded-below or growing blocks
 
+SHELLS = 2048  # dyadic shells [2**-(n+1), 2**-n], n < SHELLS, in every shell sum
+
 
 @dataclass(frozen=True)
 class ConditionVerdict:
@@ -144,8 +146,9 @@ def _panel_values(fn, lo: np.ndarray, hi: np.ndarray, order: int) -> np.ndarray:
     return width * (vals @ w)
 
 
-def dyadic_shell_sums(fn, n_shells: int = 4096) -> np.ndarray:
-    """Per-shell integrals of fn(log r) d(log r) over [2**-(n+1), 2**-n].
+def dyadic_shell_sums(fn) -> np.ndarray:
+    """Per-shell integrals of fn(log r) d(log r) over [2**-(n+1), 2**-n],
+    n < SHELLS.
 
     fn must be vectorised over log radii.  Each shell gets 24-point
     Gauss-Legendre quadrature; shells where the 12-point value disagrees
@@ -153,7 +156,7 @@ def dyadic_shell_sums(fn, n_shells: int = 4096) -> np.ndarray:
     subpanels, in one round; that suffices for the piecewise smooth
     integrands used here.
     """
-    edges_hi = -LOG2 * np.arange(n_shells, dtype=float)
+    edges_hi = -LOG2 * np.arange(SHELLS, dtype=float)
     edges_lo = edges_hi - LOG2
     coarse = _panel_values(fn, edges_lo, edges_hi, 12)
     fine = _panel_values(fn, edges_lo, edges_hi, 24)
@@ -193,18 +196,18 @@ def _log_of(sums: np.ndarray) -> np.ndarray:
         return np.where(sums > 0, np.log(np.maximum(sums, 1e-320)), -math.inf)
 
 
-def _shell_verdict(fn, n_shells: int):
+def _shell_verdict(fn):
     """Dyadic shell sums of fn, their tail class and, when the tail is
-    finite, the continuation below 2**-n_shells and the total.
+    finite, the continuation below 2**-SHELLS and the total.
 
     Returns (sums, status, detail, tail, total); tail and total are None
     unless the status is finite.
     """
-    sums = dyadic_shell_sums(fn, n_shells)
+    sums = dyadic_shell_sums(fn)
     status, _, detail = classify_log_tail(_log_of(sums))
     if status != FINITE:
         return sums, status, detail, None, None
-    tail = _tail_integral(fn, n_shells * LOG2)
+    tail = _tail_integral(fn, SHELLS * LOG2)
     return sums, status, detail, tail, float(sums.sum() + tail)
 
 
@@ -240,20 +243,18 @@ def _ratio_integrand(f: GaugeFunction, g: GaugeFunction, shift: float = 0.0):
 # Condition checks
 # ---------------------------------------------------------------------------
 
-def check_integral_condition(f: GaugeFunction, g: GaugeFunction,
-                             n_shells: int = 4096) -> ConditionVerdict:
+def check_integral_condition(f: GaugeFunction, g: GaugeFunction) -> ConditionVerdict:
     """Verdict on -integral_0^1 f(r) d(1/g(r)) < infinity.
 
     The integrand f * g'/g**2 is integrated shell by shell in log-r
     coordinates; when finite, the value includes a continuation integral
-    for the truncated tail below 2**-n_shells.
+    for the truncated tail below 2**-SHELLS.
     """
     probe = -LOG2 * np.arange(1, 64, dtype=float)
     _check_g_increasing(g, probe)
-    sums, status, detail, tail, value = _shell_verdict(
-        _ratio_integrand(f, g), n_shells)
+    sums, status, detail, tail, value = _shell_verdict(_ratio_integrand(f, g))
     tail_note = "" if tail is None else f"; tail continuation {tail:.3e}"
-    diag = (f"{n_shells} dyadic shells, quadrature in log r; {detail}{tail_note}")
+    diag = (f"{SHELLS} dyadic shells, quadrature in log r; {detail}{tail_note}")
     return ConditionVerdict(status, value, tuple(sums.tolist()), diag)
 
 
@@ -286,14 +287,14 @@ def check_rate_condition(f: GaugeFunction, g: GaugeFunction) -> ConditionVerdict
     """Verdict on sup_t g(t) * (-integral_0^1 f(r) d(1/g(t r))) < infinity.
 
     Each scaled integral is evaluated like the plain integral condition,
-    over 2048 shells; the rescaled values R(t) are then examined for
+    over SHELLS shells; the rescaled values R(t) are then examined for
     boundedness along t = 2**-8, 2**-16, ..., 2**-512.
     """
     log_t = [-(8.0 * 2 ** j) * LOG2 for j in range(7)]
     rates = []
     for lt in log_t:
         _, status, detail, _, total = _shell_verdict(
-            _ratio_integrand(f, g, shift=lt), 2048)
+            _ratio_integrand(f, g, shift=lt))
         if status != FINITE:
             diag = f"scaled integral at log t = {lt:.1f} is {status}: {detail}"
             return ConditionVerdict(DIVERGENT, None, tuple(rates), diag)
@@ -309,7 +310,7 @@ def check_rate_condition(f: GaugeFunction, g: GaugeFunction) -> ConditionVerdict
     return ConditionVerdict(INCONCLUSIVE, None, tuple(rates), diag)
 
 
-def check_length_criterion(f: GaugeFunction, n_shells: int = 4096) -> ConditionVerdict:
+def check_length_criterion(f: GaugeFunction) -> ConditionVerdict:
     """Verdict on integral_0^1 f(r)/r**2 dr < infinity.
 
     Precondition (checked): f(r)/r**2 decreasing, i.e. dlog f <= 2.  A
@@ -323,22 +324,22 @@ def check_length_criterion(f: GaugeFunction, n_shells: int = 4096) -> ConditionV
         lf = np.asarray(f.log_value(v), dtype=float)
         return np.exp(np.clip(lf - v, -745.0, 700.0))
 
-    sums, status, detail, _, value = _shell_verdict(fn, n_shells)
+    sums, status, detail, _, value = _shell_verdict(fn)
     note = ("; a.e. projection has positive length predicted"
             if status == FINITE else "")
     diag = f"shell quadrature of f(r)/r^2; {detail}{note}"
     return ConditionVerdict(status, value, tuple(sums.tolist()), diag)
 
 
-def check_divergence_of_df_over_g(f: GaugeFunction, g: GaugeFunction,
-                                  n_shells: int = 4096) -> ConditionVerdict:
+def check_divergence_of_df_over_g(f: GaugeFunction,
+                                  g: GaugeFunction) -> ConditionVerdict:
     """Verdict on integral_0^1 df(r)/g(r) via midpoint Stieltjes shell sums.
 
     Shell n contributes (f(2**-n) - f(2**-(n+1))) / g(xi_n) with xi_n the
     log-scale shell midpoint; everything is assembled in log space so deep
     shells where f itself underflows still participate.
     """
-    n = np.arange(n_shells, dtype=float)
+    n = np.arange(SHELLS, dtype=float)
     v_hi = -n * LOG2
     v_lo = v_hi - LOG2
     lf_hi = np.asarray(f.log_value(v_hi), dtype=float)
@@ -351,7 +352,7 @@ def check_divergence_of_df_over_g(f: GaugeFunction, g: GaugeFunction,
     log_terms = log_df - log_g_mid
     status, lam, detail = classify_log_tail(log_terms)
     value = float(np.exp(_logsumexp(log_terms))) if status == FINITE else None
-    diag = f"{n_shells} Stieltjes shells with log-midpoint evaluation; {detail}"
+    diag = f"{SHELLS} Stieltjes shells with log-midpoint evaluation; {detail}"
     with np.errstate(over="ignore"):  # an infinite shell sum is a divergent one
         shell_sums = np.exp(log_terms)
     return ConditionVerdict(status, value, tuple(shell_sums.tolist()), diag)

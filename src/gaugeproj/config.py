@@ -11,7 +11,6 @@ import json
 from dataclasses import dataclass, field
 
 from .gauges import GaugeFunction, parse_gauge
-from .hierarchy import DEFAULT_DISC_CAP
 
 SCHEMA_VERSION = 1
 
@@ -19,7 +18,6 @@ _DEFAULTS = {
     "schema_version": SCHEMA_VERSION,
     "g": "auto",
     "depth": 4,
-    "disc_cap": DEFAULT_DISC_CAP,
     "angles": 256,
     "pairs": 200_000,
     "scan_samples": 10_000,
@@ -38,7 +36,6 @@ class RunConfig:
     f_spec: dict
     g_spec: object  # gauge spec dict or "auto"
     depth: int
-    disc_cap: int
     angles: int
     pairs: int
     scan_samples: int
@@ -58,7 +55,6 @@ class RunConfig:
             "f": self.f_spec,
             "g": self.g_spec,
             "depth": self.depth,
-            "disc_cap": self.disc_cap,
             "angles": self.angles,
             "pairs": self.pairs,
             "scan_samples": self.scan_samples,
@@ -119,7 +115,6 @@ def parse_config(document) -> RunConfig:
         return v
 
     depth = _int_at_least("depth", 2)  # derive_radius_schedule needs K >= 2
-    disc_cap = _int_at_least("disc_cap", 1)
     angles = _int_at_least("angles", 32)  # the sweep's minimum grid
     pairs = _int_at_least("pairs", 1000)
     scan_samples = _int_at_least("scan_samples", 1)
@@ -141,5 +136,5 @@ def parse_config(document) -> RunConfig:
     if problems:
         raise ConfigError("invalid config: " + "; ".join(problems))
 
-    return RunConfig(f_spec, g_spec, depth, disc_cap, angles, pairs,
+    return RunConfig(f_spec, g_spec, depth, angles, pairs,
                      scan_samples, seed, out_dir, emit)

@@ -251,8 +251,8 @@ def gap_report(delta: float, k: int = 2, s_values=None) -> RegimeReport:
     for s in s_values:
         s = float(s)
         label = _band(bands, s)
-        status = check_integral_condition(f_ref, power_log(delta, s, 1.0 / tau),
-                                          n_shells=2048).status
+        status = check_integral_condition(
+            f_ref, power_log(delta, s, 1.0 / tau)).status
         consistent = (status == FINITE) == (label == INFINITE_BAND)
         rows.append(RegimeRow(s, label, status, consistent))
     return RegimeReport(delta, k, tau, bands, tuple(rows))

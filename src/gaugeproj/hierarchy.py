@@ -15,9 +15,9 @@ both hold, and the branching counts N_k keep the mass products pinched:
     a <= N_1 ... N_k f(r_k) <= 2a,     a = f(r_0).
 
 Only the per-level local geometry (offsets, direction, log radius) is
-stored; absolute centers are materialised lazily and are guarded by a
-disc-count cap so that validation works even when the full product of
-branching counts is astronomically large.
+stored.  Absolute centers are materialised lazily, and never for a level
+of more than ``DISC_CAP`` discs, so validation works even when the full
+product of branching counts is astronomically large.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ LOG2 = math.log(2.0)
 LOG_QUARTER = math.log(0.25)
 LOG3 = math.log(3.0)
 
-DEFAULT_DISC_CAP = 10 ** 7
+DISC_CAP = 10 ** 7    # most discs or intervals one array may hold
 PAIRWISE_CAP = 200_000  # levels up to this many discs get the all-pairs check
 _PAIR_CHUNK = 1 << 20   # candidate pairs tested per numpy pass
 
@@ -47,7 +47,7 @@ class BranchingError(GaugeError):
 
 
 class DiscCapExceeded(RuntimeError):
-    """A materialisation would exceed the configured disc-count cap."""
+    """A materialisation would exceed ``DISC_CAP`` discs or intervals."""
 
 
 # ---------------------------------------------------------------------------
@@ -197,8 +197,8 @@ class DiscHierarchy:
     ``offsets[k]`` holds the signed center offsets of the level-(k+1)
     children along their parent's placement diameter (physical units),
     ``d[k]`` the cumulative placement direction d_{k+1}.  Absolute centers
-    materialise lazily through :meth:`level_centers`, capped at
-    ``disc_cap`` discs.
+    materialise lazily through :meth:`level_centers`, for levels of at
+    most ``DISC_CAP`` discs.
     """
 
     gauge: GaugeFunction
@@ -207,7 +207,6 @@ class DiscHierarchy:
     counts: tuple[int, ...]
     theta: tuple[float, ...]
     d: tuple[float, ...]
-    disc_cap: int = DEFAULT_DISC_CAP
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -257,26 +256,23 @@ class DiscHierarchy:
 
     def level_centers(self, level: int) -> np.ndarray:
         """Absolute centers of all level-`level` discs, lexicographic in
-        path; cached, and capped at ``disc_cap`` discs."""
+        path; cached, and capped at ``DISC_CAP`` discs."""
         count = self.disc_count(level)
-        if count > self.disc_cap:
+        if count > DISC_CAP:
             raise DiscCapExceeded(
-                f"level {level} holds {count} discs, "
-                f"over the cap of {self.disc_cap}")
+                f"level {level} holds {count} discs, over the cap of {DISC_CAP}")
         key = ("centers", level)
         if key not in self._cache:
             self._cache[key] = self.first_paths(level, count)
         return self._cache[key]
 
-    def to_dict(self, include_centers: bool = True) -> dict:
-        levels = []
-        for k in range(self.depth + 1):
-            entry: dict = {"level": k, "log_radius": self.log_radius(k)}
-            if include_centers and self.disc_count(k) <= self.disc_cap:
-                entry["centers"] = self.level_centers(k).tolist()
-            else:
-                entry["centers"] = None
-            levels.append(entry)
+    def to_dict(self) -> dict:
+        """The geometry, with every level's centers when the deepest level
+        is within ``DISC_CAP`` discs and none otherwise."""
+        include = self.disc_count(self.depth) <= DISC_CAP
+        levels = [{"level": k, "log_radius": self.log_radius(k),
+                   "centers": self.level_centers(k).tolist() if include else None}
+                  for k in range(self.depth + 1)]
         return {
             "schedule": {"log_r": list(self.schedule.log_r), "k1": self.schedule.k1},
             "a": self.a,
@@ -288,13 +284,12 @@ class DiscHierarchy:
 
 
 def build_hierarchy(f: GaugeFunction, schedule: RadiusSchedule,
-                    branching: BranchingPlan, theta="default",
-                    disc_cap: int = DEFAULT_DISC_CAP) -> DiscHierarchy:
+                    branching: BranchingPlan, theta="default") -> DiscHierarchy:
     """Assemble the hierarchy from a schedule and branching plan.
 
     ``theta`` is either "default" (increments r_{k+1}/r_k) or a sequence
     of K placement-angle increments.  Construction itself is O(sum N_k);
-    the cap only limits later center materialisation.
+    no center is materialised.
     """
     K = schedule.depth
     if len(branching.counts) != K:
@@ -312,15 +307,15 @@ def build_hierarchy(f: GaugeFunction, schedule: RadiusSchedule,
         acc = math.fmod(acc + t, math.pi)
         d.append(acc)
     return DiscHierarchy(f, schedule, branching.a, branching.counts, th,
-                         tuple(d), disc_cap)
+                         tuple(d))
 
 
-def build_from_gauge(f: GaugeFunction, depth: int, theta="default",
-                     disc_cap: int = DEFAULT_DISC_CAP) -> DiscHierarchy:
+def build_from_gauge(f: GaugeFunction, depth: int,
+                     theta="default") -> DiscHierarchy:
     """Schedule, branching and hierarchy in one step."""
     schedule = derive_radius_schedule(f, depth)
     plan = choose_branching(f, schedule)
-    return build_hierarchy(f, schedule, plan, theta, disc_cap)
+    return build_hierarchy(f, schedule, plan, theta)
 
 
 # ---------------------------------------------------------------------------

@@ -390,10 +390,13 @@ def mc_energy(f: GaugeFunction, m: NaturalMeasure, pairs: int,
 def potential(f: GaugeFunction, m: NaturalMeasure, x, pairs: int,
               seed: int) -> float:
     """Monte Carlo estimate of the potential integral of 1/f(|x - y|) d mu(y)
-    over the atoms y != x."""
+    over the atoms y != x: a draw that lands on x itself counts 0."""
     if pairs < 10 ** 3:
         raise GaugeError("use at least 1000 pairs")
     rng = np.random.default_rng(seed)
     d = np.linalg.norm(m.sample_atoms(pairs, rng) - np.asarray(x, dtype=float),
                        axis=-1)
-    return float(np.mean(f.reciprocal(d[d > 0.0])))
+    far = d > 0.0
+    inv = np.zeros_like(d)
+    inv[far] = f.reciprocal(d[far])
+    return float(np.mean(inv))

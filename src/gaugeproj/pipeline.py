@@ -52,8 +52,7 @@ def resolve_g(config: RunConfig, f: gauges.GaugeFunction) -> gauges.GaugeFunctio
 def construct_hierarchy(config: RunConfig,
                         f: gauges.GaugeFunction) -> hierarchy.DiscHierarchy:
     """The config's disc construction for f."""
-    return hierarchy.build_from_gauge(f, config.depth,
-                                      disc_cap=config.disc_cap)
+    return hierarchy.build_from_gauge(f, config.depth)
 
 
 def sweep_table(config: RunConfig, h: hierarchy.DiscHierarchy,
@@ -88,14 +87,14 @@ def condition_verdicts(f: gauges.GaugeFunction, g: gauges.GaugeFunction | None):
     verdicts; and the integral-condition verdict (None without g).  A
     length criterion f does not admit is an error payload."""
     verdicts = {} if g is None else {
-        "integral_condition": conditions.check_integral_condition(f, g, 2048),
+        "integral_condition": conditions.check_integral_condition(f, g),
         "limit_condition": conditions.check_limit_condition(f, g),
         "rate_condition": conditions.check_rate_condition(f, g),
-        "df_over_g": conditions.check_divergence_of_df_over_g(f, g, 2048)}
+        "df_over_g": conditions.check_divergence_of_df_over_g(f, g)}
     payloads = {name: verdict_payload(v) for name, v in verdicts.items()}
     try:
         payloads["length_criterion"] = verdict_payload(
-            conditions.check_length_criterion(f, 2048))
+            conditions.check_length_criterion(f))
     except gauges.GaugeError as e:
         payloads["length_criterion"] = {"status": "error", "error": str(e)}
     return payloads, verdicts.get("integral_condition")
@@ -247,9 +246,8 @@ def _sweep(run: _Run):
     h, g = run.h, run.g
     table = sweep_table(run.config, h, g)
     run.sweep_rows = table.to_dicts()
-    measured = [r for r in table.rows if r.cost is not None]
-    run.check("Eq35", len(measured), not table.violations(),
-              min((r.margin for r in measured), default=math.nan),
+    run.check("Eq35", len(table.rows), not table.violations(),
+              min((r.margin for r in table.rows), default=math.nan),
               f"{len(table.rows)} qualifying rows")
     bounds = [projection.eq35_bound(h, g, k) for k in range(1, h.depth)]
     steps = [a - b for a, b in zip(bounds, bounds[1:])]

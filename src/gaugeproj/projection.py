@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import hierarchy
 from .gauges import GaugeFunction, GaugeError
-from .hierarchy import DiscHierarchy
+from .hierarchy import DiscCapExceeded, DiscHierarchy
 from .measure import NaturalMeasure, divergence_pairs
 
 
@@ -130,6 +131,8 @@ def project_hierarchy(h: DiscHierarchy, theta: float, level: int) -> LevelProjec
     merge itself) they are only counted, and only overlapping translates
     are materialised, together with the counted levels below them, and
     merged.  Every coordinate is relative to an ancestor, never the origin.
+    A merge of more than ``hierarchy.DISC_CAP`` intervals raises
+    :class:`DiscCapExceeded` before anything is built.
     """
     if not math.isfinite(theta):
         raise GaugeError("projection angle must be finite")
@@ -149,8 +152,14 @@ def project_hierarchy(h: DiscHierarchy, theta: float, level: int) -> LevelProjec
             counted.append(step)
             span_lo, span_hi = span_lo + step[0], span_hi + step[-1]
             continue
+        steps = counted + [step]
+        size = len(pattern.lo) * math.prod(len(s) for s in steps)
+        if size > hierarchy.DISC_CAP:
+            raise DiscCapExceeded(
+                f"projecting level {level} at angle {theta!r} would merge "
+                f"{size} intervals, over the cap of {hierarchy.DISC_CAP}")
         lo, hi = pattern.lo, pattern.hi
-        for s in counted + [step]:
+        for s in steps:
             lo = (s[:, None] + lo[None, :]).reshape(-1)
             hi = (s[:, None] + hi[None, :]).reshape(-1)
         pattern = _merge_array(lo, hi, theta)
@@ -188,10 +197,9 @@ def qualifying_levels(h: DiscHierarchy, theta: float) -> list[int]:
 class SweepRow:
     theta: float
     k: int
-    cost: float | None
+    cost: float
     bound: float
-    margin: float | None
-    note: str = ""
+    margin: float
 
 
 @dataclass(frozen=True)
@@ -199,12 +207,11 @@ class SweepTable:
     rows: tuple[SweepRow, ...]
 
     def violations(self) -> list[SweepRow]:
-        return [r for r in self.rows
-                if r.cost is not None and r.cost > r.bound * (1.0 + 1e-9)]
+        return [r for r in self.rows if r.cost > r.bound * (1.0 + 1e-9)]
 
     def to_dicts(self) -> list[dict]:
         return [{"theta": r.theta, "k": r.k, "cost": r.cost, "bound": r.bound,
-                 "margin": r.margin, "note": r.note} for r in self.rows]
+                 "margin": r.margin} for r in self.rows]
 
 
 def sweep_directions(h: DiscHierarchy, g: GaugeFunction, theta_grid) -> SweepTable:
@@ -213,9 +220,10 @@ def sweep_directions(h: DiscHierarchy, g: GaugeFunction, theta_grid) -> SweepTab
     budget it must respect.
 
     ``theta_grid`` is either an integral count (uniform grid on [0, pi))
-    or explicit finite angles.  Levels whose disc count exceeds the
-    hierarchy cap report the bound without a measured cost.  A measured
-    cost is the pattern's cover cost times its count of disjoint copies.
+    or explicit finite angles.  Every row is measured: its cost is the
+    pattern's cover cost times its count of disjoint copies, so no level is
+    too deep to sweep; a merge over the cap raises (see
+    :func:`project_hierarchy`).
     """
     if isinstance(theta_grid, bool):
         raise GaugeError("angle grid must be a point count or a sequence of angles")
@@ -232,13 +240,9 @@ def sweep_directions(h: DiscHierarchy, g: GaugeFunction, theta_grid) -> SweepTab
     for theta in thetas:
         for k in qualifying_levels(h, theta):
             bound = eq35_bound(h, g, k)
-            if h.disc_count(k) <= h.disc_cap:
-                pr = project_hierarchy(h, theta, k + 1)
-                cost = pr.copies * cover_cost(g, pr.pattern)[0]
-                rows.append(SweepRow(theta, k, cost, bound, bound - cost))
-            else:
-                rows.append(SweepRow(theta, k, None, bound, None,
-                                     note="disc count over cap; bound only"))
+            pr = project_hierarchy(h, theta, k + 1)
+            cost = pr.copies * cover_cost(g, pr.pattern)[0]
+            rows.append(SweepRow(theta, k, cost, bound, bound - cost))
     return SweepTable(tuple(rows))
 
 

@@ -105,13 +105,12 @@ def _markers(xs, ys, color: str) -> list[str]:
 
 def render_sweep_svg(rows) -> str:
     """Cover cost and budget against angle, each a polyline with a marker
-    at every measured row; empty tables draw axes only.
+    at every row; empty tables draw axes only.
 
     ``rows`` are ``SweepTable.to_dicts()`` rows with theta, cost, bound.
     """
     body = _axes()
-    pts = sorted((r["theta"], r["cost"], r["bound"]) for r in rows
-                 if r["cost"] is not None)
+    pts = sorted((r["theta"], r["cost"], r["bound"]) for r in rows)
     if pts:
         thetas = [p[0] for p in pts]
         vals = [p[1] for p in pts] + [p[2] for p in pts]

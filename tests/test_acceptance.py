@@ -81,9 +81,8 @@ def test_criterion_3_projection_bound_suite(hierarchies):
         for s, h in hierarchies.items():
             g = sweep_partner(h.gauge)
             table = sweep_directions(h, g, 256)
-            measured = [r for r in table.rows if r.cost is not None]
-            assert measured, f"s={s}: no measured qualifying rows"
-            for row in measured:
+            assert table.rows, f"s={s}: no qualifying rows"
+            for row in table.rows:
                 assert row.cost <= row.bound * (1.0 + 1e-9), f"s={s}: {row}"
             bounds = [eq35_bound(h, g, k) for k in range(1, h.depth)]
             assert all(a > b for a, b in zip(bounds, bounds[1:])), \

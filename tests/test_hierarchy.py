@@ -8,7 +8,8 @@ from gaugeproj import (BranchingError, BranchingPlan, DiscCapExceeded,
                        ScheduleError, build_from_gauge, build_hierarchy,
                        choose_branching, derive_radius_schedule, power,
                        raw_log_radii, validate_hierarchy)
-from gaugeproj.hierarchy import (PAIRWISE_CAP, _close_pair_count,
+from gaugeproj import hierarchy
+from gaugeproj.hierarchy import (DISC_CAP, PAIRWISE_CAP, _close_pair_count,
                                  branching_interval)
 
 from conftest import schedule_from_radii
@@ -147,12 +148,20 @@ def test_default_theta_matches_radius_ratios(h05_depth5):
     assert np.all(np.diff(partial) > 0)
 
 
-def test_disc_cap_guards_materialisation(h08_depth5):
+def test_disc_cap_guards_materialisation(h08_depth5, monkeypatch):
     # the structural object exists and validates, but the full level is
     # far over the cap and must refuse to materialise
-    assert h08_depth5.disc_count(5) > h08_depth5.disc_cap
+    assert h08_depth5.disc_count(5) > DISC_CAP
     with pytest.raises(DiscCapExceeded):
         h08_depth5.level_centers(5)
+    # the cap is inclusive, and guards cached levels too
+    h = build_from_gauge(power(0.5), 3)
+    count = h.disc_count(2)
+    monkeypatch.setattr(hierarchy, "DISC_CAP", count)
+    assert len(h.level_centers(2)) == count
+    monkeypatch.setattr(hierarchy, "DISC_CAP", count - 1)
+    with pytest.raises(DiscCapExceeded):
+        h.level_centers(2)
 
 
 def test_branching_rejects_broken_schedule():
@@ -163,13 +172,17 @@ def test_branching_rejects_broken_schedule():
         choose_branching(f, s)
 
 
-def test_hierarchy_serialisation_shape(h05_depth5):
-    doc = h05_depth5.to_dict(include_centers=False)
+def test_hierarchy_serialisation_shape(h05_depth5, h08_depth5):
+    # every level's centers when the deepest level is within the cap
+    doc = h05_depth5.to_dict()
     assert set(doc) == {"schedule", "a", "N", "theta", "d", "levels"}
     assert len(doc["levels"]) == h05_depth5.depth + 1
-    assert doc["levels"][2]["centers"] is None
-    doc = h05_depth5.to_dict()
-    assert len(doc["levels"][1]["centers"]) == h05_depth5.counts[0]
+    for k, entry in enumerate(doc["levels"]):
+        assert len(entry["centers"]) == h05_depth5.disc_count(k)
+    # and none when it is over it, though the shallow levels would fit
+    doc = h08_depth5.to_dict()
+    assert len(doc["levels"]) == h08_depth5.depth + 1
+    assert [entry["centers"] for entry in doc["levels"]] == [None] * 6
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +245,7 @@ def test_close_pair_count_matches_kdtree_on_levels(fixture, request):
 @pytest.mark.parametrize("fixture", ["h03_depth5", "h05_depth5", "h08_depth5"])
 def test_first_paths_are_the_leading_level_centers(fixture, request):
     h = request.getfixturevalue(fixture)
-    levels = [k for k in range(h.depth + 1) if h.disc_count(k) <= h.disc_cap]
+    levels = [k for k in range(h.depth + 1) if h.disc_count(k) <= DISC_CAP]
     assert levels[-1] >= 3
     for k in levels:
         centers = h.level_centers(k)

@@ -649,10 +649,15 @@ def test_potential_barycenter_exact():
 
 
 def test_potential_at_an_atom():
-    # half of the measure sits at x itself; the other atom is 0.5 away
+    # half of the measure sits at x itself and counts 0; the other atom is
+    # 0.5 away and counts 1/0.5, so the estimate is 2 (draws on it) / pairs,
+    # about the potential 1.0
     m = two_atom_measure()
     for seed in range(40):
-        assert potential(power(1.0), m, (0.25, 0.0), 2000, seed=seed) == 2.0
+        other = m.sample_atoms(2000, np.random.default_rng(seed))[:, 0] < 0.0
+        want = 2.0 * int(np.count_nonzero(other)) / 2000
+        assert potential(power(1.0), m, (0.25, 0.0), 2000, seed=seed) == want
+        assert 0.9 < want < 1.1
 
 
 def test_potential_far_point():

@@ -1,17 +1,19 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gaugeproj import (BranchingPlan, GaugeError, IntervalCover, NaturalMeasure,
-                       angle_kernel_integral, averaged_projected_energy,
+from gaugeproj import (BranchingPlan, DiscCapExceeded, GaugeError, IntervalCover,
+                       NaturalMeasure, angle_kernel_integral,
+                       averaged_projected_energy,
                        build_from_gauge, build_hierarchy, cover_cost, discrete_energy,
-                       estimate_log_dimension, eq35_bound, log_power,
+                       estimate_log_dimension, eq35_bound, hierarchy, log_power,
                        mc_energy, merge_intervals, power, power_log,
                        project_disc_cover, project_hierarchy, qualifying_levels,
-                       sweep_directions, tabulated)
+                       sweep_directions, sweep_partner, tabulated)
 
 from conftest import schedule_from_radii
 
@@ -379,16 +381,74 @@ def test_projection_materialises_overlapping_translates():
             assert cost == pytest.approx(expected, rel=1e-12, abs=0)
 
 
+def test_overlap_guard_refuses_before_building():
+    # levels 2-5 share one placement direction, so at theta = pi/2 levels
+    # 4, 3 and 2 are counted and level 1's translates stack: merging them
+    # would build 86 * 92 * 97 * 103 * 108 ~ 8.5e9 intervals
+    h = build_from_gauge(power(0.8), 5, theta=(0.0, math.pi / 2, 0.0, 0.0, 0.0))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DiscCapExceeded, match="8537269536 intervals"):
+            project_hierarchy(h, math.pi / 2, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # its sweep rows stay far under the cap: the largest merge they build
+    # is level 2's 7 912 intervals (custom placements void the Eq35 budget)
+    table = sweep_directions(h, power_log(0.8, 0.15, 1.0), 256)
+    assert table.rows and all(math.isfinite(r.cost) for r in table.rows)
+
+
+def test_overlap_guard_boundary(monkeypatch):
+    # at theta = pi/2 the level-1 translates stack, so projecting level 3
+    # merges all N_1 N_2 N_3 intervals at once
+    h = build_from_gauge(power(0.5), 3, theta=(0.0, math.pi / 2, 0.0))
+    size = h.disc_count(3)
+    expected = project_hierarchy(h, math.pi / 2, 3)
+    monkeypatch.setattr(hierarchy, "DISC_CAP", size)
+    got = project_hierarchy(h, math.pi / 2, 3)
+    assert got.pattern.intervals == expected.pattern.intervals
+    assert got.copies == expected.copies
+    monkeypatch.setattr(hierarchy, "DISC_CAP", size - 1)
+    with pytest.raises(DiscCapExceeded):
+        project_hierarchy(h, math.pi / 2, 3)
+    # disjoint translates are counted, never built: at angle 0 the level-1
+    # translates are separated, so projecting level 2 passes any cap
+    monkeypatch.setattr(hierarchy, "DISC_CAP", 1)
+    assert project_hierarchy(h, 0.0, 2).copies == h.counts[0]
+
+
+def _arc_angles(h, per_arc=8):
+    """(theta, k): per_arc angles inside each level k's placement arc,
+    spread over its interior as the arc-sweep benchmark spreads them."""
+    return [(math.fmod(h.d[k - 1] + (0.05 + 0.9 * (j + 0.5) / per_arc) * h.theta[k]
+                       + math.pi / 2, math.pi), k)
+            for k in range(1, h.depth) for j in range(per_arc)]
+
+
+@pytest.mark.parametrize("fixture", ["h03_depth5", "h05_depth5", "h08_depth5"])
+def test_sweep_measures_every_arc_level(fixture, request):
+    h = request.getfixturevalue(fixture)
+    g = sweep_partner(h.gauge)
+    arcs = _arc_angles(h)
+    table = sweep_directions(h, g, [t for t, _ in arcs])
+    assert {(r.theta, r.k) for r in table.rows} >= set(arcs)
+    assert {r.k for r in table.rows} == set(range(1, h.depth))
+    for row in table.rows:
+        assert 0.0 < row.cost <= row.bound * (1 + 1e-9), row
+        assert row.margin == row.bound - row.cost
+    assert table.violations() == []
+
+
 def test_sweep_on_capped_hierarchy(h08_depth5):
     g = power_log(0.8, 0.15, 1.0)
     table = sweep_directions(h08_depth5, g, 256)
     assert len(table.rows) >= 1
     assert table.violations() == []
     for row in table.rows:
-        if row.cost is None:
-            assert "cap" in row.note
-        else:
-            assert row.cost <= row.bound * (1 + 1e-9)
+        assert 0.0 < row.cost <= row.bound * (1 + 1e-9)
+        assert row.margin == row.bound - row.cost
 
 
 # ---------------------------------------------------------------------------

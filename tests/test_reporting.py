@@ -55,11 +55,12 @@ def test_parse_rejects_unknown_keys_and_lists_all_violations():
                                  "depth": 0, "angles": 1, "wat": 1}))
     msg = str(err.value)
     assert "wat" in msg and "depth" in msg and "angles" in msg
-    # the sweep level and placement angles are not config keys
-    with pytest.raises(ConfigError,
-                       match=r"unknown keys: \['sweep_level', 'theta_mode'\]"):
+    # the disc cap, sweep level and placement angles are not config keys
+    with pytest.raises(ConfigError, match=(r"unknown keys: "
+                       r"\['disc_cap', 'sweep_level', 'theta_mode'\]")):
         parse_config(json.dumps({"f": {"family": "power", "s": 0.5},
-                                 "sweep_level": 2, "theta_mode": "default"}))
+                                 "disc_cap": 10 ** 7, "sweep_level": 2,
+                                 "theta_mode": "default"}))
     # the sweep needs at least 32 angles, so the config does too
     with pytest.raises(ConfigError, match="angles: must be an integer >= 32"):
         parse_config(json.dumps({"f": {"family": "power", "s": 0.5},
@@ -204,14 +205,16 @@ def test_pipeline_checks_the_integral_condition_once(tmp_path, monkeypatch):
     calls = []
     real = conditions.check_integral_condition
 
-    def counted(f, g, n_shells):
-        calls.append(n_shells)
-        return real(f, g, n_shells)
+    def counted(f, g):
+        calls.append(real(f, g))
+        return calls[-1]
 
     monkeypatch.setattr(conditions, "check_integral_condition", counted)
     doc = dict(FAST, emit={"csv": True, "json": True, "svg": True})
-    run_pipeline(parse_config(json.dumps(doc)), tmp_path / "out")
-    assert calls == [2048]
+    result = run_pipeline(parse_config(json.dumps(doc)), tmp_path / "out")
+    assert len(calls) == 1 and len(calls[0].shell_sums) == conditions.SHELLS == 2048
+    diag = result.bundle["verdicts"]["integral_condition"]["diagnostics"]
+    assert diag.startswith("2048 dyadic shells")
     assert (tmp_path / "out" / "shells.svg").exists()
 
 
@@ -311,16 +314,14 @@ def test_hierarchy_svg_needs_only_local_ratios():
 
 
 def test_sweep_svg_marks_every_measured_row():
-    row = {"theta": 1.0, "k": 3, "cost": 0.1, "bound": 0.4, "margin": 0.3,
-           "note": ""}
+    row = {"theta": 1.0, "k": 3, "cost": 0.1, "bound": 0.4, "margin": 0.3}
     svg = render_sweep_svg([row])
     assert svg.count("<polyline") == 2
     assert svg.count("<circle") == 2  # one cost and one budget marker
     ET.fromstring(svg)
-    bound_only = dict(row, theta=2.0, cost=None, margin=None)
-    rows = [row, dict(row, theta=0.5, cost=0.2), bound_only]
+    rows = [row, dict(row, theta=0.5, cost=0.2), dict(row, theta=2.0, k=4)]
     svg = render_sweep_svg(rows)
-    assert svg.count("<circle") == 4
+    assert svg.count("<circle") == 6
     ET.fromstring(svg)
 
 
@@ -418,6 +419,10 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     code = cli_main(["run", "--config", str(cfg)])
     assert code == 2
     assert "depth" in capsys.readouterr().err
+    # the disc cap is a module constant, not a config key
+    cfg.write_text(json.dumps(dict(FAST, disc_cap=10 ** 7)))
+    assert cli_main(["run", "--config", str(cfg)]) == 2
+    assert "unknown keys: ['disc_cap']" in capsys.readouterr().err
     # a --depth 1 override is rejected before any file is written
     cfg.write_text(json.dumps(FAST))
     out = tmp_path / "out"
@@ -558,10 +563,12 @@ def test_cli_energy_draws_the_run_energy(fast_svg_run):
         assert energy[key] == report["energy"][key]
 
 
-def test_run_shells_svg_is_the_1024_shell_integral(fast_svg_run):
+def test_run_shells_svg_is_the_1024_shell_integral(fast_svg_run, monkeypatch):
     # reference: a separate 1024-shell run of the integral condition
+    monkeypatch.setattr(conditions, "SHELLS", 1024)
     f = power(0.5)
-    shells = conditions.check_integral_condition(f, sweep_partner(f), 1024)
+    shells = conditions.check_integral_condition(f, sweep_partner(f))
+    assert len(shells.shell_sums) == 1024
     assert (fast_svg_run / "run" / "shells.svg").read_text(encoding="utf-8") == \
         render_shells_svg(shells.shell_sums)
 
