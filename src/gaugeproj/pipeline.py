@@ -233,13 +233,19 @@ def _energy(run: _Run):
             "doubling fit of g unavailable: gauges stage failed")
     if run.fit_g.s < 1.0:
         ape = projection.averaged_projected_energy(
-            run.m, run.g, theta_grid=64, pairs=min(config.pairs, 100_000),
+            run.m, run.g, pairs=min(config.pairs, 100_000),
             seed=config.seed + 2)
         run.check("AvgProjEnergy", run.h.depth,
                   ape.average <= ape.bound * 1.05,
                   ape.bound * 1.05 - ape.average, f"kernel {ape.kernel:.4f}")
-        energy["averaged_projection"] = {"average": ape.average,
-                                         "bound": ape.bound, "ratio": ape.ratio}
+        run.check("AvgProjTransfer", run.h.depth,
+                  ape.transfer_max <= ape.transfer_bound * (1.0 + 1e-9),
+                  ape.transfer_bound - ape.transfer_max,
+                  "max g K_g on the kernel table")
+        energy["averaged_projection"] = {
+            "average": ape.average, "bound": ape.bound, "ratio": ape.ratio,
+            "stderr": ape.stderr, "transfer_max": ape.transfer_max,
+            "transfer_bound": ape.transfer_bound}
 
 
 def _sweep(run: _Run):

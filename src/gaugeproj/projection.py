@@ -21,9 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hierarchy
+from .conditions import _gl
 from .gauges import GaugeFunction, GaugeError
 from .hierarchy import DiscCapExceeded, DiscHierarchy
-from .measure import NaturalMeasure, divergence_pairs
+from .measure import NaturalMeasure, _mean_stderr, divergence_pairs
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,17 +266,119 @@ def angle_kernel_integral(s: float) -> float:
                                          - math.lgamma(1.0 - s / 2.0))
 
 
+# The angle kernel K_g(r) = (1/pi) int_0^pi dtheta / g(r |cos theta|) is
+# tabulated as log(g(r) K_g(r)) on a uniform log-radius grid of this step.
+TABLE_STEP = 0.05
+# Gauss-Legendre panels in t = log(pi/2 - theta) for the core of K_g; below
+# the first edge sin(e**t) = e**t to 1e-18 and the tail is Phi-based
+_CORE_EDGES = (-20.0, -16.0, -12.0, -8.0, -5.0, -3.0, -2.0, -1.0, -0.5, 0.0,
+               math.log(math.pi / 2.0))
+_CORE_ORDER = 16
+# Phi(z) = int_{-inf}^z e**w / g(e**w) dw is integrated over this span
+# below the grid, in panels of width 4, and closed below that by the local
+# power law of g (exact for power g, whose decay e**((1 - s) w) is slowest)
+_TAIL_SPAN = 400.0
+_TAIL_PANELS = 100
+
+
+def _log_integral(log_vals: np.ndarray, log_weights: np.ndarray) -> np.ndarray:
+    """log of sum_j exp(log_vals[..., j] + log_weights[j]), without underflow."""
+    terms = log_vals + log_weights
+    top = terms.max(axis=-1)
+    return top + np.log(np.exp(terms - top[..., None]).sum(axis=-1))
+
+
+def _log_phi(g: GaugeFunction, z0: float, n: int) -> np.ndarray:
+    """log Phi(z0 + i TABLE_STEP) for i < n, in log space throughout.
+
+    Phi(z0) is Gauss-Legendre panels over [z0 - _TAIL_SPAN, z0] plus the
+    power-law closure below; each further grid step adds its own
+    four-node integral to the running log-sum."""
+    def log_integrand(w):
+        return w - g.log_value(w)
+
+    x, wts = _gl(_CORE_ORDER)
+    width = _TAIL_SPAN / _TAIL_PANELS
+    start = z0 - _TAIL_SPAN
+    nodes = start + width * (np.arange(_TAIL_PANELS)[:, None] + x)
+    prefix = _log_integral(log_integrand(nodes.ravel()),
+                           np.log(np.tile(width * wts, _TAIL_PANELS)))
+    slope = float(g.log_value(start)) - float(g.log_value(start - 1.0))
+    if slope >= 1.0:
+        raise GaugeError("angle kernel diverges: g has local exponent >= 1")
+    closure = float(log_integrand(start)) - math.log(1.0 - slope)
+    x, wts = _gl(4)
+    cells = z0 + TABLE_STEP * (np.arange(n - 1)[:, None] + x)
+    log_cells = _log_integral(log_integrand(cells), np.log(TABLE_STEP * wts))
+    head = np.logaddexp(prefix, closure)
+    return np.logaddexp.accumulate(np.concatenate(([head], log_cells)))
+
+
+def angle_kernel_table(g: GaugeFunction, log_lo: float,
+                       log_hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x_i = log_lo + i TABLE_STEP reaching log_hi, and log(g(r) K_g(r))
+    at r = e**x_i, for K_g(r) = (1/pi) int_0^pi dtheta / g(r |cos theta|).
+
+    With u = pi/2 - theta and t = log u, K_g(r) = (2/pi) int e**t /
+    g(r sin e**t) dt over t < log(pi/2).  The core t >= -20 takes fixed
+    Gauss-Legendre panels; below it sin u = u to 1e-18, so the tail is
+    e**-x Phi(x - 20) with Phi from :func:`_log_phi`.  g is read only
+    through ``log_value``.  For power g the product g(r) K_g(r) is the
+    constant B(s)/pi.
+    """
+    n = max(int(math.ceil((log_hi - log_lo) / TABLE_STEP)) + 1, 4)
+    grid = log_lo + TABLE_STEP * np.arange(n)
+    lg = np.asarray(g.log_value(grid), dtype=float)
+    x, w = _gl(_CORE_ORDER)
+    core = np.zeros(n)
+    # one panel at a time keeps the working arrays at n x order
+    for lo, hi in zip(_CORE_EDGES, _CORE_EDGES[1:]):
+        t = lo + (hi - lo) * x
+        log_sin = np.log(np.sin(np.exp(t)))
+        vals = np.exp(lg[:, None] + t - g.log_value(grid[:, None] + log_sin))
+        core += vals @ ((hi - lo) * w)
+    # tail: e**-x Phi(x - 20) on the grid shifted down by the core's edge
+    tail = np.exp(lg - grid + _log_phi(g, log_lo + _CORE_EDGES[0], n))
+    return grid, math.log(2.0 / math.pi) + np.log(core + tail)
+
+
+def kernel_lookup(grid: np.ndarray, table: np.ndarray, x) -> np.ndarray:
+    """Cubic Lagrange interpolation of a table on the uniform grid of
+    :func:`angle_kernel_table` at log radii x inside it.  Linear
+    interpolation of log(g K_g) would be off by up to 6e-5 near r_0, where
+    log-type factors of g bend it; the four-node stencil keeps it near 1e-7.
+    """
+    pos = (np.asarray(x, dtype=float) - grid[0]) / TABLE_STEP
+    i = np.clip(pos.astype(np.intp) - 1, 0, len(table) - 4)
+    f = pos - i
+    a, b, c = f - 1.0, f - 2.0, f - 3.0
+    return (f * (3.0 * b * c * table[i + 1] - 3.0 * a * c * table[i + 2]
+                 + a * b * table[i + 3]) - a * b * c * table[i]) / 6.0
+
+
 @dataclass(frozen=True)
 class AveragedProjection:
-    """Grid average of projected energies against its theoretical budget."""
+    """Angle average of the projected g-energies, by the exact angle
+    kernel, against its theoretical budget.
+
+    ``average`` is int_0^pi I_g(pi_theta mu) dtheta estimated from
+    stratified pairs, with ``stderr`` sqrt(sum_k (p_k stderr_k)**2) over
+    the strata (times pi); ``bound`` is kernel / kappa times
+    ``planar_energy``.  ``transfer_max`` is the largest g(r) K_g(r) on the
+    kernel table and ``transfer_bound`` the doubling fit's per-distance
+    budget B(s) / (pi kappa) for it.
+    """
 
     average: float
+    stderr: float
     bound: float
     planar_energy: float
     kernel: float
     kappa: float
     s: float
     pairs_used: int
+    transfer_max: float
+    transfer_bound: float
 
     @property
     def ratio(self) -> float:
@@ -283,42 +386,42 @@ class AveragedProjection:
 
 
 def averaged_projected_energy(m: NaturalMeasure, g: GaugeFunction,
-                              theta_grid: int = 64, pairs: int = 100_000,
+                              pairs: int = 100_000,
                               seed: int = 0) -> AveragedProjection:
     """Angle average of the projected energies against kappa**-1 B(s) I_g.
 
-    One batch of divergence-level pairs (:func:`divergence_pairs`) is
-    shared across the whole midpoint angle grid, so the per-pair inequality
-    (the projected distance shrinks by |cos| of the angle to the pair
-    direction) transfers directly to the sums.  Level k's pairs weigh p_k
-    over their count, as in ``mc_energy``.  Requires g doubling with
-    fitted exponent below 1.
+    By Fubini, int_0^pi I_g(pi_theta mu) dtheta = pi int int K_g(|x - y|)
+    dmu dmu with the angle kernel K_g of :func:`angle_kernel_table`,
+    tabulated once over [r_K e**-3, 2 r_0] and interpolated in log r by
+    :func:`kernel_lookup`.  Each divergence-level pair
+    (:func:`divergence_pairs`) weighs 1/g(d), the planar energy's term,
+    times the table's g(d) K_g(d); level k's pairs weigh p_k over their
+    count, as in ``mc_energy``.  Requires g doubling with fitted exponent
+    below 1.
     """
     fit = g.doubling
     if fit.s >= 1.0:
         raise GaugeError(f"fitted doubling exponent {fit.s:.3f} >= 1")
     kernel = angle_kernel_integral(fit.s)
+    h = m.hierarchy
+    grid, log_transfer = angle_kernel_table(
+        g, h.log_radius(m.depth) - 3.0, math.log(2.0) + h.log_radius(0))
     rng = np.random.default_rng(seed)
-    thetas = (np.arange(theta_grid) + 0.5) * math.pi / theta_grid
-    planar = acc = 0.0
-    # one level at a time, so the loop's temporaries stay small enough for
-    # the allocator to reuse; arrays of all the pairs page-faulted per angle
+    planar = average = var = 0.0
     for _, p, dx, dy in divergence_pairs(m, pairs, rng):
         w = p / len(dx)
-        planar += w * float(np.sum(g.reciprocal(np.hypot(dx, dy))))
-        # projected distances |dx cos + dy sin| go through two reused buffers
-        pd, tmp = np.empty_like(dx), np.empty_like(dx)
-        for theta in thetas:
-            np.multiply(dx, math.cos(theta), out=pd)
-            np.multiply(dy, math.sin(theta), out=tmp)
-            np.add(pd, tmp, out=pd)
-            np.abs(pd, out=pd)
-            np.maximum(pd, 1e-300, out=pd)
-            acc += w * float(np.sum(g.reciprocal(pd)))
-    average = math.pi * acc / theta_grid
+        d = np.hypot(dx, dy)
+        inv = g.reciprocal(d)
+        planar += w * float(np.sum(inv))
+        inv *= np.exp(kernel_lookup(grid, log_transfer, np.log(d)))
+        mean, stderr = _mean_stderr(inv)
+        average += p * mean
+        var += (p * stderr) ** 2
     bound = kernel / fit.kappa * planar
-    return AveragedProjection(average, bound, planar, kernel, fit.kappa,
-                              fit.s, pairs)
+    return AveragedProjection(
+        math.pi * average, math.pi * math.sqrt(var), bound, planar, kernel,
+        fit.kappa, fit.s, pairs, float(np.exp(log_transfer.max())),
+        kernel / (math.pi * fit.kappa))
 
 
 # ---------------------------------------------------------------------------

@@ -125,8 +125,7 @@ def test_criterion_5_energy_suite(hierarchies):
         se = float(np.std(pots, ddof=1) / math.sqrt(len(pots)))
         assert abs(avg - energy.mean) <= 3.0 * math.hypot(se, energy.stderr)
 
-        ape = averaged_projected_energy(m4, g, theta_grid=64, pairs=100_000,
-                                        seed=17)
+        ape = averaged_projected_energy(m4, g, pairs=100_000, seed=17)
         assert ape.average <= ape.bound * 1.05
 
 

@@ -15,6 +15,8 @@ from gaugeproj import (BranchingPlan, DiscCapExceeded, GaugeError, IntervalCover
                        project_disc_cover, project_hierarchy, qualifying_levels,
                        sweep_directions, sweep_partner, tabulated)
 
+from gaugeproj.projection import TABLE_STEP, angle_kernel_table, kernel_lookup
+
 from conftest import schedule_from_radii
 
 
@@ -518,8 +520,7 @@ def test_angle_kernel_matches_adaptive_quadrature(s):
 
 def test_averaged_projected_energy_bound(h05_depth5):
     m = NaturalMeasure(h05_depth5, 4)
-    ape = averaged_projected_energy(m, power(0.25), theta_grid=64,
-                                    pairs=100_000, seed=17)
+    ape = averaged_projected_energy(m, power(0.25), pairs=100_000, seed=17)
     assert ape.s == pytest.approx(0.25, abs=1e-9)
     assert ape.kappa == 1.0
     assert ape.average <= ape.bound * 1.05
@@ -530,21 +531,20 @@ def test_averaged_projected_energy_two_atom_oracle():
     h = build_hierarchy(power(0.5), sched, BranchingPlan(math.sqrt(0.5), (2,)),
                         theta=[0.0])
     m = NaturalMeasure(h, 1)  # atoms at (+-0.25, 0), distance 0.5
-    ape = averaged_projected_energy(m, power(0.5), theta_grid=4096,
-                                    pairs=2000, seed=1)
+    ape = averaged_projected_energy(m, power(0.5), pairs=2000, seed=1)
     d = 0.5
     oracle = quad(lambda t: (d * abs(math.cos(t))) ** -0.5, 0, math.pi,
                   points=[math.pi / 2])[0]
     # the off-diagonal pair mass 2 * (1/2)**2, as in mc_energy
     assert ape.planar_energy == pytest.approx(
         mc_energy(power(0.5), m, 2000, seed=1).mean, rel=1e-12)
-    assert ape.average == pytest.approx(0.5 * oracle, rel=0.01)
+    # every pair sits at distance d, so the kernel average is exact
+    assert ape.average == pytest.approx(0.5 * oracle, rel=1e-12)
 
 
 def test_averaged_projected_energy_flat_limit(h05_depth5):
     m = NaturalMeasure(h05_depth5, 3)
-    ape = averaged_projected_energy(m, power(1e-3), theta_grid=64,
-                                    pairs=20_000, seed=3)
+    ape = averaged_projected_energy(m, power(1e-3), pairs=20_000, seed=3)
     assert ape.average / (math.pi * ape.planar_energy) == pytest.approx(1.0,
                                                                         abs=0.02)
 
@@ -555,9 +555,98 @@ def test_averaged_projected_energy_rejects_steep():
                                        BranchingPlan(math.sqrt(0.5), (2,)),
                                        theta=[0.0]), 1)
     with pytest.raises(GaugeError):
-        averaged_projected_energy(m, power_log(1.2, -0.5, 1.0),
-                                  theta_grid=64, pairs=2000, seed=0)
+        averaged_projected_energy(m, power_log(1.2, -0.5, 1.0), pairs=2000,
+                                  seed=0)
 
+
+# the gauges whose angle kernel has no closed form: the run-matrix partner
+# of power(0.8), a shallow one and a log-type one
+KERNEL_GAUGES = [power_log(0.8, 0.15, 1.0), power_log(0.3, 0.15, 1.0),
+                 log_power(1.0)]
+
+
+def kernel_by_quad(g, log_r: float) -> float:
+    """K_g(r) = (2/pi) int_0^(pi/2) du / g(r sin u) by adaptive quadrature
+    in log u, split into pieces; u < e**-250 adds under e**-50 of the total
+    for the gauges here, whose exponents stay at or below 0.8."""
+    def integrand(t):
+        return math.exp(t - float(g.log_value(log_r + math.log(math.sin(math.exp(t))))))
+    cuts = [-250.0, -100.0, -50.0, -25.0, -10.0, -3.0, 0.0, math.log(math.pi / 2.0)]
+    return 2.0 / math.pi * sum(
+        quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        for lo, hi in zip(cuts, cuts[1:]))
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.8, 0.95])
+def test_angle_kernel_table_matches_power_closed_form(s):
+    # K_g(r) = B(s) r**-s / pi; s = 0.95 leans on the tail's slow decay
+    grid, log_transfer = angle_kernel_table(power(s), -60.0, -1.0)
+    assert grid[0] == -60.0 and grid[-1] >= -1.0
+    kernel = np.exp(log_transfer - s * grid)
+    expected = angle_kernel_integral(s) * np.exp(-s * grid) / math.pi
+    np.testing.assert_allclose(kernel, expected, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("g", KERNEL_GAUGES, ids=lambda g: str(g.to_dict()))
+@pytest.mark.parametrize("log_r", [-55.0, -30.0, -4.0])
+def test_angle_kernel_table_matches_quad(g, log_r):
+    grid, log_transfer = angle_kernel_table(g, log_r, log_r + 1.0)
+    node = math.exp(log_transfer[0] - float(g.log_value(log_r)))
+    assert node == pytest.approx(kernel_by_quad(g, log_r), rel=1e-11)
+
+
+@pytest.mark.parametrize("g", KERNEL_GAUGES, ids=lambda g: str(g.to_dict()))
+def test_kernel_lookup_between_nodes(g):
+    # midway between nodes, up to the top of the run's range (2 r_0 < 0.2)
+    grid, log_transfer = angle_kernel_table(g, -60.0, -1.6)
+    for x in (-55.0 + 0.5 * TABLE_STEP, -30.0 + 0.3 * TABLE_STEP,
+              -4.0 + 0.5 * TABLE_STEP, grid[-2] + 0.5 * TABLE_STEP):
+        got = math.exp(float(kernel_lookup(grid, log_transfer, x))
+                       - float(g.log_value(x)))
+        assert got == pytest.approx(kernel_by_quad(g, x), rel=1e-6)
+
+
+def test_angle_kernel_table_rejects_steep_depths():
+    # log g of slope 10/9 below its knots: int du / g(r sin u) diverges
+    with pytest.raises(GaugeError, match="diverges"):
+        angle_kernel_table(tabulated([(-10.0, -12.0), (-1.0, -2.0)]), -8.0, -2.0)
+def test_averaged_projected_energy_matches_exact_pair_sum():
+    # 20 atoms: the exact Fubini form pi sum_{i != j} m_i m_j K_g(|x_i - x_j|)
+    # with K_g by quadrature at every distinct distance, no table involved
+    f = power(0.3)
+    g = sweep_partner(f)
+    h = build_from_gauge(f, 2)
+    m = NaturalMeasure(h, 2)
+    atoms = h.level_centers(2)
+    n = len(atoms)
+    diff = atoms[:, None, :] - atoms[None, :, :]
+    dist = np.hypot(diff[..., 0], diff[..., 1])[~np.eye(n, dtype=bool)]
+    values, counts = np.unique(dist, return_counts=True)
+    exact = math.pi * sum(c * kernel_by_quad(g, math.log(d))
+                          for d, c in zip(values, counts)) / n ** 2
+    ape = averaged_projected_energy(m, g, pairs=20_000, seed=5)
+    assert ape.stderr > 0.0
+    assert abs(ape.average - exact) <= 3.0 * ape.stderr
+
+
+def test_averaged_projected_energy_unbiased_at_power_08(h08_depth5):
+    # the 64-angle midpoint rule reported average / bound 0.58-0.65 here
+    m = NaturalMeasure(h08_depth5, 5)
+    g = sweep_partner(power(0.8))
+    for seed in range(2, 7):
+        ape = averaged_projected_energy(m, g, pairs=100_000, seed=seed)
+        assert 0.88 <= ape.ratio <= 0.92
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.8])
+def test_averaged_projected_energy_transfer_constant(h05_depth5, s):
+    # power g meets the budget B(s) / (pi kappa) exactly; the partner under it
+    m = NaturalMeasure(h05_depth5, 3)
+    exact = averaged_projected_energy(m, power(s), pairs=2000, seed=0)
+    assert exact.transfer_max == pytest.approx(exact.transfer_bound, rel=1e-13)
+    partner = averaged_projected_energy(m, sweep_partner(power(s)), pairs=2000,
+                                        seed=0)
+    assert partner.transfer_max < partner.transfer_bound
 
 # ---------------------------------------------------------------------------
 # Logarithmic dimension
