@@ -15,9 +15,10 @@ both hold, and the branching counts N_k keep the mass products pinched:
     a <= N_1 ... N_k f(r_k) <= 2a,     a = f(r_0).
 
 Only the per-level local geometry (offsets, direction, log radius) is
-stored.  Absolute centers are materialised lazily, and never for a level
-of more than ``DISC_CAP`` discs, so validation works even when the full
-product of branching counts is astronomically large.
+stored.  Validation reads that geometry alone, level by level, so it
+works even when the full product of branching counts is astronomically
+large; absolute centers are computed only on request, and never for a
+level of more than ``DISC_CAP`` discs.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ LOG_QUARTER = math.log(0.25)
 LOG3 = math.log(3.0)
 
 DISC_CAP = 10 ** 7    # most discs or intervals one array may hold
-PAIRWISE_CAP = 200_000  # levels up to this many discs get the all-pairs check
-_PAIR_CHUNK = 1 << 20   # candidate pairs tested per numpy pass
 
 
 class ScheduleError(GaugeError):
@@ -106,15 +105,12 @@ def derive_radius_schedule(f: GaugeFunction, K: int) -> RadiusSchedule:
         raise ScheduleError(
             f"doubling exponent {fit.s:.4f} exceeds 1; construction needs <= 1")
 
-    ks = np.arange(3, 64, dtype=float)
-    start = 3
-    while float(ks[0] * math.log(ks[0]) * math.log(math.log(ks[0]))) <= 1.0:
-        start += 1
-        ks = ks + 1.0
+    k_lo = 3
+    while k_lo * math.log(k_lo) * math.log(math.log(k_lo)) <= 1.0:
+        k_lo += 1
 
     chunk = 1 << 16
     k_max = 10 ** 6
-    k_lo = start
     while k_lo <= k_max:
         k_hi = min(k_lo + chunk, k_max + K + 1)
         ks = np.arange(k_lo, k_hi + K + 1, dtype=float)
@@ -197,8 +193,8 @@ class DiscHierarchy:
     ``offsets[k]`` holds the signed center offsets of the level-(k+1)
     children along their parent's placement diameter (physical units),
     ``d[k]`` the cumulative placement direction d_{k+1}.  Absolute centers
-    materialise lazily through :meth:`level_centers`, for levels of at
-    most ``DISC_CAP`` discs.
+    are not stored: :meth:`first_paths` and :meth:`level_centers` compute
+    them on request, for levels of at most ``DISC_CAP`` discs.
     """
 
     gauge: GaugeFunction
@@ -256,15 +252,12 @@ class DiscHierarchy:
 
     def level_centers(self, level: int) -> np.ndarray:
         """Absolute centers of all level-`level` discs, lexicographic in
-        path; cached, and capped at ``DISC_CAP`` discs."""
+        path; capped at ``DISC_CAP`` discs."""
         count = self.disc_count(level)
         if count > DISC_CAP:
             raise DiscCapExceeded(
                 f"level {level} holds {count} discs, over the cap of {DISC_CAP}")
-        key = ("centers", level)
-        if key not in self._cache:
-            self._cache[key] = self.first_paths(level, count)
-        return self._cache[key]
+        return self.first_paths(level, count)
 
     def to_dict(self) -> dict:
         """The geometry, with every level's centers when the deepest level
@@ -352,63 +345,22 @@ class HierarchyReport:
         }
 
 
-def _close_pair_count(centers: np.ndarray, thr: float) -> int:
-    """Number of unordered center pairs with dx**2 + dy**2 <= thr**2.
-
-    Centers are bucketed on a square grid, then sorted by cell.  Cells are
-    a little wider than thr, so rounding never puts a pair within thr two
-    cells apart, and at least 2**-30 of the set's extent, so cell keys fit
-    in int64.  A pair within thr
-    lies in one cell or in two neighbouring ones, so each center is tested
-    only against the centers after it in its own cell and in the four
-    forward neighbours (0, 1), (1, -1), (1, 0), (1, 1).  In cell order the
-    first two and the last three are each one contiguous index range; the
-    candidates are counted in chunks, never kept as a pair set.
-    """
-    n = len(centers)
-    if n < 2:
-        return 0
-    x, y = centers[:, 0], centers[:, 1]
-    x0, y0 = x.min(), y.min()
-    span = max(x.max() - x0, y.max() - y0)
-    side = max(thr, span * 2.0 ** -30) * (1.0 + 1e-3) or 1.0
-    cy = np.floor((y - y0) / side).astype(np.int64) + 1  # rows 1 .. ncol - 2
-    ncol = int(cy.max()) + 2
-    key = np.floor((x - x0) / side).astype(np.int64) * ncol + cy
-    order = np.argsort(key, kind="stable")
-    key, xs, ys = key[order], x[order], y[order]
-    start = np.concatenate([np.arange(1, n + 1),
-                            np.searchsorted(key, key + (ncol - 1))])
-    lens = np.concatenate([np.searchsorted(key, key + 2),
-                           np.searchsorted(key, key + (ncol + 2))]) - start
-    owner = np.concatenate([np.arange(n), np.arange(n)])
-    keep = lens > 0
-    start, lens, owner = start[keep], lens[keep], owner[keep]
-    cum = np.cumsum(lens)
-    thr2 = thr * thr
-    count, lo = 0, 0
-    while lo < len(lens):
-        base = cum[lo] - lens[lo]
-        hi = max(int(np.searchsorted(cum, base + _PAIR_CHUNK, side="right")),
-                 lo + 1)
-        ln = lens[lo:hi]
-        i = np.repeat(owner[lo:hi], ln)
-        j = (np.repeat(start[lo:hi] - (cum[lo:hi] - ln - base), ln)
-             + np.arange(cum[hi - 1] - base))
-        dx, dy = xs[i] - xs[j], ys[i] - ys[j]
-        count += int(np.count_nonzero(dx * dx + dy * dy <= thr2))
-        lo = hi
-    return count
-
-
 def validate_hierarchy(h: DiscHierarchy) -> HierarchyReport:
     """Exact per-level verification of every construction inequality.
 
     Margins are log-space slacks where the inequality is multiplicative
-    and relative residuals for the spacing identity.  Levels of at most
-    ``PAIRWISE_CAP`` discs additionally get an independent all-pairs
-    disjointness check on materialised centers: the number of center
-    pairs closer than 2 r_k (1 - 1e-12), counted on a grid, must be 0.
+    and relative residuals for the spacing identity.
+
+    The discs of each level are pairwise disjoint by induction on k, from
+    two premises checked here at every level.  Siblings are disjoint:
+    Eq33 gives gap > r_k > 0, and ``sibling-disjoint`` checks that their
+    centers are more than 2 r_k apart.  Every child lies inside its
+    parent (``child-containment``, up to a relative 1e-12 of rounding,
+    far below the gap > r_{k-1} between the parents).  Two level-k discs
+    with distinct parents then lie in distinct level-(k-1) discs,
+    disjoint by the induction hypothesis; two with the same parent are
+    siblings.  No absolute coordinate is read, so the argument holds at
+    any depth.
     """
     f = h.gauge
     lr = h.schedule.log_r
@@ -455,26 +407,12 @@ def validate_hierarchy(h: DiscHierarchy) -> HierarchyReport:
         m_in = (r_prev * (1.0 + 1e-12) - reach) / r_prev
         rows.append(CheckRow("child-containment", k, m_in >= 0.0, m_in))
 
-        if h.disc_count(k) <= PAIRWISE_CAP:
-            centers = h.level_centers(k)
-            if len(centers) > 1:
-                close = _close_pair_count(centers, 2.0 * r_k * (1.0 - 1e-12))
-                rows.append(CheckRow("level-disjoint", k, close == 0,
-                                     float(close),
-                                     note="all-pairs center distances"))
-
     if h.theta:
         partial = np.cumsum(h.theta)
         monotone = bool(np.all(np.diff(partial) > 0))
         rows.append(CheckRow("angle-partial-sums", h.depth, monotone,
                              float(partial[-1]),
                              note="partial sums of placement increments"))
-        ratios = [math.exp(lr[k + 1] - lr[k]) for k in range(h.depth)]
-        resid = abs(sum(ratios) - float(partial[-1]))
-        default_theta = resid <= 1e-12 * max(float(partial[-1]), 1.0)
-        rows.append(CheckRow("angle-sum", h.depth, True, resid,
-                             note="matches radius ratios" if default_theta
-                             else "custom increments"))
 
     assumptions = (
         f"schedule inequalities verified to depth {h.depth} only; the "

@@ -9,8 +9,7 @@ from gaugeproj import (BranchingError, BranchingPlan, DiscCapExceeded,
                        choose_branching, derive_radius_schedule, power,
                        raw_log_radii, validate_hierarchy)
 from gaugeproj import hierarchy
-from gaugeproj.hierarchy import (DISC_CAP, PAIRWISE_CAP, _close_pair_count,
-                                 branching_interval)
+from gaugeproj.hierarchy import DISC_CAP, branching_interval
 
 from conftest import schedule_from_radii
 
@@ -107,10 +106,11 @@ def test_validate_negative_control_reports_eq23():
     assert not report.passed
     assert {r.check for r in report.rows if not r.passed} >= {
         "Eq23", "sibling-disjoint", "Eq33"}
-    # four radius-0.3 discs 0.467 apart: the three neighbouring pairs overlap
+    # four radius-0.3 discs 0.467 apart: the three neighbouring pairs
+    # overlap, and the induction's premise fails with them
     oracle = _oracle_pairs(h.level_centers(1), 2 * h.radius(1) * (1 - 1e-12))
-    (row,) = report.by_check("level-disjoint")
-    assert not row.passed and row.margin == float(oracle) == 3.0
+    (row,) = report.by_check("sibling-disjoint")
+    assert oracle == 3 and not row.passed
 
 
 def test_margin_table_depth4(h05_depth5):
@@ -154,7 +154,7 @@ def test_disc_cap_guards_materialisation(h08_depth5, monkeypatch):
     assert h08_depth5.disc_count(5) > DISC_CAP
     with pytest.raises(DiscCapExceeded):
         h08_depth5.level_centers(5)
-    # the cap is inclusive, and guards cached levels too
+    # the cap is inclusive
     h = build_from_gauge(power(0.5), 3)
     count = h.disc_count(2)
     monkeypatch.setattr(hierarchy, "DISC_CAP", count)
@@ -186,60 +186,51 @@ def test_hierarchy_serialisation_shape(h05_depth5, h08_depth5):
 
 
 # ---------------------------------------------------------------------------
-# Center pair count behind the level-disjoint check
+# Level disjointness, which the validator derives by induction
 # ---------------------------------------------------------------------------
+
+ORACLE_CAP = 200_000  # levels up to this many discs get the all-pairs oracle
+PER_LEVEL_CHECKS = ("Eq20", "Eq21", "Eq22", "Eq23", "Eq25", "Eq32", "Eq33",
+                    "sibling-disjoint", "child-containment")
+
 
 def _oracle_pairs(centers, r):
     return len(cKDTree(centers).query_pairs(r)) if len(centers) > 1 else 0
 
 
-def test_close_pair_count_small_sets():
-    assert _close_pair_count(np.zeros((0, 2)), 1.0) == 0
-    assert _close_pair_count(np.array([[0.3, 0.4]]), 1.0) == 0
-    dup = np.repeat(np.random.default_rng(2).random((30, 2)), 3, axis=0)
-    assert _close_pair_count(dup, 1e-3) == _oracle_pairs(dup, 1e-3) == 90
-    same = np.full((5, 2), 0.25)
-    assert _close_pair_count(same, 0.0) == _oracle_pairs(same, 0.0) == 10
-
-
-@pytest.mark.parametrize("r", [1 / 999, 0.01, 0.5])
-def test_close_pair_count_vertical_line(r):
-    line = np.column_stack([np.full(1000, 0.3), np.linspace(0.0, 1.0, 1000)])
-    assert _close_pair_count(line, r) == _oracle_pairs(line, r)
-
-
-@pytest.mark.parametrize("step", [-1, 0, 1])
-def test_close_pair_count_at_the_threshold(step):
-    r = 0.1
-    d = {-1: np.nextafter(r, 0.0), 0: r, 1: np.nextafter(r, 1.0)}[step]
-    pts = np.array([[0.0, 0.0], [d, 0.0], [0.5, 0.5], [0.5, 0.5 + d],
-                    [0.2, 0.7], [0.2 + 0.6 * d, 0.7 + 0.8 * d],
-                    [-0.4, 0.1], [-0.4 - d, 0.1]])
-    assert _close_pair_count(pts, r) == _oracle_pairs(pts, r)
-
-
-def test_close_pair_count_random_sets():
-    rng = np.random.default_rng(11)
-    for n, r in ((50, 0.3), (2000, 0.01), (2000, 0.05), (20000, 0.002)):
-        pts = rng.random((n, 2))
-        assert _close_pair_count(pts, r) == _oracle_pairs(pts, r)
-    cluster = rng.random((3000, 2)) * 1e-3 + 0.7
-    assert _close_pair_count(cluster, 1e-4) == _oracle_pairs(cluster, 1e-4)
-
-
 @pytest.mark.parametrize("fixture", ["h03_depth5", "h05_depth5", "h08_depth5"])
-def test_close_pair_count_matches_kdtree_on_levels(fixture, request):
+def test_levels_disjoint_by_induction(fixture, request):
     h = request.getfixturevalue(fixture)
+    report = validate_hierarchy(h)
     levels = [k for k in range(1, h.depth + 1)
-              if h.disc_count(k) <= PAIRWISE_CAP]
+              if h.disc_count(k) <= ORACLE_CAP]
     assert levels
     for k in levels:
+        # the premises hold at every level up to k ...
+        premises = [r for r in report.rows if r.level <= k and r.check in
+                    ("sibling-disjoint", "child-containment")]
+        assert len(premises) == 2 * k and all(r.passed for r in premises)
+        # ... and so does the conclusion, on every pair of level-k discs
         centers = h.level_centers(k)
+        assert _oracle_pairs(centers, 2 * h.radius(k) * (1 - 1e-12)) == 0
+        # at a threshold taking in neighbouring siblings the oracle sees pairs
         spacing = float(h.offsets(k)[1] - h.offsets(k)[0])
-        # the check's threshold, and one that takes in neighbouring siblings
-        for thr in (2 * h.radius(k) * (1 - 1e-12), 1.5 * spacing):
-            assert _close_pair_count(centers, thr) == _oracle_pairs(centers, thr)
         assert _oracle_pairs(centers, 1.5 * spacing) > 0
+
+
+def test_validator_row_set(h03_depth5, h05_depth5, h08_depth5):
+    # the same rows at every level whatever its disc count, the level-5
+    # discs of power(0.8) being far over DISC_CAP
+    for h in (h03_depth5, h05_depth5, h08_depth5):
+        rows = validate_hierarchy(h).rows
+        for k in range(1, h.depth + 1):
+            got = sorted(r.check for r in rows
+                         if r.level == k and r.check in PER_LEVEL_CHECKS)
+            assert got == sorted(PER_LEVEL_CHECKS)
+        rest = [(r.check, r.level) for r in rows
+                if r.check not in PER_LEVEL_CHECKS]
+        assert rest == [("angle-partial-sums", h.depth)]
+        assert len(rows) == len(PER_LEVEL_CHECKS) * h.depth + 1
 
 
 @pytest.mark.parametrize("fixture", ["h03_depth5", "h05_depth5", "h08_depth5"])
