@@ -15,6 +15,9 @@ sampling for large ones.  The natural measure's pairs are drawn level by
 level: two atoms first diverge at level k with probability p_k, and their
 difference is built from the offsets of level k and below only, so no
 pair coincides and no pair difference loses digits to the root frame.
+Each level contributes one uniform draw from its ordered-pair step table,
+the differences of its children's offsets along its direction: among the
+pairs of distinct children at level k, among all pairs below it.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import hierarchy
 from .gauges import GaugeFunction, GaugeError
 from .hierarchy import DiscHierarchy, DiscCapExceeded
 
@@ -311,35 +315,59 @@ def discrete_energy(f: GaugeFunction, points, masses=None) -> float:
     return math.inf if coincident else total
 
 
+def _step_table(h: DiscHierarchy, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """The level's ordered-pair step table, capped at ``DISC_CAP`` entries:
+    the x and y parts of (off[i] - off[j]) * e for all N**2 ordered pairs
+    of children (i, j), at q = u * N + i with j = (i + u) mod N.  The N
+    pairs i == j come first (u = 0), so the table past them, q >= N, holds
+    each of the N (N - 1) pairs i != j once."""
+    off = h.offsets(level)
+    n = len(off)
+    if n * n > hierarchy.DISC_CAP:
+        raise DiscCapExceeded(f"level {level}'s step table holds {n * n} "
+                              f"entries, over the cap of {hierarchy.DISC_CAP}")
+    # row u of the window holds off[(i + u) mod N] for i = 0 .. N - 1
+    shifted = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate((off, off[:-1])), n)
+    step = np.subtract(off, shifted).ravel()
+    ex, ey = h.direction(level)
+    return step * ex, step * ey
+
+
 def divergence_pairs(m: NaturalMeasure, pairs: int, rng: np.random.Generator):
     """Atom pairs of m drawn level by level.  Yields, for k = 1 .. depth,
     (k, p_k, dx, dy): the probability p_k = (1 - 1/N_k) / (N_1 ... N_{k-1})
     that two independent atoms first diverge at level k, and the
     differences of pairs // depth such pairs (the remainder goes to the
-    first levels).  A pair takes children i and j = (i + U{1..N_k - 1}) mod
-    N_k at level k and independent paths below it; its difference sums
-    per-level offsets from level k down, never absolute coordinates.
+    first levels).  A pair makes one uniform draw per level from that
+    level's ordered-pair step table (:func:`_step_table`): at level k among
+    its N_k (N_k - 1) entries with children i != j, below it among all
+    N_l**2 entries, so its children there are independent.  This is the law
+    of children i and j = (i + U{1..N_k - 1}) mod N_k at level k and
+    independent paths below.  The difference sums the drawn steps from
+    level k down, never absolute coordinates.
     """
     h = m.hierarchy
     share, extra = divmod(pairs, m.depth)
     if share < 2:
         raise GaugeError("energy draws need at least two pairs per level")
+    tables = [_step_table(h, level) for level in range(1, m.depth + 1)]
     for k in range(1, m.depth + 1):
         n = share + (k <= extra)
         count = h.counts[k - 1]
-        i = rng.integers(0, count, size=n)
-        j = (i + rng.integers(1, count, size=n)) % count
-        off = h.offsets(k)
-        step = off[i] - off[j]
-        ex, ey = h.direction(k)
-        dx, dy = step * ex, step * ey
-        for level in range(k + 1, m.depth + 1):
-            off = h.offsets(level)
-            a, b = rng.integers(0, len(off), size=(2, n))
-            step = off[a] - off[b]
-            ex, ey = h.direction(level)
-            dx += step * ex
-            dy += step * ey
+        tx, ty = tables[k - 1]
+        q = rng.integers(count, len(tx), size=n)  # past the pairs i == j
+        # One block per stratum, gathered into in place, so a level
+        # allocates nothing but its draws: fewer, larger allocations cut
+        # the page faults of a run.  The indices are in range, so "clip"
+        # changes none; it spares take a buffered copy of ``out``.
+        dx, dy, step = np.empty((3, n))
+        tx.take(q, out=dx, mode="clip")
+        ty.take(q, out=dy, mode="clip")
+        for tx, ty in tables[k:]:
+            q = rng.integers(0, len(tx), size=n)
+            dx += tx.take(q, out=step, mode="clip")
+            dy += ty.take(q, out=step, mode="clip")
         yield k, (1.0 - 1.0 / count) / h.disc_count(k - 1), dx, dy
 
 
@@ -374,8 +402,9 @@ def mc_energy(f: GaugeFunction, m: NaturalMeasure, pairs: int,
     """Monte Carlo estimate of the natural measure's energy for gauge f:
     sum_k p_k mean_k over the levels of :func:`divergence_pairs`, the
     off-diagonal double sum :func:`discrete_energy` computes on the atoms,
-    with stderr sqrt(sum_k p_k**2 stderr_k**2).  No pair coincides, so
-    ``collisions_rejected`` is 0."""
+    with stderr sqrt(sum_k p_k**2 stderr_k**2).  A pair costs one uniform
+    draw per level from that level's ordered-pair step table.  No pair
+    coincides, so ``collisions_rejected`` is 0."""
     if pairs < 10 ** 3:
         raise GaugeError("use at least 1000 pairs")
     rng = np.random.default_rng(seed)

@@ -394,10 +394,11 @@ def averaged_projected_energy(m: NaturalMeasure, g: GaugeFunction,
     dmu dmu with the angle kernel K_g of :func:`angle_kernel_table`,
     tabulated once over [r_K e**-3, 2 r_0] and interpolated in log r by
     :func:`kernel_lookup`.  Each divergence-level pair
-    (:func:`divergence_pairs`) weighs 1/g(d), the planar energy's term,
-    times the table's g(d) K_g(d); level k's pairs weigh p_k over their
-    count, as in ``mc_energy``.  Requires g doubling with fitted exponent
-    below 1.
+    (:func:`divergence_pairs`, one uniform draw per level from that
+    level's ordered-pair step table) weighs 1/g(d), the planar energy's
+    term, times the table's g(d) K_g(d); level k's pairs weigh p_k over
+    their count, as in ``mc_energy``.  Requires g doubling with fitted
+    exponent below 1.
     """
     fit = g.doubling
     if fit.s >= 1.0:

@@ -7,8 +7,8 @@ import pytest
 from gaugeproj import (GaugeError, NaturalMeasure, BranchingPlan,
                        DiscCapExceeded, FrostmanScan, ball_mass, ball_masses,
                        build_from_gauge, build_hierarchy, discrete_energy,
-                       frostman_scan, mc_energy, mc_energy_atoms, measure,
-                       potential, power, power_log, sweep_partner)
+                       frostman_scan, hierarchy, mc_energy, mc_energy_atoms,
+                       measure, potential, power, power_log, sweep_partner)
 from gaugeproj.pipeline import energy_payload
 
 from conftest import schedule_from_radii
@@ -528,24 +528,27 @@ def test_mc_energy_rejects_tiny_budget(m4):
 
 def reference_divergence_energy(f, m, pairs, seed):
     """mc_energy written out: per level k, pairs // depth pairs (one more
-    on the first pairs % depth levels) take children i != j at k and
-    independent children below; the differences accumulate as 2-d offset
-    x direction outer products."""
+    on the first pairs % depth levels) draw q = u * N + i, u >= 1, once at
+    level k for children i and j = (i + u) mod N_k, then q = u * N + a once
+    at each level below for children a and b = (a + u) mod N, u >= 0; the
+    differences accumulate as 2-d offset x direction outer products."""
     h = m.hierarchy
     rng = np.random.default_rng(seed)
     levels = []
     for k in range(1, m.depth + 1):
         n = pairs // m.depth + (k <= pairs % m.depth)
         count = h.counts[k - 1]
-        i = rng.integers(0, count, size=n)
-        j = (i + rng.integers(1, count, size=n)) % count
+        u, i = np.divmod(rng.integers(count, count * count, size=n), count)
+        j = (i + u) % count
         diff = (h.offsets(k)[i] - h.offsets(k)[j])[:, None] * h.direction(k)
         for level in range(k + 1, m.depth + 1):
-            a, b = rng.integers(0, h.counts[level - 1], size=(2, n))
+            count = h.counts[level - 1]
+            u, a = np.divmod(rng.integers(0, count * count, size=n), count)
+            b = (a + u) % count
             off = h.offsets(level)
             diff += (off[a] - off[b])[:, None] * h.direction(level)
         vals = f.reciprocal(np.hypot(diff[:, 0], diff[:, 1]))
-        p = (1.0 - 1.0 / count) / math.prod(h.counts[:k - 1])
+        p = (1.0 - 1.0 / h.counts[k - 1]) / math.prod(h.counts[:k - 1])
         levels.append((k, p, n, float(vals.mean()),
                        float(vals.std(ddof=1) / math.sqrt(n))))
     return levels
@@ -562,6 +565,79 @@ def test_mc_energy_keeps_its_draw_order(h05_depth5, h08_depth5):
         assert est.stderr == math.sqrt(
             sum((p * se) ** 2 for _, p, _, _, se in levels))
         assert est.pairs_used == pairs and est.collisions_rejected == 0
+
+
+@pytest.mark.parametrize("fixture", ["h05_depth5", "h08_depth5"])
+def test_step_table_lists_each_ordered_pair_once(fixture, request):
+    h = request.getfixturevalue(fixture)
+    for level in range(1, h.depth + 1):
+        count, off = h.counts[level - 1], h.offsets(level)
+        tx, ty = measure._step_table(h, level)
+        assert len(tx) == len(ty) == count * count
+        # decode every q: u, i = divmod(q, N), j = (i + u) mod N
+        u, i = np.divmod(np.arange(count * count), count)
+        j = (i + u) % count
+        assert np.unique(i * count + j).size == count * count
+        # past the first N entries, the N (N - 1) pairs i != j, once each
+        assert (i[:count] == j[:count]).all()
+        assert (i[count:] != j[count:]).all()
+        ex, ey = h.direction(level)
+        assert tx.tobytes() == ((off[i] - off[j]) * ex).tobytes()
+        assert ty.tobytes() == ((off[i] - off[j]) * ey).tobytes()
+
+
+class CountingRng:
+    """A Generator that records the (low, high, size) of each integers call."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), []
+
+    def integers(self, low, high, size):
+        self.calls.append((low, high, size))
+        return self.rng.integers(low, high, size=size)
+
+
+def test_divergence_pairs_draws_once_per_level(h08_depth5):
+    m, counts = NaturalMeasure(h08_depth5, 5), h08_depth5.counts
+    rng = CountingRng(4)
+    strata = measure.divergence_pairs(m, 20_003, rng)
+    sizes = [len(dx) for _, _, dx, _ in strata]
+    assert sizes == [4001, 4001, 4001, 4000, 4000]
+    assert rng.calls == [
+        (counts[k - 1] if level == k else 0, counts[level - 1] ** 2, n)
+        for k, n in enumerate(sizes, 1) for level in range(k, 6)]
+
+
+def test_step_tables_respect_the_disc_cap(h05_depth5, monkeypatch):
+    m, g = NaturalMeasure(h05_depth5, 5), sweep_partner(h05_depth5.gauge)
+    widest = max(h05_depth5.counts) ** 2
+    monkeypatch.setattr(hierarchy, "DISC_CAP", widest)
+    assert mc_energy(g, m, 2000, seed=1).pairs_used == 2000
+    monkeypatch.setattr(hierarchy, "DISC_CAP", widest - 1)
+    with pytest.raises(DiscCapExceeded, match="step table"):
+        mc_energy(g, m, 2000, seed=1)
+
+
+@pytest.mark.parametrize("fixture", ["h03_depth5", "h05_depth5"])
+def test_mc_energy_strata_match_their_exact_means(fixture, request):
+    # depth 2: every ordered atom pair enumerated, at most 81 * 72 per stratum
+    h = request.getfixturevalue(fixture)
+    g = sweep_partner(h.gauge)
+    # lexicographic in path: atom u has level-1 child u // N_2
+    atoms = h.level_centers(2)
+    n = len(atoms)
+    u, v = np.divmod(np.arange(n * n), n)
+    distinct = u != v
+    u, v = u[distinct], v[distinct]
+    level = np.where(u // h.counts[1] != v // h.counts[1], 1, 2)
+    vals = g.reciprocal(np.linalg.norm(atoms[u] - atoms[v], axis=1))
+    est = mc_energy(g, NaturalMeasure(h, 2), 200_000, seed=1)
+    assert [lv.level for lv in est.levels] == [1, 2]
+    for lv in est.levels:
+        stratum = level == lv.level
+        assert lv.p == pytest.approx(stratum.sum() / n ** 2, rel=1e-12)
+        assert lv.stderr > 0.0
+        assert abs(lv.mean - vals[stratum].mean()) <= 4 * lv.stderr
 
 
 @pytest.mark.parametrize("fixture,depth", [("h05_depth5", 3), ("h08_depth5", 2)])
