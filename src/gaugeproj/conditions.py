@@ -15,6 +15,14 @@ block exponents, geometric decay maps far below, and the critical 1/n
 family lands exactly at zero.  The thresholds (finite at or below -0.1,
 divergent at or above -0.02) are artifact decisions and are carried in
 every verdict's diagnostics.
+
+The kernels keep their working sets in cache.  Shell quadrature evaluates
+its integrand ``BLOCK_NODES`` nodes at a time into one array of all node
+values, then takes every shell's weighted sum in one product.  The tail
+classifier reads all its base-2 block sums from one log-sum-exp over a
+-inf-padded array, and the tail continuation evaluates its panels in at
+most four growing stages.  Each node gets the float operations of one
+call on all of them, so the verdicts do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -37,6 +45,14 @@ FINITE_BELOW = -0.1    # block decay exponent at or under this: summable
 DIVERGENT_ABOVE = -0.02  # at or over this: bounded-below or growing blocks
 
 SHELLS = 2048  # dyadic shells [2**-(n+1), 2**-n], n < SHELLS, in every shell sum
+
+# Nodes per working array of the block-wise kernels (shell quadrature here,
+# deep octaves in diophantine): each float64 temporary is 48 KiB, so it
+# stays L2-resident and under glibc's 128 KiB mmap threshold.  A
+# classify_series call on all 16 373 x 24 deep-octave nodes at once took
+# about 6 200 page faults and 39 ms; in blocks of 256 rows, 470 faults
+# (from the padded tail classifier) and 24 ms.
+BLOCK_NODES = 256 * 24
 
 
 @dataclass(frozen=True)
@@ -66,19 +82,30 @@ def _logsumexp(a, axis=None):
     bit for bit: every entry equal to the maximum is split off the shifted
     sum s, the result is log1p(s / m) + log(m) + max for m maximal entries,
     and where that is not finite (all entries -inf, an inf or a NaN) it is
-    the direct log(sum(exp(a))).
+    the direct log(sum(exp(a))), computed for those slices only.  Every
+    slice's value depends on that slice alone.
     """
     a = np.asarray(a, dtype=float)
     with np.errstate(all="ignore"):
         a_max = np.max(a, axis=axis, keepdims=True)
         at_max = a == a_max
         m = np.sum(at_max, axis=axis, keepdims=True, dtype=float)
-        s = np.sum(np.exp(np.where(at_max, -np.inf, a) - a_max), axis=axis,
-                   keepdims=True)
-        out = np.log1p(s / m) + np.log(m) + a_max
-        direct = np.log(np.sum(np.exp(a), axis=axis, keepdims=True))
-    out = np.squeeze(np.where(np.isfinite(out), out, direct), axis=axis)
-    return out[()]
+        t = np.where(at_max, -np.inf, a)
+        t -= a_max
+        np.exp(t, out=t)
+        out = np.log1p(np.sum(t, axis=axis, keepdims=True) / m)
+        out += np.log(m)
+        out += a_max
+        bad = ~np.isfinite(out)
+        if bad.any():
+            # the direct form is inf, -inf or NaN, so its summation order
+            # does not matter
+            if axis is None:
+                out[...] = np.log(np.sum(np.exp(a)))
+            else:
+                rows = np.moveaxis(a, axis, -1)[np.moveaxis(bad, axis, -1)[..., 0]]
+                out[bad] = np.log(np.sum(np.exp(rows), axis=-1))
+    return np.squeeze(out, axis=axis)[()]
 
 
 def classify_log_tail(log_terms):
@@ -91,15 +118,16 @@ def classify_log_tail(log_terms):
     above ``DIVERGENT_ABOVE``.
     """
     lt = np.asarray(log_terms, dtype=float)
-    n = len(lt)
-    blocks = []
-    j = 0
-    while 2 ** (j + 1) <= n:
-        blocks.append(_logsumexp(lt[2 ** j:2 ** (j + 1)]))
-        j += 1
-    blocks = np.asarray(blocks)
-    if len(blocks) < 3:
+    n_blocks = len(lt).bit_length() - 1  # blocks [2**j, 2**(j+1)) inside lt
+    if n_blocks < 3:
         return INCONCLUSIVE, math.nan, "too few blocks to classify"
+    # row j holds block j's 2**j terms, then -inf; the rows' True cells of
+    # ``mask`` in row-major order are exactly lt[1:2**n_blocks]
+    width = 2 ** (n_blocks - 1)
+    mask = np.arange(width) < (2 ** np.arange(n_blocks))[:, None]
+    padded = np.full((n_blocks, width), -math.inf)
+    padded[mask] = lt[1:2 ** n_blocks]
+    blocks = _logsumexp(padded, axis=1)
     # only the trailing blocks carry the asymptotics; early ones still feel
     # slowly varying prefactors
     skip = max(len(blocks) - 5, min(2, len(blocks) - 3))
@@ -138,11 +166,18 @@ def _gl(order: int):
 
 
 def _panel_values(fn, lo: np.ndarray, hi: np.ndarray, order: int) -> np.ndarray:
-    """Integral of fn over each [lo_i, hi_i] panel by fixed-order GL."""
+    """Integral of fn over each [lo_i, hi_i] panel by fixed-order GL.
+
+    fn runs on ``BLOCK_NODES // order`` panels at a time; every node gets
+    the same float operations as in one call on all of them.
+    """
     x, w = _gl(order)
     width = hi - lo
-    v = lo[:, None] + width[:, None] * x[None, :]
-    vals = fn(v.ravel()).reshape(v.shape)
+    vals = np.empty((len(lo), order))
+    rows = BLOCK_NODES // order
+    for a in range(0, len(lo), rows):
+        v = lo[a:a + rows, None] + width[a:a + rows, None] * x
+        vals[a:a + rows] = fn(v.ravel()).reshape(v.shape)
     return width * (vals @ w)
 
 
@@ -173,22 +208,32 @@ def _tail_integral(fn, u0: float) -> float:
     """Integral of fn(-u) du over [u0, inf), via u = e**w unit panels.
 
     fn is the same log-radius integrand; u = -log r.  Converges whenever
-    the integrand decays at least like a power of u; at most 200 panels
-    of 16-point quadrature are summed.
+    the integrand decays at least like a power of u; the pieces of at most
+    200 panels of 16-point quadrature are summed in order, up to the first
+    one from the fourth on under 1e-15 of the running total.
+
+    Panels are evaluated in stages ending at panels 4, 16, 64 and 200, one
+    fn call each, until a stage holds the stop.  Most tails stop at the
+    fourth panel; panels far past the stop reach subnormal values, whose
+    arithmetic is slow, or overflow, and none past the stop is read.
     """
-    w0 = math.log(u0)
-    total = 0.0
-    for m in range(200):
-        lo, hi = w0 + m, w0 + m + 1.0
-        x, w = _gl(16)
-        ws = lo + (hi - lo) * x
-        us = np.exp(ws)
-        vals = fn(-us) * us
-        piece = float((hi - lo) * np.dot(vals, w))
-        total += piece
-        if m > 2 and abs(piece) <= 1e-15 * max(abs(total), 1e-300):
-            break
-    return total
+    x, w = _gl(16)
+    lo = math.log(u0) + np.arange(200, dtype=float)
+    hi = lo + 1.0
+    pieces = np.empty(200)
+    for start, stop in ((0, 4), (4, 16), (16, 64), (64, 200)):
+        with np.errstate(all="ignore"):
+            us = np.exp(lo[start:stop, None] + (hi - lo)[start:stop, None] * x)
+            vals = fn(-us.ravel()).reshape(us.shape) * us
+            # row-wise dot products, as np.dot gives them: vals @ w (a
+            # matrix product) may sum a row in another order
+            pieces[start:stop] = (hi - lo)[start:stop] * np.vecdot(vals, w)
+            totals = np.cumsum(pieces[:stop])  # sequential: the running total
+            done = np.abs(pieces[:stop]) <= 1e-15 * np.maximum(np.abs(totals), 1e-300)
+        done[:3] = False
+        if done.any():
+            return float(totals[np.argmax(done)])
+    return float(totals[-1])
 
 
 def _log_of(sums: np.ndarray) -> np.ndarray:

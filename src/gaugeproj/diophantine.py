@@ -5,7 +5,10 @@ approximations at rate psi is decided by the series sum over q of
 q**k f(psi(q)): zero when it converges, full when it diverges (for
 gauges with r**-k f(r) monotone).  Everything here works on the log of
 the terms, so approximation rates as steep as exp(-q**tau) are handled
-at any depth via the log(-log psi) parametrisation.
+at any depth via the log(-log psi) parametrisation.  The deep octaves
+are built and reduced ``conditions.BLOCK_NODES`` quadrature nodes at a
+time, so the default 16 384 blocks never hold all 16 373 x 24 nodes at
+once; each octave's sum depends on its own nodes alone.
 
 The gap report classifies, for the family r**delta * (-log* r / tau)**s,
 where a given s sits relative to the projection theory: small s collapses
@@ -20,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditions import (ConditionVerdict, FINITE, DIVERGENT, _logsumexp,
-                         classify_log_tail, check_integral_condition)
+from .conditions import (BLOCK_NODES, ConditionVerdict, FINITE, DIVERGENT,
+                         _logsumexp, classify_log_tail, check_integral_condition)
 from .gauges import GaugeFunction, GaugeError, power_log, spec_float
 
 LOG2 = math.log(2.0)
@@ -124,7 +127,7 @@ def _octave_log_sums(f: GaugeFunction, psi: ApproxFunction, k: int,
 
     Octaves up to q = 4096 are summed exactly; beyond that the sum is a
     midpoint quadrature of q**k f(psi(q)) dq in log q, which preserves the
-    tail trend the classifier reads.
+    tail trend the classifier reads, over one block of octaves at a time.
     """
     exact_until = min(11, n_blocks)
     out = np.empty(n_blocks)
@@ -132,14 +135,16 @@ def _octave_log_sums(f: GaugeFunction, psi: ApproxFunction, k: int,
         n = i + 1
         lq = np.log(np.arange(2 ** n, 2 ** (n + 1), dtype=float))
         out[i] = _logsumexp(_term_log(f, psi, k, lq))
-    if n_blocks > exact_until:
-        nodes = 24
-        x = (np.arange(nodes) + 0.5) / nodes
-        ns = np.arange(exact_until + 1, n_blocks + 1, dtype=float)
-        lq = (ns[:, None] + x[None, :]) * LOG2
+    nodes = 24
+    x = (np.arange(nodes) + 0.5) / nodes
+    rows = BLOCK_NODES // nodes
+    for a in range(exact_until, n_blocks, rows):
+        ns = np.arange(a + 1, min(a + rows, n_blocks) + 1, dtype=float)
+        lq = (ns[:, None] + x) * LOG2
         terms = _term_log(f, psi, k, lq.ravel()).reshape(lq.shape)
+        terms += lq
         # octave sum ~ integral of e**(term + log q) d log q
-        out[exact_until:] = _logsumexp(terms + lq, axis=1) + math.log(LOG2 / nodes)
+        out[a:a + len(ns)] = _logsumexp(terms, axis=1) + math.log(LOG2 / nodes)
     return out
 
 

@@ -347,13 +347,45 @@ def kernel_lookup(grid: np.ndarray, table: np.ndarray, x) -> np.ndarray:
     :func:`angle_kernel_table` at log radii x inside it.  Linear
     interpolation of log(g K_g) would be off by up to 6e-5 near r_0, where
     log-type factors of g bend it; the four-node stencil keeps it near 1e-7.
+
+    The float operations are those of (f * (3 b c T[i+1] - 3 a c T[i+2]
+    + a b T[i+3]) - a b c T[i]) / 6 with f the offset from node i and a,
+    b, c = f - 1, f - 2, f - 3, evaluated left to right, but in place, so
+    a call allocates eight arrays of the size of x rather than about 20.
     """
-    pos = (np.asarray(x, dtype=float) - grid[0]) / TABLE_STEP
-    i = np.clip(pos.astype(np.intp) - 1, 0, len(table) - 4)
-    f = pos - i
+    shape = np.shape(x)
+    f = np.array(x, dtype=float, ndmin=1)
+    f -= grid[0]
+    f /= TABLE_STEP
+    i = f.astype(np.intp)
+    i -= 1
+    np.clip(i, 0, len(table) - 4, out=i)
+    f -= i
     a, b, c = f - 1.0, f - 2.0, f - 3.0
-    return (f * (3.0 * b * c * table[i + 1] - 3.0 * a * c * table[i + 2]
-                 + a * b * table[i + 3]) - a * b * c * table[i]) / 6.0
+    # node holds T[i + j] for one j at a time, i stepped in place; mode
+    # "clip" only avoids take's buffered copy of out, as i + j is in range
+    node = np.empty_like(f)
+    out = np.multiply(3.0, b)
+    out *= c
+    i += 1
+    out *= np.take(table, i, out=node, mode="clip")
+    term = np.multiply(3.0, a)
+    term *= c
+    i += 1
+    term *= np.take(table, i, out=node, mode="clip")
+    out -= term
+    np.multiply(a, b, out=term)
+    i += 1
+    term *= np.take(table, i, out=node, mode="clip")
+    out += term
+    out *= f
+    np.multiply(a, b, out=term)
+    term *= c
+    i -= 3
+    term *= np.take(table, i, out=node, mode="clip")
+    out -= term
+    out /= 6.0
+    return out.reshape(shape)[()]
 
 
 @dataclass(frozen=True)

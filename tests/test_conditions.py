@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,8 +9,10 @@ from gaugeproj import (DIVERGENT, FINITE, INCONCLUSIVE, GaugeError,
                        check_divergence_of_df_over_g, check_integral_condition,
                        check_length_criterion, check_limit_condition,
                        check_rate_condition, classify_log_tail, log_power,
-                       power, power_log)
-from gaugeproj.conditions import _logsumexp
+                       power, power_log, sweep_partner, tabulated)
+from gaugeproj.conditions import (DIVERGENT_ABOVE, FINITE_BELOW, LOG2, SHELLS,
+                                  _gl, _logsumexp, _panel_values,
+                                  _ratio_integrand, _tail_integral)
 
 TAU = 6.0
 GAP_WITNESS = (power(0.5), power_log(0.5, 0.5, 1.0))
@@ -269,5 +272,144 @@ def test_logsumexp_matches_scipy_along_axis_1():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _logsumexp(a, axis=1)
+        got_t = _logsumexp(a.T, axis=0)
     assert got.shape == (40,)
     assert _bits(got) == _bits(logsumexp(a, axis=1))
+    assert _bits(got_t) == _bits(logsumexp(a.T, axis=0))
+
+
+# ---------------------------------------------------------------------------
+# Block-wise kernels against their whole-array and looped forms
+# ---------------------------------------------------------------------------
+
+def _panel_values_whole(fn, lo, hi, order):
+    # every node in one fn call
+    x, w = _gl(order)
+    width = hi - lo
+    v = lo[:, None] + width[:, None] * x[None, :]
+    vals = fn(v.ravel()).reshape(v.shape)
+    return width * (vals @ w)
+
+
+def _tail_integral_loop(fn, u0):
+    # one fn call and one np.dot per panel, stopping at the first small piece
+    w0 = math.log(u0)
+    total = 0.0
+    for m in range(200):
+        lo, hi = w0 + m, w0 + m + 1.0
+        x, w = _gl(16)
+        us = np.exp(lo + (hi - lo) * x)
+        vals = fn(-us) * us
+        piece = float((hi - lo) * np.dot(vals, w))
+        total += piece
+        if m > 2 and abs(piece) <= 1e-15 * max(abs(total), 1e-300):
+            break
+    return total
+
+
+def _classify_log_tail_loop(log_terms):
+    # one _logsumexp call per base-2 block, then the same fit
+    lt = np.asarray(log_terms, dtype=float)
+    n = len(lt)
+    blocks = []
+    j = 0
+    while 2 ** (j + 1) <= n:
+        blocks.append(_logsumexp(lt[2 ** j:2 ** (j + 1)]))
+        j += 1
+    blocks = np.asarray(blocks)
+    if len(blocks) < 3:
+        return INCONCLUSIVE, math.nan, "too few blocks to classify"
+    skip = max(len(blocks) - 5, min(2, len(blocks) - 3))
+    window = blocks[skip:]
+    peak = blocks.max()
+    if peak == -math.inf or window.max() < peak - 600.0:
+        return FINITE, -math.inf, "tail vanished below working precision"
+    finite_mask = np.isfinite(window)
+    if finite_mask.sum() < 3:
+        return FINITE, -math.inf, "tail vanished below working precision"
+    idx = np.arange(skip, len(blocks), dtype=float)[finite_mask]
+    y = window[finite_mask] / LOG2
+    x0 = idx - idx.mean()
+    lam = float(np.dot(x0, y) / np.dot(x0, x0))
+    detail = (f"block decay exponent {lam:.4f} over trailing {finite_mask.sum()} "
+              f"blocks (finite <= {FINITE_BELOW}, divergent >= {DIVERGENT_ABOVE})")
+    if lam <= FINITE_BELOW:
+        return FINITE, lam, detail
+    if lam >= DIVERGENT_ABOVE:
+        return DIVERGENT, lam, detail
+    return INCONCLUSIVE, lam, detail
+
+
+SHELL_FAMILIES = [power(0.5), log_power(1.5), power_log(0.5, 2.0, 1.0 / TAU),
+                  tabulated([(v, 0.4 * v) for v in (-400.0, -100.0, -10.0, -1.0, 0.0)])]
+SHIFTS = (0.0, -8.0 * LOG2, -512.0 * LOG2)
+
+
+@pytest.mark.parametrize("f", SHELL_FAMILIES, ids=lambda f: f.family)
+@pytest.mark.parametrize("g", [power(0.3), log_power(1.0)], ids=lambda g: g.family)
+def test_blockwise_shell_quadrature_and_tail_are_exact(f, g):
+    edges_hi = -LOG2 * np.arange(SHELLS, dtype=float)
+    edges_lo = edges_hi - LOG2
+    for shift in SHIFTS:
+        fn = _ratio_integrand(f, g, shift)
+        for order in (12, 24):
+            got = _panel_values(fn, edges_lo, edges_hi, order)
+            want = _panel_values_whole(fn, edges_lo, edges_hi, order)
+            assert got.tobytes() == want.tobytes(), (shift, order)
+        with np.errstate(all="ignore"):  # divergent pairs overflow in the tail
+            want = _tail_integral_loop(fn, SHELLS * LOG2)
+        got = _tail_integral(fn, SHELLS * LOG2)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), shift
+
+
+@pytest.mark.parametrize("pieces,total", [
+    ([1.0, 1.0, 1.0, 1e-20, 5.0], 3.0),  # the fourth piece may stop the sum
+    ([1.0, 1.0, 1e-20, 4.0], 6.0),       # the third piece may not
+    ([1.0] * 20 + [1e-20, 5.0], 20.0),   # a stop past the first stages
+    ([1.0] * 200, 200.0),                # no stop: all 200 panels
+])
+def test_tail_integral_stops_at_first_small_piece(pieces, total):
+    # panel m of the tail integral has unit width in log u, so an integrand
+    # of level[m] / u there contributes level[m]
+    w0 = math.log(SHELLS * LOG2)
+    level = np.array(pieces + [0.0] * (200 - len(pieces)))
+
+    def fn(v):
+        u = -np.asarray(v)
+        return level[np.minimum((np.log(u) - w0).astype(int), 199)] / u
+    got = _tail_integral(fn, SHELLS * LOG2)
+    assert got == _tail_integral_loop(fn, SHELLS * LOG2)
+    assert got == pytest.approx(total, rel=1e-14)
+
+
+def test_classify_log_tail_matches_per_block_loop():
+    # padding rows with -inf keeps every block of 8 or more terms bitwise;
+    # the sums of the 1-, 2- and 4-term blocks may pair their terms in
+    # another order, so the exponent may move by a few ulp
+    rng = np.random.default_rng(11)
+    for _ in range(3000):
+        n = int(rng.integers(8, 2049))
+        q = np.arange(1, n + 1, dtype=float)
+        lt = rng.normal(-1.5, 1.0) * np.log(q) + rng.normal(0.0, 2.0, n)
+        if rng.random() < 0.3:
+            lt[rng.random(n) < rng.random()] = -math.inf
+        status, lam, detail = classify_log_tail(lt)
+        want = _classify_log_tail_loop(lt)
+        assert (status, detail) == (want[0], want[2])
+        assert lam == want[1] or abs(lam - want[1]) <= 4 * np.spacing(abs(want[1]))
+
+
+@pytest.mark.parametrize("f,g,limit_mb", [
+    (power(0.5), sweep_partner(power(0.5)), 1.5),
+])
+def test_shell_verdict_working_set(f, g, limit_mb):
+    # the shell quadrature holds its nodes one block at a time; on all
+    # 2048 x 24 nodes at once it peaked at 2.8 MB
+    check_integral_condition(f, g)
+    tracemalloc.start()
+    try:
+        check_integral_condition(f, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mb * 1e6

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from gaugeproj import (GAP_BAND, INFINITE_BAND, ZERO_BAND, ApproxFunction,
                        GaugeError, classify_series, exp_power, gap_report,
                        log_power, parse_approx, power, power_log,
                        power_log_power, tabulated)
-from gaugeproj.diophantine import _term_log
+from gaugeproj.conditions import LOG2, _logsumexp
+from gaugeproj.diophantine import _octave_log_sums, _term_log
 
 
 def pure_power(tau):
@@ -161,3 +163,47 @@ def test_classify_series_block_count():
     assert classify_series(f, psi, 2, 0).verdict.status == "inconclusive"
     with pytest.raises(GaugeError, match="block count"):
         classify_series(f, psi, 2, -5)
+
+
+# ---------------------------------------------------------------------------
+# Block-wise deep octaves
+# ---------------------------------------------------------------------------
+
+def _deep_octaves_whole(f, psi, k, n_blocks):
+    # octaves 12..n_blocks with all their quadrature nodes in one array
+    nodes = 24
+    x = (np.arange(nodes) + 0.5) / nodes
+    ns = np.arange(12, n_blocks + 1, dtype=float)
+    lq = (ns[:, None] + x[None, :]) * LOG2
+    terms = _term_log(f, psi, k, lq.ravel()).reshape(lq.shape)
+    return _logsumexp(terms + lq, axis=1) + math.log(LOG2 / nodes)
+
+
+@pytest.mark.parametrize("f,psi,k", [
+    (log_power(1.1), exp_power(3.0), 2),
+    (log_power(0.5), exp_power(1.0), 1),
+    (power_log(0.75, 1.5, 0.25), power_log_power(4.0), 2),
+    (power_log(1.0, 0.7, 1.0 / 3.0), power_log_power(3.0), 1),
+    (power(0.5), pure_power(5.0), 2),
+])
+def test_deep_octaves_blockwise_are_exact(f, psi, k):
+    # 16 384 blocks fill the last row block only in part
+    got = _octave_log_sums(f, psi, k, 16384)[11:]
+    assert got.tobytes() == _deep_octaves_whole(f, psi, k, 16384).tobytes()
+
+
+@pytest.mark.parametrize("f,psi", [
+    (log_power(1.1), exp_power(3.0)),
+    (power_log(0.75, 1.5, 0.25), power_log_power(4.0)),
+])
+def test_classify_series_working_set(f, psi):
+    # deep octaves are built one row block at a time: on all 16 373 x 24
+    # nodes at once the call peaked at 19-29 MB
+    classify_series(f, psi, 2)
+    tracemalloc.start()
+    try:
+        classify_series(f, psi, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5e6

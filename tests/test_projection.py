@@ -606,6 +606,31 @@ def test_kernel_lookup_between_nodes(g):
         assert got == pytest.approx(kernel_by_quad(g, x), rel=1e-6)
 
 
+def _kernel_lookup_one_expression(grid, table, x):
+    # the interpolation formula as one expression, a temporary per operation
+    pos = (np.asarray(x, dtype=float) - grid[0]) / TABLE_STEP
+    i = np.clip(pos.astype(np.intp) - 1, 0, len(table) - 4)
+    f = pos - i
+    a, b, c = f - 1.0, f - 2.0, f - 3.0
+    return (f * (3.0 * b * c * table[i + 1] - 3.0 * a * c * table[i + 2]
+                 + a * b * table[i + 3]) - a * b * c * table[i]) / 6.0
+
+
+@pytest.mark.parametrize("g", KERNEL_GAUGES, ids=lambda g: str(g.to_dict()))
+def test_kernel_lookup_in_place_is_exact(g):
+    grid, log_transfer = angle_kernel_table(g, -60.0, -1.6)
+    # 20 000 reads over the table, both clipped ends included
+    x = np.random.default_rng(7).uniform(grid[0], grid[-1], 20_000)
+    x[:2] = grid[0], grid[-1]
+    got = kernel_lookup(grid, log_transfer, x)
+    want = _kernel_lookup_one_expression(grid, log_transfer, x)
+    assert got.shape == x.shape and got.tobytes() == want.tobytes()
+    for scalar in (-30.0 + 0.3 * TABLE_STEP, float(grid[-1])):
+        got = kernel_lookup(grid, log_transfer, scalar)
+        want = _kernel_lookup_one_expression(grid, log_transfer, scalar)
+        assert type(got) is type(want) and got.tobytes() == want.tobytes()
+
+
 def test_angle_kernel_table_rejects_steep_depths():
     # log g of slope 10/9 below its knots: int du / g(r sin u) diverges
     with pytest.raises(GaugeError, match="diverges"):
