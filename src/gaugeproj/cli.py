@@ -8,6 +8,7 @@ file; there are no environment variables and no ambient randomness.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -180,8 +181,13 @@ def cmd_run(args) -> int:
     return result.exit_code
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """One subparser per subcommand, each with only the flags it reads."""
+    """One subparser per subcommand, each with only the flags it reads.
+
+    Built once per process and shared by every ``main`` call: parsing
+    fills a fresh namespace each time and changes nothing in the tree.
+    """
     parser = argparse.ArgumentParser(
         prog="gaugeproj",
         description=("gauge-function cover costs, nested-disc constructions "

@@ -35,6 +35,8 @@ LOG_QUARTER = math.log(0.25)
 LOG3 = math.log(3.0)
 
 DISC_CAP = 10 ** 7    # most discs or intervals one array may hold
+FIRST_WINDOW = 64     # starts in the first window of the k1 search
+MAX_WINDOW = 1 << 15  # most starts in one window (256 KiB per float64 array)
 
 
 class ScheduleError(GaugeError):
@@ -97,6 +99,15 @@ def derive_radius_schedule(f: GaugeFunction, K: int) -> RadiusSchedule:
 
     Requires f doubling with fitted exponent <= 1; fails with a diagnostic
     when no shift up to 10**6 works.
+
+    The starts are scanned in growing windows: the first holds
+    ``FIRST_WINDOW`` starts and each later one twice as many, up to
+    ``MAX_WINDOW``.  Each window tests the mass-drop and rate inequalities
+    on its starts and the K levels past its last start, so consecutive
+    windows share K + 1 indices and a run of admissible levels straddling
+    an edge is still found.  The first hit is the least admissible shift,
+    the same result as one scan over every start, and the cost grows with
+    k1 instead of with the 10**6 bound.
     """
     if K < 2:
         raise ScheduleError("need depth K >= 2")
@@ -109,7 +120,7 @@ def derive_radius_schedule(f: GaugeFunction, K: int) -> RadiusSchedule:
     while k_lo * math.log(k_lo) * math.log(math.log(k_lo)) <= 1.0:
         k_lo += 1
 
-    chunk = 1 << 16
+    chunk = FIRST_WINDOW
     k_max = 10 ** 6
     while k_lo <= k_max:
         k_hi = min(k_lo + chunk, k_max + K + 1)
@@ -126,6 +137,7 @@ def derive_radius_schedule(f: GaugeFunction, K: int) -> RadiusSchedule:
             i = int(hits[0])
             return RadiusSchedule(tuple(lv[i:i + K + 1].tolist()), k1=k_lo + i)
         k_lo = k_hi
+        chunk = min(2 * chunk, MAX_WINDOW)
     raise ScheduleError(
         f"no admissible start k1 <= {k_max}: the gauge does not satisfy the "
         "mass-drop and rate inequalities on the raw radius sequence")

@@ -255,7 +255,7 @@ def _sweep(run: _Run):
     run.check("Eq35", len(table.rows), not table.violations(),
               min((r.margin for r in table.rows), default=math.nan),
               f"{len(table.rows)} qualifying rows")
-    bounds = [projection.eq35_bound(h, g, k) for k in range(1, h.depth)]
+    bounds = list(table.bounds)
     steps = [a - b for a, b in zip(bounds, bounds[1:])]
     run.check("Eq36trend", h.depth - 1, all(d > 0 for d in steps),
               min(steps, default=math.nan), "per-level budget sequence")

@@ -206,6 +206,7 @@ class SweepRow:
 @dataclass(frozen=True)
 class SweepTable:
     rows: tuple[SweepRow, ...]
+    bounds: tuple[float, ...]   # eq35_bound at levels 1 .. depth - 1
 
     def violations(self) -> list[SweepRow]:
         return [r for r in self.rows if r.cost > r.bound * (1.0 + 1e-9)]
@@ -224,7 +225,8 @@ def sweep_directions(h: DiscHierarchy, g: GaugeFunction, theta_grid) -> SweepTab
     or explicit finite angles.  Every row is measured: its cost is the
     pattern's cover cost times its count of disjoint copies, so no level is
     too deep to sweep; a merge over the cap raises (see
-    :func:`project_hierarchy`).
+    :func:`project_hierarchy`).  Each level's budget is computed once and
+    kept in ``SweepTable.bounds``, which every row reads.
     """
     if isinstance(theta_grid, bool):
         raise GaugeError("angle grid must be a point count or a sequence of angles")
@@ -237,14 +239,15 @@ def sweep_directions(h: DiscHierarchy, g: GaugeFunction, theta_grid) -> SweepTab
         thetas = [float(t) for t in theta_grid]
         if len(thetas) < 32:
             raise GaugeError("angle grid needs at least 32 points")
+    bounds = tuple(eq35_bound(h, g, k) for k in range(1, h.depth))
     rows: list[SweepRow] = []
     for theta in thetas:
         for k in qualifying_levels(h, theta):
-            bound = eq35_bound(h, g, k)
+            bound = bounds[k - 1]
             pr = project_hierarchy(h, theta, k + 1)
             cost = pr.copies * cover_cost(g, pr.pattern)[0]
             rows.append(SweepRow(theta, k, cost, bound, bound - cost))
-    return SweepTable(tuple(rows))
+    return SweepTable(tuple(rows), bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +8,9 @@ from scipy.spatial import cKDTree
 
 from gaugeproj import (BranchingError, BranchingPlan, DiscCapExceeded,
                        ScheduleError, build_from_gauge, build_hierarchy,
-                       choose_branching, derive_radius_schedule, power,
-                       raw_log_radii, validate_hierarchy)
+                       choose_branching, derive_radius_schedule, log_power,
+                       power, power_log, raw_log_radii, tabulated,
+                       validate_hierarchy)
 from gaugeproj import hierarchy
 from gaugeproj.hierarchy import DISC_CAP, branching_interval
 
@@ -40,6 +43,95 @@ def test_schedule_inequalities_hold_on_window():
         f_lo = f.value(s.radius(k + 1))
         assert f_lo < 0.25 * f_hi
         assert f_lo / s.radius(k + 1) > 3 * f_hi / s.radius(k)
+
+
+@functools.cache
+def _fixed_window_schedule(f, K):
+    """The k1 search as one scan of 65 536-start windows: the reference the
+    growing-window search must match.  Returns (log_r, k1) or the
+    ScheduleError message."""
+    k_lo = 3
+    while k_lo * math.log(k_lo) * math.log(math.log(k_lo)) <= 1.0:
+        k_lo += 1
+    chunk, k_max = 1 << 16, 10 ** 6
+    while k_lo <= k_max:
+        k_hi = min(k_lo + chunk, k_max + K + 1)
+        lv = raw_log_radii(np.arange(k_lo, k_hi + K + 1, dtype=float))
+        lf = np.asarray(f.log_value(lv), dtype=float)
+        ok = ((lf[1:] < lf[:-1] + hierarchy.LOG_QUARTER)
+              & ((lf[1:] - lv[1:]) > hierarchy.LOG3 + (lf[:-1] - lv[:-1])))
+        window = np.convolve(ok.astype(int), np.ones(K, dtype=int), "valid") == K
+        hits = np.nonzero(window)[0]
+        hits = hits[hits + k_lo <= k_max]
+        if len(hits):
+            i = int(hits[0])
+            return tuple(lv[i:i + K + 1].tolist()), k_lo + i
+        k_lo = k_hi
+    return (f"no admissible start k1 <= {k_max}: the gauge does not satisfy "
+            "the mass-drop and rate inequalities on the raw radius sequence")
+
+
+# k1 from 4 to 15 226 (power(0.1)), across all four admissible families
+_SCHEDULE_GAUGES = (
+    [power(s) for s in (0.1, 0.15, 0.2, 0.3, 0.5, 0.75, 0.8, 0.85, 0.9)]
+    + [power_log(0.3, 1.0), power_log(0.8, -1.0), power_log(0.8, 0.5),
+       power_log(0.5, 1.0)]
+    + [tabulated([(-200.0, -100.0), (-50.0, -20.0), (-1.0, -0.6)]),
+       tabulated([(-1000.0, -300.0), (-10.0, -6.0), (-0.5, -0.4)])])
+
+
+def _schedule(f, K):
+    s = derive_radius_schedule(f, K)
+    return s.log_r, s.k1
+
+
+@pytest.mark.parametrize("K", range(2, 11))
+def test_growing_window_search_matches_the_fixed_window_scan(K):
+    for f in _SCHEDULE_GAUGES:
+        assert _schedule(f, K) == _fixed_window_schedule(f, K), (f, K)
+    # a k1 past the first windows is found too
+    assert _schedule(power(0.9), K)[1] == 1254
+    assert _schedule(power(0.1), K)[1] == 15226
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
+def test_growing_window_search_fails_like_the_fixed_window_scan(s):
+    # dimension-zero gauges admit no shift: every start up to 10**6 is read
+    with pytest.raises(ScheduleError) as err:
+        derive_radius_schedule(log_power(s), 3)
+    assert str(err.value) == _fixed_window_schedule(log_power(s), 3)
+
+
+@pytest.mark.parametrize("first", [1, 2, 3])
+def test_tiny_first_windows_find_hits_across_window_edges(first, monkeypatch):
+    monkeypatch.setattr(hierarchy, "FIRST_WINDOW", first)
+    straddles = 0
+    for f in _SCHEDULE_GAUGES:
+        for K in (2, 5, 10):
+            log_r, k1 = _schedule(f, K)
+            assert (log_r, k1) == _fixed_window_schedule(f, K), (f, K, first)
+            # the window edges (each window's last start, where the next
+            # begins) for this first window size
+            edges, k, chunk = [], 4, first
+            while k <= k1 + K:
+                k += chunk
+                edges.append(k)
+                chunk = min(2 * chunk, hierarchy.MAX_WINDOW)
+            straddles += any(k1 < e < k1 + K for e in edges)
+    assert straddles > 0
+
+
+@pytest.mark.parametrize("s", [0.3, 0.5, 0.8])
+def test_schedule_search_allocates_little(s):
+    f = power(s)
+    f.doubling  # the fitted exponent is cached on the gauge; fit it first
+    tracemalloc.start()
+    try:
+        derive_radius_schedule(f, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 1024
 
 
 def test_choose_branching_example():

@@ -170,6 +170,9 @@ def test_sweep_eq35_and_trend(h05_depth5):
     assert table.violations() == []
     bounds = [eq35_bound(h, g, k) for k in range(1, h.depth)]
     assert all(a > b for a, b in zip(bounds, bounds[1:]))
+    # the table keeps each level's budget once, and every row reads it
+    assert table.bounds == tuple(bounds)
+    assert all(r.bound == bounds[r.k - 1] for r in table.rows)
 
 
 def test_qualifying_levels_are_periodic_in_pi(h05_depth5):

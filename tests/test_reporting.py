@@ -14,6 +14,7 @@ import pytest
 import gaugeproj
 from gaugeproj import (ConfigError, GaugeFitError, conditions, gauges,
                        parse_config, power, run_pipeline, sweep_partner)
+from gaugeproj import cli
 from gaugeproj.cli import main as cli_main
 from gaugeproj.hierarchy import (BranchingPlan, RadiusSchedule, build_from_gauge,
                                  build_hierarchy, validate_hierarchy)
@@ -411,6 +412,33 @@ def test_cli_gap_report(tmp_path):
                      "--out", str(tmp_path)])
     assert code == 0
     assert "gap" in (tmp_path / "gap_report.csv").read_text()
+
+
+def test_cli_parser_is_built_once_and_matches_a_fresh_one(capsys):
+    # main parses with one cached parser; each call must still see only its
+    # own flags, so run subcommands in turn against a newly built parser
+    assert cli.build_parser() is cli.build_parser()
+    f = '{"family":"power","s":0.5}'
+    argvs = [
+        ["gap-report", "--delta", "0.5", "--s", "1.5", "--s", "2.5"],
+        ["gauge-check", "--f", f, "--g", '{"family":"power","s":0.25}'],
+        ["gap-report", "--delta", "0.5", "--s", "3.5"],
+        ["construct", "--f", f, "--depth", "3"],
+        ["gap-report", "--delta", "0.5"],
+        ["classify", "--f", '{"family":"logpower","s":1.1}',
+         "--psi", '{"family":"exp_power","tau":3}', "--blocks", "4096"],
+    ]
+    for argv in argvs:
+        fresh = cli.build_parser.__wrapped__().parse_args(argv)
+        assert vars(cli.build_parser().parse_args(argv)) == vars(fresh)
+        code = cli_main(argv)
+        out = capsys.readouterr().out
+        assert (code, out) == (fresh.fn(fresh), capsys.readouterr().out), argv
+    # --s appends start from an empty list on every call
+    parse = cli.build_parser().parse_args
+    assert parse(["gap-report", "--delta", "0.5", "--s", "1.5"]).s == [1.5]
+    assert parse(["gap-report", "--delta", "0.5", "--s", "3.5"]).s == [3.5]
+    assert parse(["gap-report", "--delta", "0.5"]).s is None
 
 
 def test_cli_rejects_bad_config(tmp_path, capsys):
