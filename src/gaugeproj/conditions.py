@@ -19,10 +19,18 @@ every verdict's diagnostics.
 The kernels keep their working sets in cache.  Shell quadrature evaluates
 its integrand ``BLOCK_NODES`` nodes at a time into one array of all node
 values, then takes every shell's weighted sum in one product.  The tail
-classifier reads all its base-2 block sums from one log-sum-exp over a
--inf-padded array, and the tail continuation evaluates its panels in at
-most four growing stages.  Each node gets the float operations of one
-call on all of them, so the verdicts do not depend on the block size.
+classifier reads its base-2 blocks of under 128 terms from one
+log-sum-exp over a -inf-padded array and reduces the larger blocks
+without padding; the tail continuation evaluates its panels in at most
+four growing stages.  The rate condition evaluates f's slowly varying
+part at the shell nodes once for all its scales after the first.  Each
+node gets the float operations of one call on all of them, so the
+verdicts do not depend on the block size.
+
+Every exponential of the kernels goes through ``_exp``, which returns
+numpy's exp bit for bit but does not ask exp for the results it already
+knows, 0 below -746 and exp(-745) at the clip floor: numpy takes 100 or
+more times as long on those entries as on normal ones.
 """
 
 from __future__ import annotations
@@ -70,6 +78,38 @@ class ConditionVerdict:
     diagnostics: str
 
 
+# numpy's float64 exp takes about 1.5 ns per entry on normal results, but
+# 125-220 ns where the result is subnormal (x in about [-745.13, -708.4],
+# the clip floor -745 included) and 17-20 ns where it underflows to 0.
+_EXP_NORMAL_FROM = -708.0  # exp is normal at and above this
+_EXP_ZERO_BELOW = -746.0   # exp rounds to exactly 0 below this
+_EXP_FLOOR = -745.0        # the kernels' clip floor
+_EXP_AT_FLOOR = np.exp(np.full(1, _EXP_FLOOR))[0]  # 5e-324, the least subnormal
+
+
+def _exp(t: np.ndarray, lo: float = -math.inf, hi: float = math.inf) -> np.ndarray:
+    """np.exp(np.clip(t, lo, hi)) bit for bit, in place on t, a fresh
+    float64 array.
+
+    exp runs only where its result is not known beforehand: entries below
+    -746 (-inf included) are exactly 0 and entries at the -745 clip floor
+    are exp(-745); subnormal results in between are still exp's.  Arrays
+    with no entry below -708 take plain np.exp.
+    """
+    if lo > -math.inf:  # np.clip's own steps, without its wrapper
+        np.maximum(t, lo, out=t)
+    if hi < math.inf:
+        np.minimum(t, hi, out=t)
+    if not t.size or t.min() >= _EXP_NORMAL_FROM:
+        return np.exp(t, out=t)
+    zero = t < _EXP_ZERO_BELOW
+    floor = t == _EXP_FLOOR
+    np.exp(t, out=t, where=~(zero | floor))
+    t[zero] = 0.0
+    t[floor] = _EXP_AT_FLOOR
+    return t
+
+
 # ---------------------------------------------------------------------------
 # Tail classification
 # ---------------------------------------------------------------------------
@@ -87,13 +127,14 @@ def _logsumexp(a, axis=None):
     """
     a = np.asarray(a, dtype=float)
     with np.errstate(all="ignore"):
-        a_max = np.max(a, axis=axis, keepdims=True)
+        a_max = a.max(axis=axis, keepdims=True)
         at_max = a == a_max
-        m = np.sum(at_max, axis=axis, keepdims=True, dtype=float)
+        m = at_max.sum(axis=axis, keepdims=True, dtype=float)
         t = np.where(at_max, -np.inf, a)
         t -= a_max
-        np.exp(t, out=t)
-        out = np.log1p(np.sum(t, axis=axis, keepdims=True) / m)
+        out = _exp(t).sum(axis=axis, keepdims=True)
+        out /= m
+        np.log1p(out, out=out)
         out += np.log(m)
         out += a_max
         bad = ~np.isfinite(out)
@@ -106,6 +147,54 @@ def _logsumexp(a, axis=None):
                 rows = np.moveaxis(a, axis, -1)[np.moveaxis(bad, axis, -1)[..., 0]]
                 out[bad] = np.log(np.sum(np.exp(rows), axis=-1))
     return np.squeeze(out, axis=axis)[()]
+
+
+def _block_logsumexp(a: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """_logsumexp of each consecutive block of the 1-d array a, block i
+    holding sizes[i] > 0 entries, bit for bit as the block alone gives it.
+
+    Maxima, counts, shifts and exps run once over all blocks; only the
+    pairwise sums run block by block, each over its own contiguous slice.
+    """
+    if not len(sizes):
+        return np.empty(0)
+    starts = np.cumsum(sizes) - sizes
+    with np.errstate(all="ignore"):
+        a_max = np.maximum.reduceat(a, starts)
+        a_max_each = np.repeat(a_max, sizes)
+        at_max = a == a_max_each
+        m = np.add.reduceat(at_max, starts, dtype=float)
+        t = np.where(at_max, -np.inf, a)
+        t -= a_max_each
+        _exp(t)
+        out = np.array([t[i:i + n].sum() for i, n in zip(starts.tolist(), sizes.tolist())])
+        out /= m
+        np.log1p(out, out=out)
+        out += np.log(m)
+        out += a_max
+        for j in np.flatnonzero(~np.isfinite(out)):
+            out[j] = np.log(np.sum(np.exp(a[starts[j]:starts[j] + sizes[j]])))
+    return out
+
+
+def _base2_block_sums(lt: np.ndarray, n_blocks: int) -> np.ndarray:
+    """log of the sum of each base-2 block lt[2**j:2**(j+1)], j < n_blocks.
+
+    Blocks under 128 terms share one log-sum-exp: row j holds block j's
+    2**j terms, then -inf, and the rows' True cells of ``mask`` in
+    row-major order are exactly lt[1:2**n_small].  Larger blocks are
+    reduced without padding; each sums its terms as its row of one padded
+    array would, since the padding only adds zeros.
+    """
+    n_small = min(n_blocks, 7)
+    width = 2 ** (n_small - 1)
+    mask = np.arange(width) < (2 ** np.arange(n_small))[:, None]
+    padded = np.full((n_small, width), -math.inf)
+    padded[mask] = lt[1:2 ** n_small]
+    return np.concatenate([
+        _logsumexp(padded, axis=1),
+        _block_logsumexp(lt[2 ** n_small:2 ** n_blocks],
+                         2 ** np.arange(n_small, n_blocks))])
 
 
 def classify_log_tail(log_terms):
@@ -121,13 +210,7 @@ def classify_log_tail(log_terms):
     n_blocks = len(lt).bit_length() - 1  # blocks [2**j, 2**(j+1)) inside lt
     if n_blocks < 3:
         return INCONCLUSIVE, math.nan, "too few blocks to classify"
-    # row j holds block j's 2**j terms, then -inf; the rows' True cells of
-    # ``mask`` in row-major order are exactly lt[1:2**n_blocks]
-    width = 2 ** (n_blocks - 1)
-    mask = np.arange(width) < (2 ** np.arange(n_blocks))[:, None]
-    padded = np.full((n_blocks, width), -math.inf)
-    padded[mask] = lt[1:2 ** n_blocks]
-    blocks = _logsumexp(padded, axis=1)
+    blocks = _base2_block_sums(lt, n_blocks)
     # only the trailing blocks carry the asymptotics; early ones still feel
     # slowly varying prefactors
     skip = max(len(blocks) - 5, min(2, len(blocks) - 3))
@@ -165,23 +248,52 @@ def _gl(order: int):
     return _GL_CACHE[order]
 
 
-def _panel_values(fn, lo: np.ndarray, hi: np.ndarray, order: int) -> np.ndarray:
+def _panel_blocks(lo: np.ndarray, hi: np.ndarray, order: int):
+    """The order-point GL nodes of the [lo_i, hi_i] panels,
+    ``BLOCK_NODES // order`` panels at a time: yields the block's first
+    panel and its (panels, order) node array."""
+    x, _ = _gl(order)
+    width = hi - lo
+    rows = BLOCK_NODES // order
+    for a in range(0, len(lo), rows):
+        yield a, lo[a:a + rows, None] + width[a:a + rows, None] * x
+
+
+def _panel_values(fn, lo: np.ndarray, hi: np.ndarray, order: int,
+                  node_data=None) -> np.ndarray:
     """Integral of fn over each [lo_i, hi_i] panel by fixed-order GL.
 
     fn runs on ``BLOCK_NODES // order`` panels at a time; every node gets
-    the same float operations as in one call on all of them.
+    the same float operations as in one call on all of them.  Given
+    ``node_data`` (one value per node, in node order), fn also receives
+    the block's slice of it.
     """
-    x, w = _gl(order)
-    width = hi - lo
+    _, w = _gl(order)
     vals = np.empty((len(lo), order))
-    rows = BLOCK_NODES // order
-    for a in range(0, len(lo), rows):
-        v = lo[a:a + rows, None] + width[a:a + rows, None] * x
-        vals[a:a + rows] = fn(v.ravel()).reshape(v.shape)
-    return width * (vals @ w)
+    for a, v in _panel_blocks(lo, hi, order):
+        extra = () if node_data is None else (node_data[a * order:a * order + v.size],)
+        vals[a:a + len(v)] = fn(v.ravel(), *extra).reshape(v.shape)
+    return (hi - lo) * (vals @ w)
 
 
-def dyadic_shell_sums(fn) -> np.ndarray:
+def _shell_edges():
+    edges_hi = -LOG2 * np.arange(SHELLS, dtype=float)
+    return edges_hi - LOG2, edges_hi
+
+
+def _shell_node_data(fn) -> dict[int, np.ndarray]:
+    """fn on the nodes of the 12- and 24-point passes of
+    dyadic_shell_sums, in node order, ``BLOCK_NODES`` nodes at a time."""
+    edges_lo, edges_hi = _shell_edges()
+    data = {}
+    for order in (12, 24):
+        data[order] = np.empty(len(edges_lo) * order)
+        for a, v in _panel_blocks(edges_lo, edges_hi, order):
+            data[order][a * order:a * order + v.size] = fn(v.ravel())
+    return data
+
+
+def dyadic_shell_sums(fn, node_data=None) -> np.ndarray:
     """Per-shell integrals of fn(log r) d(log r) over [2**-(n+1), 2**-n],
     n < SHELLS.
 
@@ -189,12 +301,14 @@ def dyadic_shell_sums(fn) -> np.ndarray:
     Gauss-Legendre quadrature; shells where the 12-point value disagrees
     beyond 1e-11 (relative to the shell) are re-integrated on four
     subpanels, in one round; that suffices for the piecewise smooth
-    integrands used here.
+    integrands used here.  With ``node_data`` from ``_shell_node_data``,
+    fn takes its values at a block's nodes as a second argument on the
+    12- and 24-point passes; the subpanels get none.
     """
-    edges_hi = -LOG2 * np.arange(SHELLS, dtype=float)
-    edges_lo = edges_hi - LOG2
-    coarse = _panel_values(fn, edges_lo, edges_hi, 12)
-    fine = _panel_values(fn, edges_lo, edges_hi, 24)
+    edges_lo, edges_hi = _shell_edges()
+    data = node_data or {}
+    coarse = _panel_values(fn, edges_lo, edges_hi, 12, data.get(12))
+    fine = _panel_values(fn, edges_lo, edges_hi, 24, data.get(24))
     sums = fine.copy()
     scale = np.maximum(np.abs(fine), 1e-300)
     bad = np.abs(fine - coarse) > 1e-11 * scale
@@ -215,7 +329,9 @@ def _tail_integral(fn, u0: float) -> float:
     Panels are evaluated in stages ending at panels 4, 16, 64 and 200, one
     fn call each, until a stage holds the stop.  Most tails stop at the
     fourth panel; panels far past the stop reach subnormal values, whose
-    arithmetic is slow, or overflow, and none past the stop is read.
+    arithmetic is slow, or overflow, and none past the stop is read.  The
+    nodes u and the shell integrands' values come from ``_exp``, so the
+    integrand's clip floor, which deep panels reach, costs no exp call.
     """
     x, w = _gl(16)
     lo = math.log(u0) + np.arange(200, dtype=float)
@@ -223,7 +339,7 @@ def _tail_integral(fn, u0: float) -> float:
     pieces = np.empty(200)
     for start, stop in ((0, 4), (4, 16), (16, 64), (64, 200)):
         with np.errstate(all="ignore"):
-            us = np.exp(lo[start:stop, None] + (hi - lo)[start:stop, None] * x)
+            us = _exp(lo[start:stop, None] + (hi - lo)[start:stop, None] * x)
             vals = fn(-us.ravel()).reshape(us.shape) * us
             # row-wise dot products, as np.dot gives them: vals @ w (a
             # matrix product) may sum a row in another order
@@ -241,14 +357,14 @@ def _log_of(sums: np.ndarray) -> np.ndarray:
         return np.where(sums > 0, np.log(np.maximum(sums, 1e-320)), -math.inf)
 
 
-def _shell_verdict(fn):
+def _shell_verdict(fn, node_data=None):
     """Dyadic shell sums of fn, their tail class and, when the tail is
     finite, the continuation below 2**-SHELLS and the total.
 
     Returns (sums, status, detail, tail, total); tail and total are None
-    unless the status is finite.
+    unless the status is finite.  ``node_data`` is dyadic_shell_sums'.
     """
-    sums = dyadic_shell_sums(fn)
+    sums = dyadic_shell_sums(fn, node_data)
     status, _, detail = classify_log_tail(_log_of(sums))
     if status != FINITE:
         return sums, status, detail, None, None
@@ -269,18 +385,26 @@ def _ratio_integrand(f: GaugeFunction, g: GaugeFunction, shift: float = 0.0):
 
     ``shift`` is log t; the integral condition reads it at t = 1.  The
     ratio is assembled from the power/slow decomposition of each gauge so
-    that shared power factors cancel exactly.
+    that shared power factors cancel exactly.  The integrand takes f's
+    slowly varying part at its nodes as an optional second argument, for
+    callers that hold it from another shift.
     """
     d_alpha = f.power_part - g.power_part
     g_alpha_shift = g.power_part * shift
 
-    def fn(v):
+    def fn(v, f_slow=None):
         v = np.asarray(v, dtype=float)
-        lr = (d_alpha * v - g_alpha_shift
-              + np.asarray(f.log_value_slow(v))
-              - np.asarray(g.log_value_slow(v + shift)))
-        dl = np.asarray(g.dlog(v + shift), dtype=float)
-        return np.exp(np.clip(lr, -745.0, 700.0)) * dl
+        if f_slow is None:
+            f_slow = f.log_value_slow(v)
+        vs = v + shift
+        # d_alpha * v - g_alpha_shift + f_slow - g_slow(vs), step by step
+        lr = d_alpha * v
+        lr -= g_alpha_shift
+        lr += f_slow
+        lr -= g.log_value_slow(vs)
+        out = _exp(lr, -745.0, 700.0)
+        out *= g.dlog(vs)
+        return out
     return fn
 
 
@@ -337,13 +461,18 @@ def check_rate_condition(f: GaugeFunction, g: GaugeFunction) -> ConditionVerdict
     """
     log_t = [-(8.0 * 2 ** j) * LOG2 for j in range(7)]
     rates = []
+    f_slow = None
     for lt in log_t:
         _, status, detail, _, total = _shell_verdict(
-            _ratio_integrand(f, g, shift=lt))
+            _ratio_integrand(f, g, shift=lt), f_slow)
         if status != FINITE:
             diag = f"scaled integral at log t = {lt:.1f} is {status}: {detail}"
-            return ConditionVerdict(DIVERGENT, None, tuple(rates), diag)
+            return ConditionVerdict(status, None, tuple(rates), diag)
         rates.append(math.exp(g.log_value(lt)) * total)
+        if f_slow is None:
+            # the shell nodes do not move with t: the later scales share
+            # f's slowly varying part there, built once the first is finite
+            f_slow = _shell_node_data(f.log_value_slow)
     w = np.log(-np.asarray(log_t))
     slope = float(np.polyfit(w, np.log(np.maximum(rates, 1e-320)), 1)[0])
     diag = (f"R(t) over {len(rates)} scales, trend slope {slope:.3f} "
@@ -367,7 +496,7 @@ def check_length_criterion(f: GaugeFunction) -> ConditionVerdict:
 
     def fn(v):
         lf = np.asarray(f.log_value(v), dtype=float)
-        return np.exp(np.clip(lf - v, -745.0, 700.0))
+        return _exp(lf - v, -745.0, 700.0)
 
     sums, status, detail, _, value = _shell_verdict(fn)
     note = ("; a.e. projection has positive length predicted"

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditions import (BLOCK_NODES, ConditionVerdict, FINITE, DIVERGENT,
-                         _logsumexp, classify_log_tail, check_integral_condition)
+                         _exp, _logsumexp, classify_log_tail,
+                         check_integral_condition)
 from .gauges import GaugeFunction, GaugeError, power_log, spec_float
 
 LOG2 = math.log(2.0)
@@ -184,7 +185,7 @@ def classify_series(f: GaugeFunction, psi: ApproxFunction, k: int,
     else:
         statement = "series trend inconclusive at this block depth"
     diag = f"{n_blocks} octave blocks; {detail}"
-    block_sums = np.exp(np.minimum(log_blocks, 700.0))
+    block_sums = _exp(np.minimum(log_blocks, 700.0))
     verdict = ConditionVerdict(status, value, tuple(block_sums.tolist()), diag)
     return SeriesVerdict(verdict, statement, fitted)
 

@@ -87,6 +87,11 @@ class GaugeFunction:
         v_m = -self.s / self.delta
         return v_m if v_m < LOG_HALF else math.inf
 
+    @functools.cached_property
+    def _clamp_peak(self) -> float:
+        """log f at the powerlog clamp point, its maximum."""
+        return self.log_value(self._clamp_v)
+
     def log_value(self, log_r):
         """log f(e**log_r), computed without forming e**log_r.
 
@@ -188,22 +193,25 @@ class GaugeFunction:
         Power-type factors honestly underflow to -inf there; log-type
         factors stay linear in w.  Used by the series machinery, where
         -log psi(q) can reach e**(tau * log q).
+
+        Only the families with a power factor form u = -log r = e**w, and
+        they take u = inf past w = 709 without calling exp, which is slow
+        near overflow; logpower reads w alone.
         """
         w = np.asarray(log_u, dtype=float)
-        u = np.exp(np.minimum(w, 709.0))
-        u = np.where(w > 709.0, np.inf, u)
-        v = -u
+        if self.family == "logpower":
+            out = -self.s * np.maximum(w, math.log(LOG2))
+            return out if out.ndim else float(out)
+        big = w > 709.0
+        v = -np.exp(w, out=np.full_like(w, np.inf), where=~big)
         if self.family == "power":
             out = self.s * v
-        elif self.family == "logpower":
-            out = -self.s * np.maximum(w, math.log(LOG2))
         elif self.family == "powerlog":
             wl = np.maximum(w, math.log(LOG2))
             radial = self.delta * v if self.delta else np.zeros_like(v)
             out = radial + self.s * (math.log(self.beta) + wl)
             if math.isfinite(self._clamp_v):
-                peak = self.log_value(self._clamp_v)
-                out = np.where(v >= self._clamp_v, peak, out)
+                out = np.where(v >= self._clamp_v, self._clamp_peak, out)
         else:
             alpha = self.power_part
             knots = np.asarray(self.table, dtype=float)

@@ -10,9 +10,13 @@ from gaugeproj import (DIVERGENT, FINITE, INCONCLUSIVE, GaugeError,
                        check_length_criterion, check_limit_condition,
                        check_rate_condition, classify_log_tail, log_power,
                        power, power_log, sweep_partner, tabulated)
+from gaugeproj import conditions
 from gaugeproj.conditions import (DIVERGENT_ABOVE, FINITE_BELOW, LOG2, SHELLS,
-                                  _gl, _logsumexp, _panel_values,
-                                  _ratio_integrand, _tail_integral)
+                                  _base2_block_sums, _block_logsumexp, _exp,
+                                  _gl, _logsumexp,
+                                  _panel_values, _ratio_integrand,
+                                  _shell_node_data, _tail_integral,
+                                  dyadic_shell_sums)
 
 TAU = 6.0
 GAP_WITNESS = (power(0.5), power_log(0.5, 0.5, 1.0))
@@ -125,6 +129,32 @@ def test_rate_logpower_pair_closed_form():
 
 def test_rate_equal_gauges_diverges():
     assert check_rate_condition(power(0.5), power(0.5)).status == DIVERGENT
+
+
+@pytest.mark.parametrize("s_f", [1.05, 1.06, 1.08])
+def test_rate_inconclusive_scale_is_inconclusive(s_f):
+    # the block exponent 1 - s_f lies in the inconclusive band, at every
+    # scale: the rate verdict may not call that divergent
+    f, g = log_power(s_f), log_power(1.0)
+    assert check_integral_condition(f, g).status == INCONCLUSIVE
+    v = check_rate_condition(f, g)
+    assert v.status == INCONCLUSIVE
+    assert v.value is None and v.shell_sums == ()
+    assert v.diagnostics.startswith(
+        f"scaled integral at log t = {-8 * LOG2:.1f} is inconclusive")
+
+
+def test_rate_builds_f_side_only_after_a_finite_first_scale(monkeypatch):
+    built = []
+
+    def spy(fn):
+        built.append(fn)
+        return _shell_node_data(fn)
+    monkeypatch.setattr(conditions, "_shell_node_data", spy)
+    assert check_rate_condition(power(0.3), power(0.5)).status == DIVERGENT
+    assert built == []
+    assert check_rate_condition(power(0.5), power(0.25)).status == FINITE
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("f,g", [
@@ -399,6 +429,156 @@ def test_classify_log_tail_matches_per_block_loop():
         assert lam == want[1] or abs(lam - want[1]) <= 4 * np.spacing(abs(want[1]))
 
 
+def _log_ratio_reference(f, g, shift, v):
+    v = np.asarray(v, dtype=float)
+    return ((f.power_part - g.power_part) * v - g.power_part * shift
+            + np.asarray(f.log_value_slow(v))
+            - np.asarray(g.log_value_slow(v + shift)))
+
+
+def _ratio_integrand_reference(f, g, shift):
+    # the integrand as one expression, with numpy's exp on every node
+    def fn(v):
+        lr = _log_ratio_reference(f, g, shift, v)
+        dl = np.asarray(g.dlog(np.asarray(v, dtype=float) + shift), dtype=float)
+        return np.exp(np.clip(lr, -745.0, 700.0)) * dl
+    return fn
+
+
+def _rates_reference(f, g):
+    # R(t) at the rate condition's seven scales, each from a fresh integrand
+    rates = []
+    for j in range(7):
+        lt = -(8.0 * 2 ** j) * LOG2
+        fn = _ratio_integrand_reference(f, g, lt)
+        with np.errstate(all="ignore"):
+            total = dyadic_shell_sums(fn).sum() + _tail_integral(fn, SHELLS * LOG2)
+        rates.append(math.exp(g.log_value(lt)) * float(total))
+    return tuple(rates)
+
+
+_SLOPE_09_TABLE = tabulated([(v, 0.9 * v) for v in (
+    -400.0, -200.0, -100.0, -50.0, -20.0, -10.0, -5.0, -2.0, -1.0, 0.0)])
+# pairs whose integrand reaches the -745 clip floor and the subnormal band
+# before it; with g = power(0.6) the floor times dlog g = 0.6 is 5e-324,
+# not 0.  R(t) = s_g / (alpha_f - s_g) at every scale
+UNDERFLOW_PAIRS = [
+    (power(0.9), power(0.25), 0.25 / 0.65),
+    (power(0.95), power(0.6), 0.6 / 0.35),
+    (_SLOPE_09_TABLE, power(0.2), 0.2 / 0.7),
+]
+UNDERFLOW_SHIFTS = [0.0] + [-(8.0 * 2 ** j) * LOG2 for j in range(7)]
+
+
+@pytest.mark.parametrize("f,g,rate", UNDERFLOW_PAIRS, ids=["power", "power-dl06", "table"])
+def test_underflow_shell_sums_and_tails_are_exact(f, g, rate):
+    # every shift puts shell or tail nodes on the clip floor; with g =
+    # power(0.6) the integrand there is the least subnormal
+    u = np.exp(np.linspace(math.log(SHELLS * LOG2), math.log(SHELLS * LOG2) + 200.0, 999))
+    nodes = np.concatenate([-LOG2 * np.arange(SHELLS, dtype=float), -u])
+    f_slow = _shell_node_data(f.log_value_slow)
+    band_seen = False
+    for shift in UNDERFLOW_SHIFTS:
+        fn = _ratio_integrand(f, g, shift)
+        want_fn = _ratio_integrand_reference(f, g, shift)
+        want = dyadic_shell_sums(want_fn)
+        for node_data in (None, f_slow):
+            got = dyadic_shell_sums(fn, node_data)
+            assert got.tobytes() == want.tobytes(), (shift, node_data is None)
+        with np.errstate(all="ignore"):
+            want_tail = _tail_integral(want_fn, SHELLS * LOG2)
+        got_tail = _tail_integral(fn, SHELLS * LOG2)
+        assert np.float64(got_tail).tobytes() == np.float64(want_tail).tobytes(), shift
+        with np.errstate(all="ignore"):
+            lr = _log_ratio_reference(f, g, shift, nodes)
+            at_floor = lr <= -745.0
+            assert at_floor.any(), shift
+            if g.s > 0.5:
+                assert np.all(want_fn(nodes[at_floor]) == 5e-324), shift
+        band_seen = band_seen or bool(np.any((lr > -745.0) & (lr < -708.4)))
+    assert band_seen  # subnormal integrand values, still numpy's exp
+
+
+@pytest.mark.parametrize("f,g,rate", UNDERFLOW_PAIRS, ids=["power", "power-dl06", "table"])
+def test_underflow_rate_values(f, g, rate):
+    v = check_rate_condition(f, g)
+    assert v.status == FINITE
+    assert v.shell_sums == _rates_reference(f, g)
+    assert v.shell_sums == pytest.approx([rate] * 7, rel=1e-14)
+    assert v.value == max(v.shell_sums)
+
+
+_EXP_EDGES = [-math.inf, -1e300, -800.0, -746.0, np.nextafter(-746.0, 0.0),
+              -745.2, -745.1332, np.nextafter(-745.0, -800.0), -745.0,
+              np.nextafter(-745.0, 0.0), -744.0, -720.0, -708.4, -708.0,
+              -1.0, -0.0, 0.0, 1.0, 700.0, 708.0, 709.0, 709.7, 709.79,
+              710.0, 1e300, math.inf, math.nan]
+
+
+@pytest.mark.parametrize("lo,hi", [(-math.inf, math.inf), (-745.0, 700.0),
+                                   (-745.0, math.inf), (-math.inf, 700.0)])
+def test_exp_is_numpy_exp_of_clip(lo, hi):
+    rng = np.random.default_rng(17)
+    grid = np.array(_EXP_EDGES + list(rng.uniform(-760.0, -700.0, 500))
+                    + list(rng.uniform(-50.0, 50.0, 500)))
+    cases = [grid, np.full(64, -745.0), np.full(64, -math.inf), np.full(64, -1.0),
+             np.array([]), grid[:24].reshape(4, 6)]
+    for _ in range(4):
+        cases.append(rng.permutation(grid))
+    for x in cases:
+        with np.errstate(all="ignore"):
+            want = np.exp(np.clip(x, lo, hi))
+            t = x.copy()
+            got = _exp(t, lo, hi)
+        assert got is t
+        assert _bits(got) == _bits(want)
+
+
+def _base2_block_sums_padded(lt, n_blocks):
+    # every base-2 block in one log-sum-exp over a -inf-padded array
+    width = 2 ** (n_blocks - 1)
+    mask = np.arange(width) < (2 ** np.arange(n_blocks))[:, None]
+    padded = np.full((n_blocks, width), -math.inf)
+    padded[mask] = lt[1:2 ** n_blocks]
+    return _logsumexp(padded, axis=1)
+
+
+def test_base2_block_sums_match_one_padded_array():
+    # the blocks of 128 terms or more leave the padded array, bit for bit
+    rng = np.random.default_rng(23)
+    for n in (8, 127, 128, 255, 256, 2047, 2048, 2049, 5000, 16384, 16385):
+        n_blocks = n.bit_length() - 1
+        for r in range(12):
+            q = np.arange(1, n + 1, dtype=float)
+            lt = rng.normal(-1.5, 1.0) * np.log(q) + rng.normal(0.0, 2.0, n)
+            if r % 3 == 0:
+                lt[rng.random(n) < rng.random()] = -math.inf
+            if r % 4 == 1:
+                lt -= 720.0 + 40.0 * rng.random(n)
+            if r == 5:
+                lt[rng.integers(n)] = math.nan
+            if r == 7:
+                lt[1 << (n_blocks - 1):] = -math.inf  # an all -inf last block
+            got = _base2_block_sums(lt, n_blocks)
+            assert _bits(got) == _bits(_base2_block_sums_padded(lt, n_blocks)), (n, r)
+
+
+def test_block_logsumexp_is_logsumexp_per_block():
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        sizes = rng.integers(1, 300, rng.integers(1, 8))
+        a = rng.normal(0.0, 10.0 ** rng.uniform(0.0, 3.0), sizes.sum())
+        for cut in rng.integers(0, len(a), 3):
+            a[cut] = rng.choice([-math.inf, math.inf, math.nan, a.max(), -800.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _block_logsumexp(a, sizes)
+        starts = np.cumsum(sizes) - sizes
+        want = [_logsumexp(a[i:i + n]) for i, n in zip(starts, sizes)]
+        assert _bits(got) == _bits(np.array(want))
+    assert _block_logsumexp(np.empty(0), np.empty(0, dtype=int)).shape == (0,)
+
+
 @pytest.mark.parametrize("f,g,limit_mb", [
     (power(0.5), sweep_partner(power(0.5)), 1.5),
 ])
@@ -413,3 +593,19 @@ def test_shell_verdict_working_set(f, g, limit_mb):
     finally:
         tracemalloc.stop()
     assert peak <= limit_mb * 1e6
+
+
+@pytest.mark.parametrize("f,g", [(_SLOPE_09_TABLE, power(0.2)),
+                                 (log_power(2.0), log_power(1.0))],
+                         ids=["table", "logpower"])
+def test_rate_condition_working_set(f, g):
+    # scales 2-7 share f's slowly varying part at the 73 728 shell nodes
+    # (590 KB); one scale alone peaks at about 0.71 MB
+    check_rate_condition(f, g)
+    tracemalloc.start()
+    try:
+        assert check_rate_condition(f, g).status == FINITE
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6

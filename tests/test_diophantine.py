@@ -198,7 +198,9 @@ def test_deep_octaves_blockwise_are_exact(f, psi, k):
 ])
 def test_classify_series_working_set(f, psi):
     # deep octaves are built one row block at a time: on all 16 373 x 24
-    # nodes at once the call peaked at 19-29 MB
+    # nodes at once the call peaked at 19-29 MB.  The tail classifier's
+    # large blocks are reduced without padding: its 14 x 8 192 padded array
+    # held the peak at 2.2 MB
     classify_series(f, psi, 2)
     tracemalloc.start()
     try:
@@ -206,4 +208,4 @@ def test_classify_series_working_set(f, psi):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5e6
+    assert peak <= 1.5e6

@@ -298,3 +298,56 @@ def test_reciprocal_allocation_peak(f):
         tracemalloc.stop()
     # the allowance covers array headers, not another buffer
     assert peak <= 3 * r.nbytes + 4096
+
+
+def _log_value_deep_reference(f, log_u):
+    # every family forms u = e**w, through exp(min(w, 709))
+    w = np.asarray(log_u, dtype=float)
+    u = np.exp(np.minimum(w, 709.0))
+    u = np.where(w > 709.0, np.inf, u)
+    v = -u
+    if f.family == "power":
+        out = f.s * v
+    elif f.family == "logpower":
+        out = -f.s * np.maximum(w, math.log(math.log(2.0)))
+    elif f.family == "powerlog":
+        wl = np.maximum(w, math.log(math.log(2.0)))
+        radial = f.delta * v if f.delta else np.zeros_like(v)
+        out = radial + f.s * (math.log(f.beta) + wl)
+        if math.isfinite(f._clamp_v):
+            out = np.where(v >= f._clamp_v, f.log_value(f._clamp_v), out)
+    else:
+        alpha = f.power_part
+        knots = np.asarray(f.table, dtype=float)
+        deep_const = knots[0, 1] - alpha * knots[0, 0]
+        radial = alpha * v if alpha else np.zeros_like(v)
+        shallow = np.isfinite(v) & (v >= knots[0, 0])
+        out = np.where(shallow, f.log_value(np.where(shallow, v, 0.0)),
+                       radial + deep_const)
+    return out if out.ndim else float(out)
+
+
+DEEP_GAUGES = [power(0.5), log_power(1.1), power_log(0.75, 1.5, 0.25),
+               power_log(0.5, 2.0, 1.0), power_log(0.0, -1.0, 2.0),
+               tabulated([(v, 0.4 * v) for v in (-400.0, -100.0, -10.0, -1.0, 0.0)]),
+               tabulated([(-5.0, -3.0), (0.0, -3.0)])]
+
+
+@pytest.mark.parametrize("f", DEEP_GAUGES, ids=lambda f: f.family)
+def test_log_value_deep_matches_the_exp_of_every_node(f):
+    rng = np.random.default_rng(31)
+    edges = [708.0, 708.5, 709.0, np.nextafter(709.0, 710.0), 709.5, 709.7,
+             709.79, 710.0, 1e5, math.inf, -math.inf, math.nan, -3.0, 0.0,
+             math.log(math.log(2.0)), 1.0, 3.0]
+    w = np.concatenate([edges, np.linspace(-5.0, 720.0, 4001),
+                        rng.uniform(707.0, 711.0, 2000)])
+    for x in (w, rng.permutation(w), w[:12].reshape(3, 4)):
+        with np.errstate(all="ignore"):
+            got = np.asarray(f.log_value_deep(x))
+            want = np.asarray(_log_value_deep_reference(f, x))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for x in edges:
+        with np.errstate(all="ignore"):
+            got, want = f.log_value_deep(x), _log_value_deep_reference(f, x)
+        assert type(got) is type(want) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), x
