@@ -202,8 +202,7 @@ class GaugeFunction:
         if self.family == "logpower":
             out = -self.s * np.maximum(w, math.log(LOG2))
             return out if out.ndim else float(out)
-        big = w > 709.0
-        v = -np.exp(w, out=np.full_like(w, np.inf), where=~big)
+        v = -np.exp(w, out=np.full_like(w, np.inf), where=~(w > 709.0))
         if self.family == "power":
             out = self.s * v
         elif self.family == "powerlog":

@@ -13,10 +13,9 @@ from gaugeproj import (DIVERGENT, FINITE, INCONCLUSIVE, GaugeError,
 from gaugeproj import conditions
 from gaugeproj.conditions import (DIVERGENT_ABOVE, FINITE_BELOW, LOG2, SHELLS,
                                   _base2_block_sums, _block_logsumexp, _exp,
-                                  _gl, _logsumexp,
-                                  _panel_values, _ratio_integrand,
-                                  _shell_node_data, _tail_integral,
-                                  dyadic_shell_sums)
+                                  _gl, _logsumexp, _panel_values,
+                                  _ratio_integrand, _shell_node_data,
+                                  _tail_integral, dyadic_shell_sums)
 
 TAU = 6.0
 GAP_WITNESS = (power(0.5), power_log(0.5, 0.5, 1.0))
