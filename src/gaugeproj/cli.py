@@ -13,11 +13,10 @@ import json
 import sys
 from pathlib import Path
 
-from . import diophantine, gauges, hierarchy, measure
+from . import diophantine, gauges, hierarchy, measure, projection
 from .config import ConfigError, parse_config
-from .pipeline import (condition_verdicts, construct_hierarchy,
-                       energy_estimate, energy_payload, resolve_g,
-                       run_pipeline, sweep_table, verdict_payload, _csv_text,
+from .pipeline import (condition_verdicts, energy_estimate, energy_payload,
+                       resolve_g, run_pipeline, verdict_payload, _csv_text,
                        _json_text, _sanitize, _sweep_csv_text, _write_file)
 from .svgreport import render_hierarchy_svg, render_sweep_svg
 
@@ -91,7 +90,7 @@ def cmd_gauge_check(args) -> int:
     payload: dict = {"f": f.to_dict(), "doubling": {
         "s": fit.s, "kappa": fit.kappa, "constant": fit.constant}}
     try:
-        co = gauges.codoubling_exponent(f, log_grid=gauges.log_radius_grid())
+        co = gauges.codoubling_exponent(f)
         payload["codoubling"] = {"s": co.s, "kappa": co.kappa}
     except gauges.GaugeFitError as e:
         payload["codoubling"] = {"failed": str(e)}
@@ -104,7 +103,7 @@ def cmd_gauge_check(args) -> int:
 
 def cmd_construct(args) -> int:
     cfg = _load_config(args)
-    h = construct_hierarchy(cfg, cfg.gauge_f())
+    h = hierarchy.build_from_gauge(cfg.gauge_f(), cfg.depth)
     report = hierarchy.validate_hierarchy(h)
     _write(args, "hierarchy.json", _json_text(
         {"hierarchy": h.to_dict(),
@@ -121,7 +120,8 @@ def cmd_sweep(args) -> int:
     cfg = _load_config(args)
     f = cfg.gauge_f()
     g = resolve_g(cfg, f)
-    table = sweep_table(cfg, construct_hierarchy(cfg, f), g)
+    h = hierarchy.build_from_gauge(f, cfg.depth)
+    table = projection.sweep_directions(h, g, cfg.angles)
     rows = table.to_dicts()
     _write(args, "sweep.csv", _sweep_csv_text(rows))
     if cfg.emit["svg"] and args.out:
@@ -133,7 +133,7 @@ def cmd_energy(args) -> int:
     cfg = _load_config(args)
     f = cfg.gauge_f()
     g = resolve_g(cfg, f)
-    h = construct_hierarchy(cfg, f)
+    h = hierarchy.build_from_gauge(f, cfg.depth)
     est = energy_estimate(cfg, g, measure.NaturalMeasure(h, h.depth))
     payload = {"gauge": g.to_dict(), "pairs": est.pairs_used,
                **energy_payload(est), "seed": cfg.seed}

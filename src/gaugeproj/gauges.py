@@ -245,7 +245,7 @@ class GaugeFunction:
     def doubling(self) -> ExponentFit:
         """doubling_exponent on the default radius grid, fitted once per
         instance and shared by every reader of this gauge."""
-        return doubling_exponent(self, log_grid=log_radius_grid())
+        return doubling_exponent(self)
 
     def to_dict(self) -> dict:
         doc: dict = {"family": self.family}
@@ -352,8 +352,6 @@ class ExponentFit:
     s: float
     kappa: float
     constant: float
-    side: str
-    diagnostics: str = ""
 
 
 def _as_log_grid(log_grid) -> np.ndarray:
@@ -403,9 +401,7 @@ def doubling_exponent(f: GaugeFunction, *, log_grid=None) -> ExponentFit:
         raise GaugeFitError(
             f"no finite doubling exponent fits: prefactor collapses to e^{worst:.1f}")
     kappa = 1.0 if worst >= -1e-9 else math.exp(min(worst, 0.0))
-    span = (v[0] - v[-1]) / math.log(10.0)
-    return ExponentFit(s, kappa, 2.0 ** s, "doubling",
-                       f"ls fit over {len(v)} points, {span:.0f} decades")
+    return ExponentFit(s, kappa, 2.0 ** s)
 
 
 def codoubling_exponent(f: GaugeFunction, *, log_grid=None) -> ExponentFit:
@@ -428,9 +424,7 @@ def codoubling_exponent(f: GaugeFunction, *, log_grid=None) -> ExponentFit:
     margins = _pair_margins(v, log_f, s)
     best = float(margins.max())
     kappa = 1.0 if best <= 1e-9 else math.exp(best)
-    span = (v[0] - v[-1]) / math.log(10.0)
-    return ExponentFit(s, kappa, 2.0 ** s, "codoubling",
-                       f"deep-half ls fit over {len(v)} points, {span:.0f} decades")
+    return ExponentFit(s, kappa, 2.0 ** s)
 
 
 def doubling_constant(f: GaugeFunction, *, log_grid=None) -> float:

@@ -365,14 +365,14 @@ def validate_hierarchy(h: DiscHierarchy) -> HierarchyReport:
 
     The discs of each level are pairwise disjoint by induction on k, from
     two premises checked here at every level.  Siblings are disjoint:
-    Eq33 gives gap > r_k > 0, and ``sibling-disjoint`` checks that their
-    centers are more than 2 r_k apart.  Every child lies inside its
-    parent (``child-containment``, up to a relative 1e-12 of rounding,
-    far below the gap > r_{k-1} between the parents).  Two level-k discs
-    with distinct parents then lie in distinct level-(k-1) discs,
-    disjoint by the induction hypothesis; two with the same parent are
-    siblings.  No absolute coordinate is read, so the argument holds at
-    any depth.
+    ``Eq33`` checks gap > r_k > 0, where the gap is read off the
+    children's offsets, so adjacent sibling centers are more than 2 r_k
+    apart.  Every child lies inside its parent (``child-containment``, up
+    to a relative 1e-12 of rounding, far below the gap > r_{k-1} between
+    the parents).  Two level-k discs with distinct parents then lie in
+    distinct level-(k-1) discs, disjoint by the induction hypothesis; two
+    with the same parent are siblings.  No absolute coordinate is read, so
+    the argument holds at any depth.
     """
     f = h.gauge
     lr = h.schedule.log_r
@@ -411,9 +411,6 @@ def validate_hierarchy(h: DiscHierarchy) -> HierarchyReport:
 
         m33 = (gap - r_k) / r_k
         rows.append(CheckRow("Eq33", k, gap > r_k, m33))
-
-        m_dis = (float(h.offsets(k)[1] - h.offsets(k)[0]) - 2 * r_k) / r_k
-        rows.append(CheckRow("sibling-disjoint", k, m_dis > 0.0, m_dis))
 
         reach = float(np.abs(h.offsets(k)).max()) + r_k
         m_in = (r_prev * (1.0 + 1e-12) - reach) / r_prev

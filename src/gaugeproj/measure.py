@@ -192,7 +192,6 @@ class FrostmanScan:
     c_bound: float
     violations: int
     samples: int
-    worst: tuple[float, float, float]  # (x0, x1, r) achieving c_emp
 
 
 def frostman_scan(m: NaturalMeasure, f: GaugeFunction, samples: int, seed: int,
@@ -219,13 +218,9 @@ def frostman_scan(m: NaturalMeasure, f: GaugeFunction, samples: int, seed: int,
     rs = np.array([h.radius(k) for k in levels] + [math.exp(v) for v in log_r])
     ratios = mass_scale * ball_masses(m, xs, rs) / f.value(rs)
     i = int(np.argmax(ratios))  # first probe attaining the maximum
-    if ratios[i] > 0.0:
-        c_emp = float(ratios[i])
-        worst = (float(xs[i, 0]), float(xs[i, 1]), float(rs[i]))
-    else:
-        c_emp, worst = 0.0, (0.0, 0.0, 0.0)
+    c_emp = float(ratios[i]) if ratios[i] > 0.0 else 0.0
     violations = int(np.count_nonzero(ratios > c_bound * (1.0 + 1e-9)))
-    return FrostmanScan(c_emp, c_bound, violations, len(rs), worst)
+    return FrostmanScan(c_emp, c_bound, violations, len(rs))
 
 
 # ---------------------------------------------------------------------------

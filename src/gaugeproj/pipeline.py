@@ -4,9 +4,10 @@
 values it reads (f, g or h) and its function, which sets the values later
 stages read.  One loop records every stage as ok, failed (with its error)
 or skipped (with the ``SKIP_REASONS`` entry of the first value it reads
-that the run lacks).  The CLI subcommands call the stages' own functions
-for what they share with a run: ``construct_hierarchy``, ``sweep_table``,
-``energy_estimate`` with ``energy_payload``, and ``condition_verdicts``.
+that the run lacks).  The CLI subcommands call the same functions for
+what they share with a run: ``hierarchy.build_from_gauge``,
+``projection.sweep_directions``, ``energy_estimate`` with
+``energy_payload``, and ``condition_verdicts``.
 The bundle tags each inequality check with the stable id it verifies
 (Eq20 .. Eq36trend) and serialises to byte-identical CSV/JSON for
 identical configs.
@@ -47,18 +48,6 @@ def sweep_partner(f: gauges.GaugeFunction) -> gauges.GaugeFunction:
 def resolve_g(config: RunConfig, f: gauges.GaugeFunction) -> gauges.GaugeFunction:
     """The config's gauge g, or sweep_partner(f) when g is "auto"."""
     return config.gauge_g() or sweep_partner(f)
-
-
-def construct_hierarchy(config: RunConfig,
-                        f: gauges.GaugeFunction) -> hierarchy.DiscHierarchy:
-    """The config's disc construction for f."""
-    return hierarchy.build_from_gauge(f, config.depth)
-
-
-def sweep_table(config: RunConfig, h: hierarchy.DiscHierarchy,
-                g: gauges.GaugeFunction) -> projection.SweepTable:
-    """The config's angle sweep of h's projected g-cover costs."""
-    return projection.sweep_directions(h, g, config.angles)
 
 
 def energy_estimate(config: RunConfig, g: gauges.GaugeFunction,
@@ -103,7 +92,6 @@ def condition_verdicts(f: gauges.GaugeFunction, g: gauges.GaugeFunction | None):
 @dataclass
 class PipelineResult:
     bundle: dict
-    files: list[str]
 
     @property
     def exit_code(self) -> int:
@@ -151,11 +139,9 @@ def _sweep_csv_text(rows: list[dict]) -> str:
     return _csv_text(SWEEP_COLUMNS, ([r[c] for c in SWEEP_COLUMNS] for r in rows))
 
 
-def _write_file(out: Path, name: str, text: str) -> str:
+def _write_file(out: Path, name: str, text: str) -> None:
     out.mkdir(parents=True, exist_ok=True)
-    path = out / name
-    path.write_text(text, encoding="utf-8", newline="\n")
-    return str(path)
+    (out / name).write_text(text, encoding="utf-8", newline="\n")
 
 
 @dataclass
@@ -201,7 +187,7 @@ def _conditions(run: _Run):
 
 
 def _construct(run: _Run):
-    h = run.h = construct_hierarchy(run.config, run.f)
+    h = run.h = hierarchy.build_from_gauge(run.f, run.config.depth)
     run.bundle["hierarchy"] = {"k1": h.schedule.k1, "a": h.a,
                                "N": list(h.counts),
                                "log_r": list(h.schedule.log_r)}
@@ -250,7 +236,7 @@ def _energy(run: _Run):
 
 def _sweep(run: _Run):
     h, g = run.h, run.g
-    table = sweep_table(run.config, h, g)
+    table = projection.sweep_directions(h, g, run.config.angles)
     run.sweep_rows = table.to_dicts()
     run.check("Eq35", len(table.rows), not table.violations(),
               min((r.margin for r in table.rows), default=math.nan),
@@ -311,33 +297,28 @@ def run_pipeline(config: RunConfig, out_dir=None) -> PipelineResult:
         "margins": {r["check_id"]: r["margin"] for r in check_rows},
     }
 
-    return PipelineResult(bundle, _emit(run, out_dir))
+    _emit(run, out_dir)
+    return PipelineResult(bundle)
 
 
-def _emit(run: _Run, out_dir) -> list[str]:
+def _emit(run: _Run, out_dir) -> None:
     target = out_dir if out_dir is not None else run.config.out_dir
     if target is None:
-        return []
+        return
     out = Path(target)
     out.mkdir(parents=True, exist_ok=True)
     emit = run.config.emit
-    written: list[str] = []
-
-    def write(name: str, text: str):
-        written.append(_write_file(out, name, text))
-
     if emit.get("json", True):
-        write("report.json", _json_text(run.bundle))
+        _write_file(out, "report.json", _json_text(run.bundle))
     if emit.get("csv", True):
-        write("checks.csv", _csv_text(
+        _write_file(out, "checks.csv", _csv_text(
             ["check_id", "where", "passed", "margin", "note"],
             ([r["check_id"], r["where"], r["passed"], r["margin"], r["note"]]
              for r in run.bundle["checks"])))
-        write("sweep.csv", _sweep_csv_text(run.sweep_rows))
+        _write_file(out, "sweep.csv", _sweep_csv_text(run.sweep_rows))
     if emit.get("svg", False):
         if run.h is not None:
-            write("hierarchy.svg", render_hierarchy_svg(run.h))
-        write("sweep.svg", render_sweep_svg(run.sweep_rows))
+            _write_file(out, "hierarchy.svg", render_hierarchy_svg(run.h))
+        _write_file(out, "sweep.svg", render_sweep_svg(run.sweep_rows))
         if run.shells is not None:
-            write("shells.svg", render_shells_svg(run.shells))
-    return written
+            _write_file(out, "shells.svg", render_shells_svg(run.shells))

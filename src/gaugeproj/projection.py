@@ -29,26 +29,25 @@ from .measure import NaturalMeasure, _mean_stderr, divergence_pairs
 
 @dataclass(frozen=True, eq=False)
 class IntervalCover:
-    """Sorted, pairwise-disjoint closed intervals on the line at angle theta.
+    """Sorted, pairwise-disjoint closed intervals on a line.
 
     The cover is held as two read-only float64 arrays, ``lo`` and ``hi``,
     so merges, translations and costs stay in numpy; ``intervals`` builds
     the tuple-of-pairs view on demand.  Covers compare by identity.
     """
 
-    theta: float
     lo: np.ndarray
     hi: np.ndarray
-    rho: float
 
     def __post_init__(self):
         lo = np.asarray(self.lo, dtype=float).view()
         hi = np.asarray(self.hi, dtype=float).view()
         if lo.ndim != 1 or lo.shape != hi.shape:
             raise GaugeError("lo and hi must be 1-d arrays of equal length")
-        if np.any(hi < lo):
+        # written so that a NaN endpoint fails both checks
+        if not np.all(lo <= hi):
             raise GaugeError("intervals must have lo <= hi")
-        if np.any(lo[1:] <= hi[:-1]):
+        if not np.all(lo[1:] > hi[:-1]):
             raise GaugeError("intervals must be sorted with positive gaps")
         lo.flags.writeable = False
         hi.flags.writeable = False
@@ -60,19 +59,19 @@ class IntervalCover:
         return tuple(zip(self.lo.tolist(), self.hi.tolist()))
 
 
-def merge_intervals(raw, theta: float = 0.0) -> IntervalCover:
+def merge_intervals(raw) -> IntervalCover:
     """Union of closed intervals as a sorted disjoint cover (sweep merge).
 
     ``raw`` is an (n, 2) array or any iterable of (lo, hi) pairs."""
     if not isinstance(raw, np.ndarray):
         raw = list(raw)
     arr = np.asarray(raw, dtype=float).reshape(-1, 2)
-    return _merge_array(arr[:, 0], arr[:, 1], theta)
+    return _merge_array(arr[:, 0], arr[:, 1])
 
 
-def _merge_array(lo: np.ndarray, hi: np.ndarray, theta: float) -> IntervalCover:
+def _merge_array(lo: np.ndarray, hi: np.ndarray) -> IntervalCover:
     if len(lo) == 0:
-        return IntervalCover(theta, lo, hi, 0.0)
+        return IntervalCover(lo, hi)
     order = np.argsort(lo, kind="stable")
     lo, hi = lo[order], hi[order]
     running = np.maximum.accumulate(hi)
@@ -80,35 +79,33 @@ def _merge_array(lo: np.ndarray, hi: np.ndarray, theta: float) -> IntervalCover:
     new_run[1:] = lo[1:] > running[:-1]  # touching endpoints merge
     starts = np.nonzero(new_run)[0]
     ends = np.append(starts[1:], len(lo)) - 1
-    merged_lo = lo[starts]
-    merged_hi = running[ends]
-    return IntervalCover(theta, merged_lo, merged_hi,
-                         float((merged_hi - merged_lo).max()))
+    return IntervalCover(lo[starts], running[ends])
 
 
 def project_disc_cover(centers, radii, theta: float) -> IntervalCover:
     """Project a whole disc cover and merge the resulting intervals."""
+    if not math.isfinite(theta):
+        raise GaugeError("projection angle must be finite")
     centers = np.asarray(centers, dtype=float)
     radii = np.asarray(radii, dtype=float)
     coord = centers[:, 0] * math.cos(theta) + centers[:, 1] * math.sin(theta)
-    return _merge_array(coord - radii, coord + radii, theta)
+    return _merge_array(coord - radii, coord + radii)
 
 
-def cover_cost(g: GaugeFunction, cover: IntervalCover) -> tuple[float, float]:
-    """(sum of g(interval length), max length): the cost of this one cover,
-    an upper bound for the gauge cover cost at mesh rho."""
+def cover_cost(g: GaugeFunction, cover: IntervalCover) -> float:
+    """Sum of g(interval length): the cost of this one cover, an upper
+    bound for the gauge cover cost at a mesh of its longest interval."""
     if cover.lo.size == 0:
-        return 0.0, 0.0
-    lengths = cover.hi - cover.lo
-    costs = np.exp(np.asarray(g.log_value(np.log(lengths)), dtype=float))
-    return float(np.sum(np.sort(costs))), float(lengths.max())
+        return 0.0
+    costs = np.exp(np.asarray(g.log_value(np.log(cover.hi - cover.lo)),
+                              dtype=float))
+    return float(np.sum(np.sort(costs)))
 
 
 @dataclass(frozen=True)
 class LevelProjection:
     """Projection of one hierarchy level as ``copies`` disjoint translates
-    of one merged ``pattern``, plus the per-parent span of its child
-    intervals (identical for every parent by construction).
+    of one merged ``pattern``.
 
     ``pattern`` is the merged projection of the descendants of one ancestor,
     in that ancestor's frame; the translates are separated by positive gaps,
@@ -118,8 +115,6 @@ class LevelProjection:
 
     pattern: IntervalCover
     copies: int
-    level: int
-    per_parent_span: float
 
 
 def project_hierarchy(h: DiscHierarchy, theta: float, level: int) -> LevelProjection:
@@ -140,11 +135,8 @@ def project_hierarchy(h: DiscHierarchy, theta: float, level: int) -> LevelProjec
     if not 1 <= level <= h.depth:
         raise GaugeError("level must lie within the built hierarchy")
     r = h.radius(level)
-    span_centers = 2.0 * (h.radius(level - 1) - r) * abs(math.cos(h.d[level - 1] - theta))
-    per_parent_span = span_centers + 2.0 * r
-
     pattern_coord = h.offsets(level) * math.cos(h.d[level - 1] - theta)
-    pattern = _merge_array(pattern_coord - r, pattern_coord + r, theta)
+    pattern = _merge_array(pattern_coord - r, pattern_coord + r)
     counted: list[np.ndarray] = []  # steps of the counted levels, inner first
     span_lo, span_hi = pattern.lo[0], pattern.hi[-1]
     for j in range(level - 1, 0, -1):
@@ -163,11 +155,11 @@ def project_hierarchy(h: DiscHierarchy, theta: float, level: int) -> LevelProjec
         for s in steps:
             lo = (s[:, None] + lo[None, :]).reshape(-1)
             hi = (s[:, None] + hi[None, :]).reshape(-1)
-        pattern = _merge_array(lo, hi, theta)
+        pattern = _merge_array(lo, hi)
         counted = []
         span_lo, span_hi = pattern.lo[0], pattern.hi[-1]
     copies = math.prod(len(s) for s in counted)
-    return LevelProjection(pattern, copies, level, per_parent_span)
+    return LevelProjection(pattern, copies)
 
 
 def eq35_bound(h: DiscHierarchy, g: GaugeFunction, k: int) -> float:
@@ -245,7 +237,7 @@ def sweep_directions(h: DiscHierarchy, g: GaugeFunction, theta_grid) -> SweepTab
         for k in qualifying_levels(h, theta):
             bound = bounds[k - 1]
             pr = project_hierarchy(h, theta, k + 1)
-            cost = pr.copies * cover_cost(g, pr.pattern)[0]
+            cost = pr.copies * cover_cost(g, pr.pattern)
             rows.append(SweepRow(theta, k, cost, bound, bound - cost))
     return SweepTable(tuple(rows), bounds)
 
@@ -398,8 +390,9 @@ class AveragedProjection:
 
     ``average`` is int_0^pi I_g(pi_theta mu) dtheta estimated from
     stratified pairs, with ``stderr`` sqrt(sum_k (p_k stderr_k)**2) over
-    the strata (times pi); ``bound`` is kernel / kappa times
-    ``planar_energy``.  ``transfer_max`` is the largest g(r) K_g(r) on the
+    the strata (times pi); ``bound`` is ``kernel`` / kappa times the
+    planar g-energy, with kappa the prefactor of g's doubling fit
+    (``g.doubling``).  ``transfer_max`` is the largest g(r) K_g(r) on the
     kernel table and ``transfer_bound`` the doubling fit's per-distance
     budget B(s) / (pi kappa) for it.
     """
@@ -407,11 +400,7 @@ class AveragedProjection:
     average: float
     stderr: float
     bound: float
-    planar_energy: float
     kernel: float
-    kappa: float
-    s: float
-    pairs_used: int
     transfer_max: float
     transfer_bound: float
 
@@ -455,9 +444,8 @@ def averaged_projected_energy(m: NaturalMeasure, g: GaugeFunction,
         var += (p * stderr) ** 2
     bound = kernel / fit.kappa * planar
     return AveragedProjection(
-        math.pi * average, math.pi * math.sqrt(var), bound, planar, kernel,
-        fit.kappa, fit.s, pairs, float(np.exp(log_transfer.max())),
-        kernel / (math.pi * fit.kappa))
+        math.pi * average, math.pi * math.sqrt(var), bound, kernel,
+        float(np.exp(log_transfer.max())), kernel / (math.pi * fit.kappa))
 
 
 # ---------------------------------------------------------------------------

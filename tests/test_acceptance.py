@@ -54,7 +54,7 @@ def test_criterion_1_construction_suite():
             elapsed = time.time() - t0
             assert elapsed < 5.0, f"s={s} took {elapsed:.1f}s"
             for check in ("Eq20", "Eq21", "Eq22", "Eq23", "Eq32", "Eq33",
-                          "sibling-disjoint", "child-containment", "Eq25"):
+                          "child-containment", "Eq25"):
                 rows = report.by_check(check)
                 assert rows, f"missing {check}"
                 bad = [r for r in rows if not r.passed]

@@ -196,13 +196,13 @@ def test_validate_negative_control_reports_eq23():
     rows = report.by_check("Eq23")
     assert len(rows) == 1 and not rows[0].passed
     assert not report.passed
-    assert {r.check for r in report.rows if not r.passed} >= {
-        "Eq23", "sibling-disjoint", "Eq33"}
+    assert {r.check for r in report.rows if not r.passed} >= {"Eq23", "Eq33"}
     # four radius-0.3 discs 0.467 apart: the three neighbouring pairs
-    # overlap, and the induction's premise fails with them
+    # overlap, and the induction's sibling premise Eq33 fails with them,
+    # its margin (gap - r_1)/r_1 below -1 for a negative gap
     oracle = _oracle_pairs(h.level_centers(1), 2 * h.radius(1) * (1 - 1e-12))
-    (row,) = report.by_check("sibling-disjoint")
-    assert oracle == 3 and not row.passed
+    (row,) = report.by_check("Eq33")
+    assert oracle == 3 and not row.passed and row.margin < -1.0
 
 
 def test_margin_table_depth4(h05_depth5):
@@ -283,7 +283,7 @@ def test_hierarchy_serialisation_shape(h05_depth5, h08_depth5):
 
 ORACLE_CAP = 200_000  # levels up to this many discs get the all-pairs oracle
 PER_LEVEL_CHECKS = ("Eq20", "Eq21", "Eq22", "Eq23", "Eq25", "Eq32", "Eq33",
-                    "sibling-disjoint", "child-containment")
+                    "child-containment")
 
 
 def _oracle_pairs(centers, r):
@@ -300,7 +300,7 @@ def test_levels_disjoint_by_induction(fixture, request):
     for k in levels:
         # the premises hold at every level up to k ...
         premises = [r for r in report.rows if r.level <= k and r.check in
-                    ("sibling-disjoint", "child-containment")]
+                    ("Eq33", "child-containment")]
         assert len(premises) == 2 * k and all(r.passed for r in premises)
         # ... and so does the conclusion, on every pair of level-k discs
         centers = h.level_centers(k)

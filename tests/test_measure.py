@@ -366,15 +366,13 @@ def reference_scan(m, f, samples, seed, mass_scale=1.0, batched=False):
                                        [r for _, r in probes])
     else:
         masses = [reference_ball_mass(m, x, r) for x, r in probes]
-    c_emp, worst, violations = 0.0, (0.0, 0.0, 0.0), 0
-    for (x, r), mass in zip(probes, masses):
+    c_emp, violations = 0.0, 0
+    for (_, r), mass in zip(probes, masses):
         ratio = mass_scale * float(mass) / float(f.value(r))
-        if ratio > c_emp:
-            c_emp = ratio
-            worst = (float(x[0]), float(x[1]), float(r))
+        c_emp = max(c_emp, ratio)
         if ratio > c_bound * (1.0 + 1e-9):
             violations += 1
-    return FrostmanScan(c_emp, c_bound, violations, len(probes), worst)
+    return FrostmanScan(c_emp, c_bound, violations, len(probes))
 
 
 @pytest.mark.parametrize("s,mass_scale", [(0.3, 1.0), (0.5, 1.0), (0.8, 1.0),
@@ -388,7 +386,7 @@ def test_frostman_scan_equals_sequential_reference(s, mass_scale, h03_depth5,
     assert scan == reference_scan(m, h.gauge, 2500, seed=13, mass_scale=mass_scale)
     assert scan.samples == 2500
     assert (scan.violations > 0) == (mass_scale > 1.0)
-    assert (scan.worst == (0.0, 0.0, 0.0)) == (mass_scale == 0.0)
+    assert (scan.c_emp == 0.0) == (mass_scale == 0.0)
 
 
 @pytest.mark.parametrize("depth", [4, 5])
@@ -401,8 +399,7 @@ def test_frostman_scan_equals_per_child_reference_on_run_matrix(
     m = NaturalMeasure(h, depth)
     scan = frostman_scan(m, h.gauge, 10_000, seed=1)
     ref = reference_scan(m, h.gauge, 10_000, seed=1, batched=True)
-    assert (scan.c_emp, scan.worst, scan.violations) == (ref.c_emp, ref.worst,
-                                                         ref.violations)
+    assert (scan.c_emp, scan.violations) == (ref.c_emp, ref.violations)
     assert scan.samples == 10_000 and scan.violations == 0
 
 

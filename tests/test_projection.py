@@ -37,13 +37,13 @@ def test_project_disc_examples():
 def test_merge_overlapping():
     c = merge_intervals([(0.0, 1.0), (0.5, 2.0)])
     assert c.intervals == ((0.0, 2.0),)
-    assert np.sum(c.hi - c.lo) == 2.0 and c.rho == 2.0
+    assert np.sum(c.hi - c.lo) == 2.0
 
 
 def test_merge_disjoint_unchanged():
     c = merge_intervals([(3.0, 4.0), (0.0, 1.0)])
     assert c.intervals == ((0.0, 1.0), (3.0, 4.0))
-    assert np.sum(c.hi - c.lo) == 2.0 and c.rho == 1.0
+    assert np.sum(c.hi - c.lo) == 2.0
 
 
 def test_merge_idempotent_and_order_independent():
@@ -98,16 +98,13 @@ def test_merge_matches_reference(seed):
     for raw in (pairs, fpairs):
         expected = _reference_merge(raw)
         for given in (raw, np.array(raw), iter(raw)):
-            cover = merge_intervals(given, theta=0.3)
-            assert cover.intervals == expected
-            assert cover.theta == 0.3
-            assert cover.rho == max(b - a for a, b in expected)
+            assert merge_intervals(given).intervals == expected
 
 
 def test_merge_accepts_empty_input():
     for empty in ([], (), iter(()), np.empty((0, 2))):
         cover = merge_intervals(empty)
-        assert cover.intervals == () and cover.rho == 0.0
+        assert cover.intervals == ()
         assert cover.lo.shape == cover.hi.shape == (0,)
 
 
@@ -117,7 +114,6 @@ def test_interval_cover_holds_read_only_arrays():
     np.testing.assert_array_equal(cover.lo, [0.0, 2.0])
     np.testing.assert_array_equal(cover.hi, [1.0, 3.0])
     assert cover.intervals == ((0.0, 1.0), (2.0, 3.0))
-    assert cover.theta == 0.0 and cover.rho == 1.0
     with pytest.raises(ValueError):
         cover.lo[0] = -1.0
 
@@ -128,38 +124,58 @@ def test_interval_cover_holds_read_only_arrays():
     ([0.0, 1.0], [1.0, 2.0], "positive gaps"),        # touching
     ([2.0, 0.0], [3.0, 1.0], "positive gaps"),        # unsorted
     ([0.0, 2.0], [1.0], "equal length"),
+    ([0.0, math.nan], [1.0, 2.0], "lo <= hi"),    # NaN endpoints compare
+    ([0.0, 2.0], [1.0, math.nan], "lo <= hi"),    # false both ways
+    ([math.nan], [math.nan], "lo <= hi"),
 ])
 def test_interval_cover_rejects_invalid(lo, hi, message):
     with pytest.raises(GaugeError, match=message):
-        IntervalCover(0.0, np.array(lo), np.array(hi), 1.0)
+        IntervalCover(np.array(lo), np.array(hi))
+
+
+def test_project_disc_cover_rejects_nan_centers():
+    # a NaN center projects to NaN endpoints, which the cover refuses
+    # instead of merging into ((-0.1, 0.1), (0.4, nan))
+    with pytest.raises(GaugeError, match="lo <= hi"):
+        project_disc_cover([[0, 0], [math.nan, 0], [0.5, 0]], [0.1] * 3, 0.0)
 
 
 def test_cover_cost_examples():
     c = merge_intervals([(0.0, 0.5), (1.0, 1.5)])
-    assert cover_cost(power(1.0), c) == pytest.approx((1.0, 0.5))
+    assert cover_cost(power(1.0), c) == pytest.approx(1.0)
     c = merge_intervals([(0.0, 0.25)])
-    assert cover_cost(power(0.5), c) == pytest.approx((0.5, 0.25))
-    assert cover_cost(power(1.0), merge_intervals([])) == (0.0, 0.0)
+    assert cover_cost(power(0.5), c) == pytest.approx(0.5)
+    assert cover_cost(power(1.0), merge_intervals([])) == 0.0
 
 
 # ---------------------------------------------------------------------------
 # Hierarchy projections
 # ---------------------------------------------------------------------------
 
+def _per_parent_span(h, theta, level):
+    """Length of the projected hull of one parent's level-`level` children."""
+    off = h.offsets(level)
+    return ((off.max() - off.min()) * abs(math.cos(h.d[level - 1] - theta))
+            + 2 * h.radius(level))
+
+
 def test_span_stacked_and_spread(h05_depth5):
     h = h05_depth5
-    stacked = project_hierarchy(h, h.d[0] + math.pi / 2, 1)
-    assert stacked.per_parent_span == pytest.approx(2 * h.radius(1), rel=1e-9)
-    spread = project_hierarchy(h, h.d[0], 1)
-    assert spread.per_parent_span == pytest.approx(2 * h.radius(0), rel=1e-12)
+    stacked, spread = h.d[0] + math.pi / 2, h.d[0]
+    assert _per_parent_span(h, stacked, 1) == pytest.approx(2 * h.radius(1), rel=1e-9)
+    assert _per_parent_span(h, spread, 1) == pytest.approx(2 * h.radius(0), rel=1e-12)
+    # the merged level-1 pattern spans the same hull
+    for theta in (stacked, spread):
+        pattern = project_hierarchy(h, theta, 1).pattern
+        assert pattern.hi[-1] - pattern.lo[0] == pytest.approx(
+            _per_parent_span(h, theta, 1), rel=1e-12)
 
 
 def test_span_bound_on_qualifying_direction(h05_depth5):
     h = h05_depth5
     for theta in (i * math.pi / 256 for i in range(256)):
         for k in qualifying_levels(h, theta):
-            pr = project_hierarchy(h, theta, k + 1)
-            assert pr.per_parent_span <= 4 * h.radius(k + 1) * (1 + 1e-12)
+            assert _per_parent_span(h, theta, k + 1) <= 4 * h.radius(k + 1) * (1 + 1e-12)
 
 
 def test_sweep_eq35_and_trend(h05_depth5):
@@ -207,6 +223,8 @@ def test_sweep_rejects_non_finite_angles(h05_depth5, bad):
         project_hierarchy(h05_depth5, bad, 2)
     with pytest.raises(GaugeError, match="finite"):
         qualifying_levels(h05_depth5, bad)
+    with pytest.raises(GaugeError, match="projection angle must be finite"):
+        project_disc_cover([[0.0, 0.0]], [0.1], bad)
 
 
 def test_sweep_accepts_integral_grid_counts(h05_depth5):
@@ -272,7 +290,7 @@ def _reference_cost(g, lengths):
 
 def _measured_cost(h, g, theta, level):
     pr = project_hierarchy(h, theta, level)
-    return pr.copies * cover_cost(g, pr.pattern)[0], pr
+    return pr.copies * cover_cost(g, pr.pattern), pr
 
 
 def test_sweep_rows_project_full_level(h05_depth5):
@@ -474,7 +492,7 @@ def test_projected_cover_cost_never_exceeds_planar():
             planar = float(np.sum(g.value(2 * radii)))
             for theta in thetas:
                 cover = project_disc_cover(centers, radii, theta)
-                cost, _ = cover_cost(g, cover)
+                cost = cover_cost(g, cover)
                 assert cost <= planar * (1 + 1e-12)
 
 
@@ -485,7 +503,7 @@ def test_projected_cover_cost_never_exceeds_planar():
 def test_interval_cover_invariants():
     cover = merge_intervals([(0.0, 0.5), (2.0, 2.25), (0.4, 1.0)])
     lengths = [b - a for a, b in cover.intervals]
-    assert cover.rho == max(lengths)
+    assert lengths == [1.0, 0.25]
     gaps = [cover.intervals[i + 1][0] - cover.intervals[i][1]
             for i in range(len(cover.intervals) - 1)]
     assert all(g > 0 for g in gaps)
@@ -523,9 +541,12 @@ def test_angle_kernel_matches_adaptive_quadrature(s):
 
 def test_averaged_projected_energy_bound(h05_depth5):
     m = NaturalMeasure(h05_depth5, 4)
-    ape = averaged_projected_energy(m, power(0.25), pairs=100_000, seed=17)
-    assert ape.s == pytest.approx(0.25, abs=1e-9)
-    assert ape.kappa == 1.0
+    g = power(0.25)
+    ape = averaged_projected_energy(m, g, pairs=100_000, seed=17)
+    # the bound reads g's doubling fit: exponent 0.25 and prefactor 1
+    assert g.doubling.s == pytest.approx(0.25, abs=1e-9)
+    assert g.doubling.kappa == 1.0
+    assert ape.kernel == angle_kernel_integral(g.doubling.s)
     assert ape.average <= ape.bound * 1.05
 
 
@@ -538,8 +559,10 @@ def test_averaged_projected_energy_two_atom_oracle():
     d = 0.5
     oracle = quad(lambda t: (d * abs(math.cos(t))) ** -0.5, 0, math.pi,
                   points=[math.pi / 2])[0]
-    # the off-diagonal pair mass 2 * (1/2)**2, as in mc_energy
-    assert ape.planar_energy == pytest.approx(
+    # bound = kernel x planar energy (kappa is 1 for power g); the planar
+    # energy is the off-diagonal pair mass 2 * (1/2)**2, as in mc_energy
+    assert power(0.5).doubling.kappa == 1.0
+    assert ape.bound / ape.kernel == pytest.approx(
         mc_energy(power(0.5), m, 2000, seed=1).mean, rel=1e-12)
     # every pair sits at distance d, so the kernel average is exact
     assert ape.average == pytest.approx(0.5 * oracle, rel=1e-12)
@@ -548,8 +571,8 @@ def test_averaged_projected_energy_two_atom_oracle():
 def test_averaged_projected_energy_flat_limit(h05_depth5):
     m = NaturalMeasure(h05_depth5, 3)
     ape = averaged_projected_energy(m, power(1e-3), pairs=20_000, seed=3)
-    assert ape.average / (math.pi * ape.planar_energy) == pytest.approx(1.0,
-                                                                        abs=0.02)
+    planar = ape.bound / ape.kernel  # kappa is 1 for power g
+    assert ape.average / (math.pi * planar) == pytest.approx(1.0, abs=0.02)
 
 
 def test_averaged_projected_energy_rejects_steep():

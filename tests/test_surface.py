@@ -1,10 +1,17 @@
-"""The package exports only names that a live path reaches.
+"""The package exports only names that a live path reaches, and its
+dataclasses hold only fields that a live path reads.
 
 A name in ``gaugeproj/__init__.py`` must be referenced, as code, by the
 library itself, by perfbench, or be imported by the acceptance suite.
 Only ``ast.Name`` and ``ast.Attribute`` nodes count: docstrings, comments
 and dict-key strings do not, so a name that appears only in prose or as
 a payload key is still reported as unreached.
+
+Every field of a dataclass defined in the package must be read, as an
+``ast.Attribute`` in load context, by the library, by perfbench or by
+the acceptance suite.  The scan matches by attribute name, not by the
+type of the object read: a field that shares its name with any other
+attribute read there (``theta``, ``level``, ``s``) counts as read.
 """
 
 import ast
@@ -16,6 +23,12 @@ PACKAGE = ROOT / "src" / "gaugeproj"
 # exported ahead of their first caller, with the roadmap item that adds it
 ALLOWED_UNREACHED = {
     "estimate_log_dimension",  # ROADMAP item 3: the log-dimension run stage
+}
+
+# dataclass fields kept ahead of their first reader, with the roadmap item
+# that reads them
+ALLOWED_UNREAD = {
+    "LogDimensionEstimate.trends",  # ROADMAP item 3: the log-dimension run stage
 }
 
 
@@ -50,11 +63,51 @@ def acceptance_imports() -> set[str]:
             for alias in node.names}
 
 
+def _library() -> list[Path]:
+    return [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+
+
+def _perfbench() -> list[Path]:
+    return sorted((ROOT / "perfbench").glob("*.py"))
+
+
 def unreached_exports() -> set[str]:
-    library = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
-    perfbench = sorted((ROOT / "perfbench").glob("*.py"))
-    reached = code_references(library + perfbench) | acceptance_imports()
+    reached = code_references(_library() + _perfbench()) | acceptance_imports()
     return exported_names() - reached - ALLOWED_UNREACHED
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        fn = dec.func if isinstance(dec, ast.Call) else dec
+        if "dataclass" in (getattr(fn, "id", None), getattr(fn, "attr", None)):
+            return True
+    return False
+
+
+def dataclass_fields(paths) -> set[str]:
+    """"Class.field" for every annotated field of the dataclasses defined
+    in ``paths``."""
+    out = set()
+    for path in paths:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                out |= {f"{node.name}.{st.target.id}" for st in node.body
+                        if isinstance(st, ast.AnnAssign)
+                        and isinstance(st.target, ast.Name)}
+    return out
+
+
+def attribute_reads(paths) -> set[str]:
+    """Names of the attributes loaded in ``paths``; stores do not count."""
+    return {node.attr for path in paths for node in ast.walk(_parse(path))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def unread_fields() -> set[str]:
+    reads = attribute_reads(_library() + _perfbench()
+                            + [ROOT / "tests" / "test_acceptance.py"])
+    return {f for f in dataclass_fields(_library())
+            if f.split(".")[1] not in reads} - ALLOWED_UNREAD
 
 
 def test_every_export_has_a_live_caller():
@@ -70,3 +123,24 @@ def test_strings_are_not_references(tmp_path):
     src.write_text('"""Use evaluate."""\n'
                    'payload = {"capacity_lower_bound": 1.0 / est.mean}\n')
     assert code_references([src]) == {"payload", "est", "mean"}
+
+
+def test_every_dataclass_field_has_a_live_reader():
+    assert unread_fields() == set()
+
+
+def test_field_allowlist_names_real_fields():
+    assert ALLOWED_UNREAD <= dataclass_fields(_library())
+
+
+def test_field_scan_counts_only_loads(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("from dataclasses import dataclass\n"
+                   "@dataclass(frozen=True)\n"
+                   "class Row:\n"
+                   "    read: int\n"
+                   "    stored: int\n"
+                   "row = Row(1, 2)\n"
+                   "row.stored = row.read\n")
+    assert dataclass_fields([src]) == {"Row.read", "Row.stored"}
+    assert attribute_reads([src]) == {"read"}
