@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import diophantine, gauges, hierarchy, measure, projection
-from .config import ConfigError, parse_config
+from .config import EMIT_DEFAULTS, ConfigError, parse_config
 from .pipeline import (condition_verdicts, energy_estimate, energy_payload,
                        resolve_g, run_pipeline, verdict_payload, _csv_text,
                        _json_text, _sanitize, _sweep_csv_text, _write_file)
@@ -65,7 +65,7 @@ def _load_config(args):
     # --out stays a CLI concern so the echoed config (and hence the bundle)
     # is identical across runs into different directories
     if getattr(args, "emit", None) is not None:
-        flags = {k: False for k in ("csv", "json", "svg")}
+        flags = dict.fromkeys(EMIT_DEFAULTS, False)
         for token in args.emit.split(","):
             token = token.strip()
             if token not in flags:

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .gauges import GaugeFunction, GaugeError, log_ratio
+from .gauges import GaugeFunction, GaugeError, _ls_slope, log_ratio
 
 LOG2 = math.log(2.0)
 
@@ -88,8 +88,8 @@ _EXP_AT_FLOOR = np.exp(np.full(1, _EXP_FLOOR))[0]  # 5e-324, the least subnormal
 
 
 def _exp(t: np.ndarray, lo: float = -math.inf, hi: float = math.inf) -> np.ndarray:
-    """np.exp(np.clip(t, lo, hi)) bit for bit, in place on t, a fresh
-    float64 array.
+    """numpy's exp of t clipped to [lo, hi], bit for bit, in place on t,
+    a fresh float64 array.
 
     exp runs only where its result is not known beforehand: entries below
     -746 (-inf included) are exactly 0 and entries at the -745 clip floor
@@ -223,8 +223,7 @@ def classify_log_tail(log_terms):
         return FINITE, -math.inf, "tail vanished below working precision"
     idx = np.arange(skip, len(blocks), dtype=float)[finite_mask]
     y = window[finite_mask] / LOG2
-    x0 = idx - idx.mean()
-    lam = float(np.dot(x0, y) / np.dot(x0, x0))
+    lam = _ls_slope(idx, y)
     detail = (f"block decay exponent {lam:.4f} over trailing {finite_mask.sum()} "
               f"blocks (finite <= {FINITE_BELOW}, divergent >= {DIVERGENT_ABOVE})")
     if lam <= FINITE_BELOW:
@@ -437,14 +436,14 @@ def check_limit_condition(f: GaugeFunction, g: GaugeFunction) -> ConditionVerdic
     ns = 2.0 ** np.arange(0, 61)
     v = -ns * LOG2
     lr = np.asarray(log_ratio(f, g, v), dtype=float)
-    ratios = np.exp(np.clip(lr, -745.0, 700.0))
+    ratios = _exp(lr, -745.0, 700.0)
     tail = ratios[-12:]
     decreasing = bool(np.all(np.diff(tail) <= 1e-12 * np.maximum(tail[:-1], 1e-300)))
     if decreasing and tail[-1] < 1e-6:
         diag = f"ratio at r = 2^-2^60: {tail[-1]:.3e}; decreasing tail"
         return ConditionVerdict(FINITE, 0.0, tuple(ratios.tolist()), diag)
     lt = np.log(np.maximum(tail, 1e-320))
-    slope = float(np.polyfit(np.arange(len(tail)), lt, 1)[0])
+    slope = _ls_slope(np.arange(len(tail), dtype=float), lt)
     if tail.min() >= 1e-6 and slope >= -0.01:
         diag = f"ratio bounded away from 0 (tail min {tail.min():.3e}, slope {slope:.3f})"
         return ConditionVerdict(DIVERGENT, None, tuple(ratios.tolist()), diag)
@@ -474,7 +473,7 @@ def check_rate_condition(f: GaugeFunction, g: GaugeFunction) -> ConditionVerdict
             # f's slowly varying part there, built once the first is finite
             f_slow = _shell_node_data(f.log_value_slow)
     w = np.log(-np.asarray(log_t))
-    slope = float(np.polyfit(w, np.log(np.maximum(rates, 1e-320)), 1)[0])
+    slope = _ls_slope(w, np.log(np.maximum(rates, 1e-320)))
     diag = (f"R(t) over {len(rates)} scales, trend slope {slope:.3f} "
             f"in log(-log t) (finite <= 0.05, divergent >= 0.15)")
     if slope <= 0.05:

@@ -8,23 +8,16 @@ report bundles.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .gauges import GaugeFunction, parse_gauge
+from .hierarchy import MIN_DEPTH
+from .measure import MIN_PAIRS
+from .projection import MIN_ANGLES
 
 SCHEMA_VERSION = 1
 
-_DEFAULTS = {
-    "schema_version": SCHEMA_VERSION,
-    "g": "auto",
-    "depth": 4,
-    "angles": 256,
-    "pairs": 200_000,
-    "scan_samples": 10_000,
-    "seed": 0,
-    "out_dir": None,
-    "emit": {"csv": True, "json": True, "svg": False},
-}
+EMIT_DEFAULTS = {"csv": True, "json": True, "svg": False}
 
 
 class ConfigError(ValueError):
@@ -33,35 +26,26 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    f_spec: dict
-    g_spec: object  # gauge spec dict or "auto"
-    depth: int
-    angles: int
-    pairs: int
-    scan_samples: int
-    seed: int
-    out_dir: str | None
-    emit: dict = field(default_factory=dict)
+    """A validated run config.  Its fields are the config document's keys
+    besides ``schema_version``, each with its default; f has none."""
+
+    f: dict
+    g: object = "auto"  # gauge spec dict or "auto"
+    depth: int = 4
+    angles: int = 256
+    pairs: int = 200_000
+    scan_samples: int = 10_000
+    seed: int = 0
+    emit: dict = field(default_factory=lambda: dict(EMIT_DEFAULTS))
 
     def gauge_f(self) -> GaugeFunction:
-        return parse_gauge(self.f_spec)
+        return parse_gauge(self.f)
 
     def gauge_g(self) -> GaugeFunction | None:
-        return None if self.g_spec == "auto" else parse_gauge(self.g_spec)
+        return None if self.g == "auto" else parse_gauge(self.g)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "f": self.f_spec,
-            "g": self.g_spec,
-            "depth": self.depth,
-            "angles": self.angles,
-            "pairs": self.pairs,
-            "scan_samples": self.scan_samples,
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "emit": dict(sorted(self.emit.items())),
-        }
+        return {"schema_version": SCHEMA_VERSION, **asdict(self)}
 
 
 def parse_config(document) -> RunConfig:
@@ -79,19 +63,16 @@ def parse_config(document) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
 
-    known = {"f"} | set(_DEFAULTS)
+    defaults = {fl.name: fl.default for fl in fields(RunConfig)}
     problems = []
-    extra = sorted(set(doc) - known)
+    extra = sorted(set(doc) - set(defaults) - {"schema_version"})
     if extra:
         problems.append(f"unknown keys: {extra}")
 
-    merged = dict(_DEFAULTS)
-    merged.update({k: v for k, v in doc.items() if k in known})
-
-    if merged.get("schema_version") != SCHEMA_VERSION:
+    if doc.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
         problems.append(f"schema_version must be {SCHEMA_VERSION}")
 
-    f_spec = merged.get("f") if "f" in doc else None
+    f_spec = doc.get("f")
     if f_spec is None:
         problems.append("f: gauge spec is required")
     else:
@@ -100,7 +81,7 @@ def parse_config(document) -> RunConfig:
         except Exception as e:
             problems.append(f"f: {e}")
 
-    g_spec = merged["g"]
+    g_spec = doc.get("g", defaults["g"])
     if g_spec != "auto":
         try:
             parse_gauge(g_spec)
@@ -108,33 +89,26 @@ def parse_config(document) -> RunConfig:
             problems.append(f"g: {e}")
 
     def _int_at_least(key, minimum):
-        v = merged[key]
+        v = doc.get(key, defaults[key])
         if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
             problems.append(f"{key}: must be an integer >= {minimum}")
             return minimum
         return v
 
-    depth = _int_at_least("depth", 2)  # derive_radius_schedule needs K >= 2
-    angles = _int_at_least("angles", 32)  # the sweep's minimum grid
-    pairs = _int_at_least("pairs", 1000)
+    depth = _int_at_least("depth", MIN_DEPTH)
+    angles = _int_at_least("angles", MIN_ANGLES)
+    pairs = _int_at_least("pairs", MIN_PAIRS)
     scan_samples = _int_at_least("scan_samples", 1)
     seed = _int_at_least("seed", 0)
 
-    emit = merged["emit"]
-    if (not isinstance(emit, dict) or set(emit) - {"csv", "json", "svg"}
+    emit = doc.get("emit", {})
+    if (not isinstance(emit, dict) or set(emit) - set(EMIT_DEFAULTS)
             or not all(isinstance(v, bool) for v in emit.values())):
         problems.append("emit: must be an object with boolean csv/json/svg")
-        emit = dict(_DEFAULTS["emit"])
-    else:
-        emit = {**_DEFAULTS["emit"], **emit}
-
-    out_dir = merged["out_dir"]
-    if out_dir is not None and not isinstance(out_dir, str):
-        problems.append("out_dir: must be a string path or null")
-        out_dir = None
+        emit = {}
 
     if problems:
         raise ConfigError("invalid config: " + "; ".join(problems))
 
-    return RunConfig(f_spec, g_spec, depth, angles, pairs,
-                     scan_samples, seed, out_dir, emit)
+    return RunConfig(f_spec, g_spec, depth, angles, pairs, scan_samples, seed,
+                     {**EMIT_DEFAULTS, **emit})

@@ -26,7 +26,7 @@ import numpy as np
 from .conditions import (BLOCK_NODES, ConditionVerdict, FINITE, DIVERGENT,
                          _exp, _logsumexp, classify_log_tail,
                          check_integral_condition)
-from .gauges import GaugeFunction, GaugeError, power_log, spec_float
+from .gauges import GaugeFunction, GaugeError, _ls_slope, power_log, spec_float
 
 LOG2 = math.log(2.0)
 
@@ -172,8 +172,7 @@ def classify_series(f: GaugeFunction, psi: ApproxFunction, k: int,
     terms = _term_log(f, psi, k, lq)
     good = np.isfinite(terms)
     if good.sum() >= 2:
-        x = lq[good] - lq[good].mean()
-        fitted = float(np.dot(x, terms[good]) / np.dot(x, x))
+        fitted = _ls_slope(lq[good], terms[good])
     else:
         fitted = -math.inf
 

@@ -367,6 +367,9 @@ def _as_log_grid(log_grid) -> np.ndarray:
 
 
 def _ls_slope(x: np.ndarray, y: np.ndarray) -> float:
+    """Least-squares slope of y against x: every fitted exponent of the
+    package (doubling, block decay, limit and rate trends, series and
+    cover-cost trends) is this one fit."""
     x0 = x - x.mean()
     return float(np.dot(x0, y) / np.dot(x0, x0))
 

@@ -30,10 +30,10 @@ import numpy as np
 
 from .gauges import GaugeFunction, GaugeError
 
-LOG2 = math.log(2.0)
 LOG_QUARTER = math.log(0.25)
 LOG3 = math.log(3.0)
 
+MIN_DEPTH = 2         # fewest levels a schedule may have
 DISC_CAP = 10 ** 7    # most discs or intervals one array may hold
 FIRST_WINDOW = 64     # starts in the first window of the k1 search
 MAX_WINDOW = 1 << 15  # most starts in one window (256 KiB per float64 array)
@@ -109,8 +109,8 @@ def derive_radius_schedule(f: GaugeFunction, K: int) -> RadiusSchedule:
     the same result as one scan over every start, and the cost grows with
     k1 instead of with the 10**6 bound.
     """
-    if K < 2:
-        raise ScheduleError("need depth K >= 2")
+    if K < MIN_DEPTH:
+        raise ScheduleError(f"need depth K >= {MIN_DEPTH}")
     fit = f.doubling
     if fit.s > 1.0 + 1e-9:
         raise ScheduleError(
@@ -164,34 +164,26 @@ class BranchingPlan:
 def choose_branching(f: GaugeFunction, schedule: RadiusSchedule) -> BranchingPlan:
     """Smallest admissible branching counts for the pinched mass products.
 
-    N_{k+1} is the least integer in [a / (prod * f(r_{k+1})),
-    2a / (prod * f(r_{k+1}))]; the interval has width > 2 whenever the
-    schedule inequalities hold, so an integer >= 2 always exists.
+    N_{k+1} is the least integer in [L, 2L] with L = a / (N_1 ... N_k
+    f(r_{k+1})).  The interval has width L > 2 whenever the schedule
+    inequalities hold, and then ceil(L) <= L + 1 < 2L, so the least
+    integer >= 2 in it is max(ceil(L), 2).
     """
+    log_a = float(f.log_value(schedule.log_r[0]))
+    log_prod = 0.0
     counts: list[int] = []
     for k in range(schedule.depth):
-        lower, upper = branching_interval(f, schedule, counts)
-        if upper - lower <= 2.0 * (1.0 - 1e-9):
+        lower = math.exp(log_a - log_prod
+                         - float(f.log_value(schedule.log_r[k + 1])))
+        if lower <= 2.0 * (1.0 - 1e-9):
             raise BranchingError(
-                f"branching interval [{lower:.3f}, {upper:.3f}] at level {k + 1} "
-                "is too narrow; schedule inequalities are violated upstream")
+                f"branching interval [{lower:.3f}, {2.0 * lower:.3f}] at level "
+                f"{k + 1} is too narrow; schedule inequalities are violated "
+                "upstream")
         n = max(int(math.ceil(lower)), 2)
-        if n > upper * (1.0 + 1e-12):
-            raise BranchingError(
-                f"no integer >= 2 in branching interval at level {k + 1}")
         counts.append(n)
-    return BranchingPlan(math.exp(float(f.log_value(schedule.log_r[0]))),
-                         tuple(counts))
-
-
-def branching_interval(f: GaugeFunction, schedule: RadiusSchedule,
-                       counts_so_far) -> tuple[float, float]:
-    """The admissible interval for the next branching count."""
-    log_a = float(f.log_value(schedule.log_r[0]))
-    log_prod = float(sum(math.log(n) for n in counts_so_far))
-    lf_next = float(f.log_value(schedule.log_r[len(counts_so_far) + 1]))
-    lower = math.exp(log_a - log_prod - lf_next)
-    return lower, 2.0 * lower
+        log_prod += math.log(n)
+    return BranchingPlan(math.exp(log_a), tuple(counts))
 
 
 # ---------------------------------------------------------------------------

@@ -43,10 +43,6 @@ class NaturalMeasure:
         if not 1 <= self.depth <= self.hierarchy.depth:
             raise GaugeError("measure depth must lie within the built hierarchy")
 
-    @property
-    def log_atom_mass(self) -> float:
-        return -sum(math.log(n) for n in self.hierarchy.counts[:self.depth])
-
     def sample_atoms(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Centers of n uniformly sampled atoms (equal masses make uniform
         path sampling mass-proportional), without materialising the level.
@@ -62,6 +58,8 @@ class NaturalMeasure:
             y += (off * ey)[idx]
         return np.stack([x, y], axis=1)
 
+
+MIN_PAIRS = 1000  # fewest pairs a Monte Carlo energy or potential may draw
 
 # probes descended together; bounds the per-level frontier arrays
 PROBE_CHUNK = 4096
@@ -366,6 +364,11 @@ def divergence_pairs(m: NaturalMeasure, pairs: int, rng: np.random.Generator):
         yield k, (1.0 - 1.0 / count) / h.disc_count(k - 1), dx, dy
 
 
+def _require_pairs(pairs: int) -> None:
+    if pairs < MIN_PAIRS:
+        raise GaugeError(f"use at least {MIN_PAIRS} pairs")
+
+
 def mc_energy_atoms(f: GaugeFunction, points, masses, pairs: int,
                     seed: int) -> EnergyEstimate:
     """Monte Carlo energy of an explicit weighted atom list: over
@@ -373,8 +376,7 @@ def mc_energy_atoms(f: GaugeFunction, points, masses, pairs: int,
     0, the mean estimates the off-diagonal sum :func:`discrete_energy`
     computes (inf when distinct atoms coincide).  ``collisions_rejected``
     counts the same-index pairs."""
-    if pairs < 10 ** 3:
-        raise GaugeError("use at least 1000 pairs")
+    _require_pairs(pairs)
     coords = _as_coords(points)
     n = len(coords)
     rng = np.random.default_rng(seed)
@@ -400,8 +402,7 @@ def mc_energy(f: GaugeFunction, m: NaturalMeasure, pairs: int,
     with stderr sqrt(sum_k p_k**2 stderr_k**2).  A pair costs one uniform
     draw per level from that level's ordered-pair step table.  No pair
     coincides, so ``collisions_rejected`` is 0."""
-    if pairs < 10 ** 3:
-        raise GaugeError("use at least 1000 pairs")
+    _require_pairs(pairs)
     rng = np.random.default_rng(seed)
     levels = tuple(
         LevelEnergy(k, p, len(dx), *_mean_stderr(f.reciprocal(np.hypot(dx, dy))))
@@ -415,8 +416,7 @@ def potential(f: GaugeFunction, m: NaturalMeasure, x, pairs: int,
               seed: int) -> float:
     """Monte Carlo estimate of the potential integral of 1/f(|x - y|) d mu(y)
     over the atoms y != x: a draw that lands on x itself counts 0."""
-    if pairs < 10 ** 3:
-        raise GaugeError("use at least 1000 pairs")
+    _require_pairs(pairs)
     rng = np.random.default_rng(seed)
     d = np.linalg.norm(m.sample_atoms(pairs, rng) - np.asarray(x, dtype=float),
                        axis=-1)

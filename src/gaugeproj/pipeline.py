@@ -152,7 +152,6 @@ class _Run:
     bundle: dict
     f: gauges.GaugeFunction | None = None
     g: gauges.GaugeFunction | None = None
-    fit_g: gauges.ExponentFit | None = None
     h: hierarchy.DiscHierarchy | None = None
     shells: tuple | None = None
     sweep_rows: list = field(default_factory=list)
@@ -171,11 +170,10 @@ class _Run:
 def _gauges(run: _Run):
     run.f = run.config.gauge_f()
     run.g = resolve_g(run.config, run.f)
-    fit_f, run.fit_g = run.f.doubling, run.g.doubling
+    fits = {"f": run.f.doubling, "g": run.g.doubling}
     run.bundle["gauges"] = {
         "f": run.f.to_dict(), "g": run.g.to_dict(),
-        "doubling": {"f": {"s": fit_f.s, "kappa": fit_f.kappa},
-                     "g": {"s": run.fit_g.s, "kappa": run.fit_g.kappa}}}
+        "doubling": {k: {"s": fit.s, "kappa": fit.kappa} for k, fit in fits.items()}}
 
 
 def _conditions(run: _Run):
@@ -214,10 +212,9 @@ def _energy(run: _Run):
     config = run.config
     est = energy_estimate(config, run.g, run.m)
     energy = run.bundle["energy"] = {"gauge": "g", **energy_payload(est)}
-    if run.fit_g is None:
-        raise gauges.GaugeError(
-            "doubling fit of g unavailable: gauges stage failed")
-    if run.fit_g.s < 1.0:
+    # g's doubling fit is cached on g; when the gauges stage could not fit
+    # it, this read fails the stage with the fit's own error
+    if run.g.doubling.s < 1.0:
         ape = projection.averaged_projected_energy(
             run.m, run.g, pairs=min(config.pairs, 100_000),
             seed=config.seed + 2)
@@ -267,9 +264,10 @@ STAGES = (
 def run_pipeline(config: RunConfig, out_dir=None) -> PipelineResult:
     """Execute the full report pipeline for one config.
 
-    Writes the emitted files under ``out_dir`` (or config.out_dir) and
-    returns the in-memory bundle; exit_code is nonzero when any verified
-    inequality fails (1) or a stage could not run at all (2).
+    Writes the emitted files under ``out_dir`` when it is given: it is the
+    one output route (the CLI's --out), since the config names no
+    directory.  Returns the in-memory bundle; exit_code is nonzero when
+    any verified inequality fails (1) or a stage could not run at all (2).
     """
     stages: list[dict] = []
     bundle: dict = {"schema_version": SCHEMA_VERSION, "config": config.to_dict(),
@@ -294,29 +292,39 @@ def run_pipeline(config: RunConfig, out_dir=None) -> PipelineResult:
         "schema_version": SCHEMA_VERSION,
         "inequalities": {"pass": n_pass, "fail": len(check_rows) - n_pass},
         "verdicts": {k: v.get("status") for k, v in bundle["verdicts"].items()},
-        "margins": {r["check_id"]: r["margin"] for r in check_rows},
+        "margins": _least_margins(check_rows),
     }
 
     _emit(run, out_dir)
     return PipelineResult(bundle)
 
 
+def _least_margins(check_rows: list[dict]) -> dict:
+    """Each check id's smallest finite margin, its least slack over every
+    row; None when the id has no finite margin."""
+    margins = dict.fromkeys(r["check_id"] for r in check_rows)
+    for r in check_rows:
+        m, least = r["margin"], margins[r["check_id"]]
+        if m is not None and math.isfinite(m) and (least is None or m < least):
+            margins[r["check_id"]] = m
+    return margins
+
+
 def _emit(run: _Run, out_dir) -> None:
-    target = out_dir if out_dir is not None else run.config.out_dir
-    if target is None:
+    if out_dir is None:
         return
-    out = Path(target)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     emit = run.config.emit
-    if emit.get("json", True):
+    if emit["json"]:
         _write_file(out, "report.json", _json_text(run.bundle))
-    if emit.get("csv", True):
+    if emit["csv"]:
         _write_file(out, "checks.csv", _csv_text(
             ["check_id", "where", "passed", "margin", "note"],
             ([r["check_id"], r["where"], r["passed"], r["margin"], r["note"]]
              for r in run.bundle["checks"])))
         _write_file(out, "sweep.csv", _sweep_csv_text(run.sweep_rows))
-    if emit.get("svg", False):
+    if emit["svg"]:
         if run.h is not None:
             _write_file(out, "hierarchy.svg", render_hierarchy_svg(run.h))
         _write_file(out, "sweep.svg", render_sweep_svg(run.sweep_rows))

@@ -22,9 +22,11 @@ import numpy as np
 
 from . import hierarchy
 from .conditions import _gl
-from .gauges import GaugeFunction, GaugeError
+from .gauges import GaugeFunction, GaugeError, _ls_slope
 from .hierarchy import DiscCapExceeded, DiscHierarchy
 from .measure import NaturalMeasure, _mean_stderr, divergence_pairs
+
+MIN_ANGLES = 32  # fewest directions a sweep's angle grid may hold
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,13 +226,11 @@ def sweep_directions(h: DiscHierarchy, g: GaugeFunction, theta_grid) -> SweepTab
         raise GaugeError("angle grid must be a point count or a sequence of angles")
     if isinstance(theta_grid, numbers.Integral):
         n = int(theta_grid)
-        if n < 32:
-            raise GaugeError("angle grid needs at least 32 points")
         thetas = [i * math.pi / n for i in range(n)]
     else:
         thetas = [float(t) for t in theta_grid]
-        if len(thetas) < 32:
-            raise GaugeError("angle grid needs at least 32 points")
+    if len(thetas) < MIN_ANGLES:
+        raise GaugeError(f"angle grid needs at least {MIN_ANGLES} points")
     bounds = tuple(eq35_bound(h, g, k) for k in range(1, h.depth))
     rows: list[SweepRow] = []
     for theta in thetas:
@@ -464,9 +464,7 @@ def _cost_trend(costs) -> str:
     if np.any(c <= 0):
         return "shrinks"  # hit exact zero: certainly vanishing
     x = np.log(np.arange(1, len(c) + 1, dtype=float))
-    y = np.log(c)
-    x0 = x - x.mean()
-    slope = float(np.dot(x0, y) / np.dot(x0, x0))
+    slope = _ls_slope(x, np.log(c))
     if slope <= -0.05:
         return "shrinks"
     if slope >= 0.05:

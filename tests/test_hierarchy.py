@@ -12,7 +12,7 @@ from gaugeproj import (BranchingError, BranchingPlan, DiscCapExceeded,
                        power, power_log, raw_log_radii, tabulated,
                        validate_hierarchy)
 from gaugeproj import hierarchy
-from gaugeproj.hierarchy import DISC_CAP, branching_interval
+from gaugeproj.hierarchy import DISC_CAP
 
 from conftest import schedule_from_radii
 
@@ -134,13 +134,22 @@ def test_schedule_search_allocates_little(s):
     assert peak <= 64 * 1024
 
 
+def least_count(f, s, counts) -> float:
+    """a / (N_1 ... N_k f(r_{k+1})), the lower end of the admissible
+    interval [L, 2L] for N_{k+1}."""
+    k = len(counts)
+    return math.exp(f.log_value(s.log_r[0]) - sum(math.log(n) for n in counts)
+                    - f.log_value(s.log_r[k + 1]))
+
+
 def test_choose_branching_example():
     f = power(0.5)
     s = derive_radius_schedule(f, 4)
     plan = choose_branching(f, s)
     assert plan.a == pytest.approx(0.3050, abs=5e-4)
     assert plan.counts[0] == 9
-    lo, hi = branching_interval(f, s, [])
+    lo = least_count(f, s, [])
+    hi = 2.0 * lo
     assert lo == pytest.approx(8.75, abs=0.01)
     assert hi == pytest.approx(17.51, abs=0.02)
     assert hi - lo > 2  # the proof's width guarantee
@@ -151,7 +160,8 @@ def test_choose_branching_width_guarantee_every_level():
     s = derive_radius_schedule(f, 5)
     plan = choose_branching(f, s)
     for k in range(s.depth):
-        lo, hi = branching_interval(f, s, plan.counts[:k])
+        lo = least_count(f, s, plan.counts[:k])
+        hi = 2.0 * lo
         assert hi - lo > 2
         assert lo <= plan.counts[k] <= hi
         assert plan.counts[k] == math.ceil(lo) or plan.counts[k] == 2

@@ -327,13 +327,6 @@ def test_descent_cap_is_per_probe(h05_depth5, monkeypatch):
         ball_masses(m, [(5.0, 5.0), x], [1.0, r])
 
 
-def test_total_mass_log_sum(h05_depth5):
-    for depth in (1, 3, 5):
-        m = NaturalMeasure(h05_depth5, depth)
-        log_count = math.log(h05_depth5.disc_count(depth))
-        assert abs(log_count + m.log_atom_mass) < 1e-12
-
-
 # ---------------------------------------------------------------------------
 # Frostman scan
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 import gaugeproj
 from gaugeproj import (ConfigError, GaugeFitError, conditions, gauges,
                        parse_config, power, run_pipeline, sweep_partner)
-from gaugeproj import cli
+from gaugeproj import cli, hierarchy, measure, pipeline, projection
 from gaugeproj.cli import main as cli_main
 from gaugeproj.hierarchy import (BranchingPlan, RadiusSchedule, build_from_gauge,
                                  build_hierarchy, validate_hierarchy)
@@ -56,16 +56,52 @@ def test_parse_rejects_unknown_keys_and_lists_all_violations():
                                  "depth": 0, "angles": 1, "wat": 1}))
     msg = str(err.value)
     assert "wat" in msg and "depth" in msg and "angles" in msg
-    # the disc cap, sweep level and placement angles are not config keys
+    # the disc cap, sweep level, placement angles and output directory are
+    # not config keys: --out is the one output route
     with pytest.raises(ConfigError, match=(r"unknown keys: "
-                       r"\['disc_cap', 'sweep_level', 'theta_mode'\]")):
+                       r"\['disc_cap', 'out_dir', 'sweep_level', 'theta_mode'\]")):
         parse_config(json.dumps({"f": {"family": "power", "s": 0.5},
                                  "disc_cap": 10 ** 7, "sweep_level": 2,
-                                 "theta_mode": "default"}))
+                                 "theta_mode": "default", "out_dir": "out"}))
     # the sweep needs at least 32 angles, so the config does too
     with pytest.raises(ConfigError, match="angles: must be an integer >= 32"):
         parse_config(json.dumps({"f": {"family": "power", "s": 0.5},
                                  "depth": 3, "angles": 16}))
+
+
+def _sweep(n):
+    f = power(0.5)
+    return projection.sweep_directions(build_from_gauge(f, 3), sweep_partner(f), n)
+
+
+def _measure():
+    return measure.NaturalMeasure(build_from_gauge(power(0.5), 3), 3)
+
+
+@pytest.mark.parametrize("key, floor, library", [
+    ("depth", hierarchy.MIN_DEPTH,
+     lambda n: hierarchy.derive_radius_schedule(power(0.5), n)),
+    ("angles", projection.MIN_ANGLES, _sweep),
+    ("angles", projection.MIN_ANGLES,
+     lambda n: _sweep([i * math.pi / n for i in range(n)])),
+    ("pairs", measure.MIN_PAIRS,
+     lambda n: measure.mc_energy(power(0.5), _measure(), n, seed=0)),
+    ("pairs", measure.MIN_PAIRS,
+     lambda n: measure.mc_energy_atoms(power(0.5), [(0.0, 0.0), (1.0, 0.0)],
+                                       None, n, seed=0)),
+    ("pairs", measure.MIN_PAIRS,
+     lambda n: measure.potential(power(0.5), _measure(), (0.0, 0.0), n, seed=0)),
+], ids=["depth", "angles-count", "angles-list", "pairs-mc_energy",
+        "pairs-mc_energy_atoms", "pairs-potential"])
+def test_config_and_library_share_each_floor(key, floor, library):
+    # the config reads each floor from the module that owns it, so both
+    # reject floor - 1 and both accept the floor
+    with pytest.raises(ConfigError, match=f"{key}: must be an integer >= {floor}"):
+        parse_config(json.dumps({**FAST, key: floor - 1}))
+    with pytest.raises(gauges.GaugeError, match=str(floor)):
+        library(floor - 1)
+    assert getattr(parse_config(json.dumps({**FAST, key: floor})), key) == floor
+    library(floor)
 
 
 def test_parse_requires_gauge():
@@ -87,6 +123,34 @@ def test_config_round_trip_canonical():
 # ---------------------------------------------------------------------------
 # Pipeline
 # ---------------------------------------------------------------------------
+
+def test_summary_margins_are_each_checks_least():
+    # a check id's summary margin is its least slack over all its rows, not
+    # its last row's: on power(0.5) at depth 4 the deepest level has more
+    # Eq20, Eq21 and Eq33 slack than the tightest one
+    cfg = parse_config(json.dumps({"f": {"family": "power", "s": 0.5},
+                                   "depth": 4, "seed": 1}))
+    bundle = run_pipeline(cfg).bundle
+    margins = bundle["summary"]["margins"]
+    least: dict = {}
+    for r in bundle["checks"]:
+        least[r["check_id"]] = min(least.get(r["check_id"], math.inf), r["margin"])
+    assert margins == least
+    assert margins["Eq20"] == pytest.approx(0.0284, abs=1e-4)
+    assert margins["Eq21"] == pytest.approx(0.764, abs=1e-3)
+    assert margins["Eq33"] == pytest.approx(15.19, abs=0.01)
+    last = {r["check_id"]: r["margin"] for r in bundle["checks"]}
+    assert all(last[c] > margins[c] for c in ("Eq20", "Eq21", "Eq33"))
+
+
+def test_summary_margin_is_null_only_without_a_finite_margin():
+    rows = [{"check_id": "Eq35", "margin": math.nan},
+            {"check_id": "Eq20", "margin": math.nan},
+            {"check_id": "Eq20", "margin": 0.5},
+            {"check_id": "Eq20", "margin": 0.2},
+            {"check_id": "Eq20", "margin": math.inf}]
+    assert pipeline._least_margins(rows) == {"Eq35": None, "Eq20": 0.2}
+
 
 def test_pipeline_happy_path(tmp_path):
     cfg = parse_config(json.dumps(FAST))
@@ -117,7 +181,8 @@ def test_pipeline_records_schedule_failure(tmp_path):
 
 
 def test_pipeline_energy_needs_the_gauges_stage_fit(tmp_path, monkeypatch):
-    # the energy stage reuses g's doubling fit; without it, it fails plainly
+    # the energy stage reads g's cached doubling fit; when g cannot be fit,
+    # it fails with the fit's own error
     real_fit = gauges.doubling_exponent
     g = sweep_partner(power(0.5))
 
@@ -133,7 +198,7 @@ def test_pipeline_energy_needs_the_gauges_stage_fit(tmp_path, monkeypatch):
                                 "error": "no fit for g"}
     assert stages["frostman"]["status"] == "ok"
     assert stages["energy"]["status"] == "failed"
-    assert "gauges stage failed" in stages["energy"]["error"]
+    assert stages["energy"]["error"] == "no fit for g"
 
 
 def test_pipeline_fits_each_gauge_once(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
-"""The package exports only names that a live path reaches, and its
-dataclasses hold only fields that a live path reads.
+"""The package exports only names that a live path reaches, its
+dataclasses hold only fields that a live path reads, and its classes
+define only methods and properties that a live path loads.
 
 A name in ``gaugeproj/__init__.py`` must be referenced, as code, by the
 library itself, by perfbench, or be imported by the acceptance suite.
@@ -12,6 +13,12 @@ Every field of a dataclass defined in the package must be read, as an
 the acceptance suite.  The scan matches by attribute name, not by the
 type of the object read: a field that shares its name with any other
 attribute read there (``theta``, ``level``, ``s``) counts as read.
+
+Every method or property (dunder methods aside) of a class defined in the
+package must be loaded the same way, as an ``ast.Attribute``, by the
+library, by perfbench or by the acceptance suite.  The same caveat holds:
+the scan matches by name, so a method that shares its name with any
+attribute loaded there (``to_dict``, ``radius``) counts as loaded.
 """
 
 import ast
@@ -30,6 +37,10 @@ ALLOWED_UNREACHED = {
 ALLOWED_UNREAD = {
     "LogDimensionEstimate.trends",  # ROADMAP item 3: the log-dimension run stage
 }
+
+# methods and properties kept ahead of their first caller, with the roadmap
+# item that calls them
+ALLOWED_UNLOADED: set[str] = set()
 
 
 def _parse(path: Path) -> ast.Module:
@@ -103,11 +114,35 @@ def attribute_reads(paths) -> set[str]:
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
 
 
+def _live_reads() -> set[str]:
+    return attribute_reads(_library() + _perfbench()
+                           + [ROOT / "tests" / "test_acceptance.py"])
+
+
 def unread_fields() -> set[str]:
-    reads = attribute_reads(_library() + _perfbench()
-                            + [ROOT / "tests" / "test_acceptance.py"])
+    reads = _live_reads()
     return {f for f in dataclass_fields(_library())
             if f.split(".")[1] not in reads} - ALLOWED_UNREAD
+
+
+def class_methods(paths) -> set[str]:
+    """"Class.method" for every method and property, dunders aside, of
+    the classes defined in ``paths``."""
+    out = set()
+    for path in paths:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ClassDef):
+                out |= {f"{node.name}.{st.name}" for st in node.body
+                        if isinstance(st, ast.FunctionDef)
+                        and not (st.name.startswith("__")
+                                 and st.name.endswith("__"))}
+    return out
+
+
+def unloaded_methods() -> set[str]:
+    reads = _live_reads()
+    return {m for m in class_methods(_library())
+            if m.split(".")[1] not in reads} - ALLOWED_UNLOADED
 
 
 def test_every_export_has_a_live_caller():
@@ -144,3 +179,25 @@ def test_field_scan_counts_only_loads(tmp_path):
                    "row.stored = row.read\n")
     assert dataclass_fields([src]) == {"Row.read", "Row.stored"}
     assert attribute_reads([src]) == {"read"}
+
+
+def test_every_method_has_a_live_caller():
+    assert unloaded_methods() == set()
+
+
+def test_method_allowlist_names_real_methods():
+    assert ALLOWED_UNLOADED <= class_methods(_library())
+
+
+def test_method_scan_skips_dunders_and_counts_properties(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("class Measure:\n"
+                   "    def __post_init__(self):\n"
+                   "        pass\n"
+                   "    @property\n"
+                   "    def mass(self):\n"
+                   "        return 1.0\n"
+                   "    def unused(self):\n"
+                   "        return self.mass\n")
+    assert class_methods([src]) == {"Measure.mass", "Measure.unused"}
+    assert attribute_reads([src]) == {"mass"}
