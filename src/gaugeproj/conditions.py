@@ -19,13 +19,12 @@ every verdict's diagnostics.
 The kernels keep their working sets in cache.  Shell quadrature evaluates
 its integrand ``BLOCK_NODES`` nodes at a time into one array of all node
 values, then takes every shell's weighted sum in one product.  The tail
-classifier reads its base-2 blocks of under 128 terms from one
-log-sum-exp over a -inf-padded array and reduces the larger blocks
-without padding; the tail continuation evaluates its panels in at most
-four growing stages.  The rate condition evaluates f's slowly varying
-part at the shell nodes once for all its scales after the first.  Each
-node gets the float operations of one call on all of them, so the
-verdicts do not depend on the block size.
+classifier reads all its base-2 blocks from one blockwise log-sum-exp,
+each block summed as its own slice; the tail continuation evaluates its
+panels in at most four growing stages.  The rate condition evaluates f's
+slowly varying part at the shell nodes once for all its scales after the
+first.  Each node gets the float operations of one call on all of them,
+so the verdicts do not depend on the block size.
 
 Every exponential of the kernels goes through ``_exp``, which returns
 numpy's exp bit for bit but does not ask exp for the results it already
@@ -59,7 +58,7 @@ SHELLS = 2048  # dyadic shells [2**-(n+1), 2**-n], n < SHELLS, in every shell su
 # stays L2-resident and under glibc's 128 KiB mmap threshold.  A
 # classify_series call on all 16 373 x 24 deep-octave nodes at once took
 # about 6 200 page faults and 39 ms; in blocks of 256 rows, 470 faults
-# (from the padded tail classifier) and 24 ms.
+# and 24 ms.
 BLOCK_NODES = 256 * 24
 
 
@@ -114,25 +113,25 @@ def _exp(t: np.ndarray, lo: float = -math.inf, hi: float = math.inf) -> np.ndarr
 # Tail classification
 # ---------------------------------------------------------------------------
 
-def _logsumexp(a, axis=None):
-    """log(sum(exp(a))) over ``axis`` (every entry when None), without
-    overflow and without RuntimeWarnings.
+def _logsumexp(a):
+    """log(sum(exp(a))) over the last axis, without overflow and without
+    RuntimeWarnings.
 
     SciPy's algorithm, so results agree with ``scipy.special.logsumexp``
     bit for bit: every entry equal to the maximum is split off the shifted
     sum s, the result is log1p(s / m) + log(m) + max for m maximal entries,
     and where that is not finite (all entries -inf, an inf or a NaN) it is
-    the direct log(sum(exp(a))), computed for those slices only.  Every
-    slice's value depends on that slice alone.
+    the direct log(sum(exp(a))), computed for those rows only.  Every
+    row's value depends on that row alone.
     """
     a = np.asarray(a, dtype=float)
     with np.errstate(all="ignore"):
-        a_max = a.max(axis=axis, keepdims=True)
+        a_max = a.max(axis=-1, keepdims=True)
         at_max = a == a_max
-        m = at_max.sum(axis=axis, keepdims=True, dtype=float)
+        m = at_max.sum(axis=-1, keepdims=True, dtype=float)
         t = np.where(at_max, -np.inf, a)
         t -= a_max
-        out = _exp(t).sum(axis=axis, keepdims=True)
+        out = _exp(t).sum(axis=-1, keepdims=True)
         out /= m
         np.log1p(out, out=out)
         out += np.log(m)
@@ -141,12 +140,8 @@ def _logsumexp(a, axis=None):
         if bad.any():
             # the direct form is inf, -inf or NaN, so its summation order
             # does not matter
-            if axis is None:
-                out[...] = np.log(np.sum(np.exp(a)))
-            else:
-                rows = np.moveaxis(a, axis, -1)[np.moveaxis(bad, axis, -1)[..., 0]]
-                out[bad] = np.log(np.sum(np.exp(rows), axis=-1))
-    return np.squeeze(out, axis=axis)[()]
+            out[bad] = np.log(np.sum(np.exp(a[bad[..., 0]]), axis=-1))
+    return out[..., 0][()]
 
 
 def _block_logsumexp(a: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -177,26 +172,6 @@ def _block_logsumexp(a: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _base2_block_sums(lt: np.ndarray, n_blocks: int) -> np.ndarray:
-    """log of the sum of each base-2 block lt[2**j:2**(j+1)], j < n_blocks.
-
-    Blocks under 128 terms share one log-sum-exp: row j holds block j's
-    2**j terms, then -inf, and the rows' True cells of ``mask`` in
-    row-major order are exactly lt[1:2**n_small].  Larger blocks are
-    reduced without padding; each sums its terms as its row of one padded
-    array would, since the padding only adds zeros.
-    """
-    n_small = min(n_blocks, 7)
-    width = 2 ** (n_small - 1)
-    mask = np.arange(width) < (2 ** np.arange(n_small))[:, None]
-    padded = np.full((n_small, width), -math.inf)
-    padded[mask] = lt[1:2 ** n_small]
-    return np.concatenate([
-        _logsumexp(padded, axis=1),
-        _block_logsumexp(lt[2 ** n_small:2 ** n_blocks],
-                         2 ** np.arange(n_small, n_blocks))])
-
-
 def classify_log_tail(log_terms):
     """Classify a positive-term tail given the logs of its terms.
 
@@ -210,7 +185,7 @@ def classify_log_tail(log_terms):
     n_blocks = len(lt).bit_length() - 1  # blocks [2**j, 2**(j+1)) inside lt
     if n_blocks < 3:
         return INCONCLUSIVE, math.nan, "too few blocks to classify"
-    blocks = _base2_block_sums(lt, n_blocks)
+    blocks = _block_logsumexp(lt[1:2 ** n_blocks], 2 ** np.arange(n_blocks))
     # only the trailing blocks carry the asymptotics; early ones still feel
     # slowly varying prefactors
     skip = max(len(blocks) - 5, min(2, len(blocks) - 3))

@@ -145,7 +145,7 @@ def _octave_log_sums(f: GaugeFunction, psi: ApproxFunction, k: int,
         terms = _term_log(f, psi, k, lq.ravel()).reshape(lq.shape)
         terms += lq
         # octave sum ~ integral of e**(term + log q) d log q
-        out[a:a + len(ns)] = _logsumexp(terms, axis=1) + math.log(LOG2 / nodes)
+        out[a:a + len(ns)] = _logsumexp(terms) + math.log(LOG2 / nodes)
     return out
 
 

@@ -194,8 +194,9 @@ def choose_branching(f: GaugeFunction, schedule: RadiusSchedule) -> BranchingPla
 class DiscHierarchy:
     """Per-level geometry of the construction; immutable once built.
 
-    ``offsets[k]`` holds the signed center offsets of the level-(k+1)
+    ``offsets(k)`` holds the signed center offsets of the level-k
     children along their parent's placement diameter (physical units),
+    :meth:`parent_frame` the same offsets in units of r_{k-1}, and
     ``d[k]`` the cumulative placement direction d_{k+1}.  Absolute centers
     are not stored: :meth:`first_paths` and :meth:`level_centers` compute
     them on request, for levels of at most ``DISC_CAP`` discs.
@@ -234,10 +235,16 @@ class DiscHierarchy:
             self._cache[key] = np.linspace(-span, span, n)
         return self._cache[key]
 
-    def gap(self, level: int) -> float:
-        """Boundary gap between consecutive level-`level` siblings."""
-        off = self.offsets(level)
-        return float(off[1] - off[0]) - 2.0 * self.radius(level)
+    def parent_frame(self, level: int) -> tuple[float, np.ndarray]:
+        """rho = r_k / r_{k-1} and the N_k child offsets of level k =
+        `level` in units of r_{k-1}, both from the log radii alone, so
+        they are exact at any depth."""
+        key = ("frame", level)
+        if key not in self._cache:
+            rho = math.exp(self.log_radius(level) - self.log_radius(level - 1))
+            self._cache[key] = rho, np.linspace(-(1.0 - rho), 1.0 - rho,
+                                                self.counts[level - 1])
+        return self._cache[key]
 
     def direction(self, level: int) -> np.ndarray:
         ang = self.d[level - 1]
@@ -307,12 +314,11 @@ def build_hierarchy(f: GaugeFunction, schedule: RadiusSchedule,
                          tuple(d))
 
 
-def build_from_gauge(f: GaugeFunction, depth: int,
-                     theta="default") -> DiscHierarchy:
-    """Schedule, branching and hierarchy in one step."""
+def build_from_gauge(f: GaugeFunction, depth: int) -> DiscHierarchy:
+    """Schedule, branching and hierarchy in one step, with the default
+    placement increments."""
     schedule = derive_radius_schedule(f, depth)
-    plan = choose_branching(f, schedule)
-    return build_hierarchy(f, schedule, plan, theta)
+    return build_hierarchy(f, schedule, choose_branching(f, schedule))
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +358,16 @@ class HierarchyReport:
 def validate_hierarchy(h: DiscHierarchy) -> HierarchyReport:
     """Exact per-level verification of every construction inequality.
 
-    Margins are log-space slacks where the inequality is multiplicative
-    and relative residuals for the spacing identity.
+    Every margin is a slack that shrinks toward failure: log-space slacks
+    where the inequality is multiplicative, 1e-9 minus the residual for
+    the spacing identity ``Eq32``, and the smallest step of the angle
+    partial sums (None at depth 1, which has no step).
+
+    Each inequality relates consecutive levels only, so the geometry rows
+    read :meth:`DiscHierarchy.parent_frame`: rho = r_k / r_{k-1} and the
+    children's offsets in units of r_{k-1}.  No absolute radius or
+    coordinate is read, so the rows are the same at any depth the
+    construction reaches.
 
     The discs of each level are pairwise disjoint by induction on k, from
     two premises checked here at every level.  Siblings are disjoint:
@@ -363,8 +377,7 @@ def validate_hierarchy(h: DiscHierarchy) -> HierarchyReport:
     to a relative 1e-12 of rounding, far below the gap > r_{k-1} between
     the parents).  Two level-k discs with distinct parents then lie in
     distinct level-(k-1) discs, disjoint by the induction hypothesis; two
-    with the same parent are siblings.  No absolute coordinate is read, so
-    the argument holds at any depth.
+    with the same parent are siblings.
     """
     f = h.gauge
     lr = h.schedule.log_r
@@ -375,7 +388,6 @@ def validate_hierarchy(h: DiscHierarchy) -> HierarchyReport:
     log_prod = 0.0
     for k in range(1, h.depth + 1):
         log_prod += math.log(h.counts[k - 1])
-        r_k, r_prev = h.radius(k), h.radius(k - 1)
         n_k = h.counts[k - 1]
 
         lo = log_prod + lf[k] - log_a
@@ -396,23 +408,23 @@ def validate_hierarchy(h: DiscHierarchy) -> HierarchyReport:
         rows.append(CheckRow("Eq25", k, m25a >= -slack and m25b > 0.0,
                              min(m25a, m25b)))
 
-        gap = h.gap(k)
-        resid = abs(2 * n_k * r_k + (n_k - 1) * gap - 2 * r_prev) / r_prev
-        rows.append(CheckRow("Eq32", k, resid <= 1e-9, resid,
+        rho, off = h.parent_frame(k)  # units of r_{k-1}
+        step = float(off[1] - off[0])
+        resid = abs(2 * n_k * rho + (n_k - 1) * (step - 2.0 * rho) - 2.0)
+        m32 = slack - resid
+        rows.append(CheckRow("Eq32", k, m32 >= 0.0, m32,
                              note="spacing identity residual"))
 
-        m33 = (gap - r_k) / r_k
-        rows.append(CheckRow("Eq33", k, gap > r_k, m33))
+        m33 = (step - 3.0 * rho) / rho
+        rows.append(CheckRow("Eq33", k, m33 > 0.0, m33))
 
-        reach = float(np.abs(h.offsets(k)).max()) + r_k
-        m_in = (r_prev * (1.0 + 1e-12) - reach) / r_prev
+        m_in = (1.0 + 1e-12) - (float(np.abs(off).max()) + rho)
         rows.append(CheckRow("child-containment", k, m_in >= 0.0, m_in))
 
     if h.theta:
-        partial = np.cumsum(h.theta)
-        monotone = bool(np.all(np.diff(partial) > 0))
-        rows.append(CheckRow("angle-partial-sums", h.depth, monotone,
-                             float(partial[-1]),
+        steps = np.diff(np.cumsum(h.theta))
+        rows.append(CheckRow("angle-partial-sums", h.depth, bool(np.all(steps > 0)),
+                             float(steps.min()) if len(steps) else None,
                              note="partial sums of placement increments"))
 
     assumptions = (

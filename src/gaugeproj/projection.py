@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hierarchy
-from .conditions import _gl
+from .conditions import _gl, _logsumexp
 from .gauges import GaugeFunction, GaugeError, _ls_slope
 from .hierarchy import DiscCapExceeded, DiscHierarchy
 from .measure import NaturalMeasure, _mean_stderr, divergence_pairs
@@ -276,13 +276,6 @@ _TAIL_SPAN = 400.0
 _TAIL_PANELS = 100
 
 
-def _log_integral(log_vals: np.ndarray, log_weights: np.ndarray) -> np.ndarray:
-    """log of sum_j exp(log_vals[..., j] + log_weights[j]), without underflow."""
-    terms = log_vals + log_weights
-    top = terms.max(axis=-1)
-    return top + np.log(np.exp(terms - top[..., None]).sum(axis=-1))
-
-
 def _log_phi(g: GaugeFunction, z0: float, n: int) -> np.ndarray:
     """log Phi(z0 + i TABLE_STEP) for i < n, in log space throughout.
 
@@ -296,15 +289,15 @@ def _log_phi(g: GaugeFunction, z0: float, n: int) -> np.ndarray:
     width = _TAIL_SPAN / _TAIL_PANELS
     start = z0 - _TAIL_SPAN
     nodes = start + width * (np.arange(_TAIL_PANELS)[:, None] + x)
-    prefix = _log_integral(log_integrand(nodes.ravel()),
-                           np.log(np.tile(width * wts, _TAIL_PANELS)))
+    prefix = _logsumexp(log_integrand(nodes.ravel())
+                        + np.log(np.tile(width * wts, _TAIL_PANELS)))
     slope = float(g.log_value(start)) - float(g.log_value(start - 1.0))
     if slope >= 1.0:
         raise GaugeError("angle kernel diverges: g has local exponent >= 1")
     closure = float(log_integrand(start)) - math.log(1.0 - slope)
     x, wts = _gl(4)
     cells = z0 + TABLE_STEP * (np.arange(n - 1)[:, None] + x)
-    log_cells = _log_integral(log_integrand(cells), np.log(TABLE_STEP * wts))
+    log_cells = _logsumexp(log_integrand(cells) + np.log(TABLE_STEP * wts))
     head = np.logaddexp(prefix, closure)
     return np.logaddexp.accumulate(np.concatenate(([head], log_cells)))
 

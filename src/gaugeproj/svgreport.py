@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .hierarchy import DiscHierarchy
+from .hierarchy import DiscHierarchy, validate_hierarchy
 
 VIEW = 1000.0
 MARGIN = 40.0
@@ -34,11 +32,13 @@ def render_hierarchy_svg(h: DiscHierarchy) -> str:
     Each panel (``<g id="level-k">``) holds the parent disc scaled to the
     panel, its N_k children on the diameter at direction d_k, the dashed
     diameter itself and, below the deepest level, the placement arc
-    [d_k, d_k + theta_{k+1}] just outside the parent.  The geometry uses
-    only rho = r_k / r_{k-1}, from the log radii, and the children's
-    parent-relative offsets, so the figure is right at any depth.  The
-    label gives N_k, rho, the Eq33 margin (gap - r_k)/r_k and the arc.
+    [d_k, d_k + theta_{k+1}] just outside the parent.  The geometry is
+    :meth:`DiscHierarchy.parent_frame`, rho = r_k / r_{k-1} and the
+    children's offsets in units of r_{k-1}, so the figure is right at any
+    depth.  The label gives N_k, rho, the margin of the validator's Eq33
+    row at level k and the arc.
     """
+    eq33 = {r.level: r.margin for r in validate_hierarchy(h).by_check("Eq33")}
     cols = math.ceil(math.sqrt(h.depth))
     rows = math.ceil(h.depth / cols)
     cell = (VIEW - 2 * MARGIN) / cols
@@ -47,17 +47,14 @@ def render_hierarchy_svg(h: DiscHierarchy) -> str:
     body = ['<g font-family="monospace" font-size="9">']
     for k in range(1, h.depth + 1):
         row, col = divmod(k - 1, cols)
-        rho = math.exp(h.log_radius(k) - h.log_radius(k - 1))
-        n = h.counts[k - 1]
-        local = np.linspace(-(1.0 - rho), 1.0 - rho, n)  # units of r_{k-1}
-        eq33 = (float(local[1] - local[0]) - 3.0 * rho) / rho
+        rho, local = h.parent_frame(k)
         arc = f", arc {h.theta[k]:.3g} rad" if k < h.depth else ""
         cx, cy = MARGIN + (col + 0.5) * cell, MARGIN + (row + 0.55) * cell
         body += [
             f'<g id="level-{k}" transform="translate({_num(cx)} {_num(cy)})">',
-            f'<text x="{tx}" y="{_num(ty)}">level {k}: N={n}, '
+            f'<text x="{tx}" y="{_num(ty)}">level {k}: N={len(local)}, '
             f'r_k/r_(k-1)={rho:.3g}</text>',
-            f'<text x="{tx}" y="{_num(ty + 11)}">Eq33 margin {eq33:.3g}{arc}</text>',
+            f'<text x="{tx}" y="{_num(ty + 11)}">Eq33 margin {eq33[k]:.3g}{arc}</text>',
             f'<g transform="rotate({_num(-math.degrees(h.d[k - 1]))})" fill="none">',
             f'<circle r="{_num(big)}" stroke="#333" stroke-width="1"/>',
             f'<line x1="{_num(-big)}" x2="{_num(big)}" stroke="#c60" '

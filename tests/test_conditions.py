@@ -12,7 +12,7 @@ from gaugeproj import (DIVERGENT, FINITE, INCONCLUSIVE, GaugeError,
                        power, power_log, sweep_partner, tabulated)
 from gaugeproj import conditions
 from gaugeproj.conditions import (DIVERGENT_ABOVE, FINITE_BELOW, LOG2, SHELLS,
-                                  _base2_block_sums, _block_logsumexp, _exp,
+                                  _block_logsumexp, _exp,
                                   _gl, _logsumexp, _panel_values,
                                   _ratio_integrand, _shell_node_data,
                                   _tail_integral, dyadic_shell_sums)
@@ -300,11 +300,26 @@ def test_logsumexp_matches_scipy_along_axis_1():
     a[11, :] = 709.5
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = _logsumexp(a, axis=1)
-        got_t = _logsumexp(a.T, axis=0)
+        got = _logsumexp(a)
     assert got.shape == (40,)
     assert _bits(got) == _bits(logsumexp(a, axis=1))
-    assert _bits(got_t) == _bits(logsumexp(a.T, axis=0))
+    # random 1-d and 2-d arrays, some all -inf, with +-inf and NaN entries
+    # and repeated maxima: always the last axis, as scipy's axis=-1
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        shape = (int(rng.integers(1, 40)),)
+        if rng.random() < 0.5:
+            shape = (int(rng.integers(1, 12)),) + shape
+        a = rng.normal(0.0, 10.0 ** rng.uniform(0.0, 3.0), shape)
+        for value in (-_INF, _INF, math.nan, a.max()):
+            if rng.random() < 0.3:
+                a[rng.random(shape) < 0.2] = value
+        if rng.random() < 0.2:
+            a[..., :] = -_INF
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _logsumexp(a)
+        assert _bits(got) == _bits(logsumexp(a, axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +427,8 @@ def test_tail_integral_stops_at_first_small_piece(pieces, total):
 
 
 def test_classify_log_tail_matches_per_block_loop():
-    # padding rows with -inf keeps every block of 8 or more terms bitwise;
-    # the sums of the 1-, 2- and 4-term blocks may pair their terms in
-    # another order, so the exponent may move by a few ulp
+    # every block is summed as its own slice, so the verdict is the
+    # per-block loop's bit for bit
     rng = np.random.default_rng(11)
     for _ in range(3000):
         n = int(rng.integers(8, 2049))
@@ -422,10 +436,9 @@ def test_classify_log_tail_matches_per_block_loop():
         lt = rng.normal(-1.5, 1.0) * np.log(q) + rng.normal(0.0, 2.0, n)
         if rng.random() < 0.3:
             lt[rng.random(n) < rng.random()] = -math.inf
-        status, lam, detail = classify_log_tail(lt)
-        want = _classify_log_tail_loop(lt)
-        assert (status, detail) == (want[0], want[2])
-        assert lam == want[1] or abs(lam - want[1]) <= 4 * np.spacing(abs(want[1]))
+        if rng.random() < 0.2:
+            lt -= 720.0 + 40.0 * rng.random(n)  # exps near the subnormal edge
+        assert classify_log_tail(lt) == _classify_log_tail_loop(lt)
 
 
 def _log_ratio_reference(f, g, shift, v):
@@ -531,35 +544,6 @@ def test_exp_is_numpy_exp_of_clip(lo, hi):
             got = _exp(t, lo, hi)
         assert got is t
         assert _bits(got) == _bits(want)
-
-
-def _base2_block_sums_padded(lt, n_blocks):
-    # every base-2 block in one log-sum-exp over a -inf-padded array
-    width = 2 ** (n_blocks - 1)
-    mask = np.arange(width) < (2 ** np.arange(n_blocks))[:, None]
-    padded = np.full((n_blocks, width), -math.inf)
-    padded[mask] = lt[1:2 ** n_blocks]
-    return _logsumexp(padded, axis=1)
-
-
-def test_base2_block_sums_match_one_padded_array():
-    # the blocks of 128 terms or more leave the padded array, bit for bit
-    rng = np.random.default_rng(23)
-    for n in (8, 127, 128, 255, 256, 2047, 2048, 2049, 5000, 16384, 16385):
-        n_blocks = n.bit_length() - 1
-        for r in range(12):
-            q = np.arange(1, n + 1, dtype=float)
-            lt = rng.normal(-1.5, 1.0) * np.log(q) + rng.normal(0.0, 2.0, n)
-            if r % 3 == 0:
-                lt[rng.random(n) < rng.random()] = -math.inf
-            if r % 4 == 1:
-                lt -= 720.0 + 40.0 * rng.random(n)
-            if r == 5:
-                lt[rng.integers(n)] = math.nan
-            if r == 7:
-                lt[1 << (n_blocks - 1):] = -math.inf  # an all -inf last block
-            got = _base2_block_sums(lt, n_blocks)
-            assert _bits(got) == _bits(_base2_block_sums_padded(lt, n_blocks)), (n, r)
 
 
 def test_block_logsumexp_is_logsumexp_per_block():

@@ -176,7 +176,7 @@ def _deep_octaves_whole(f, psi, k, n_blocks):
     ns = np.arange(12, n_blocks + 1, dtype=float)
     lq = (ns[:, None] + x[None, :]) * LOG2
     terms = _term_log(f, psi, k, lq.ravel()).reshape(lq.shape)
-    return _logsumexp(terms + lq, axis=1) + math.log(LOG2 / nodes)
+    return _logsumexp(terms + lq) + math.log(LOG2 / nodes)
 
 
 @pytest.mark.parametrize("f,psi,k", [
@@ -198,9 +198,9 @@ def test_deep_octaves_blockwise_are_exact(f, psi, k):
 ])
 def test_classify_series_working_set(f, psi):
     # deep octaves are built one row block at a time: on all 16 373 x 24
-    # nodes at once the call peaked at 19-29 MB.  The tail classifier's
-    # large blocks are reduced without padding: its 14 x 8 192 padded array
-    # held the peak at 2.2 MB
+    # nodes at once the call peaked at 19-29 MB.  The tail classifier
+    # reduces its blocks without padding: a 14 x 8 192 padded array held
+    # the peak at 2.2 MB
     classify_series(f, psi, 2)
     tracemalloc.start()
     try:

@@ -7,9 +7,9 @@ import pytest
 from scipy.spatial import cKDTree
 
 from gaugeproj import (BranchingError, BranchingPlan, DiscCapExceeded,
-                       ScheduleError, build_from_gauge, build_hierarchy,
-                       choose_branching, derive_radius_schedule, log_power,
-                       power, power_log, raw_log_radii, tabulated,
+                       RadiusSchedule, ScheduleError, build_from_gauge,
+                       build_hierarchy, choose_branching, derive_radius_schedule,
+                       log_power, power, power_log, raw_log_radii, tabulated,
                        validate_hierarchy)
 from gaugeproj import hierarchy
 from gaugeproj.hierarchy import DISC_CAP
@@ -189,7 +189,9 @@ def test_build_three_children_vertical():
     np.testing.assert_allclose(h.level_centers(1),
                                [[0.0, -0.8], [0.0, 0.0], [0.0, 0.8]], atol=1e-15)
     # gap width from the spacing identity: 2*3*0.2 + 2*s = 2  =>  s = 0.4
-    assert h.gap(1) == pytest.approx(0.4)
+    rho, off = h.parent_frame(1)
+    assert rho == pytest.approx(0.2)
+    assert float(off[1] - off[0]) - 2 * rho == pytest.approx(0.4)
 
 
 def test_validate_constructive_hierarchies_pass(h05_depth5, h03_depth5, h08_depth5):
@@ -213,6 +215,58 @@ def test_validate_negative_control_reports_eq23():
     oracle = _oracle_pairs(h.level_centers(1), 2 * h.radius(1) * (1 - 1e-12))
     (row,) = report.by_check("Eq33")
     assert oracle == 3 and not row.passed and row.margin < -1.0
+
+
+def _zero_increment_hierarchy():
+    # the second placement increment is 0, so the partial sums stall
+    sched = schedule_from_radii([1.0, 0.2, 0.02])
+    return build_hierarchy(power(0.5), sched, BranchingPlan(1.0, (3, 3)),
+                           theta=[0.3, 0.0])
+
+
+def test_margins_are_slacks_that_shrink_toward_failure():
+    # a failed row has no slack left and a passed row at most the 1e-9
+    # tolerance of Eq20 and Eq25 below zero; only the angle row of a
+    # depth-1 hierarchy, which has no partial-sum step, carries no margin
+    eq23 = build_hierarchy(power(0.5), schedule_from_radii([1.0, 0.3]),
+                           BranchingPlan(1.0, (4,)), theta=[0.0])
+    for h in (eq23, _zero_increment_hierarchy()):
+        report = validate_hierarchy(h)
+        assert not report.passed
+        for row in report.rows:
+            if row.margin is None:
+                assert (row.check, row.level, h.depth) == ("angle-partial-sums", 1, 1)
+                assert row.passed
+            elif row.passed:
+                assert row.margin >= -1e-6, row
+            else:
+                assert row.margin <= 0.0, row
+    (row,) = validate_hierarchy(_zero_increment_hierarchy()).by_check(
+        "angle-partial-sums")
+    assert not row.passed and row.margin == 0.0
+
+
+def test_validation_reads_only_level_ratios():
+    # log radii 790 below the figure pair's, where r_1 and r_2 underflow to
+    # 0: the parent-frame rows (Eq32, Eq33, containment, angles) are the
+    # same floats, and the log-space rows differ only by the rounding of
+    # the larger log radii
+    f, counts = power(0.5), (3, 4)
+    near = build_hierarchy(f, RadiusSchedule((0.0, -5.0, -10.5)),
+                           BranchingPlan(1.0, counts))
+    log_a = float(f.log_value(-790.0))
+    deep = build_hierarchy(f, RadiusSchedule((-790.0, -795.0, -800.5)),
+                           BranchingPlan(math.exp(log_a), counts), theta=near.theta)
+    assert deep.radius(1) == 0.0
+    rows_near = validate_hierarchy(near).rows
+    rows_deep = validate_hierarchy(deep).rows
+    assert ([(r.check, r.level, r.passed, r.note) for r in rows_deep]
+            == [(r.check, r.level, r.passed, r.note) for r in rows_near])
+    for a, b in zip(rows_near, rows_deep):
+        if a.check in ("Eq32", "Eq33", "child-containment", "angle-partial-sums"):
+            assert b.margin == a.margin, a.check
+        else:
+            assert b.margin == pytest.approx(a.margin, rel=1e-12, abs=1e-12), a.check
 
 
 def test_margin_table_depth4(h05_depth5):

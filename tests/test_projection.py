@@ -9,7 +9,8 @@ from scipy.integrate import quad
 from gaugeproj import (BranchingPlan, DiscCapExceeded, GaugeError, IntervalCover,
                        NaturalMeasure, angle_kernel_integral,
                        averaged_projected_energy,
-                       build_from_gauge, build_hierarchy, cover_cost, discrete_energy,
+                       build_from_gauge, build_hierarchy, choose_branching,
+                       cover_cost, derive_radius_schedule, discrete_energy,
                        estimate_log_dimension, eq35_bound, hierarchy, log_power,
                        mc_energy, merge_intervals, power, power_log,
                        project_disc_cover, project_hierarchy, qualifying_levels,
@@ -326,6 +327,13 @@ def test_heavy_arc_sweep_matches_exact_reference(h08_depth5):
     assert counts[0] < 1e4 and counts[-1] > 7e5
 
 
+def _placed(f, depth, theta):
+    """build_from_gauge's schedule and branching with the placement
+    increments theta."""
+    schedule = derive_radius_schedule(f, depth)
+    return build_hierarchy(f, schedule, choose_branching(f, schedule), theta)
+
+
 def _brute_force_cost(h, g, theta, level):
     # every level-`level` disc's interval as Fractions, merged by the
     # reference merge: no pattern, no translate, no float sum
@@ -392,7 +400,7 @@ def test_projection_materialises_overlapping_translates():
     # materialised together with the counted level-2 copies below them; at
     # `shifted` they move by about one level-2 spacing, which clears a
     # level-3 pattern but not a level-2 span, so pieces partly overlap
-    h = build_from_gauge(power(0.5), 3, theta=(0.0, math.pi / 2, 0.0))
+    h = _placed(power(0.5), 3, (0.0, math.pi / 2, 0.0))
     g = power(0.5)
     ratio = np.diff(h.offsets(2))[0] / np.diff(h.offsets(1))[0]
     shifted = math.pi / 2 - math.asin(1.02 * ratio)
@@ -408,7 +416,7 @@ def test_overlap_guard_refuses_before_building():
     # levels 2-5 share one placement direction, so at theta = pi/2 levels
     # 4, 3 and 2 are counted and level 1's translates stack: merging them
     # would build 86 * 92 * 97 * 103 * 108 ~ 8.5e9 intervals
-    h = build_from_gauge(power(0.8), 5, theta=(0.0, math.pi / 2, 0.0, 0.0, 0.0))
+    h = _placed(power(0.8), 5, (0.0, math.pi / 2, 0.0, 0.0, 0.0))
     tracemalloc.start()
     try:
         with pytest.raises(DiscCapExceeded, match="8537269536 intervals"):
@@ -426,7 +434,7 @@ def test_overlap_guard_refuses_before_building():
 def test_overlap_guard_boundary(monkeypatch):
     # at theta = pi/2 the level-1 translates stack, so projecting level 3
     # merges all N_1 N_2 N_3 intervals at once
-    h = build_from_gauge(power(0.5), 3, theta=(0.0, math.pi / 2, 0.0))
+    h = _placed(power(0.5), 3, (0.0, math.pi / 2, 0.0))
     size = h.disc_count(3)
     expected = project_hierarchy(h, math.pi / 2, 3)
     monkeypatch.setattr(hierarchy, "DISC_CAP", size)

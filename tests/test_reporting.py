@@ -143,6 +143,24 @@ def test_summary_margins_are_each_checks_least():
     assert all(last[c] > margins[c] for c in ("Eq20", "Eq21", "Eq33"))
 
 
+@pytest.mark.parametrize("s,depth", [(s, d) for s in (0.3, 0.5, 0.8) for d in (4, 5)])
+def test_summary_eq32_is_its_worst_level(s, depth):
+    # Eq32's margin is 1e-9 minus the spacing-identity residual
+    # 2 N_k r_k + (N_k - 1) gap - 2 r_{k-1}, in units of r_{k-1}, so the
+    # summary's least margin belongs to the level of largest residual
+    cfg = parse_config(json.dumps({"f": {"family": "power", "s": s},
+                                   "depth": depth, "seed": 1}))
+    margins = run_pipeline(cfg).bundle["summary"]["margins"]
+    h = build_from_gauge(power(s), depth)
+    resid = []
+    for k in range(1, h.depth + 1):
+        n = h.counts[k - 1]
+        rho, off = h.parent_frame(k)
+        step = float(off[1] - off[0])
+        resid.append(abs(2 * n * rho + (n - 1) * (step - 2.0 * rho) - 2.0))
+    assert margins["Eq32"] == 1e-9 - max(resid)
+
+
 def test_summary_margin_is_null_only_without_a_finite_margin():
     rows = [{"check_id": "Eq35", "margin": math.nan},
             {"check_id": "Eq20", "margin": math.nan},
