@@ -112,7 +112,7 @@ def cmd_construct(args) -> int:
         ["check_id", "level", "passed", "margin", "note"],
         [[r.check, r.level, r.passed, r.margin, r.note] for r in report.rows]))
     if cfg.emit["svg"] and args.out:
-        _write(args, "hierarchy.svg", render_hierarchy_svg(h))
+        _write(args, "hierarchy.svg", render_hierarchy_svg(h, report))
     return 0 if report.passed else 1
 
 

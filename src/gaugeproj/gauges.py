@@ -233,13 +233,18 @@ class GaugeFunction:
         (this sits in every energy hot loop).  Other families negate and
         exponentiate log_value's fresh array in place."""
         r = np.asarray(r, dtype=float)
-        if self.family == "power":
-            out = r ** (-self.s)
-        else:
-            out = np.asarray(self.log_value(np.log(r)))
-            np.negative(out, out=out)
-            np.exp(out, out=out)
+        out = self._reciprocal(r, None if self.family == "power" else np.log(r))
         return out if out.ndim else float(out)
+
+    def _reciprocal(self, r: np.ndarray, log_r) -> np.ndarray:
+        """1/f(r) for a caller that holds log r as well: the power family
+        reads r alone, the others ``log_r`` alone."""
+        if self.family == "power":
+            return r ** (-self.s)
+        out = np.asarray(self.log_value(log_r))
+        np.negative(out, out=out)
+        np.exp(out, out=out)
+        return out
 
     @functools.cached_property
     def doubling(self) -> ExponentFit:

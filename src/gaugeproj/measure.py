@@ -8,6 +8,9 @@ stays exact even when the full atom set is too large to materialise; all
 probes of a scan go through one batched descent.  A disc's children sit on
 one diameter, so the descent addresses them as index ranges: the children
 a ball swallows are counted, and only those on its boundary are measured.
+A scan probe sits on an index path, so its descent starts at the deepest
+ancestor whose level the ball can neither swallow nor leave, where the
+descent from the root would hold that ancestor alone.
 
 Energies are the discrete analogue of the double integral of
 1/f(|x - y|): exact chunked double sums for small atom sets, seeded pair
@@ -16,8 +19,9 @@ level: two atoms first diverge at level k with probability p_k, and their
 difference is built from the offsets of level k and below only, so no
 pair coincides and no pair difference loses digits to the root frame.
 Each level contributes one uniform draw from its ordered-pair step table,
-the differences of its children's offsets along its direction: among the
-pairs of distinct children at level k, among all pairs below it.
+the differences of its children's offsets along its direction, as complex
+numbers: among the pairs of distinct children at level k, among all pairs
+below it.  A pair's distance is the modulus of its complex difference.
 """
 
 from __future__ import annotations
@@ -45,18 +49,42 @@ class NaturalMeasure:
 
     def sample_atoms(self, n: int, rng: np.random.Generator) -> np.ndarray:
         """Centers of n uniformly sampled atoms (equal masses make uniform
-        path sampling mass-proportional), without materialising the level.
-        Each level adds its children's x and y offsets, looked up by the
-        drawn index in N_k-entry tables."""
-        h = self.hierarchy
-        x, y = np.zeros(n), np.zeros(n)
-        for level in range(1, self.depth + 1):
-            idx = rng.integers(0, h.counts[level - 1], size=n)
-            off = h.offsets(level)
-            ex, ey = h.direction(level)
-            x += (off * ex)[idx]
-            y += (off * ey)[idx]
-        return np.stack([x, y], axis=1)
+        path sampling mass-proportional), without materialising the level:
+        the centers of :func:`_draw_paths`' index paths."""
+        return _path_centers(self.hierarchy, _draw_paths(self, n, rng))
+
+
+def _draw_paths(m: NaturalMeasure, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Index paths of n uniformly drawn atoms of m: row l - 1 holds the
+    child each path takes at level l, one ``rng.integers`` call per level
+    from the root down."""
+    h = m.hierarchy
+    paths = np.empty((m.depth, n), dtype=np.intp)
+    for level in range(1, m.depth + 1):
+        paths[level - 1] = rng.integers(0, h.counts[level - 1], size=n)
+    return paths
+
+
+def _path_sums(h: DiscHierarchy, paths: np.ndarray):
+    """The centers of the discs the index paths reach, level by level: yields
+    x and y for level 0 (the root), then for each row of ``paths``, as two
+    arrays updated in place.  Each level adds its children's x and y
+    offsets, looked up by index in N_l-entry tables, so a center is the
+    same float sum at whatever level it is read."""
+    x, y = np.zeros((2, paths.shape[1]))
+    yield x, y
+    for level, idx in enumerate(paths, 1):
+        off = h.offsets(level)
+        ex, ey = h.direction(level)
+        x += (off * ex)[idx]
+        y += (off * ey)[idx]
+        yield x, y
+
+
+def _path_centers(h: DiscHierarchy, paths: np.ndarray) -> np.ndarray:
+    """Centers of the discs the index paths end in (see :func:`_path_sums`)."""
+    *_, (x, y) = _path_sums(h, paths)
+    return np.stack([x, y], axis=1)
 
 
 MIN_PAIRS = 1000  # fewest pairs a Monte Carlo energy or potential may draw
@@ -94,67 +122,130 @@ def ball_masses(m: NaturalMeasure, xs, rs) -> np.ndarray:
     return out
 
 
-def _descend(m: NaturalMeasure, x: np.ndarray, r: np.ndarray) -> np.ndarray:
+def _start_levels(h: DiscHierarchy, depth: int, r: np.ndarray,
+                  tol: float) -> np.ndarray:
+    """Each probe's start level s(r) in :func:`frostman_scan`: the deepest
+    s < depth with r < r_s and r + tol < gap_j for every j <= s, where
+    gap_j = step_j - 2 r_j (inf for a lone child) and tol is the descent's
+    float-error bound."""
+    s = np.zeros(len(r), dtype=np.intp)
+    ok = np.ones(len(r), dtype=bool)
+    r_tol = r + tol
+    for level in range(1, depth):
+        off = h.offsets(level)
+        r_lvl = h.radius(level)
+        gap = off[1] - off[0] - 2.0 * r_lvl if len(off) > 1 else math.inf
+        ok &= (r < r_lvl) & (r_tol < gap)
+        s += ok
+    return s
+
+
+def _chord(rho: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Half-width sqrt(rho**2 - q**2) of a disc of radius rho on a line q
+    off its center, 0 past its edge, as sqrt(rho - q) sqrt(rho + q)."""
+    return np.sqrt(np.maximum(rho - q, 0.0)) * np.sqrt(rho + q)
+
+
+def _child_bands(off: np.ndarray, t: np.ndarray, q: np.ndarray,
+                 rad_cap: np.ndarray, grow: float, tol: float):
+    """The children of one level that the frontier rows' balls swallow or
+    may reach: per row, the count it swallows, and the children j on its
+    boundary bands with their rows, for the caller's distance tests.
+
+    Children sit at off[j] = -span + j * step along the parent's diameter,
+    and a row's ball center sits t along it and q off it, so the children
+    within rho of the center are |off[j] - t| <= sqrt(rho**2 - q**2): an
+    index range.  The reach radius rad_cap + grow is widened by tol, so
+    nothing outside its range passes; the swallow radius rad_cap - grow is
+    narrowed by tol, so everything inside its range passes."""
+    n = len(off)
+    inv_step = (n - 1) / (2.0 * off[-1])
+    c = (t + off[-1]) * inv_step
+    # the reach and swallow half-widths, one row each
+    rho = np.maximum(rad_cap + np.array([[grow], [-grow]]), 0.0)
+    qq = np.maximum(q + np.array([[-tol], [tol]]), 0.0)
+    w = _chord(rho, qq)
+    w += np.array([[tol], [-tol]])
+    # first index past each range end, one row each: reach start,
+    # swallow end, swallow start, reach end
+    ends = w[[0, 1, 1, 0]]
+    ends *= np.array([[-inv_step], [inv_step], [-inv_step], [inv_step]])
+    ends += c
+    np.floor(ends, out=ends)
+    ends += 1.0
+    # fmax/fmin also clip a NaN, should a center near the float range
+    # overflow the arithmetic
+    np.fmax(ends, 0.0, out=ends)
+    np.fmin(ends, n, out=ends)
+    ends = ends.astype(np.intp)
+    # an empty swallow range starts and ends inside the reach range
+    np.maximum(ends[1], ends[2], out=ends[1])
+    swallowed = ends[1] - ends[2]
+    # the boundary bands [reach start, swallow start) of every row, then
+    # [swallow end, reach end) of every row
+    seg_lo = ends[:2].ravel()
+    seg_n = np.maximum(ends[2:].ravel() - seg_lo, 0)
+    start = np.cumsum(seg_n) - seg_n
+    j = np.arange(start[-1] + seg_n[-1]) + np.repeat(seg_lo - start, seg_n)
+    row = np.repeat(np.arange(2 * len(c)) % len(c), seg_n)
+    return swallowed, j, row
+
+
+def _descend(m: NaturalMeasure, x: np.ndarray, r: np.ndarray,
+             paths: np.ndarray | None = None) -> np.ndarray:
+    """Masses of the balls B(x[i], r[i]), descending from the root, or,
+    given each center's index path (one row per level, as
+    :func:`_draw_paths` draws them), from the ancestor at its
+    :func:`_start_levels` level, where the root descent's rows would reach
+    that ancestor alone and have added nothing."""
     h = m.hierarchy
     n_probes = len(r)
-    # frontier rows: the ball's probe, center and radius, the disc's center
-    probe = np.arange(n_probes)
-    px, py, rad = x[:, 0], x[:, 1], r
-    ax = ay = np.zeros(n_probes)
-    mass = np.zeros(n_probes)
-    level_mass = 1.0
     # Disc centers lie within r_0 of the origin, so a ball of radius `reach`
     # swallows every disc with room to spare; the range arithmetic caps
     # radii there to stay finite.  tol bounds the absolute float error of
     # every distance and range end below: each rounding is at most eps
     # times r_0 + |x|_1 + r, and the child distances, the frame (t, q) and
     # the range ends take a few dozen of them.
-    reach = 2.0 * (h.radius(0) + np.abs(px) + np.abs(py))
-    rad_cap = np.minimum(r, reach)
-    tol = 64.0 * np.finfo(float).eps * float(np.max(reach + rad_cap))
+    x_all, y_all = x[:, 0], x[:, 1]
+    reach = 2.0 * (h.radius(0) + np.abs(x_all) + np.abs(y_all))
+    cap_all = np.minimum(r, reach)
+    tol = 64.0 * np.finfo(float).eps * float(np.max(reach + cap_all))
+    if paths is None:  # every probe starts at the root
+        paths = np.empty((0, n_probes), dtype=np.intp)
+        s = np.zeros(n_probes, dtype=np.intp)
+    else:
+        s = _start_levels(h, m.depth, r, tol)
+    s_max = int(s.max())
+    # every probe's ancestor at the level above the current one, read by
+    # the probes that join the frontier there
+    ancestors = _path_sums(h, paths[:s_max])
+    # frontier rows: the ball's probe and the center of the disc whose
+    # children the level tests
+    probe = np.empty(0, dtype=np.intp)
+    ax = ay = np.empty(0)
+    mass = np.zeros(n_probes)
+    level_mass = 1.0
     for level in range(1, m.depth + 1):
         r_lvl = h.radius(level)
         level_mass /= h.counts[level - 1]
+        if level <= s_max + 1:
+            anc_x, anc_y = next(ancestors)
+            new = np.flatnonzero(s == level - 1)
+            probe = np.concatenate((probe, new))
+            ax = np.concatenate((ax, anc_x[new]))
+            ay = np.concatenate((ay, anc_y[new]))
+        if len(probe) == 0:
+            continue
+        px, py, rad, rad_cap = x_all[probe], y_all[probe], r[probe], cap_all[probe]
         off = h.offsets(level)
-        n = len(off)
         ex, ey = h.direction(level)
         last = level == m.depth
-        # Children sit at off[j] = -span + j * step along e, and the ball's
-        # center sits t along e and q off that diameter, so the children
-        # within rho of it are |off[j] - t| <= sqrt(rho**2 - q**2): an index
-        # range.  The reach radius (at the last level the ball's own) is
-        # widened by tol, so nothing outside its range passes; the swallow
-        # radius is narrowed by tol, so everything inside its range passes.
         vx, vy = px - ax, py - ay
         t = vx * ex + vy * ey
         q = np.abs(vx * ey - vy * ex)
+        # at the last level the reach radius is the ball's own
         grow = tol if last else r_lvl + tol
-        rho = np.maximum(rad_cap[:, None] + np.array([grow, -grow]), 0.0)
-        qq = np.maximum(q[:, None] + np.array([-tol, tol]), 0.0)
-        w = np.sqrt(np.maximum(rho - qq, 0.0)) * np.sqrt(rho + qq)
-        w += np.array([tol, -tol])
-        inv_step = (n - 1) / (2.0 * off[-1])
-        c = (t + off[-1]) * inv_step
-        # first index past each range end: reach start, swallow end,
-        # swallow start, reach end
-        half = w[:, [0, 1, 1, 0]] * np.array([-inv_step, inv_step, -inv_step, inv_step])
-        ends = np.floor(c[:, None] + half)
-        ends += 1.0
-        # fmax/fmin also clip a NaN, should a center near the float range
-        # overflow the arithmetic
-        np.fmax(ends, 0.0, out=ends)
-        np.fmin(ends, n, out=ends)
-        ends = ends.astype(np.intp)
-        # an empty swallow range starts and ends inside the reach range
-        np.maximum(ends[:, 1], ends[:, 2], out=ends[:, 1])
-        swallowed = ends[:, 1] - ends[:, 2]
-        # the boundary bands [reach start, swallow start) and
-        # [swallow end, reach end), row by row
-        seg_lo = ends[:, :2].ravel()
-        seg_n = np.maximum(ends[:, 2:].ravel() - seg_lo, 0)
-        start = np.cumsum(seg_n) - seg_n
-        j = np.arange(start[-1] + seg_n[-1]) + np.repeat(seg_lo - start, seg_n)
-        row = np.repeat(np.arange(len(seg_n)) >> 1, seg_n)
+        swallowed, j, row = _child_bands(off, t, q, rad_cap, grow, tol)
         o = off[j]
         cx = ax[row] + o * ex
         cy = ay[row] + o * ey
@@ -168,10 +259,7 @@ def _descend(m: NaturalMeasure, x: np.ndarray, r: np.ndarray) -> np.ndarray:
         keep = (dist <= r_c + r_lvl) & ~hit
         row = row[keep]
         ax, ay = cx[keep], cy[keep]
-        probe, px, py = probe[row], px[row], py[row]
-        rad, rad_cap = rad[row], rad_cap[row]
-        if len(probe) == 0:
-            break
+        probe = probe[row]
         if len(probe) > DESCENT_CAP and np.bincount(probe).max() > DESCENT_CAP:
             raise DiscCapExceeded("ball descent touched too many discs")
     return mass
@@ -204,17 +292,40 @@ def frostman_scan(m: NaturalMeasure, f: GaugeFunction, samples: int, seed: int,
     the scan's sensitivity near 1/a.
     ``mass_scale`` rescales the measured masses and exists as a negative
     control (scaled masses must violate the bound).
+
+    The atoms are drawn as index paths (:func:`_draw_paths`, the draw
+    ``sample_atoms`` makes), and each probe's descent starts at its
+    ancestor at level s(r) (:func:`_start_levels`): the deepest s below
+    the last level with r < r_s and r + tol < gap_j for every j <= s,
+    where gap_j is the edge-to-edge distance of sibling level-j discs and
+    tol the float-error bound of the probe's ``PROBE_CHUNK``.  Swallowing
+    a disc of level j <= s needs r >= r_j >= r_s, and any other level-s
+    disc lies in a sibling of one of the probe's ancestors, at least
+    gap_j away.  So the descent from the root adds exactly 0 down to level
+    s and keeps the ancestor alone there, and every mass equals
+    :func:`ball_masses`' bit for bit.  The rule reads the built geometry
+    and does not rely on Eq33: siblings that nearly touch lower s, down to
+    the root.  A first-path probe of level k has r = r_k, so s <= k - 1.
     """
     h = m.hierarchy
     c_bound = max(8.0 / (h.a * f.doubling.kappa), 1.0 / h.a)
     rng = np.random.default_rng(seed)
-    levels = range(1, m.depth + 1)
     n_random = max(samples - m.depth, 0)
-    xs = np.vstack([[h.first_paths(k, 1)[0] for k in levels],
-                    m.sample_atoms(n_random, rng)])
+    # index paths: the first-path probes take child 0 at every level, so
+    # probe k's center is the level-k sum of that path, first_paths(k, 1)
+    paths = np.zeros((m.depth, m.depth + n_random), dtype=np.intp)
+    paths[:, m.depth:] = _draw_paths(m, n_random, rng)
+    first = [(x[0], y[0]) for x, y in _path_sums(h, paths[:, :1])][1:]
+    xs = np.vstack([first, _path_centers(h, paths[:, m.depth:])])
     log_r = rng.uniform(h.log_radius(m.depth), h.log_radius(0), size=n_random)
-    rs = np.array([h.radius(k) for k in levels] + [math.exp(v) for v in log_r])
-    ratios = mass_scale * ball_masses(m, xs, rs) / f.value(rs)
+    rs = np.concatenate(([h.radius(k) for k in range(1, m.depth + 1)],
+                         np.fromiter(map(math.exp, log_r.tolist()), float,
+                                     n_random)))
+    masses = np.empty(len(rs))
+    for lo in range(0, len(rs), PROBE_CHUNK):
+        hi = lo + PROBE_CHUNK
+        masses[lo:hi] = _descend(m, xs[lo:hi], rs[lo:hi], paths[:, lo:hi])
+    ratios = mass_scale * masses / f.value(rs)
     i = int(np.argmax(ratios))  # first probe attaining the maximum
     c_emp = float(ratios[i]) if ratios[i] > 0.0 else 0.0
     violations = int(np.count_nonzero(ratios > c_bound * (1.0 + 1e-9)))
@@ -308,12 +419,13 @@ def discrete_energy(f: GaugeFunction, points, masses=None) -> float:
     return math.inf if coincident else total
 
 
-def _step_table(h: DiscHierarchy, level: int) -> tuple[np.ndarray, np.ndarray]:
+def _step_table(h: DiscHierarchy, level: int) -> np.ndarray:
     """The level's ordered-pair step table, capped at ``DISC_CAP`` entries:
-    the x and y parts of (off[i] - off[j]) * e for all N**2 ordered pairs
-    of children (i, j), at q = u * N + i with j = (i + u) mod N.  The N
-    pairs i == j come first (u = 0), so the table past them, q >= N, holds
-    each of the N (N - 1) pairs i != j once."""
+    (off[i] - off[j]) * (e_x + i e_y) as complex numbers, real part x and
+    imaginary part y, for all N**2 ordered pairs of children (i, j), at
+    q = u * N + i with j = (i + u) mod N.  The N pairs i == j come first
+    (u = 0), so the table past them, q >= N, holds each of the N (N - 1)
+    pairs i != j once."""
     off = h.offsets(level)
     n = len(off)
     if n * n > hierarchy.DISC_CAP:
@@ -324,44 +436,53 @@ def _step_table(h: DiscHierarchy, level: int) -> tuple[np.ndarray, np.ndarray]:
         np.concatenate((off, off[:-1])), n)
     step = np.subtract(off, shifted).ravel()
     ex, ey = h.direction(level)
-    return step * ex, step * ey
+    table = np.empty(n * n, dtype=complex)
+    np.multiply(step, ex, out=table.real)
+    np.multiply(step, ey, out=table.imag)
+    return table
 
 
 def divergence_pairs(m: NaturalMeasure, pairs: int, rng: np.random.Generator):
     """Atom pairs of m drawn level by level.  Yields, for k = 1 .. depth,
-    (k, p_k, dx, dy): the probability p_k = (1 - 1/N_k) / (N_1 ... N_{k-1})
+    (k, p_k, dz): the probability p_k = (1 - 1/N_k) / (N_1 ... N_{k-1})
     that two independent atoms first diverge at level k, and the
     differences of pairs // depth such pairs (the remainder goes to the
-    first levels).  A pair makes one uniform draw per level from that
-    level's ordered-pair step table (:func:`_step_table`): at level k among
-    its N_k (N_k - 1) entries with children i != j, below it among all
-    N_l**2 entries, so its children there are independent.  This is the law
-    of children i and j = (i + U{1..N_k - 1}) mod N_k at level k and
-    independent paths below.  The difference sums the drawn steps from
-    level k down, never absolute coordinates.
+    first levels) as complex numbers dx + i dy.  Their modulus is
+    ``np.abs(dz)``, within 2 ulp of ``np.hypot(dx, dy)`` and, unlike a
+    squared sum, free of underflow down to subnormal differences.
+
+    A pair makes one uniform draw per level from that level's ordered-pair
+    step table (:func:`_step_table`): at level k among its N_k (N_k - 1)
+    entries with children i != j, below it among all N_l**2 entries, so
+    its children there are independent.  This is the law of children i
+    and j = (i + U{1..N_k - 1}) mod N_k at level k and independent paths
+    below.  The difference sums the drawn steps from level k down, one
+    complex take and add per level, never absolute coordinates.
+
+    Every stratum's dz is a view of one buffer that the next stratum's
+    draws overwrite, so a caller reads it before it advances; it may
+    write into dz meanwhile (``np.abs(dz, out=dz.real)``).  Reusing the
+    buffer keeps the strata from faulting fresh pages in.
     """
     h = m.hierarchy
     share, extra = divmod(pairs, m.depth)
     if share < 2:
         raise GaugeError("energy draws need at least two pairs per level")
     tables = [_step_table(h, level) for level in range(1, m.depth + 1)]
+    buf = np.empty((2, share + (extra > 0)), dtype=complex)
     for k in range(1, m.depth + 1):
         n = share + (k <= extra)
         count = h.counts[k - 1]
-        tx, ty = tables[k - 1]
-        q = rng.integers(count, len(tx), size=n)  # past the pairs i == j
-        # One block per stratum, gathered into in place, so a level
-        # allocates nothing but its draws: fewer, larger allocations cut
-        # the page faults of a run.  The indices are in range, so "clip"
-        # changes none; it spares take a buffered copy of ``out``.
-        dx, dy, step = np.empty((3, n))
-        tx.take(q, out=dx, mode="clip")
-        ty.take(q, out=dy, mode="clip")
-        for tx, ty in tables[k:]:
-            q = rng.integers(0, len(tx), size=n)
-            dx += tx.take(q, out=step, mode="clip")
-            dy += ty.take(q, out=step, mode="clip")
-        yield k, (1.0 - 1.0 / count) / h.disc_count(k - 1), dx, dy
+        dz, step = buf[0, :n], buf[1, :n]
+        # past the pairs i == j at level k, over all pairs below it.  The
+        # indices are in range, so "clip" changes none; it spares take a
+        # buffered copy of ``out``.
+        tables[k - 1].take(rng.integers(count, count * count, size=n),
+                           out=dz, mode="clip")
+        for table in tables[k:]:
+            dz += table.take(rng.integers(0, len(table), size=n), out=step,
+                             mode="clip")
+        yield k, (1.0 - 1.0 / count) / h.disc_count(k - 1), dz
 
 
 def _require_pairs(pairs: int) -> None:
@@ -404,12 +525,14 @@ def mc_energy(f: GaugeFunction, m: NaturalMeasure, pairs: int,
     coincides, so ``collisions_rejected`` is 0."""
     _require_pairs(pairs)
     rng = np.random.default_rng(seed)
-    levels = tuple(
-        LevelEnergy(k, p, len(dx), *_mean_stderr(f.reciprocal(np.hypot(dx, dy))))
-        for k, p, dx, dy in divergence_pairs(m, pairs, rng))
+    levels = []
+    for k, p, dz in divergence_pairs(m, pairs, rng):
+        # the moduli overwrite the stratum's real parts, read once
+        vals = f.reciprocal(np.abs(dz, out=dz.real))
+        levels.append(LevelEnergy(k, p, len(dz), *_mean_stderr(vals)))
     mean = sum(lv.p * lv.mean for lv in levels)
     stderr = math.sqrt(sum((lv.p * lv.stderr) ** 2 for lv in levels))
-    return EnergyEstimate(mean, stderr, pairs, 0, levels)
+    return EnergyEstimate(mean, stderr, pairs, 0, tuple(levels))
 
 
 def potential(f: GaugeFunction, m: NaturalMeasure, x, pairs: int,

@@ -153,6 +153,7 @@ class _Run:
     f: gauges.GaugeFunction | None = None
     g: gauges.GaugeFunction | None = None
     h: hierarchy.DiscHierarchy | None = None
+    report: hierarchy.HierarchyReport | None = None
     shells: tuple | None = None
     sweep_rows: list = field(default_factory=list)
 
@@ -193,7 +194,7 @@ def _construct(run: _Run):
 
 
 def _validate(run: _Run):
-    report = hierarchy.validate_hierarchy(run.h)
+    report = run.report = hierarchy.validate_hierarchy(run.h)
     for row in report.rows:
         run.check(row.check, row.level, row.passed, row.margin, row.note)
     run.bundle["validation_assumptions"] = list(report.assumptions)
@@ -325,8 +326,9 @@ def _emit(run: _Run, out_dir) -> None:
              for r in run.bundle["checks"])))
         _write_file(out, "sweep.csv", _sweep_csv_text(run.sweep_rows))
     if emit["svg"]:
-        if run.h is not None:
-            _write_file(out, "hierarchy.svg", render_hierarchy_svg(run.h))
+        if run.report is not None:
+            _write_file(out, "hierarchy.svg",
+                        render_hierarchy_svg(run.h, run.report))
         _write_file(out, "sweep.svg", render_sweep_svg(run.sweep_rows))
         if run.shells is not None:
             _write_file(out, "shells.svg", render_shells_svg(run.shells))

@@ -426,12 +426,15 @@ def averaged_projected_energy(m: NaturalMeasure, g: GaugeFunction,
         g, h.log_radius(m.depth) - 3.0, math.log(2.0) + h.log_radius(0))
     rng = np.random.default_rng(seed)
     planar = average = var = 0.0
-    for _, p, dx, dy in divergence_pairs(m, pairs, rng):
-        w = p / len(dx)
-        d = np.hypot(dx, dy)
-        inv = g.reciprocal(d)
+    for _, p, dz in divergence_pairs(m, pairs, rng):
+        w = p / len(dz)
+        # the moduli overwrite the stratum's real parts; one log serves
+        # both 1/g and the kernel lookup
+        d = np.abs(dz, out=dz.real)
+        log_d = np.log(d)
+        inv = g._reciprocal(d, log_d)
         planar += w * float(np.sum(inv))
-        inv *= np.exp(kernel_lookup(grid, log_transfer, np.log(d)))
+        inv *= np.exp(kernel_lookup(grid, log_transfer, log_d))
         mean, stderr = _mean_stderr(inv)
         average += p * mean
         var += (p * stderr) ** 2

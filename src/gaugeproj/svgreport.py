@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .hierarchy import DiscHierarchy, validate_hierarchy
+from .hierarchy import DiscHierarchy, HierarchyReport
 
 VIEW = 1000.0
 MARGIN = 40.0
@@ -26,7 +26,7 @@ def _svg(body: list[str], height: float = VIEW) -> str:
     return "\n".join([head, *body, "</svg>"]) + "\n"
 
 
-def render_hierarchy_svg(h: DiscHierarchy) -> str:
+def render_hierarchy_svg(h: DiscHierarchy, report: HierarchyReport) -> str:
     """One panel per level k = 1..K, drawn in the level-(k-1) parent's frame.
 
     Each panel (``<g id="level-k">``) holds the parent disc scaled to the
@@ -35,10 +35,11 @@ def render_hierarchy_svg(h: DiscHierarchy) -> str:
     [d_k, d_k + theta_{k+1}] just outside the parent.  The geometry is
     :meth:`DiscHierarchy.parent_frame`, rho = r_k / r_{k-1} and the
     children's offsets in units of r_{k-1}, so the figure is right at any
-    depth.  The label gives N_k, rho, the margin of the validator's Eq33
-    row at level k and the arc.
+    depth.  The label gives N_k, rho, the margin of the Eq33 row at level
+    k of ``report``, the caller's :func:`validate_hierarchy` of h, and the
+    arc.
     """
-    eq33 = {r.level: r.margin for r in validate_hierarchy(h).by_check("Eq33")}
+    eq33 = {r.level: r.margin for r in report.by_check("Eq33")}
     cols = math.ceil(math.sqrt(h.depth))
     rows = math.ceil(h.depth / cols)
     cell = (VIEW - 2 * MARGIN) / cols

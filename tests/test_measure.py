@@ -419,18 +419,81 @@ def test_frostman_fixed_probes_are_the_first_paths(fixture, request,
     h = request.getfixturevalue(fixture)
     m = NaturalMeasure(h, h.depth)
     seen = []
+    descend = measure._descend
 
-    def recording_ball_masses(m, xs, rs):
-        seen.append(np.array(xs))
-        return ball_masses(m, xs, rs)
+    def recording_descend(m, x, r, paths=None):
+        seen.append(np.array(x))
+        return descend(m, x, r, paths)
 
-    monkeypatch.setattr(measure, "ball_masses", recording_ball_masses)
+    monkeypatch.setattr(measure, "_descend", recording_descend)
     frostman_scan(m, h.gauge, 50, seed=4)
     (xs,) = seen
     for k in range(1, h.depth + 1):
         want = reference_first_path_center(h, k)
         assert h.first_paths(k, 1)[0].tobytes() == want.tobytes()
         assert xs[k - 1].tobytes() == want.tobytes()
+
+
+def recorded_scan(m, samples, seed, monkeypatch):
+    """Run frostman_scan, recording each chunk's centers, radii, masses and
+    start levels."""
+    calls, starts = [], []
+    descend, start_levels = measure._descend, measure._start_levels
+
+    def recording_descend(m, x, r, paths=None):
+        out = descend(m, x, r, paths)
+        calls.append((np.array(x), np.array(r), out))
+        return out
+
+    def recording_start_levels(*args):
+        starts.append(start_levels(*args))
+        return starts[-1]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(measure, "_descend", recording_descend)
+        mp.setattr(measure, "_start_levels", recording_start_levels)
+        frostman_scan(m, m.hierarchy.gauge, samples, seed)
+    xs, rs, masses = (np.concatenate(parts) for parts in zip(*calls))
+    return xs, rs, masses, np.concatenate(starts)
+
+
+def close_siblings_hierarchy():
+    # level 2: four radius-0.04 children of a radius-0.2 disc, 0.0267
+    # apart edge to edge, closer than r_2 itself
+    sched = schedule_from_radii([1.0, 0.2, 0.04, 0.004, 0.0004])
+    return build_hierarchy(power(0.5), sched,
+                           BranchingPlan(1.0, (3, 4, 3, 3)))
+
+
+@pytest.mark.parametrize("fixture", ["h03_depth5", "h05_depth5", "h08_depth5",
+                                     "close_siblings"])
+def test_frostman_probes_equal_the_root_descent(fixture, request,
+                                                monkeypatch):
+    h = (close_siblings_hierarchy() if fixture == "close_siblings"
+         else request.getfixturevalue(fixture))
+    m = NaturalMeasure(h, h.depth)
+    # more probes than one batch, so every chunk's tolerance is its own
+    xs, rs, masses, starts = recorded_scan(m, 10_000, 5, monkeypatch)
+    assert len(masses) == 10_000
+    assert masses.tobytes() == ball_masses(m, xs, rs).tobytes()
+    # each first-path probe k, of radius r_k, starts above level k
+    assert (starts[:h.depth] < np.arange(1, h.depth + 1)).all()
+    assert starts.max() == h.depth - 1
+    # the deepest level s < depth with r < r_s, before the gap rule
+    below = (rs[:, None] < [h.radius(j) for j in range(1, h.depth)]).sum(1)
+    assert (starts <= below).all()
+    if fixture == "close_siblings":
+        lowered = starts < below
+        assert lowered.any()
+        # only level 2's siblings are that close, so the lowered probes
+        # start at level 1 and reach across level 2's gap, up to tol
+        off = h.offsets(2)
+        gap = off[1] - off[0] - 2.0 * h.radius(2)
+        assert gap < h.radius(2)
+        assert (starts[lowered] == 1).all()
+        assert (rs[lowered] > gap - 1e-12).all()
+    else:
+        assert (starts == below).all()
 
 
 def test_frostman_bound_reads_kappa_from_the_gauge():
@@ -521,23 +584,29 @@ def reference_divergence_energy(f, m, pairs, seed):
     on the first pairs % depth levels) draw q = u * N + i, u >= 1, once at
     level k for children i and j = (i + u) mod N_k, then q = u * N + a once
     at each level below for children a and b = (a + u) mod N, u >= 0; the
-    differences accumulate as 2-d offset x direction outer products."""
+    differences accumulate as complex steps (off[a] - off[b]) (e_x + i e_y)
+    and their modulus is ``np.abs``."""
     h = m.hierarchy
+
+    def complex_step(level, a, b):
+        step = h.offsets(level)[a] - h.offsets(level)[b]
+        ex, ey = h.direction(level)
+        z = np.empty(len(step), dtype=complex)
+        z.real, z.imag = step * ex, step * ey
+        return z
+
     rng = np.random.default_rng(seed)
     levels = []
     for k in range(1, m.depth + 1):
         n = pairs // m.depth + (k <= pairs % m.depth)
         count = h.counts[k - 1]
         u, i = np.divmod(rng.integers(count, count * count, size=n), count)
-        j = (i + u) % count
-        diff = (h.offsets(k)[i] - h.offsets(k)[j])[:, None] * h.direction(k)
+        dz = complex_step(k, i, (i + u) % count)
         for level in range(k + 1, m.depth + 1):
             count = h.counts[level - 1]
             u, a = np.divmod(rng.integers(0, count * count, size=n), count)
-            b = (a + u) % count
-            off = h.offsets(level)
-            diff += (off[a] - off[b])[:, None] * h.direction(level)
-        vals = f.reciprocal(np.hypot(diff[:, 0], diff[:, 1]))
+            dz += complex_step(level, a, (a + u) % count)
+        vals = f.reciprocal(np.abs(dz))
         p = (1.0 - 1.0 / h.counts[k - 1]) / math.prod(h.counts[:k - 1])
         levels.append((k, p, n, float(vals.mean()),
                        float(vals.std(ddof=1) / math.sqrt(n))))
@@ -562,8 +631,8 @@ def test_step_table_lists_each_ordered_pair_once(fixture, request):
     h = request.getfixturevalue(fixture)
     for level in range(1, h.depth + 1):
         count, off = h.counts[level - 1], h.offsets(level)
-        tx, ty = measure._step_table(h, level)
-        assert len(tx) == len(ty) == count * count
+        table = measure._step_table(h, level)
+        assert table.dtype == complex and len(table) == count * count
         # decode every q: u, i = divmod(q, N), j = (i + u) mod N
         u, i = np.divmod(np.arange(count * count), count)
         j = (i + u) % count
@@ -572,8 +641,8 @@ def test_step_table_lists_each_ordered_pair_once(fixture, request):
         assert (i[:count] == j[:count]).all()
         assert (i[count:] != j[count:]).all()
         ex, ey = h.direction(level)
-        assert tx.tobytes() == ((off[i] - off[j]) * ex).tobytes()
-        assert ty.tobytes() == ((off[i] - off[j]) * ey).tobytes()
+        assert table.real.tobytes() == ((off[i] - off[j]) * ex).tobytes()
+        assert table.imag.tobytes() == ((off[i] - off[j]) * ey).tobytes()
 
 
 class CountingRng:
@@ -591,7 +660,7 @@ def test_divergence_pairs_draws_once_per_level(h08_depth5):
     m, counts = NaturalMeasure(h08_depth5, 5), h08_depth5.counts
     rng = CountingRng(4)
     strata = measure.divergence_pairs(m, 20_003, rng)
-    sizes = [len(dx) for _, _, dx, _ in strata]
+    sizes = [len(dz) for _, _, dz in strata]
     assert sizes == [4001, 4001, 4001, 4000, 4000]
     assert rng.calls == [
         (counts[k - 1] if level == k else 0, counts[level - 1] ** 2, n)
@@ -650,10 +719,24 @@ def test_mc_energy_levels_split_the_pairs(h08_depth5):
         1.0 - 1.0 / h08_depth5.disc_count(5), rel=1e-12)
     # no pair coincides, down to the deepest level's gaps
     rng = np.random.default_rng(1)
-    for _, _, dx, dy in measure.divergence_pairs(m, 200_000, rng):
-        assert np.hypot(dx, dy).min() > 0.0
+    for _, _, dz in measure.divergence_pairs(m, 200_000, rng):
+        assert np.abs(dz).min() > 0.0
     assert [lv.pairs for lv in mc_energy(power(0.5), m, 1003, 1).levels] == [
         201, 201, 201, 200, 200]
+
+
+def test_pair_modulus_holds_below_the_squared_sum_range():
+    # differences near 1e-172: their squares underflow, their modulus not
+    sched = schedule_from_radii([1e-170, 1e-172, 1e-174])
+    h = build_hierarchy(power(0.5), sched, BranchingPlan(1.0, (5, 7)))
+    m = NaturalMeasure(h, 2)
+    underflows = 0
+    for _, _, dz in measure.divergence_pairs(m, 20_000, np.random.default_rng(2)):
+        d, want = np.abs(dz), np.hypot(dz.real, dz.imag)
+        assert (d > 0.0).all()
+        assert (np.abs(d - want) <= 2 * np.spacing(want)).all()
+        underflows += np.count_nonzero(dz.real ** 2 + dz.imag ** 2 == 0.0)
+    assert underflows == 20_000
 
 
 def test_mc_energy_is_stable_across_seeds_at_depth(h08_depth5):

@@ -321,8 +321,13 @@ def _small_hierarchy(n=3):
                            theta=[0.0])
 
 
+def hierarchy_svg(h):
+    """The figure with the Eq33 labels of h's own validation report."""
+    return render_hierarchy_svg(h, validate_hierarchy(h))
+
+
 def test_hierarchy_svg_circle_count():
-    svg = render_hierarchy_svg(_small_hierarchy(3))
+    svg = hierarchy_svg(_small_hierarchy(3))
     assert svg.count("<circle") == 1 + 3
     ET.fromstring(svg)
 
@@ -359,7 +364,7 @@ def _power_hierarchy(s, depth):
 def test_hierarchy_svg_panels_at_depth_10(s):
     h = _power_hierarchy(s, 10)
     eq33 = {r.level: r.margin for r in validate_hierarchy(h).by_check("Eq33")}
-    panels = _panels(render_hierarchy_svg(h))
+    panels = _panels(hierarchy_svg(h))
     assert sorted(panels) == list(range(1, 11))
     for k, (big, children, label) in panels.items():
         # one parent and N_k children, in the parent's frame
@@ -380,11 +385,11 @@ def test_hierarchy_svg_panels_at_depth_10(s):
 def test_hierarchy_svg_is_small_and_stable_at_every_depth(s):
     for depth in range(1, 11):
         h = _power_hierarchy(s, depth)
-        svg = render_hierarchy_svg(h)
+        svg = hierarchy_svg(h)
         ET.fromstring(svg)
         assert len(svg.encode("utf-8")) < 100_000
         assert sum(len(c) for _, c, _ in _panels(svg).values()) == sum(h.counts)
-        assert render_hierarchy_svg(_power_hierarchy(s, depth)) == svg
+        assert hierarchy_svg(_power_hierarchy(s, depth)) == svg
 
 
 def test_hierarchy_svg_needs_only_local_ratios():
@@ -394,7 +399,7 @@ def test_hierarchy_svg_needs_only_local_ratios():
     deep = build_hierarchy(power(0.5), RadiusSchedule((-790.0, -795.0, -800.5)),
                            plan, theta=near.theta)
     assert deep.radius(1) == 0.0
-    assert render_hierarchy_svg(deep) == render_hierarchy_svg(near)
+    assert hierarchy_svg(deep) == hierarchy_svg(near)
 
 
 def test_sweep_svg_marks_every_measured_row():
