@@ -16,15 +16,21 @@ family lands exactly at zero.  The thresholds (finite at or below -0.1,
 divergent at or above -0.02) are artifact decisions and are carried in
 every verdict's diagnostics.
 
-The kernels keep their working sets in cache.  Shell quadrature evaluates
-its integrand ``BLOCK_NODES`` nodes at a time into one array of all node
-values, then takes every shell's weighted sum in one product.  The tail
-classifier reads all its base-2 blocks from one blockwise log-sum-exp,
-each block summed as its own slice; the tail continuation evaluates its
-panels in at most four growing stages.  The rate condition evaluates f's
-slowly varying part at the shell nodes once for all its scales after the
-first.  Each node gets the float operations of one call on all of them,
-so the verdicts do not depend on the block size.
+The kernels keep their working sets in cache.  The shells' 12- and
+24-point GL nodes are built once per process and shell count, read-only
+(590 KB for 2048 shells).  Shell quadrature evaluates its integrand
+``BLOCK_NODES`` of them at a time into one array of all node values, then
+takes every shell's weighted sum in one product.  The tail classifier
+reads all its base-2 blocks from one blockwise log-sum-exp, each block
+summed as its own slice; the tail continuation evaluates its panels in at
+most four growing stages.  The rate condition evaluates f's slowly
+varying part at the shell nodes once for all its scales after the first.
+Each node gets the float operations of one call on all of them, so the
+verdicts do not depend on the block size.
+
+Log-sum-exp zeroes the maximal entries after the exp, so a row whose
+spread stays above -708 takes plain np.exp; its maxima, counts, shifts
+and exps run node-major, its row sums row-major in numpy's order.
 
 Every exponential of the kernels goes through ``_exp``, which returns
 numpy's exp bit for bit but does not ask exp for the results it already
@@ -123,15 +129,25 @@ def _logsumexp(a):
     and where that is not finite (all entries -inf, an inf or a NaN) it is
     the direct log(sum(exp(a))), computed for those rows only.  Every
     row's value depends on that row alone.
+
+    The maxima are zeroed after the exp, so exp sees no -inf it did not
+    get and takes ``_exp``'s plain path whenever the row spread allows.
+    Max, count, shift and exp do not depend on the order of a row's
+    entries, so they run on a node-major copy, entry j of every row in one
+    contiguous run, instead of along rows as short as 4 or 24 entries.
+    Only the row sums run row-major, in numpy's pairwise order.
     """
     a = np.asarray(a, dtype=float)
+    rows = a.reshape(-1, a.shape[-1])
     with np.errstate(all="ignore"):
-        a_max = a.max(axis=-1, keepdims=True)
-        at_max = a == a_max
-        m = at_max.sum(axis=-1, keepdims=True, dtype=float)
-        t = np.where(at_max, -np.inf, a)
+        t = rows.T.copy()
+        a_max = t.max(axis=0)
+        at_max = t == a_max
+        m = at_max.sum(axis=0, dtype=float)
         t -= a_max
-        out = _exp(t).sum(axis=-1, keepdims=True)
+        _exp(t)
+        t[at_max] = 0.0
+        out = t.T.copy().sum(axis=1)
         out /= m
         np.log1p(out, out=out)
         out += np.log(m)
@@ -140,8 +156,8 @@ def _logsumexp(a):
         if bad.any():
             # the direct form is inf, -inf or NaN, so its summation order
             # does not matter
-            out[bad] = np.log(np.sum(np.exp(a[bad[..., 0]]), axis=-1))
-    return out[..., 0][()]
+            out[bad] = np.log(np.sum(np.exp(rows[bad]), axis=-1))
+    return out.reshape(a.shape[:-1])[()]
 
 
 def _block_logsumexp(a: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -159,9 +175,9 @@ def _block_logsumexp(a: np.ndarray, sizes: np.ndarray) -> np.ndarray:
         a_max_each = np.repeat(a_max, sizes)
         at_max = a == a_max_each
         m = np.add.reduceat(at_max, starts, dtype=float)
-        t = np.where(at_max, -np.inf, a)
-        t -= a_max_each
+        t = a - a_max_each
         _exp(t)
+        t[at_max] = 0.0
         out = np.array([t[i:i + n].sum() for i, n in zip(starts.tolist(), sizes.tolist())])
         out /= m
         np.log1p(out, out=out)
@@ -222,32 +238,10 @@ def _gl(order: int):
     return _GL_CACHE[order]
 
 
-def _panel_blocks(lo: np.ndarray, hi: np.ndarray, order: int):
-    """The order-point GL nodes of the [lo_i, hi_i] panels,
-    ``BLOCK_NODES // order`` panels at a time: yields the block's first
-    panel and its (panels, order) node array."""
+def _panel_nodes(lo: np.ndarray, hi: np.ndarray, order: int) -> np.ndarray:
+    """The order-point GL nodes of the [lo_i, hi_i] panels, one row each."""
     x, _ = _gl(order)
-    width = hi - lo
-    rows = BLOCK_NODES // order
-    for a in range(0, len(lo), rows):
-        yield a, lo[a:a + rows, None] + width[a:a + rows, None] * x
-
-
-def _panel_values(fn, lo: np.ndarray, hi: np.ndarray, order: int,
-                  node_data=None) -> np.ndarray:
-    """Integral of fn over each [lo_i, hi_i] panel by fixed-order GL.
-
-    fn runs on ``BLOCK_NODES // order`` panels at a time; every node gets
-    the same float operations as in one call on all of them.  Given
-    ``node_data`` (one value per node, in node order), fn also receives
-    the block's slice of it.
-    """
-    _, w = _gl(order)
-    vals = np.empty((len(lo), order))
-    for a, v in _panel_blocks(lo, hi, order):
-        extra = () if node_data is None else (node_data[a * order:a * order + v.size],)
-        vals[a:a + len(v)] = fn(v.ravel(), *extra).reshape(v.shape)
-    return (hi - lo) * (vals @ w)
+    return lo[:, None] + (hi - lo)[:, None] * x
 
 
 def _shell_edges():
@@ -255,14 +249,56 @@ def _shell_edges():
     return edges_hi - LOG2, edges_hi
 
 
+_SHELL_NODES: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _shell_nodes(order: int) -> np.ndarray:
+    """The (SHELLS, order) GL nodes of the dyadic shells, read-only: built
+    once per (SHELLS, order), as ``_gl`` builds its nodes once per order.
+    The 12- and 24-point blocks of 2048 shells hold 590 KB."""
+    key = (SHELLS, order)
+    if key not in _SHELL_NODES:
+        nodes = _panel_nodes(*_shell_edges(), order)
+        nodes.flags.writeable = False
+        _SHELL_NODES[key] = nodes
+    return _SHELL_NODES[key]
+
+
+def _node_blocks(nodes: np.ndarray):
+    """``BLOCK_NODES // order`` rows of the (panels, order) node array at
+    a time: yields the block's first row and its nodes, in node order."""
+    rows = BLOCK_NODES // nodes.shape[1]
+    for a in range(0, len(nodes), rows):
+        yield a, nodes[a:a + rows]
+
+
+def _panel_values(fn, nodes: np.ndarray, width: np.ndarray,
+                  node_data=None) -> np.ndarray:
+    """Integral of fn over each panel by fixed-order GL, from the panels'
+    (panels, order) nodes and their widths.
+
+    fn runs on ``BLOCK_NODES // order`` panels at a time; every node gets
+    the same float operations as in one call on all of them.  Given
+    ``node_data`` (one value per node, in node order), fn also receives
+    the block's slice of it.
+    """
+    order = nodes.shape[1]
+    _, w = _gl(order)
+    vals = np.empty(nodes.shape)
+    for a, v in _node_blocks(nodes):
+        extra = () if node_data is None else (node_data[a * order:a * order + v.size],)
+        vals[a:a + len(v)] = fn(v.ravel(), *extra).reshape(v.shape)
+    return width * (vals @ w)
+
+
 def _shell_node_data(fn) -> dict[int, np.ndarray]:
     """fn on the nodes of the 12- and 24-point passes of
     dyadic_shell_sums, in node order, ``BLOCK_NODES`` nodes at a time."""
-    edges_lo, edges_hi = _shell_edges()
     data = {}
     for order in (12, 24):
-        data[order] = np.empty(len(edges_lo) * order)
-        for a, v in _panel_blocks(edges_lo, edges_hi, order):
+        nodes = _shell_nodes(order)
+        data[order] = np.empty(nodes.size)
+        for a, v in _node_blocks(nodes):
             data[order][a * order:a * order + v.size] = fn(v.ravel())
     return data
 
@@ -277,18 +313,21 @@ def dyadic_shell_sums(fn, node_data=None) -> np.ndarray:
     subpanels, in one round; that suffices for the piecewise smooth
     integrands used here.  With ``node_data`` from ``_shell_node_data``,
     fn takes its values at a block's nodes as a second argument on the
-    12- and 24-point passes; the subpanels get none.
+    12- and 24-point passes; the subpanels get none.  fn receives the
+    shells' nodes read-only.
     """
     edges_lo, edges_hi = _shell_edges()
+    width = edges_hi - edges_lo
     data = node_data or {}
-    coarse = _panel_values(fn, edges_lo, edges_hi, 12, data.get(12))
-    fine = _panel_values(fn, edges_lo, edges_hi, 24, data.get(24))
+    coarse = _panel_values(fn, _shell_nodes(12), width, data.get(12))
+    fine = _panel_values(fn, _shell_nodes(24), width, data.get(24))
     sums = fine.copy()
     scale = np.maximum(np.abs(fine), 1e-300)
     bad = np.abs(fine - coarse) > 1e-11 * scale
     for i in np.nonzero(bad)[0]:
         sub = np.linspace(edges_lo[i], edges_hi[i], 5)
-        sums[i] = _panel_values(fn, sub[:-1], sub[1:], 24).sum()
+        sums[i] = _panel_values(fn, _panel_nodes(sub[:-1], sub[1:], 24),
+                                np.diff(sub)).sum()
     return sums
 
 

@@ -89,7 +89,8 @@ def _term_log(f: GaugeFunction, psi: ApproxFunction, k: int,
               lq: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         out = k * lq + np.asarray(f.log_value_deep(psi.log_depth(lq)), dtype=float)
-    return np.where(np.isnan(out), -math.inf, out)
+    np.copyto(out, -math.inf, where=np.isnan(out))
+    return out
 
 
 @dataclass(frozen=True)

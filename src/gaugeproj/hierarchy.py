@@ -196,10 +196,12 @@ class DiscHierarchy:
 
     ``offsets(k)`` holds the signed center offsets of the level-k
     children along their parent's placement diameter (physical units),
-    :meth:`parent_frame` the same offsets in units of r_{k-1}, and
-    ``d[k]`` the cumulative placement direction d_{k+1}.  Absolute centers
-    are not stored: :meth:`first_paths` and :meth:`level_centers` compute
-    them on request, for levels of at most ``DISC_CAP`` discs.
+    :meth:`parent_frame` the same offsets in units of r_{k-1},
+    :meth:`step_table` the ordered-pair differences the energy sampler
+    draws from, and ``d[k]`` the cumulative placement direction d_{k+1}.
+    Absolute centers are not stored: :meth:`first_paths` and
+    :meth:`level_centers` compute them on request, for levels of at most
+    ``DISC_CAP`` discs.
     """
 
     gauge: GaugeFunction
@@ -233,6 +235,33 @@ class DiscHierarchy:
             n = self.counts[level - 1]
             span = self.radius(level - 1) - self.radius(level)
             self._cache[key] = np.linspace(-span, span, n)
+        return self._cache[key]
+
+    def step_table(self, level: int) -> np.ndarray:
+        """The level's ordered-pair step table, read-only, built once and
+        capped at ``DISC_CAP`` entries: (off[i] - off[j]) * (e_x + i e_y)
+        as complex numbers, real part x and imaginary part y, for all
+        N**2 ordered pairs of children (i, j), at q = u * N + i with
+        j = (i + u) mod N.  The N pairs i == j come first (u = 0), so the
+        table past them, q >= N, holds each of the N (N - 1) pairs i != j
+        once."""
+        n = self.counts[level - 1]
+        if n * n > DISC_CAP:
+            raise DiscCapExceeded(f"level {level}'s step table holds {n * n} "
+                                  f"entries, over the cap of {DISC_CAP}")
+        key = ("step", level)
+        if key not in self._cache:
+            off = self.offsets(level)
+            # row u of the window holds off[(i + u) mod N] for i = 0 .. N - 1
+            shifted = np.lib.stride_tricks.sliding_window_view(
+                np.concatenate((off, off[:-1])), n)
+            step = np.subtract(off, shifted).ravel()
+            ex, ey = self.direction(level)
+            table = np.empty(n * n, dtype=complex)
+            np.multiply(step, ex, out=table.real)
+            np.multiply(step, ey, out=table.imag)
+            table.flags.writeable = False
+            self._cache[key] = table
         return self._cache[key]
 
     def parent_frame(self, level: int) -> tuple[float, np.ndarray]:

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hierarchy
 from .gauges import GaugeFunction, GaugeError
 from .hierarchy import DiscHierarchy, DiscCapExceeded
 
@@ -419,29 +418,6 @@ def discrete_energy(f: GaugeFunction, points, masses=None) -> float:
     return math.inf if coincident else total
 
 
-def _step_table(h: DiscHierarchy, level: int) -> np.ndarray:
-    """The level's ordered-pair step table, capped at ``DISC_CAP`` entries:
-    (off[i] - off[j]) * (e_x + i e_y) as complex numbers, real part x and
-    imaginary part y, for all N**2 ordered pairs of children (i, j), at
-    q = u * N + i with j = (i + u) mod N.  The N pairs i == j come first
-    (u = 0), so the table past them, q >= N, holds each of the N (N - 1)
-    pairs i != j once."""
-    off = h.offsets(level)
-    n = len(off)
-    if n * n > hierarchy.DISC_CAP:
-        raise DiscCapExceeded(f"level {level}'s step table holds {n * n} "
-                              f"entries, over the cap of {hierarchy.DISC_CAP}")
-    # row u of the window holds off[(i + u) mod N] for i = 0 .. N - 1
-    shifted = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate((off, off[:-1])), n)
-    step = np.subtract(off, shifted).ravel()
-    ex, ey = h.direction(level)
-    table = np.empty(n * n, dtype=complex)
-    np.multiply(step, ex, out=table.real)
-    np.multiply(step, ey, out=table.imag)
-    return table
-
-
 def divergence_pairs(m: NaturalMeasure, pairs: int, rng: np.random.Generator):
     """Atom pairs of m drawn level by level.  Yields, for k = 1 .. depth,
     (k, p_k, dz): the probability p_k = (1 - 1/N_k) / (N_1 ... N_{k-1})
@@ -452,9 +428,10 @@ def divergence_pairs(m: NaturalMeasure, pairs: int, rng: np.random.Generator):
     squared sum, free of underflow down to subnormal differences.
 
     A pair makes one uniform draw per level from that level's ordered-pair
-    step table (:func:`_step_table`): at level k among its N_k (N_k - 1)
-    entries with children i != j, below it among all N_l**2 entries, so
-    its children there are independent.  This is the law of children i
+    step table (:meth:`DiscHierarchy.step_table`, built once per
+    hierarchy): at level k among its N_k (N_k - 1) entries with children
+    i != j, below it among all N_l**2 entries, so its children there are
+    independent.  This is the law of children i
     and j = (i + U{1..N_k - 1}) mod N_k at level k and independent paths
     below.  The difference sums the drawn steps from level k down, one
     complex take and add per level, never absolute coordinates.
@@ -468,7 +445,7 @@ def divergence_pairs(m: NaturalMeasure, pairs: int, rng: np.random.Generator):
     share, extra = divmod(pairs, m.depth)
     if share < 2:
         raise GaugeError("energy draws need at least two pairs per level")
-    tables = [_step_table(h, level) for level in range(1, m.depth + 1)]
+    tables = [h.step_table(level) for level in range(1, m.depth + 1)]
     buf = np.empty((2, share + (extra > 0)), dtype=complex)
     for k in range(1, m.depth + 1):
         n = share + (k <= extra)

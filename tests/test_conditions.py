@@ -15,6 +15,7 @@ from gaugeproj.conditions import (DIVERGENT_ABOVE, FINITE_BELOW, LOG2, SHELLS,
                                   _block_logsumexp, _exp,
                                   _gl, _logsumexp, _panel_values,
                                   _ratio_integrand, _shell_node_data,
+                                  _shell_nodes,
                                   _tail_integral, dyadic_shell_sums)
 
 TAU = 6.0
@@ -322,6 +323,43 @@ def test_logsumexp_matches_scipy_along_axis_1():
         assert _bits(got) == _bits(logsumexp(a, axis=-1))
 
 
+def _planted_rows(shape, seed):
+    # random rows, then one row of each edge case the kernel branches on
+    rng = np.random.default_rng(seed)
+    a = rng.normal(0.0, 30.0, shape)
+    rows, k = a.reshape(-1, shape[-1]), shape[-1]
+    rows[0] = -_INF                                    # every entry -inf
+    rows[1, 1] = _INF
+    rows[2, k - 1] = math.nan
+    rows[3, ::2] = rows[3].max()                       # repeated maxima
+    rows[4] = -rng.uniform(700.0, 800.0, k)            # spread past -746:
+    rows[4, 0] = 0.0                                   # zeros, subnormals
+    rows[5] = [0.0, -745.0, -746.0, -708.5] * (k // 4)  # the clip floor
+    rows[6, 1::2] = -_INF                              # zero terms
+    rows[7] = 709.5                                    # every entry maximal
+    rows[8, :2] = [_INF, -_INF]
+    return a
+
+
+@pytest.mark.parametrize("shape", [(9, 4), (300, 4), (256, 24), (3, 5, 24), (2, 6, 4)])
+def test_logsumexp_matches_scipy_on_kernel_shapes(shape):
+    # the angle-kernel cells are (n, 4), the deep-octave blocks (256, 24);
+    # each row alone, as a 1-d array, gives the same bits too
+    from scipy.special import logsumexp
+    a = _planted_rows(shape, sum(shape))
+    rows = a.reshape(-1, shape[-1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _logsumexp(a)
+        each = [_logsumexp(row) for row in rows]
+    assert _bits(got) == _bits(logsumexp(a, axis=-1))
+    for row, value in zip(rows, each):
+        want = logsumexp(row)
+        assert type(value) is type(want) and _bits(value) == _bits(want)
+    spread = np.concatenate(([0.0], -np.geomspace(1.0, 800.0, 2046)))
+    assert _bits(_logsumexp(spread)) == _bits(logsumexp(spread))
+
+
 # ---------------------------------------------------------------------------
 # Block-wise kernels against their whole-array and looped forms
 # ---------------------------------------------------------------------------
@@ -397,13 +435,48 @@ def test_blockwise_shell_quadrature_and_tail_are_exact(f, g):
     for shift in SHIFTS:
         fn = _ratio_integrand(f, g, shift)
         for order in (12, 24):
-            got = _panel_values(fn, edges_lo, edges_hi, order)
+            got = _panel_values(fn, _shell_nodes(order), edges_hi - edges_lo)
             want = _panel_values_whole(fn, edges_lo, edges_hi, order)
             assert got.tobytes() == want.tobytes(), (shift, order)
         with np.errstate(all="ignore"):  # divergent pairs overflow in the tail
             want = _tail_integral_loop(fn, SHELLS * LOG2)
         got = _tail_integral(fn, SHELLS * LOG2)
         assert np.float64(got).tobytes() == np.float64(want).tobytes(), shift
+
+
+def _fresh_shell_nodes(shells, order):
+    edges_hi = -LOG2 * np.arange(shells, dtype=float)
+    edges_lo = edges_hi - LOG2
+    x, _ = _gl(order)
+    return edges_lo[:, None] + (edges_hi - edges_lo)[:, None] * x
+
+
+def test_shell_nodes_are_built_once_read_only_and_exact():
+    for order in (12, 24):
+        nodes = _shell_nodes(order)
+        assert _shell_nodes(order) is nodes
+        assert not nodes.flags.writeable
+        assert nodes.shape == (SHELLS, order)
+        assert nodes.tobytes() == _fresh_shell_nodes(SHELLS, order).tobytes()
+        with pytest.raises(ValueError):
+            nodes[0, 0] = 0.0
+    # the cost the cache keeps: 2048 shells x (12 + 24) nodes x 8 B
+    check_integral_condition(power(0.5), power(0.25))
+    kept = {order: v.nbytes for (shells, order), v in conditions._SHELL_NODES.items()
+            if shells == SHELLS}
+    assert set(kept) == {12, 24}
+    assert sum(kept.values()) == 2048 * 36 * 8 == 589_824
+
+
+def test_shell_nodes_follow_the_shell_count(monkeypatch):
+    monkeypatch.setattr(conditions, "SHELLS", 1024)
+    for order in (12, 24):
+        nodes = _shell_nodes(order)
+        assert nodes.shape == (1024, order)
+        assert nodes.tobytes() == _fresh_shell_nodes(1024, order).tobytes()
+    assert dyadic_shell_sums(_ratio_integrand(power(0.5), power(0.25))).shape == (1024,)
+    monkeypatch.undo()
+    assert _shell_nodes(24).shape == (SHELLS, 24)
 
 
 @pytest.mark.parametrize("pieces,total", [
@@ -566,8 +639,9 @@ def test_block_logsumexp_is_logsumexp_per_block():
     (power(0.5), sweep_partner(power(0.5)), 1.5),
 ])
 def test_shell_verdict_working_set(f, g, limit_mb):
-    # the shell quadrature holds its nodes one block at a time; on all
-    # 2048 x 24 nodes at once it peaked at 2.8 MB
+    # the shell quadrature evaluates its nodes one block at a time; on all
+    # 2048 x 24 nodes at once it peaked at 2.8 MB.  The cached shell nodes
+    # (590 KB) are built by the first call, before tracing starts
     check_integral_condition(f, g)
     tracemalloc.start()
     try:

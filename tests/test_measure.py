@@ -631,8 +631,10 @@ def test_step_table_lists_each_ordered_pair_once(fixture, request):
     h = request.getfixturevalue(fixture)
     for level in range(1, h.depth + 1):
         count, off = h.counts[level - 1], h.offsets(level)
-        table = measure._step_table(h, level)
+        table = h.step_table(level)
         assert table.dtype == complex and len(table) == count * count
+        # built once per hierarchy, shared read-only by every energy
+        assert h.step_table(level) is table and not table.flags.writeable
         # decode every q: u, i = divmod(q, N), j = (i + u) mod N
         u, i = np.divmod(np.arange(count * count), count)
         j = (i + u) % count
