@@ -44,7 +44,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .gauges import GaugeFunction, GaugeError, _ls_slope, log_ratio
 
@@ -233,6 +232,7 @@ _GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 def _gl(order: int):
     if order not in _GL_CACHE:
+        from numpy.polynomial.legendre import leggauss  # only when needed
         x, w = leggauss(order)
         _GL_CACHE[order] = ((x + 1.0) / 2.0, w / 2.0)  # on [0, 1]
     return _GL_CACHE[order]
@@ -407,16 +407,17 @@ def _ratio_integrand(f: GaugeFunction, g: GaugeFunction, shift: float = 0.0):
 
     def fn(v, f_slow=None):
         v = np.asarray(v, dtype=float)
-        if f_slow is None:
-            f_slow = f.log_value_slow(v)
         vs = v + shift
-        # d_alpha * v - g_alpha_shift + f_slow - g_slow(vs), step by step
+        # d_alpha * v - g_alpha_shift + f_slow - g_slow(vs), step by step;
+        # a power gauge's slow part is 0 and its dlog the constant s
         lr = d_alpha * v
         lr -= g_alpha_shift
-        lr += f_slow
-        lr -= g.log_value_slow(vs)
+        if f.family != "power":
+            lr += f.log_value_slow(v) if f_slow is None else f_slow
+        if g.family != "power":
+            lr -= g.log_value_slow(vs)
         out = _exp(lr, -745.0, 700.0)
-        out *= g.dlog(vs)
+        out *= g.s if g.family == "power" else g.dlog(vs)
         return out
     return fn
 
@@ -482,7 +483,7 @@ def check_rate_condition(f: GaugeFunction, g: GaugeFunction) -> ConditionVerdict
             diag = f"scaled integral at log t = {lt:.1f} is {status}: {detail}"
             return ConditionVerdict(status, None, tuple(rates), diag)
         rates.append(math.exp(g.log_value(lt)) * total)
-        if f_slow is None:
+        if f_slow is None and f.family != "power":
             # the shell nodes do not move with t: the later scales share
             # f's slowly varying part there, built once the first is finite
             f_slow = _shell_node_data(f.log_value_slow)

@@ -442,7 +442,7 @@ def validate_hierarchy(h: DiscHierarchy) -> HierarchyReport:
         resid = abs(2 * n_k * rho + (n_k - 1) * (step - 2.0 * rho) - 2.0)
         m32 = slack - resid
         rows.append(CheckRow("Eq32", k, m32 >= 0.0, m32,
-                             note="spacing identity residual"))
+                             note="1e-9 minus spacing identity residual"))
 
         m33 = (step - 3.0 * rho) / rho
         rows.append(CheckRow("Eq33", k, m33 > 0.0, m33))

@@ -3,10 +3,10 @@
 A disc projects onto the line at angle theta as an interval of the same
 diameter, so projecting a disc cover and merging overlaps yields an
 interval cover whose gauge cost upper-bounds the projected set's cover
-cost at that mesh.  The direction sweep walks an angle grid, finds the
-construction levels whose placement arc contains the projection
-direction and compares the measured cover cost against the per-level
-budget 8a g(r_{k+1}) / f(r_k).
+cost at that mesh.  The direction sweep marks, in one table over an angle
+grid, the construction levels whose placement arc contains each projection
+direction; each level climbs to the root once for all its angles, and the
+measured cover costs are compared against its budget 8a g(r_{k+1}) / f(r_k).
 
 Costs reported here are upper bounds for one admissible cover; no
 infimum claim is made.
@@ -68,12 +68,12 @@ def merge_intervals(raw) -> IntervalCover:
     if not isinstance(raw, np.ndarray):
         raw = list(raw)
     arr = np.asarray(raw, dtype=float).reshape(-1, 2)
-    return _merge_array(arr[:, 0], arr[:, 1])
+    return IntervalCover(*_merge_array(arr[:, 0], arr[:, 1]))
 
 
-def _merge_array(lo: np.ndarray, hi: np.ndarray) -> IntervalCover:
+def _merge_array(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if len(lo) == 0:
-        return IntervalCover(lo, hi)
+        return lo, hi
     order = np.argsort(lo, kind="stable")
     lo, hi = lo[order], hi[order]
     running = np.maximum.accumulate(hi)
@@ -81,7 +81,7 @@ def _merge_array(lo: np.ndarray, hi: np.ndarray) -> IntervalCover:
     new_run[1:] = lo[1:] > running[:-1]  # touching endpoints merge
     starts = np.nonzero(new_run)[0]
     ends = np.append(starts[1:], len(lo)) - 1
-    return IntervalCover(lo[starts], running[ends])
+    return lo[starts], running[ends]
 
 
 def project_disc_cover(centers, radii, theta: float) -> IntervalCover:
@@ -91,7 +91,7 @@ def project_disc_cover(centers, radii, theta: float) -> IntervalCover:
     centers = np.asarray(centers, dtype=float)
     radii = np.asarray(radii, dtype=float)
     coord = centers[:, 0] * math.cos(theta) + centers[:, 1] * math.sin(theta)
-    return _merge_array(coord - radii, coord + radii)
+    return IntervalCover(*_merge_array(coord - radii, coord + radii))
 
 
 def cover_cost(g: GaugeFunction, cover: IntervalCover) -> float:
@@ -119,6 +119,53 @@ class LevelProjection:
     copies: int
 
 
+def _climb(h: DiscHierarchy, thetas: np.ndarray, level: int):
+    """:func:`project_hierarchy` at every angle of ``thetas`` at once: each
+    row's pattern hull [lo, hi], its last merge level (N_1 ... N_{last - 1}
+    copies) and a generator of (row, lo, hi) building the other rows' patterns
+    one row at a time.  Rounding is monotone, so merged translates span what
+    counted ones would: all disjointness tests run before any row is built.
+    """
+    def projected(j):  # rows sorted; math.cos gives one angle's bits
+        cos = [math.cos(x) for x in (h.d[j - 1] - thetas).tolist()]
+        return np.sort(np.multiply.outer(cos, h.offsets(j)), axis=1)
+
+    steps = {j: projected(j) for j in range(1, level + 1)}
+    r = h.radius(level)
+    c_lo, c_hi = steps[level] - r, steps[level] + r  # c_hi is the running max
+    pieces = 1 + np.count_nonzero(c_lo[:, 1:] > c_hi[:, :-1], axis=1)
+    span = np.stack([c_lo[:, 0], c_hi[:, -1]], axis=1)  # [lo, hi] per row
+    hull = span.copy()
+    # [row, j]: the row merges at level j; at `level`, its child pattern
+    merges = np.tile(np.arange(level + 1) == level, (len(thetas), 1))
+    for j in range(level - 1, 0, -1):
+        s = steps[j]
+        hit = merges[:, j] = ~(s[:, 1:] + span[:, :1]
+                               > s[:, :-1] + span[:, 1:]).all(axis=1)
+        span += s[:, [0, -1]]
+        np.copyto(hull, span, where=hit[:, None])
+    last = merges.argmax(axis=1).tolist()  # the first True; column 0 never is
+
+    def built():
+        for a in np.flatnonzero((np.array(last) < level) | (pieces > 1)).tolist():
+            js = np.flatnonzero(merges[a, :level])[::-1].tolist()
+            p_lo, p_hi = ((c_lo[a, :1], c_hi[a, -1:]) if pieces[a] == 1
+                          else _merge_array(c_lo[a], c_hi[a]))
+            for j, m in zip(js, [level] + js):
+                size = len(p_lo) * math.prod(h.counts[j - 1:m - 1])
+                if size > hierarchy.DISC_CAP:
+                    raise DiscCapExceeded(
+                        f"projecting level {level} at angle {float(thetas[a])!r} "
+                        f"would merge {size} intervals, over the cap of "
+                        f"{hierarchy.DISC_CAP}")
+                for i in range(m - 1, j - 1, -1):  # inner level first
+                    p_lo = np.add.outer(steps[i][a], p_lo).ravel()
+                    p_hi = np.add.outer(steps[i][a], p_hi).ravel()
+                p_lo, p_hi = _merge_array(p_lo, p_hi)
+            yield a, p_lo, p_hi
+    return hull[:, 0], hull[:, 1], last, built()
+
+
 def project_hierarchy(h: DiscHierarchy, theta: float, level: int) -> LevelProjection:
     """Project every level-`level` disc onto the line at angle theta.
 
@@ -130,38 +177,16 @@ def project_hierarchy(h: DiscHierarchy, theta: float, level: int) -> LevelProjec
     are materialised, together with the counted levels below them, and
     merged.  Every coordinate is relative to an ancestor, never the origin.
     A merge of more than ``hierarchy.DISC_CAP`` intervals raises
-    :class:`DiscCapExceeded` before anything is built.
+    :class:`DiscCapExceeded` before anything is built.  One angle of
+    the sweep's climb.
     """
     if not math.isfinite(theta):
         raise GaugeError("projection angle must be finite")
     if not 1 <= level <= h.depth:
         raise GaugeError("level must lie within the built hierarchy")
-    r = h.radius(level)
-    pattern_coord = h.offsets(level) * math.cos(h.d[level - 1] - theta)
-    pattern = _merge_array(pattern_coord - r, pattern_coord + r)
-    counted: list[np.ndarray] = []  # steps of the counted levels, inner first
-    span_lo, span_hi = pattern.lo[0], pattern.hi[-1]
-    for j in range(level - 1, 0, -1):
-        step = np.sort(h.offsets(j) * math.cos(h.d[j - 1] - theta))
-        if np.all(step[1:] + span_lo > step[:-1] + span_hi):
-            counted.append(step)
-            span_lo, span_hi = span_lo + step[0], span_hi + step[-1]
-            continue
-        steps = counted + [step]
-        size = len(pattern.lo) * math.prod(len(s) for s in steps)
-        if size > hierarchy.DISC_CAP:
-            raise DiscCapExceeded(
-                f"projecting level {level} at angle {theta!r} would merge "
-                f"{size} intervals, over the cap of {hierarchy.DISC_CAP}")
-        lo, hi = pattern.lo, pattern.hi
-        for s in steps:
-            lo = (s[:, None] + lo[None, :]).reshape(-1)
-            hi = (s[:, None] + hi[None, :]).reshape(-1)
-        pattern = _merge_array(lo, hi)
-        counted = []
-        span_lo, span_hi = pattern.lo[0], pattern.hi[-1]
-    copies = math.prod(len(s) for s in counted)
-    return LevelProjection(pattern, copies)
+    lo, hi, last, built = _climb(h, np.array([theta], dtype=float), level)
+    _, lo, hi = next(built, (0, lo, hi))
+    return LevelProjection(IntervalCover(lo, hi), h.disc_count(last[0] - 1))
 
 
 def eq35_bound(h: DiscHierarchy, g: GaugeFunction, k: int) -> float:
@@ -174,18 +199,22 @@ def eq35_bound(h: DiscHierarchy, g: GaugeFunction, k: int) -> float:
     return math.exp(log_val)
 
 
+def _arc_table(h: DiscHierarchy, thetas: np.ndarray) -> np.ndarray:
+    """(angles, depth - 1) booleans: [i, k - 1] is whether the angle
+    thetas[i] qualifies level k (:func:`qualifying_levels`)."""
+    if not np.all(np.isfinite(thetas)):
+        raise GaugeError("projection angle must be finite")
+    # remainder is Python's float %, fmod shifted into [0, pi)
+    d_theta = np.remainder(thetas + math.pi / 2.0, math.pi)
+    arc = np.fmod(d_theta[:, None] - np.array(h.d[:-1]) + math.pi, math.pi)
+    return arc <= np.array(h.theta[1:])
+
+
 def qualifying_levels(h: DiscHierarchy, theta: float) -> list[int]:
     """Levels k whose placement arc [d_k, d_k + theta_{k+1}) contains the
     projection direction d_theta = theta + pi/2 (mod pi)."""
-    if not math.isfinite(theta):
-        raise GaugeError("projection angle must be finite")
-    d_theta = (theta + math.pi / 2.0) % math.pi  # fmod, shifted into [0, pi)
-    out = []
-    for k in range(1, h.depth):
-        arc = math.fmod(d_theta - h.d[k - 1] + math.pi, math.pi)
-        if arc <= h.theta[k]:
-            out.append(k)
-    return out
+    row = _arc_table(h, np.array([theta], dtype=float))[0]
+    return (np.flatnonzero(row) + 1).tolist()
 
 
 @dataclass(frozen=True)
@@ -216,11 +245,11 @@ def sweep_directions(h: DiscHierarchy, g: GaugeFunction, theta_grid) -> SweepTab
     budget it must respect.
 
     ``theta_grid`` is either an integral count (uniform grid on [0, pi))
-    or explicit finite angles.  Every row is measured: its cost is the
-    pattern's cover cost times its count of disjoint copies, so no level is
-    too deep to sweep; a merge over the cap raises (see
-    :func:`project_hierarchy`).  Each level's budget is computed once and
-    kept in ``SweepTable.bounds``, which every row reads.
+    or explicit finite angles.  One arc table picks the rows, θ-major, and
+    each level climbs once over all its angles (see :func:`project_hierarchy`).
+    Every row is measured: its cost is the pattern's cover cost times its
+    count of disjoint copies, so no level is too deep to sweep.  Each level's
+    budget is computed once and kept in ``SweepTable.bounds``.
     """
     if isinstance(theta_grid, bool):
         raise GaugeError("angle grid must be a point count or a sequence of angles")
@@ -231,15 +260,24 @@ def sweep_directions(h: DiscHierarchy, g: GaugeFunction, theta_grid) -> SweepTab
         thetas = [float(t) for t in theta_grid]
     if len(thetas) < MIN_ANGLES:
         raise GaugeError(f"angle grid needs at least {MIN_ANGLES} points")
+    angles = np.array(thetas)
+    table = _arc_table(h, angles)
     bounds = tuple(eq35_bound(h, g, k) for k in range(1, h.depth))
-    rows: list[SweepRow] = []
-    for theta in thetas:
-        for k in qualifying_levels(h, theta):
-            bound = bounds[k - 1]
-            pr = project_hierarchy(h, theta, k + 1)
-            cost = pr.copies * cover_cost(g, pr.pattern)
-            rows.append(SweepRow(theta, k, cost, bound, bound - cost))
-    return SweepTable(tuple(rows), bounds)
+    costs = np.zeros(table.shape)
+    for k in (np.flatnonzero(table.any(axis=0)) + 1).tolist():
+        at = np.flatnonzero(table[:, k - 1])
+        lo, hi, last, built = _climb(h, angles[at], k + 1)
+        # one g call for every row; rows with several intervals are redone
+        cost = np.exp(np.asarray(g.log_value(np.log(hi - lo)), dtype=float))
+        for a, p_lo, p_hi in built:
+            if len(p_lo) > 1:
+                cost[a] = cover_cost(g, IntervalCover(p_lo, p_hi))
+        costs[at, k - 1] = [float(h.disc_count(m - 1)) for m in last] * cost
+    at, ks = np.nonzero(table)
+    rows = tuple(SweepRow(thetas[a], k + 1, cost, bounds[k], bounds[k] - cost)
+                 for a, k, cost in zip(at.tolist(), ks.tolist(),
+                                       costs[at, ks].tolist()))
+    return SweepTable(rows, bounds)
 
 
 # ---------------------------------------------------------------------------

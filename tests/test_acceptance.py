@@ -22,7 +22,8 @@ from gaugeproj import (DIVERGENT, FINITE, GaugeFitError, NaturalMeasure,
                        frostman_scan, gap_report, log_power, log_radius_grid,
                        mc_energy, mc_energy_atoms, parse_config, potential,
                        power, power_log, power_log_power, project_disc_cover,
-                       run_pipeline, sweep_directions, sweep_partner,
+                       project_hierarchy, qualifying_levels, run_pipeline,
+                       sweep_directions, sweep_partner,
                        tabulated, validate_hierarchy)
 from gaugeproj.diophantine import GAP_BAND, INFINITE_BAND, ZERO_BAND
 
@@ -84,6 +85,11 @@ def test_criterion_3_projection_bound_suite(hierarchies):
             assert table.rows, f"s={s}: no qualifying rows"
             for row in table.rows:
                 assert row.cost <= row.bound * (1.0 + 1e-9), f"s={s}: {row}"
+                # the batched row is its angle's own projection, bit for bit
+                assert row.k in qualifying_levels(h, row.theta), f"s={s}: {row}"
+                pr = project_hierarchy(h, row.theta, row.k + 1)
+                assert row.cost == pr.copies * cover_cost(g, pr.pattern), \
+                    f"s={s}: {row}"
             bounds = [eq35_bound(h, g, k) for k in range(1, h.depth)]
             assert all(a > b for a, b in zip(bounds, bounds[1:])), \
                 f"s={s}: bound sequence {bounds} not strictly decreasing"

@@ -151,8 +151,12 @@ def test_rate_builds_f_side_only_after_a_finite_first_scale(monkeypatch):
         built.append(fn)
         return _shell_node_data(fn)
     monkeypatch.setattr(conditions, "_shell_node_data", spy)
-    assert check_rate_condition(power(0.3), power(0.5)).status == DIVERGENT
+    f_slow, f_fast = power_log(0.3, 0.5, 1.0), power_log(0.5, 0.5, 1.0)
+    assert check_rate_condition(f_slow, power(0.5)).status == DIVERGENT
     assert built == []
+    assert check_rate_condition(f_fast, power(0.25)).status == FINITE
+    assert len(built) == 1
+    # a power f has no slowly varying part to build
     assert check_rate_condition(power(0.5), power(0.25)).status == FINITE
     assert len(built) == 1
 

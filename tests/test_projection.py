@@ -16,6 +16,7 @@ from gaugeproj import (BranchingPlan, DiscCapExceeded, GaugeError, IntervalCover
                        project_disc_cover, project_hierarchy, qualifying_levels,
                        sweep_directions, sweep_partner, tabulated)
 
+from gaugeproj import projection
 from gaugeproj.projection import TABLE_STEP, angle_kernel_table, kernel_lookup
 
 from conftest import schedule_from_radii
@@ -448,6 +449,100 @@ def test_overlap_guard_boundary(monkeypatch):
     # translates are separated, so projecting level 2 passes any cap
     monkeypatch.setattr(hierarchy, "DISC_CAP", 1)
     assert project_hierarchy(h, 0.0, 2).copies == h.counts[0]
+
+
+def _one_angle_rows(h, g, thetas):
+    """Sweep rows from the one-angle calls, angle by angle."""
+    rows = []
+    for theta in thetas:
+        for k in qualifying_levels(h, theta):
+            pr = project_hierarchy(h, theta, k + 1)
+            cost = pr.copies * cover_cost(g, pr.pattern)
+            bound = eq35_bound(h, g, k)
+            rows.append((theta, k, cost, bound, bound - cost))
+    return rows
+
+
+def _row_tuples(table):
+    return [(r.theta, r.k, r.cost, r.bound, r.margin) for r in table.rows]
+
+
+def test_sweep_equals_one_angle_calls(h08_depth5):
+    # one batched call against the concatenated one-angle calls, compared
+    # with ==: arc and grid angles, heavy merges, and small hierarchies
+    # whose rows merge translates and keep several-interval patterns
+    h06 = build_from_gauge(power(0.5), 6)
+    heavy = [math.fmod(h08_depth5.d[2] + u * h08_depth5.theta[3] + math.pi / 2,
+                       math.pi) for u in (0.2, 0.47, 0.55)]
+    cases = [(h06, [t for t, _ in _arc_angles(h06)] + [i * math.pi / 256
+                                                       for i in range(256)]),
+             (h08_depth5, heavy + [i * math.pi / 64 for i in range(64)])]
+    rng = np.random.default_rng(7)
+    while len(cases) < 40:
+        h = _small_hierarchy(rng)
+        if h.depth > 2:
+            thetas = [h.d[j] + math.pi / 2 + float(rng.uniform(-1e-3, 1e-3))
+                      for j in range(h.depth) for _ in range(4)]
+            cases.append((h, thetas + rng.uniform(-math.pi, 2 * math.pi, 32).tolist()))
+    merged = several = 0
+    for h, thetas in cases:
+        g = sweep_partner(h.gauge)
+        table = sweep_directions(h, g, thetas)
+        assert _row_tuples(table) == _one_angle_rows(h, g, thetas)
+        assert all(type(r.cost) is float and type(r.margin) is float
+                   for r in table.rows)
+        for r in table.rows:
+            pr = project_hierarchy(h, r.theta, r.k + 1)
+            merged += pr.copies < h.disc_count(r.k)
+            several += len(pr.pattern.lo) > 1
+    assert merged >= 20 and several >= 20
+
+
+def test_sweep_batch_refuses_before_building():
+    # level 5 is placed along 0 and levels 2-4 along pi/2, with level 4's
+    # placement arc a quarter turn wide.  At theta = pi/2 levels 4, 3 and 2
+    # are counted and level 1's translates stack: 86 * 92 * 97 * 103
+    # intervals.  The other angles' rows build at most level 2's merge.
+    h = _placed(power(0.8), 5, (0.0, math.pi / 2, 0.0, 0.0, math.pi / 2))
+    g = power_log(0.8, 0.15, 1.0)
+    thetas = ([i * math.pi / 256 for i in range(30, 46)]
+              + [i * math.pi / 256 for i in range(130, 146)] + [math.pi / 2])
+    assert 4 in qualifying_levels(h, math.pi / 2)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DiscCapExceeded, match="79048792 intervals"):
+            sweep_directions(h, g, thetas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # without that angle every row is measured
+    table = sweep_directions(h, g, thetas[:-1])
+    assert {r.k for r in table.rows} == {1, 4}
+    assert _row_tuples(table) == _one_angle_rows(h, g, thetas[:-1])
+
+
+def test_arc_table_matches_scalar_definition(h05_depth5):
+    # custom placements with zero and quarter-turn increments put grid
+    # angles exactly on arc ends, where the comparison is decided by equality
+    placed = _placed(power(0.8), 5, (0.0, math.pi / 2, 0.0, 0.0, math.pi / 2))
+    on_end = 0
+    for h in (h05_depth5, placed):
+        thetas = np.linspace(-4 * math.pi, 4 * math.pi, 2000).tolist()
+        thetas += [h.d[k - 1] + u * h.theta[k] - math.pi / 2 + shift
+                   for k in range(1, h.depth) for u in (0.0, 1.0)
+                   for shift in (-math.pi, 0.0, math.pi)]
+        thetas += [i * math.pi / 4 for i in range(-16, 17)]
+        arcs = [[math.fmod((t + math.pi / 2) % math.pi - h.d[k - 1] + math.pi,
+                           math.pi) for k in range(1, h.depth)] for t in thetas]
+        ends = np.array(h.theta[1:])
+        expected = [[a <= end for a, end in zip(row, ends.tolist())] for row in arcs]
+        on_end += int(np.sum(np.array(arcs) == ends))
+        table = projection._arc_table(h, np.array(thetas))
+        assert table.shape == (len(thetas), h.depth - 1)
+        assert table.tolist() == expected
+        assert 0 < table.sum() < table.size
+    assert on_end > 0
 
 
 def _arc_angles(h, per_arc=8):
