@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conditions import (BLOCK_NODES, ConditionVerdict, FINITE, DIVERGENT,
-                         _exp, _logsumexp, classify_log_tail,
+                         _block_logsumexp, _exp, _logsumexp, classify_log_tail,
                          check_integral_condition)
 from .gauges import GaugeFunction, GaugeError, _ls_slope, power_log, spec_float
 
@@ -133,10 +133,9 @@ def _octave_log_sums(f: GaugeFunction, psi: ApproxFunction, k: int,
     """
     exact_until = min(11, n_blocks)
     out = np.empty(n_blocks)
-    for i in range(exact_until):
-        n = i + 1
-        lq = np.log(np.arange(2 ** n, 2 ** (n + 1), dtype=float))
-        out[i] = _logsumexp(_term_log(f, psi, k, lq))
+    lq = np.log(np.arange(2, 2 ** (exact_until + 1), dtype=float))
+    out[:exact_until] = _block_logsumexp(_term_log(f, psi, k, lq),
+                                         2 ** np.arange(1, exact_until + 1))
     nodes = 24
     x = (np.arange(nodes) + 0.5) / nodes
     rows = BLOCK_NODES // nodes

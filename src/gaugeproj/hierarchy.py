@@ -15,10 +15,11 @@ both hold, and the branching counts N_k keep the mass products pinched:
     a <= N_1 ... N_k f(r_k) <= 2a,     a = f(r_0).
 
 Only the per-level local geometry (offsets, direction, log radius) is
-stored.  Validation reads that geometry alone, level by level, so it
+stored, and the level table (r_k, N_k, theta_k) describes the whole
+hierarchy.  Validation reads that geometry alone, level by level, so it
 works even when the full product of branching counts is astronomically
-large; absolute centers are computed only on request, and never for a
-level of more than ``DISC_CAP`` discs.
+large.  No absolute center is stored or serialised: the natural measure
+sums the centers of the index paths it draws.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ LOG_QUARTER = math.log(0.25)
 LOG3 = math.log(3.0)
 
 MIN_DEPTH = 2         # fewest levels a schedule may have
-DISC_CAP = 10 ** 7    # most discs or intervals one array may hold
+DISC_CAP = 10 ** 7    # most step-table entries or intervals in one array
 FIRST_WINDOW = 64     # starts in the first window of the k1 search
 MAX_WINDOW = 1 << 15  # most starts in one window (256 KiB per float64 array)
 
@@ -48,7 +49,7 @@ class BranchingError(GaugeError):
 
 
 class DiscCapExceeded(RuntimeError):
-    """A materialisation would exceed ``DISC_CAP`` discs or intervals."""
+    """A step table or interval merge would exceed ``DISC_CAP`` entries."""
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +200,7 @@ class DiscHierarchy:
     :meth:`parent_frame` the same offsets in units of r_{k-1},
     :meth:`step_table` the ordered-pair differences the energy sampler
     draws from, and ``d[k]`` the cumulative placement direction d_{k+1}.
-    Absolute centers are not stored: :meth:`first_paths` and
-    :meth:`level_centers` compute them on request, for levels of at most
-    ``DISC_CAP`` discs.
+    Absolute centers are not stored; :meth:`to_dict` is the level table.
     """
 
     gauge: GaugeFunction
@@ -279,40 +278,15 @@ class DiscHierarchy:
         ang = self.d[level - 1]
         return np.array([math.cos(ang), math.sin(ang)])
 
-    def first_paths(self, level: int, take: int) -> np.ndarray:
-        """Absolute centers of the first `take` level-`level` discs,
-        lexicographic in path.  The first `take` children have their
-        parents among the first `take` parents, so no level keeps more."""
-        centers = np.zeros((1, 2))
-        for j in range(1, level + 1):
-            step = self.offsets(j)[:, None] * self.direction(j)[None, :]
-            centers = (np.repeat(centers, len(step), axis=0)
-                       + np.tile(step, (len(centers), 1)))[:take]
-        return centers
-
-    def level_centers(self, level: int) -> np.ndarray:
-        """Absolute centers of all level-`level` discs, lexicographic in
-        path; capped at ``DISC_CAP`` discs."""
-        count = self.disc_count(level)
-        if count > DISC_CAP:
-            raise DiscCapExceeded(
-                f"level {level} holds {count} discs, over the cap of {DISC_CAP}")
-        return self.first_paths(level, count)
-
     def to_dict(self) -> dict:
-        """The geometry, with every level's centers when the deepest level
-        is within ``DISC_CAP`` discs and none otherwise."""
-        include = self.disc_count(self.depth) <= DISC_CAP
-        levels = [{"level": k, "log_radius": self.log_radius(k),
-                   "centers": self.level_centers(k).tolist() if include else None}
-                  for k in range(self.depth + 1)]
+        """The level table: schedule (log radii and k1), normalisation a,
+        branching counts N, placement increments theta and directions d."""
         return {
             "schedule": {"log_r": list(self.schedule.log_r), "k1": self.schedule.k1},
             "a": self.a,
             "N": list(self.counts),
             "theta": list(self.theta),
             "d": list(self.d),
-            "levels": levels,
         }
 
 

@@ -286,9 +286,9 @@ def frostman_scan(m: NaturalMeasure, f: GaugeFunction, samples: int, seed: int,
     (``f.doubling.kappa``; 1 for power gauges).
 
     x ranges over atoms, log r uniformly over [log r_depth, log r_0]; a
-    deterministic probe at each level's first disc center
-    (``first_paths(k, 1)``) with r = r_k is always included, which pins
-    the scan's sensitivity near 1/a.
+    deterministic probe at each level's first disc center, the center of
+    the all-zero index path to level k, with r = r_k is always included,
+    which pins the scan's sensitivity near 1/a.
     ``mass_scale`` rescales the measured masses and exists as a negative
     control (scaled masses must violate the bound).
 
@@ -311,7 +311,7 @@ def frostman_scan(m: NaturalMeasure, f: GaugeFunction, samples: int, seed: int,
     rng = np.random.default_rng(seed)
     n_random = max(samples - m.depth, 0)
     # index paths: the first-path probes take child 0 at every level, so
-    # probe k's center is the level-k sum of that path, first_paths(k, 1)
+    # probe k's center is the level-k sum of that path
     paths = np.zeros((m.depth, m.depth + n_random), dtype=np.intp)
     paths[:, m.depth:] = _draw_paths(m, n_random, rng)
     first = [(x[0], y[0]) for x, y in _path_sums(h, paths[:, :1])][1:]

@@ -187,9 +187,7 @@ def _conditions(run: _Run):
 
 def _construct(run: _Run):
     h = run.h = hierarchy.build_from_gauge(run.f, run.config.depth)
-    run.bundle["hierarchy"] = {"k1": h.schedule.k1, "a": h.a,
-                               "N": list(h.counts),
-                               "log_r": list(h.schedule.log_r)}
+    run.bundle["hierarchy"] = h.to_dict()
     return {"discs": h.disc_count(h.depth)}
 
 

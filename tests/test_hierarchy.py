@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import tracemalloc
 
@@ -6,15 +7,14 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from gaugeproj import (BranchingError, BranchingPlan, DiscCapExceeded,
-                       RadiusSchedule, ScheduleError, build_from_gauge,
-                       build_hierarchy, choose_branching, derive_radius_schedule,
-                       log_power, power, power_log, raw_log_radii, tabulated,
+from gaugeproj import (BranchingError, BranchingPlan, RadiusSchedule,
+                       ScheduleError, build_from_gauge, build_hierarchy,
+                       choose_branching, derive_radius_schedule, log_power,
+                       power, power_log, raw_log_radii, tabulated,
                        validate_hierarchy)
 from gaugeproj import hierarchy
-from gaugeproj.hierarchy import DISC_CAP
 
-from conftest import schedule_from_radii
+from conftest import level_centers, schedule_from_radii
 
 
 def test_schedule_scan_power_half():
@@ -178,7 +178,7 @@ def test_degenerate_schedule_has_no_branching():
 def test_build_two_children_tangent():
     sched = schedule_from_radii([1.0, 0.25])
     h = build_hierarchy(power(0.5), sched, BranchingPlan(1.0, (2,)), theta=[0.0])
-    np.testing.assert_allclose(h.level_centers(1),
+    np.testing.assert_allclose(level_centers(h, 1),
                                [[-0.75, 0.0], [0.75, 0.0]], atol=1e-15)
 
 
@@ -186,7 +186,7 @@ def test_build_three_children_vertical():
     sched = schedule_from_radii([1.0, 0.2])
     h = build_hierarchy(power(0.5), sched, BranchingPlan(1.0, (3,)),
                         theta=[math.pi / 2])
-    np.testing.assert_allclose(h.level_centers(1),
+    np.testing.assert_allclose(level_centers(h, 1),
                                [[0.0, -0.8], [0.0, 0.0], [0.0, 0.8]], atol=1e-15)
     # gap width from the spacing identity: 2*3*0.2 + 2*s = 2  =>  s = 0.4
     rho, off = h.parent_frame(1)
@@ -212,7 +212,7 @@ def test_validate_negative_control_reports_eq23():
     # four radius-0.3 discs 0.467 apart: the three neighbouring pairs
     # overlap, and the induction's sibling premise Eq33 fails with them,
     # its margin (gap - r_1)/r_1 below -1 for a negative gap
-    oracle = _oracle_pairs(h.level_centers(1), 2 * h.radius(1) * (1 - 1e-12))
+    oracle = _oracle_pairs(level_centers(h, 1), 2 * h.radius(1) * (1 - 1e-12))
     (row,) = report.by_check("Eq33")
     assert oracle == 3 and not row.passed and row.margin < -1.0
 
@@ -292,7 +292,7 @@ def test_rebuild_bit_identical():
     b = build_from_gauge(power(0.5), 4)
     assert a.schedule.log_r == b.schedule.log_r
     assert a.counts == b.counts and a.theta == b.theta and a.d == b.d
-    np.testing.assert_array_equal(a.level_centers(3), b.level_centers(3))
+    np.testing.assert_array_equal(level_centers(a, 3), level_centers(b, 3))
 
 
 def test_default_theta_matches_radius_ratios(h05_depth5):
@@ -304,22 +304,6 @@ def test_default_theta_matches_radius_ratios(h05_depth5):
     assert np.all(np.diff(partial) > 0)
 
 
-def test_disc_cap_guards_materialisation(h08_depth5, monkeypatch):
-    # the structural object exists and validates, but the full level is
-    # far over the cap and must refuse to materialise
-    assert h08_depth5.disc_count(5) > DISC_CAP
-    with pytest.raises(DiscCapExceeded):
-        h08_depth5.level_centers(5)
-    # the cap is inclusive
-    h = build_from_gauge(power(0.5), 3)
-    count = h.disc_count(2)
-    monkeypatch.setattr(hierarchy, "DISC_CAP", count)
-    assert len(h.level_centers(2)) == count
-    monkeypatch.setattr(hierarchy, "DISC_CAP", count - 1)
-    with pytest.raises(DiscCapExceeded):
-        h.level_centers(2)
-
-
 def test_branching_rejects_broken_schedule():
     # radii that violate the mass-drop inequality leave no admissible integer
     f = power(0.5)
@@ -329,16 +313,16 @@ def test_branching_rejects_broken_schedule():
 
 
 def test_hierarchy_serialisation_shape(h05_depth5, h08_depth5):
-    # every level's centers when the deepest level is within the cap
-    doc = h05_depth5.to_dict()
-    assert set(doc) == {"schedule", "a", "N", "theta", "d", "levels"}
-    assert len(doc["levels"]) == h05_depth5.depth + 1
-    for k, entry in enumerate(doc["levels"]):
-        assert len(entry["centers"]) == h05_depth5.disc_count(k)
-    # and none when it is over it, though the shallow levels would fit
-    doc = h08_depth5.to_dict()
-    assert len(doc["levels"]) == h08_depth5.depth + 1
-    assert [entry["centers"] for entry in doc["levels"]] == [None] * 6
+    # the level table alone: no disc centers, so the document stays small
+    # however many discs the deepest level holds
+    for h in (h05_depth5, h08_depth5):
+        doc = h.to_dict()
+        assert set(doc) == {"schedule", "a", "N", "theta", "d"}
+        assert doc["schedule"] == {"log_r": list(h.schedule.log_r),
+                                   "k1": h.schedule.k1}
+        assert doc["N"] == list(h.counts)
+        assert (doc["theta"], doc["d"]) == (list(h.theta), list(h.d))
+        assert len(json.dumps(doc)) < 8 * 1024
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +351,7 @@ def test_levels_disjoint_by_induction(fixture, request):
                     ("Eq33", "child-containment")]
         assert len(premises) == 2 * k and all(r.passed for r in premises)
         # ... and so does the conclusion, on every pair of level-k discs
-        centers = h.level_centers(k)
+        centers = level_centers(h, k)
         assert _oracle_pairs(centers, 2 * h.radius(k) * (1 - 1e-12)) == 0
         # at a threshold taking in neighbouring siblings the oracle sees pairs
         spacing = float(h.offsets(k)[1] - h.offsets(k)[0])
@@ -387,18 +371,3 @@ def test_validator_row_set(h03_depth5, h05_depth5, h08_depth5):
                 if r.check not in PER_LEVEL_CHECKS]
         assert rest == [("angle-partial-sums", h.depth)]
         assert len(rows) == len(PER_LEVEL_CHECKS) * h.depth + 1
-
-
-@pytest.mark.parametrize("fixture", ["h03_depth5", "h05_depth5", "h08_depth5"])
-def test_first_paths_are_the_leading_level_centers(fixture, request):
-    h = request.getfixturevalue(fixture)
-    levels = [k for k in range(h.depth + 1) if h.disc_count(k) <= DISC_CAP]
-    assert levels[-1] >= 3
-    for k in levels:
-        centers = h.level_centers(k)
-        count = h.disc_count(k)
-        for take in (1, 100, 4096, count, count + 1):
-            got = h.first_paths(k, take)
-            want = centers[:take]
-            assert got.shape == want.shape
-            assert got.tobytes() == want.tobytes()

@@ -11,7 +11,7 @@ from gaugeproj import (GaugeError, NaturalMeasure, BranchingPlan,
                        measure, potential, power, power_log, sweep_partner)
 from gaugeproj.pipeline import energy_payload
 
-from conftest import schedule_from_radii
+from conftest import level_centers, schedule_from_radii
 
 
 @pytest.fixture(scope="module")
@@ -53,6 +53,21 @@ def test_sample_atoms_equals_the_2d_accumulation(fixture, depth, request):
     assert rng.integers(0, 2 ** 62) == ref_rng.integers(0, 2 ** 62)
 
 
+@pytest.mark.parametrize("fixture", ["h03_depth5", "h05_depth5", "h08_depth5"])
+def test_path_centers_are_the_level_centers(fixture, request):
+    # the lexicographic index paths of a level sum to the repeat/tile
+    # enumeration's centers bit for bit
+    h = request.getfixturevalue(fixture)
+    levels = [k for k in range(1, h.depth + 1) if h.disc_count(k) <= 10 ** 5]
+    assert levels[-1] >= 2
+    for k in levels:
+        paths = np.array(np.unravel_index(np.arange(h.disc_count(k)),
+                                          h.counts[:k]))
+        got, want = measure._path_centers(h, paths), level_centers(h, k)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Ball mass
 # ---------------------------------------------------------------------------
@@ -65,14 +80,14 @@ def test_ball_mass_whole_and_empty(m4):
 
 def test_ball_mass_single_child(h05_depth5):
     m1 = NaturalMeasure(h05_depth5, 1)
-    x = h05_depth5.level_centers(1)[0]
+    x = level_centers(h05_depth5, 1)[0]
     got = ball_mass(m1, x, h05_depth5.radius(1) / 2)
     assert got == pytest.approx(1.0 / 9.0, abs=0)
 
 
 def test_ball_mass_matches_brute_force(h05_depth5):
     m3 = NaturalMeasure(h05_depth5, 3)
-    atoms = h05_depth5.level_centers(3)
+    atoms = level_centers(h05_depth5, 3)
     rng = np.random.default_rng(7)
     for _ in range(20):
         x = atoms[rng.integers(len(atoms))] + rng.normal(0, h05_depth5.radius(1), 2)
@@ -87,7 +102,7 @@ def test_disc_mass_equals_split(h05_depth5):
     # captures exactly that disc's subtree
     m = NaturalMeasure(h05_depth5, 3)
     for j in (1, 2):
-        c = h05_depth5.level_centers(j)[0]
+        c = level_centers(h05_depth5, j)[0]
         expected = 1.0 / np.prod(h05_depth5.counts[:j])
         assert ball_mass(m, c, h05_depth5.radius(j)) == pytest.approx(expected,
                                                                       abs=0)
@@ -262,7 +277,7 @@ def test_range_descent_equals_per_child_descent(fixture, kind, request):
 
 def test_ball_masses_match_brute_force_and_single_probes(h05_depth5):
     m3 = NaturalMeasure(h05_depth5, 3)
-    atoms = h05_depth5.level_centers(3)
+    atoms = level_centers(h05_depth5, 3)
     rng = np.random.default_rng(17)
     xs = m3.sample_atoms(200, rng) + rng.normal(0, h05_depth5.radius(3), (200, 2))
     rs = np.exp(rng.uniform(h05_depth5.log_radius(3), h05_depth5.log_radius(0), 200))
@@ -343,13 +358,23 @@ def test_frostman_negative_control(m4):
     assert scan.violations >= 1
 
 
+def reference_first_path_center(h, level):
+    """Center of the lexicographically first level-`level` disc, one level
+    offset at a time."""
+    c = np.zeros(2)
+    for j in range(1, level + 1):
+        c = c + h.offsets(j)[0] * h.direction(j)
+    return c
+
+
 def reference_scan(m, f, samples, seed, mass_scale=1.0, batched=False):
     """The probe-by-probe scan the batched one replaced; ``batched`` takes
     the masses from the per-child batched descent instead."""
     h = m.hierarchy
     c_bound = max(8.0 / h.a, 1.0 / h.a)
     rng = np.random.default_rng(seed)
-    probes = [(h.first_paths(k, 1)[0], h.radius(k)) for k in range(1, m.depth + 1)]
+    probes = [(reference_first_path_center(h, k), h.radius(k))
+              for k in range(1, m.depth + 1)]
     n_random = max(samples - len(probes), 0)
     xs = m.sample_atoms(n_random, rng)
     log_r = rng.uniform(h.log_radius(m.depth), h.log_radius(0), size=n_random)
@@ -404,15 +429,6 @@ def test_frostman_scan_below_depth_keeps_first_path_probes(m4):
     assert scan == frostman_scan(m4, f, 0, seed=2)  # no random probes
 
 
-def reference_first_path_center(h, level):
-    """Center of the lexicographically first level-`level` disc, one level
-    offset at a time."""
-    c = np.zeros(2)
-    for j in range(1, level + 1):
-        c = c + h.offsets(j)[0] * h.direction(j)
-    return c
-
-
 @pytest.mark.parametrize("fixture", ["h03_depth5", "h05_depth5", "h08_depth5"])
 def test_frostman_fixed_probes_are_the_first_paths(fixture, request,
                                                    monkeypatch):
@@ -430,7 +446,6 @@ def test_frostman_fixed_probes_are_the_first_paths(fixture, request,
     (xs,) = seen
     for k in range(1, h.depth + 1):
         want = reference_first_path_center(h, k)
-        assert h.first_paths(k, 1)[0].tobytes() == want.tobytes()
         assert xs[k - 1].tobytes() == want.tobytes()
 
 
@@ -554,7 +569,7 @@ def test_mc_energy_two_atoms_exact():
 
 
 def test_mc_matches_exact_on_small_sets(h05_depth5):
-    sub = h05_depth5.level_centers(4)[:81]
+    sub = level_centers(h05_depth5, 4)[:81]
     exact = discrete_energy(power(0.25), sub)
     est = mc_energy_atoms(power(0.25), sub, None, 10 ** 6, seed=9)
     assert abs(exact - est.mean) <= 3 * est.stderr
@@ -685,7 +700,7 @@ def test_mc_energy_strata_match_their_exact_means(fixture, request):
     h = request.getfixturevalue(fixture)
     g = sweep_partner(h.gauge)
     # lexicographic in path: atom u has level-1 child u // N_2
-    atoms = h.level_centers(2)
+    atoms = level_centers(h, 2)
     n = len(atoms)
     u, v = np.divmod(np.arange(n * n), n)
     distinct = u != v
@@ -705,7 +720,7 @@ def test_mc_energy_strata_match_their_exact_means(fixture, request):
 def test_mc_energy_matches_the_exact_energy(fixture, depth, request):
     h = request.getfixturevalue(fixture)
     g = sweep_partner(h.gauge)
-    exact = discrete_energy(g, h.level_centers(depth))
+    exact = discrete_energy(g, level_centers(h, depth))
     est = mc_energy(g, NaturalMeasure(h, depth), 200_000, seed=1)
     assert abs(est.mean - exact) <= 3 * est.stderr
 

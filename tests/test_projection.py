@@ -19,7 +19,7 @@ from gaugeproj import (BranchingPlan, DiscCapExceeded, GaugeError, IntervalCover
 from gaugeproj import projection
 from gaugeproj.projection import TABLE_STEP, angle_kernel_table, kernel_lookup
 
-from conftest import schedule_from_radii
+from conftest import level_centers, schedule_from_radii
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +615,7 @@ def test_interval_cover_invariants():
 def test_projected_energy_dominates_planar(h05_depth5):
     # 1/g(projected distance) >= 1/g(planar distance), pairwise
     # the natural measure at level 2: equal masses on the level centers
-    atoms = h05_depth5.level_centers(2)
+    atoms = level_centers(h05_depth5, 2)
     g = power(0.25)
     for theta in (0.1, 0.9, 2.3):
         coords = atoms @ np.array([math.cos(theta), math.sin(theta)])
@@ -771,7 +771,7 @@ def test_averaged_projected_energy_matches_exact_pair_sum():
     g = sweep_partner(f)
     h = build_from_gauge(f, 2)
     m = NaturalMeasure(h, 2)
-    atoms = h.level_centers(2)
+    atoms = level_centers(h, 2)
     n = len(atoms)
     diff = atoms[:, None, :] - atoms[None, :, :]
     dist = np.hypot(diff[..., 0], diff[..., 1])[~np.eye(n, dtype=bool)]

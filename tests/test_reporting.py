@@ -671,6 +671,14 @@ def test_cli_construct_writes_the_run_hierarchy_svg(fast_svg_run):
         (fast_svg_run / "run" / "hierarchy.svg").read_bytes()
 
 
+def test_cli_construct_writes_the_run_hierarchy(fast_svg_run):
+    # one serialiser, DiscHierarchy.to_dict, for both documents
+    doc = json.loads((fast_svg_run / "construct" / "hierarchy.json").read_text())
+    report = json.loads((fast_svg_run / "run" / "report.json").read_text())
+    assert set(report["hierarchy"]) == {"schedule", "a", "N", "theta", "d"}
+    assert doc["hierarchy"] == report["hierarchy"]
+
+
 def test_cli_energy_draws_the_run_energy(fast_svg_run):
     energy = json.loads((fast_svg_run / "energy" / "energy.json").read_text())
     report = json.loads((fast_svg_run / "run" / "report.json").read_text())
