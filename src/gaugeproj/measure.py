@@ -283,7 +283,9 @@ def frostman_scan(m: NaturalMeasure, f: GaugeFunction, samples: int, seed: int,
                   mass_scale: float = 1.0) -> FrostmanScan:
     """Sample ratios mass(B(x, r)) / f(r) against the construction bound
     C = max(8/(a*kappa), 1/a), with kappa the prefactor of f's doubling fit
-    (``f.doubling.kappa``; 1 for power gauges).
+    (``f.doubling.kappa``; 1 for power gauges).  The ratios are compared
+    in log space, log mass - ``f.log_value(log r)`` against log C (to
+    1e-9 relative), so f(r) is never formed; ``c_emp`` is e**max.
 
     x ranges over atoms, log r uniformly over [log r_depth, log r_0]; a
     deterministic probe at each level's first disc center, the center of
@@ -316,18 +318,21 @@ def frostman_scan(m: NaturalMeasure, f: GaugeFunction, samples: int, seed: int,
     paths[:, m.depth:] = _draw_paths(m, n_random, rng)
     first = [(x[0], y[0]) for x, y in _path_sums(h, paths[:, :1])][1:]
     xs = np.vstack([first, _path_centers(h, paths[:, m.depth:])])
-    log_r = rng.uniform(h.log_radius(m.depth), h.log_radius(0), size=n_random)
+    log_r = np.concatenate((
+        [h.log_radius(k) for k in range(1, m.depth + 1)],
+        rng.uniform(h.log_radius(m.depth), h.log_radius(0), size=n_random)))
+    # r_k on a level-k center is a tangency tie: those radii keep r_k's bits
     rs = np.concatenate(([h.radius(k) for k in range(1, m.depth + 1)],
-                         np.fromiter(map(math.exp, log_r.tolist()), float,
-                                     n_random)))
+                         np.exp(log_r[m.depth:])))
     masses = np.empty(len(rs))
     for lo in range(0, len(rs), PROBE_CHUNK):
         hi = lo + PROBE_CHUNK
         masses[lo:hi] = _descend(m, xs[lo:hi], rs[lo:hi], paths[:, lo:hi])
-    ratios = mass_scale * masses / f.value(rs)
-    i = int(np.argmax(ratios))  # first probe attaining the maximum
-    c_emp = float(ratios[i]) if ratios[i] > 0.0 else 0.0
-    violations = int(np.count_nonzero(ratios > c_bound * (1.0 + 1e-9)))
+    with np.errstate(divide="ignore"):  # an empty ball's log mass is -inf
+        log_ratios = np.log(mass_scale * masses) - f.log_value(log_r)
+    c_emp = math.exp(log_ratios.max())
+    violations = int(np.count_nonzero(
+        log_ratios > math.log(c_bound) + math.log1p(1e-9)))
     return FrostmanScan(c_emp, c_bound, violations, len(rs))
 
 

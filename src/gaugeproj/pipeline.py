@@ -29,6 +29,7 @@ from .svgreport import render_hierarchy_svg, render_shells_svg, render_sweep_svg
 
 SWEEP_PARTNER_LOG_EXPONENT = 0.15
 SHELLS_DRAWN = 1024  # dyadic shells in shells.svg
+AVERAGED_PAIRS = 100_000  # most pairs the averaged projection draws
 SWEEP_COLUMNS = ["theta", "k", "cost", "bound", "margin"]
 
 
@@ -213,21 +214,24 @@ def _energy(run: _Run):
     energy = run.bundle["energy"] = {"gauge": "g", **energy_payload(est)}
     # g's doubling fit is cached on g; when the gauges stage could not fit
     # it, this read fails the stage with the fit's own error
-    if run.g.doubling.s < 1.0:
-        ape = projection.averaged_projected_energy(
-            run.m, run.g, pairs=min(config.pairs, 100_000),
-            seed=config.seed + 2)
-        run.check("AvgProjEnergy", run.h.depth,
-                  ape.average <= ape.bound * 1.05,
-                  ape.bound * 1.05 - ape.average, f"kernel {ape.kernel:.4f}")
-        run.check("AvgProjTransfer", run.h.depth,
-                  ape.transfer_max <= ape.transfer_bound * (1.0 + 1e-9),
-                  ape.transfer_bound - ape.transfer_max,
-                  "max g K_g on the kernel table")
-        energy["averaged_projection"] = {
-            "average": ape.average, "bound": ape.bound, "ratio": ape.ratio,
-            "stderr": ape.stderr, "transfer_max": ape.transfer_max,
-            "transfer_bound": ape.transfer_bound}
+    fit_s = run.g.doubling.s
+    if fit_s >= 1.0:
+        return {"averaged_projection": "not computed: g's fitted doubling "
+                f"exponent {fit_s!r} is at least 1, where K_g diverges"}
+    ape = projection.averaged_projected_energy(
+        run.m, run.g, pairs=min(config.pairs, AVERAGED_PAIRS),
+        seed=config.seed + 2)
+    run.check("AvgProjEnergy", run.h.depth,
+              ape.average <= ape.bound * 1.05,
+              ape.bound * 1.05 - ape.average, f"kernel {ape.kernel:.4f}")
+    run.check("AvgProjTransfer", run.h.depth,
+              ape.transfer_max <= ape.transfer_bound * (1.0 + 1e-9),
+              ape.transfer_bound - ape.transfer_max,
+              "max g K_g on the kernel table")
+    energy["averaged_projection"] = {
+        "average": ape.average, "bound": ape.bound, "ratio": ape.ratio,
+        "stderr": ape.stderr, "transfer_max": ape.transfer_max,
+        "transfer_bound": ape.transfer_bound}
 
 
 def _sweep(run: _Run):

@@ -368,50 +368,36 @@ def angle_kernel_table(g: GaugeFunction, log_lo: float,
     return grid, math.log(2.0 / math.pi) + np.log(core + tail)
 
 
+# rows c0 .. c3 of the cubic c0 + c1 t + c2 t**2 + c3 t**3 through the
+# four table nodes T[i], ..., T[i + 3] at t = 0, 1, 2, 3
+_CUBIC = np.array([[6.0, 0.0, 0.0, 0.0], [-11.0, 18.0, -9.0, 2.0],
+                   [6.0, -15.0, 12.0, -3.0], [-1.0, 3.0, -3.0, 1.0]]) / 6.0
+
+
 def kernel_lookup(grid: np.ndarray, table: np.ndarray, x) -> np.ndarray:
-    """Cubic Lagrange interpolation of a table on the uniform grid of
+    """Cubic interpolation of a table on the uniform grid of
     :func:`angle_kernel_table` at log radii x inside it.  Linear
     interpolation of log(g K_g) would be off by up to 6e-5 near r_0, where
     log-type factors of g bend it; the four-node stencil keeps it near 1e-7.
 
-    The float operations are those of (f * (3 b c T[i+1] - 3 a c T[i+2]
-    + a b T[i+3]) - a b c T[i]) / 6 with f the offset from node i and a,
-    b, c = f - 1, f - 2, f - 3, evaluated left to right, but in place, so
-    a call allocates eight arrays of the size of x rather than about 20.
+    A read at offset pos from the first node takes cell i = pos - 1
+    rounded down, clipped to the table's ends, and evaluates that cell's
+    cubic through nodes i .. i + 3 by Horner's rule at t = pos - i.
     """
-    shape = np.shape(x)
-    f = np.array(x, dtype=float, ndmin=1)
-    f -= grid[0]
-    f /= TABLE_STEP
-    i = f.astype(np.intp)
+    c0, c1, c2, c3 = _CUBIC @ np.stack(
+        (table[:-3], table[1:-2], table[2:-1], table[3:]))
+    t = np.array(x, dtype=float, ndmin=1)
+    t -= grid[0]
+    t /= TABLE_STEP
+    i = t.astype(np.intp)
     i -= 1
     np.clip(i, 0, len(table) - 4, out=i)
-    f -= i
-    a, b, c = f - 1.0, f - 2.0, f - 3.0
-    # node holds T[i + j] for one j at a time, i stepped in place; mode
-    # "clip" only avoids take's buffered copy of out, as i + j is in range
-    node = np.empty_like(f)
-    out = np.multiply(3.0, b)
-    out *= c
-    i += 1
-    out *= np.take(table, i, out=node, mode="clip")
-    term = np.multiply(3.0, a)
-    term *= c
-    i += 1
-    term *= np.take(table, i, out=node, mode="clip")
-    out -= term
-    np.multiply(a, b, out=term)
-    i += 1
-    term *= np.take(table, i, out=node, mode="clip")
-    out += term
-    out *= f
-    np.multiply(a, b, out=term)
-    term *= c
-    i -= 3
-    term *= np.take(table, i, out=node, mode="clip")
-    out -= term
-    out /= 6.0
-    return out.reshape(shape)[()]
+    t -= i
+    out = c3[i]
+    for c in (c2, c1, c0):
+        out *= t
+        out += c[i]
+    return out.reshape(np.shape(x))[()]
 
 
 @dataclass(frozen=True)
@@ -441,8 +427,7 @@ class AveragedProjection:
 
 
 def averaged_projected_energy(m: NaturalMeasure, g: GaugeFunction,
-                              pairs: int = 100_000,
-                              seed: int = 0) -> AveragedProjection:
+                              pairs: int, seed: int) -> AveragedProjection:
     """Angle average of the projected energies against kappa**-1 B(s) I_g.
 
     By Fubini, int_0^pi I_g(pi_theta mu) dtheta = pi int int K_g(|x - y|)

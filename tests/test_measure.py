@@ -368,29 +368,32 @@ def reference_first_path_center(h, level):
 
 
 def reference_scan(m, f, samples, seed, mass_scale=1.0, batched=False):
-    """The probe-by-probe scan the batched one replaced; ``batched`` takes
-    the masses from the per-child batched descent instead."""
+    """The probe-by-probe scan the batched one replaced, comparing log
+    mass against log f(r) one probe at a time; ``batched`` takes the
+    masses from the per-child batched descent instead."""
     h = m.hierarchy
     c_bound = max(8.0 / h.a, 1.0 / h.a)
     rng = np.random.default_rng(seed)
-    probes = [(reference_first_path_center(h, k), h.radius(k))
+    probes = [(reference_first_path_center(h, k), h.radius(k), h.log_radius(k))
               for k in range(1, m.depth + 1)]
     n_random = max(samples - len(probes), 0)
     xs = m.sample_atoms(n_random, rng)
     log_r = rng.uniform(h.log_radius(m.depth), h.log_radius(0), size=n_random)
-    probes.extend((xs[i], math.exp(log_r[i])) for i in range(n_random))
+    probes.extend((xs[i], math.exp(log_r[i]), log_r[i]) for i in range(n_random))
     if batched:
-        masses = reference_ball_masses(m, [x for x, _ in probes],
-                                       [r for _, r in probes])
+        masses = reference_ball_masses(m, [x for x, _, _ in probes],
+                                       [r for _, r, _ in probes])
     else:
-        masses = [reference_ball_mass(m, x, r) for x, r in probes]
-    c_emp, violations = 0.0, 0
-    for (_, r), mass in zip(probes, masses):
-        ratio = mass_scale * float(mass) / float(f.value(r))
-        c_emp = max(c_emp, ratio)
-        if ratio > c_bound * (1.0 + 1e-9):
+        masses = [reference_ball_mass(m, x, r) for x, r, _ in probes]
+    log_c_emp, violations = -math.inf, 0
+    for (_, _, lr), mass in zip(probes, masses):
+        scaled = mass_scale * float(mass)
+        log_ratio = (math.log(scaled) if scaled > 0.0 else -math.inf) \
+            - float(f.log_value(lr))
+        log_c_emp = max(log_c_emp, log_ratio)
+        if log_ratio > math.log(c_bound) + math.log1p(1e-9):
             violations += 1
-    return FrostmanScan(c_emp, c_bound, violations, len(probes))
+    return FrostmanScan(math.exp(log_c_emp), c_bound, violations, len(probes))
 
 
 @pytest.mark.parametrize("s,mass_scale", [(0.3, 1.0), (0.5, 1.0), (0.8, 1.0),

@@ -736,7 +736,7 @@ def test_kernel_lookup_between_nodes(g):
 
 
 def _kernel_lookup_one_expression(grid, table, x):
-    # the interpolation formula as one expression, a temporary per operation
+    # the cubic Lagrange formula on the same cells, as one expression
     pos = (np.asarray(x, dtype=float) - grid[0]) / TABLE_STEP
     i = np.clip(pos.astype(np.intp) - 1, 0, len(table) - 4)
     f = pos - i
@@ -746,18 +746,36 @@ def _kernel_lookup_one_expression(grid, table, x):
 
 
 @pytest.mark.parametrize("g", KERNEL_GAUGES, ids=lambda g: str(g.to_dict()))
-def test_kernel_lookup_in_place_is_exact(g):
+def test_kernel_lookup_matches_lagrange_form(g):
     grid, log_transfer = angle_kernel_table(g, -60.0, -1.6)
-    # 20 000 reads over the table, both clipped ends included
+    # 20 000 reads over the table, both clipped ends included, then every node
     x = np.random.default_rng(7).uniform(grid[0], grid[-1], 20_000)
     x[:2] = grid[0], grid[-1]
-    got = kernel_lookup(grid, log_transfer, x)
-    want = _kernel_lookup_one_expression(grid, log_transfer, x)
-    assert got.shape == x.shape and got.tobytes() == want.tobytes()
-    for scalar in (-30.0 + 0.3 * TABLE_STEP, float(grid[-1])):
+    for reads in (x, grid):
+        got = kernel_lookup(grid, log_transfer, reads)
+        want = _kernel_lookup_one_expression(grid, log_transfer, reads)
+        assert got.shape == reads.shape
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    # each node reads back its own table value
+    np.testing.assert_allclose(got, log_transfer, rtol=1e-14, atol=0.0)
+    for scalar in (-30.0 + 0.3 * TABLE_STEP, float(grid[0]), float(grid[-1])):
         got = kernel_lookup(grid, log_transfer, scalar)
         want = _kernel_lookup_one_expression(grid, log_transfer, scalar)
-        assert type(got) is type(want) and got.tobytes() == want.tobytes()
+        assert type(got) is np.float64 and got.shape == ()
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+
+def test_kernel_lookup_peak_memory():
+    # one read of 20 000 log radii holds a few arrays of their size
+    grid, log_transfer = angle_kernel_table(KERNEL_GAUGES[0], -60.0, -1.6)
+    x = np.random.default_rng(7).uniform(grid[0], grid[-1], 20_000)
+    tracemalloc.start()
+    try:
+        kernel_lookup(grid, log_transfer, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 800_000
 
 
 def test_angle_kernel_table_rejects_steep_depths():

@@ -238,6 +238,22 @@ def test_pipeline_fits_each_gauge_once(tmp_path, monkeypatch):
     assert calls == [power(0.5), sweep_partner(power(0.5))]
 
 
+def test_pipeline_says_why_the_averaged_projection_is_missing(tmp_path):
+    # power(1.2) fits a doubling exponent above 1, where K_g diverges: the
+    # energy stage's record names the exponent instead of an AvgProj* row
+    doc = dict(FAST, g={"family": "power", "s": 1.2})
+    result = run_pipeline(parse_config(json.dumps(doc)), tmp_path / "out")
+    stages = {s["stage"]: s for s in result.bundle["stages"]}
+    fit_s = power(1.2).doubling.s
+    assert fit_s >= 1.0
+    assert stages["energy"]["status"] == "ok"
+    assert repr(fit_s) in stages["energy"]["averaged_projection"]
+    assert "averaged_projection" not in result.bundle["energy"]
+    assert not [r for r in result.bundle["checks"]
+                if r["check_id"].startswith("AvgProj")]
+    assert result.exit_code == 0
+
+
 def test_pipeline_stages_of_a_logpower_gauge_with_auto_g(tmp_path):
     doc = dict(FAST, f={"family": "logpower", "s": 2})
     result = run_pipeline(parse_config(json.dumps(doc)), tmp_path / "out")
