@@ -4,20 +4,21 @@ The natural measure splits mass equally among children, so every level-k
 disc carries exactly 1/(N_1 ... N_k).  Atoms sit at the centers of the
 deepest built level.  Ball masses are computed by descending the implicit
 tree (prune discs a ball misses, absorb discs it swallows whole), which
-stays exact even when the full atom set is too large to materialise; all
-probes of a scan go through one batched descent.  A disc's children sit on
-one diameter, so the descent addresses them as index ranges: the children
-a ball swallows are counted, and only those on its boundary are measured.
-A scan probe sits on an index path, so its descent starts at the deepest
-ancestor whose level the ball can neither swallow nor leave, where the
-descent from the root would hold that ancestor alone.
+stays exact even when the full atom set is too large to materialise;
+every ball goes through one batched descent, PROBE_CHUNK balls at a time.
+A disc's children sit on one diameter, so the descent addresses them as
+index ranges: the children a ball swallows are counted, and only those on
+its boundary are measured.  A ball given its index path (a scan probe)
+starts at the deepest ancestor whose level it can neither swallow nor
+leave; a ball without one starts at the root.
 
 Energies are the discrete analogue of the double integral of
 1/f(|x - y|): exact chunked double sums for small atom sets, seeded pair
 sampling for large ones.  The natural measure's pairs are drawn level by
 level: two atoms first diverge at level k with probability p_k, and their
 difference is built from the offsets of level k and below only, so no
-pair coincides and no pair difference loses digits to the root frame.
+pair difference loses digits to the root frame, and a level whose children
+coincide in float64 is refused rather than given a zero distance.
 Each level contributes one uniform draw from its ordered-pair step table,
 the differences of its children's offsets along its direction, as complex
 numbers: among the pairs of distinct children at level k, among all pairs
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gauges import GaugeFunction, GaugeError
+from . import hierarchy
 from .hierarchy import DiscHierarchy, DiscCapExceeded
 
 
@@ -88,15 +90,11 @@ def _path_centers(h: DiscHierarchy, paths: np.ndarray) -> np.ndarray:
 
 MIN_PAIRS = 1000  # fewest pairs a Monte Carlo energy or potential may draw
 
-# probes descended together; bounds the per-level frontier arrays
-PROBE_CHUNK = 4096
-# most boundary discs one probe's descent may keep at a level
-DESCENT_CAP = 2_000_000
+PROBE_CHUNK = 4096  # balls descended together; a level's bands share DISC_CAP
 
 
 def ball_masses(m: NaturalMeasure, xs, rs) -> np.ndarray:
-    """Exact masses of the closed balls B(xs[i], rs[i]) under the natural
-    measure.
+    """Exact natural-measure masses of the closed balls B(xs[i], rs[i]).
 
     Descends the disc tree for all balls at once: subtrees entirely inside
     a ball contribute their full mass, subtrees a ball cannot reach are
@@ -105,8 +103,9 @@ def ball_masses(m: NaturalMeasure, xs, rs) -> np.ndarray:
     time.  A row's children sit on one diameter, so the children its ball
     swallows and those it can reach are index ranges: the interior of the
     swallowed range is counted by index arithmetic, and the distance
-    predicates run only on the two boundary bands between the ranges.
-    Centers and radii must be finite.
+    predicates run only on the two boundary bands between the ranges,
+    at most ``hierarchy.DISC_CAP`` rows per level and chunk.  Balls carry
+    no path, so each descends from the root; centers and radii are finite.
     """
     xs = np.asarray(xs, dtype=float).reshape(-1, 2)
     rs = np.asarray(rs, dtype=float).reshape(-1)
@@ -114,19 +113,28 @@ def ball_masses(m: NaturalMeasure, xs, rs) -> np.ndarray:
         raise GaugeError("ball_masses needs one radius per center")
     if not (np.isfinite(xs).all() and np.isfinite(rs).all()):
         raise GaugeError("ball centers and radii must be finite")
+    return _chunked_masses(m, xs, rs, np.empty((0, len(rs)), dtype=np.intp))
+
+
+def _chunked_masses(m: NaturalMeasure, xs, rs, paths) -> np.ndarray:
+    """The masses of :func:`_descend`, PROBE_CHUNK balls per call."""
     out = np.empty(len(rs))
     for lo in range(0, len(rs), PROBE_CHUNK):
         hi = lo + PROBE_CHUNK
-        out[lo:hi] = _descend(m, xs[lo:hi], rs[lo:hi])
+        out[lo:hi] = _descend(m, xs[lo:hi], rs[lo:hi], paths[:, lo:hi])
     return out
 
 
 def _start_levels(h: DiscHierarchy, depth: int, r: np.ndarray,
                   tol: float) -> np.ndarray:
-    """Each probe's start level s(r) in :func:`frostman_scan`: the deepest
+    """Each ball's start level s(r) in :func:`_descend`: the deepest
     s < depth with r < r_s and r + tol < gap_j for every j <= s, where
-    gap_j = step_j - 2 r_j (inf for a lone child) and tol is the descent's
-    float-error bound."""
+    gap_j = step_j - 2 r_j (inf for a lone child) is the edge-to-edge
+    distance of sibling level-j discs and tol the descent's float-error
+    bound.  Swallowing a level-j disc needs r >= r_j >= r_s, and other
+    level-s discs lie in siblings of the ball's ancestors, gap_j away, so
+    the root descent adds 0 down to s and keeps the ancestor alone there.
+    Siblings that nearly touch lower s: Eq33 is not assumed."""
     s = np.zeros(len(r), dtype=np.intp)
     ok = np.ones(len(r), dtype=bool)
     r_tol = r + tol
@@ -156,7 +164,8 @@ def _child_bands(off: np.ndarray, t: np.ndarray, q: np.ndarray,
     within rho of the center are |off[j] - t| <= sqrt(rho**2 - q**2): an
     index range.  The reach radius rad_cap + grow is widened by tol, so
     nothing outside its range passes; the swallow radius rad_cap - grow is
-    narrowed by tol, so everything inside its range passes."""
+    narrowed by tol, so everything inside its range passes.  Bands over
+    ``hierarchy.DISC_CAP`` rows in all raise, before they are built."""
     n = len(off)
     inv_step = (n - 1) / (2.0 * off[-1])
     c = (t + off[-1]) * inv_step
@@ -184,19 +193,24 @@ def _child_bands(off: np.ndarray, t: np.ndarray, q: np.ndarray,
     # [swallow end, reach end) of every row
     seg_lo = ends[:2].ravel()
     seg_n = np.maximum(ends[2:].ravel() - seg_lo, 0)
-    start = np.cumsum(seg_n) - seg_n
-    j = np.arange(start[-1] + seg_n[-1]) + np.repeat(seg_lo - start, seg_n)
+    start = np.cumsum(seg_n)
+    total = int(start[-1])
+    if total > hierarchy.DISC_CAP:
+        raise DiscCapExceeded(f"a ball descent's level holds {total} band "
+                              f"rows, over the cap of {hierarchy.DISC_CAP}")
+    start -= seg_n
+    j = np.arange(total) + np.repeat(seg_lo - start, seg_n)
     row = np.repeat(np.arange(2 * len(c)) % len(c), seg_n)
     return swallowed, j, row
 
 
 def _descend(m: NaturalMeasure, x: np.ndarray, r: np.ndarray,
-             paths: np.ndarray | None = None) -> np.ndarray:
-    """Masses of the balls B(x[i], r[i]), descending from the root, or,
-    given each center's index path (one row per level, as
-    :func:`_draw_paths` draws them), from the ancestor at its
-    :func:`_start_levels` level, where the root descent's rows would reach
-    that ancestor alone and have added nothing."""
+             paths: np.ndarray) -> np.ndarray:
+    """Masses of the balls B(x[i], r[i]), each descending from its
+    ancestor at its :func:`_start_levels` level on ``paths``, the centers'
+    index paths (one row per level, as :func:`_draw_paths` draws them);
+    the root descent's rows would reach that ancestor alone and add
+    nothing.  Paths of no rows start every ball at the root."""
     h = m.hierarchy
     n_probes = len(r)
     # Disc centers lie within r_0 of the origin, so a ball of radius `reach`
@@ -209,11 +223,7 @@ def _descend(m: NaturalMeasure, x: np.ndarray, r: np.ndarray,
     reach = 2.0 * (h.radius(0) + np.abs(x_all) + np.abs(y_all))
     cap_all = np.minimum(r, reach)
     tol = 64.0 * np.finfo(float).eps * float(np.max(reach + cap_all))
-    if paths is None:  # every probe starts at the root
-        paths = np.empty((0, n_probes), dtype=np.intp)
-        s = np.zeros(n_probes, dtype=np.intp)
-    else:
-        s = _start_levels(h, m.depth, r, tol)
+    s = _start_levels(h, min(m.depth, len(paths) + 1), r, tol)
     s_max = int(s.max())
     # every probe's ancestor at the level above the current one, read by
     # the probes that join the frontier there
@@ -259,8 +269,6 @@ def _descend(m: NaturalMeasure, x: np.ndarray, r: np.ndarray,
         row = row[keep]
         ax, ay = cx[keep], cy[keep]
         probe = probe[row]
-        if len(probe) > DESCENT_CAP and np.bincount(probe).max() > DESCENT_CAP:
-            raise DiscCapExceeded("ball descent touched too many discs")
     return mass
 
 
@@ -290,23 +298,13 @@ def frostman_scan(m: NaturalMeasure, f: GaugeFunction, samples: int, seed: int,
     x ranges over atoms, log r uniformly over [log r_depth, log r_0]; a
     deterministic probe at each level's first disc center, the center of
     the all-zero index path to level k, with r = r_k is always included,
-    which pins the scan's sensitivity near 1/a.
-    ``mass_scale`` rescales the measured masses and exists as a negative
-    control (scaled masses must violate the bound).
+    which pins the scan's sensitivity near 1/a.  ``mass_scale`` rescales
+    the masses, a negative control (scaled masses must violate the bound).
 
     The atoms are drawn as index paths (:func:`_draw_paths`, the draw
-    ``sample_atoms`` makes), and each probe's descent starts at its
-    ancestor at level s(r) (:func:`_start_levels`): the deepest s below
-    the last level with r < r_s and r + tol < gap_j for every j <= s,
-    where gap_j is the edge-to-edge distance of sibling level-j discs and
-    tol the float-error bound of the probe's ``PROBE_CHUNK``.  Swallowing
-    a disc of level j <= s needs r >= r_j >= r_s, and any other level-s
-    disc lies in a sibling of one of the probe's ancestors, at least
-    gap_j away.  So the descent from the root adds exactly 0 down to level
-    s and keeps the ancestor alone there, and every mass equals
-    :func:`ball_masses`' bit for bit.  The rule reads the built geometry
-    and does not rely on Eq33: siblings that nearly touch lower s, down to
-    the root.  A first-path probe of level k has r = r_k, so s <= k - 1.
+    ``sample_atoms`` makes), so each probe's descent starts at its
+    ancestor (:func:`_start_levels`; s <= k - 1 for the first-path probe
+    of level k) and the masses equal :func:`ball_masses`' bit for bit.
     """
     h = m.hierarchy
     c_bound = max(8.0 / (h.a * f.doubling.kappa), 1.0 / h.a)
@@ -324,10 +322,7 @@ def frostman_scan(m: NaturalMeasure, f: GaugeFunction, samples: int, seed: int,
     # r_k on a level-k center is a tangency tie: those radii keep r_k's bits
     rs = np.concatenate(([h.radius(k) for k in range(1, m.depth + 1)],
                          np.exp(log_r[m.depth:])))
-    masses = np.empty(len(rs))
-    for lo in range(0, len(rs), PROBE_CHUNK):
-        hi = lo + PROBE_CHUNK
-        masses[lo:hi] = _descend(m, xs[lo:hi], rs[lo:hi], paths[:, lo:hi])
+    masses = _chunked_masses(m, xs, rs, paths)
     with np.errstate(divide="ignore"):  # an empty ball's log mass is -inf
         log_ratios = np.log(mass_scale * masses) - f.log_value(log_r)
     c_emp = math.exp(log_ratios.max())
@@ -435,11 +430,11 @@ def divergence_pairs(m: NaturalMeasure, pairs: int, rng: np.random.Generator):
     A pair makes one uniform draw per level from that level's ordered-pair
     step table (:meth:`DiscHierarchy.step_table`, built once per
     hierarchy): at level k among its N_k (N_k - 1) entries with children
-    i != j, below it among all N_l**2 entries, so its children there are
-    independent.  This is the law of children i
-    and j = (i + U{1..N_k - 1}) mod N_k at level k and independent paths
-    below.  The difference sums the drawn steps from level k down, one
-    complex take and add per level, never absolute coordinates.
+    i != j, the law of i and j = (i + U{1..N_k - 1}) mod N_k, below it
+    among all N_l**2 entries, so the paths below are independent.  The
+    difference sums the drawn steps from level k down, one complex take
+    and add per level, never absolute coordinates.  A level with a zero
+    entry past its first N_k (children coinciding in float64) raises.
 
     Every stratum's dz is a view of one buffer that the next stratum's
     draws overwrite, so a caller reads it before it advances; it may
@@ -451,6 +446,10 @@ def divergence_pairs(m: NaturalMeasure, pairs: int, rng: np.random.Generator):
     if share < 2:
         raise GaugeError("energy draws need at least two pairs per level")
     tables = [h.step_table(level) for level in range(1, m.depth + 1)]
+    for k, table in enumerate(tables, 1):
+        if not table[h.counts[k - 1]:].all():  # a step of 0 + 0j
+            raise GaugeError(f"level {k}'s children coincide in float64 "
+                             f"(r_{k} = {h.radius(k)!r})")
     buf = np.empty((2, share + (extra > 0)), dtype=complex)
     for k in range(1, m.depth + 1):
         n = share + (k <= extra)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -317,29 +318,104 @@ def test_ball_masses_rejects_mismatched_lengths(m4):
         ball_masses(m4, np.zeros((3, 2)), [0.1, 0.2])
 
 
-def test_descent_cap_is_per_probe(h05_depth5, monkeypatch):
-    m = NaturalMeasure(h05_depth5, 3)
-    x, r = (0.0, 0.0), 0.5 * h05_depth5.radius(0)
-    monkeypatch.setattr(measure, "DESCENT_CAP", 1)
-    with pytest.raises(DiscCapExceeded):
-        ball_mass(m, x, r)
-    # the smallest cap this one ball passes is its largest frontier
+def smallest_passing_disc_cap(m, x, r, monkeypatch):
+    """The smallest ``hierarchy.DISC_CAP`` under which ball_mass(m, x, r)
+    is not refused, by bisection."""
     lo, hi = 1, 10 ** 6
     while lo < hi:
-        monkeypatch.setattr(measure, "DESCENT_CAP", (lo + hi) // 2)
+        mid = (lo + hi) // 2
+        monkeypatch.setattr(hierarchy, "DISC_CAP", mid)
         try:
             ball_mass(m, x, r)
-            hi = (lo + hi) // 2
+            hi = mid
         except DiscCapExceeded:
-            lo = (lo + hi) // 2 + 1
-    assert lo > 1
-    monkeypatch.setattr(measure, "DESCENT_CAP", lo)
-    # three copies share one frontier of thrice that size, yet none trips
-    masses = ball_masses(m, [x] * 3, [r] * 3)
-    assert list(masses) == [reference_ball_mass(m, x, r)] * 3
-    monkeypatch.setattr(measure, "DESCENT_CAP", lo - 1)
+            lo = mid + 1
+    return lo
+
+
+def cap_probe(h):
+    return NaturalMeasure(h, 3), (0.0, 0.0), 0.5 * h.radius(0)
+
+
+def test_descent_band_cap_is_inclusive(h05_depth5, monkeypatch):
+    m, x, r = cap_probe(h05_depth5)
+    cap = smallest_passing_disc_cap(m, x, r, monkeypatch)
+    assert cap > 1
+    monkeypatch.setattr(hierarchy, "DISC_CAP", cap)
+    assert ball_mass(m, x, r) == reference_ball_mass(m, x, r)
+    # one row below, the refusal names the very row count the cap admitted
+    monkeypatch.setattr(hierarchy, "DISC_CAP", cap - 1)
+    with pytest.raises(DiscCapExceeded,
+                       match=f" {cap} band rows, over the cap of {cap - 1}$"):
+        ball_mass(m, x, r)
+
+
+def test_descent_band_cap_bounds_the_whole_chunk(h05_depth5, monkeypatch):
+    m, x, r = cap_probe(h05_depth5)
+    cap = smallest_passing_disc_cap(m, x, r, monkeypatch)
+    # three copies share one chunk, whose bands are thrice one ball's
+    monkeypatch.setattr(hierarchy, "DISC_CAP", cap)
     with pytest.raises(DiscCapExceeded):
-        ball_masses(m, [(5.0, 5.0), x], [1.0, r])
+        ball_masses(m, [x] * 3, [r] * 3)
+    monkeypatch.setattr(hierarchy, "DISC_CAP", 3 * cap)
+    assert list(ball_masses(m, [x] * 3, [r] * 3)) == [reference_ball_mass(m, x, r)] * 3
+
+
+def test_refused_chunk_never_builds_its_bands(monkeypatch):
+    # 100 000 level-1 children of radius 1e-6 on a diameter of the unit
+    # disc; a huge ball tangent to that diameter has every child on its
+    # boundary band
+    n = 100_000
+    h = build_hierarchy(power(0.5), schedule_from_radii([1.0, 1e-6, 1e-7]),
+                        BranchingPlan(1.0, (n, 2)), theta=[0.0, 0.0])
+    m = NaturalMeasure(h, 2)
+    h.offsets(1)  # the cached offset table is no part of the descent's peak
+    xs, rs = [(0.0, 1e6)] * 4, [1e6] * 4
+    monkeypatch.setattr(hierarchy, "DISC_CAP", 1000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DiscCapExceeded, match=f" {4 * n} band rows"):
+            ball_masses(m, xs, rs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a tenth of one index array over the refused rows
+    assert peak < 8 * 4 * n // 10
+    monkeypatch.setattr(hierarchy, "DISC_CAP", 4 * n)
+    assert list(ball_masses(m, xs, rs)) == list(reference_ball_masses(m, xs, rs))
+
+
+def test_every_ball_mass_descends_once_per_chunk(m4, monkeypatch):
+    calls = []
+    descend = measure._descend
+
+    def counting_descend(m, x, r, paths):
+        calls.append((len(r), paths.shape))
+        return descend(m, x, r, paths)
+
+    rng = np.random.default_rng(9)
+    xs, rs = m4.sample_atoms(20, rng), m4.hierarchy.radius(2) * rng.random(20)
+    f = m4.hierarchy.gauge
+    want_masses, want_scan = ball_masses(m4, xs, rs), frostman_scan(m4, f, 20, 9)
+    monkeypatch.setattr(measure, "PROBE_CHUNK", 7)
+    monkeypatch.setattr(measure, "_descend", counting_descend)
+    assert ball_masses(m4, xs, rs).tobytes() == want_masses.tobytes()
+    assert calls == [(7, (0, 7)), (7, (0, 7)), (6, (0, 6))]
+    calls.clear()
+    assert frostman_scan(m4, f, 20, 9) == want_scan
+    assert calls == [(7, (4, 7)), (7, (4, 7)), (6, (4, 6))]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+@pytest.mark.parametrize("s,depth", [(0.3, 8), (0.5, 9)])
+def test_ball_around_a_deep_atom_holds_its_mass(s, depth):
+    # the all-zero path's atom: the descent's absolute coordinates give
+    # 0.0 at power(0.3) depth 8 and 1.71e-9 at power(0.5) depth 9
+    h = build_from_gauge(power(s), depth)
+    m = NaturalMeasure(h, depth)
+    x = measure._path_centers(h, np.zeros((depth, 1), dtype=np.intp))[0]
+    assert ball_mass(m, x, h.radius(depth)) == pytest.approx(
+        1.0 / h.disc_count(depth), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -772,6 +848,22 @@ def test_mc_energy_is_stable_across_seeds_at_depth(h08_depth5):
 def test_mc_energy_needs_two_pairs_per_level(m4):
     with pytest.raises(GaugeError, match="two pairs per level"):
         list(measure.divergence_pairs(m4, 7, np.random.default_rng(0)))
+
+
+@pytest.mark.parametrize("s,depth,level", [(0.3, 110, 104), (0.3, 105, 104),
+                                            (0.8, 100, 96)])
+def test_mc_energy_refuses_coinciding_children(s, depth, level):
+    # the level's offsets underflow, so step-table entries with i != j are 0
+    h = build_from_gauge(power(s), depth)
+    with pytest.raises(GaugeError, match=f"^level {level}'s children coincide "
+                                         f"in float64 \\(r_{level} = 0.0\\)$"):
+        mc_energy(h.gauge, NaturalMeasure(h, depth), 5000, seed=1)
+
+
+def test_mc_energy_at_depth_100_has_no_coinciding_children():
+    h = build_from_gauge(power(0.3), 100)
+    est = mc_energy(h.gauge, NaturalMeasure(h, 100), 5000, seed=1)
+    assert math.isfinite(est.mean) and est.mean > 0
 
 
 def test_mc_energy_atoms_keeps_its_draw_order():

@@ -254,6 +254,28 @@ def test_pipeline_says_why_the_averaged_projection_is_missing(tmp_path):
     assert result.exit_code == 0
 
 
+def test_pipeline_refuses_energies_where_children_coincide(monkeypatch):
+    # at power(0.3) depth 110 the offsets of levels 104-110 underflow, so
+    # their children coincide in float64.  The Frostman stage refuses at
+    # any cap; a small one keeps its refusal light.
+    monkeypatch.setattr(hierarchy, "DISC_CAP", 10 ** 5)
+    doc = dict(FAST, f={"family": "power", "s": 0.3}, depth=110)
+    result = run_pipeline(parse_config(json.dumps(doc)))
+    stages = {s["stage"]: s for s in result.bundle["stages"]}
+    assert stages["validate"]["status"] == "ok"
+    assert stages["frostman"]["status"] == "failed"
+    assert "over the cap of 100000" in stages["frostman"]["error"]
+    assert stages["energy"] == {
+        "stage": "energy", "status": "failed",
+        "error": "level 104's children coincide in float64 (r_104 = 0.0)"}
+    assert "energy" not in result.bundle
+    rows = result.bundle["checks"]
+    assert not [r for r in rows if r["check_id"].startswith("AvgProj")]
+    assert [r for r in rows if r["margin"] is None or math.isnan(r["margin"])] == []
+    assert len(rows) > 800 and all(r["passed"] for r in rows)
+    assert result.exit_code == 2
+
+
 def test_pipeline_stages_of_a_logpower_gauge_with_auto_g(tmp_path):
     doc = dict(FAST, f={"family": "logpower", "s": 2})
     result = run_pipeline(parse_config(json.dumps(doc)), tmp_path / "out")
