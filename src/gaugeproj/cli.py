@@ -1,7 +1,10 @@
 """Command-line interface.
 
 Subcommands: gauge-check, construct, sweep, energy, classify, gap-report
-and run (the full pipeline).  All state comes from flags and the config
+and run (the full pipeline).  ``construct``, ``sweep`` and ``energy`` are
+``run`` restricted to their stages: each calls ``run_pipeline`` with the
+stages it asks for, prints the run's summary line and writes the run's
+files for the stages that ran.  All state comes from flags and the config
 file; there are no environment variables and no ambient randomness.
 """
 
@@ -13,12 +16,10 @@ import json
 import sys
 from pathlib import Path
 
-from . import diophantine, gauges, hierarchy, measure, projection
+from . import diophantine, gauges
 from .config import EMIT_DEFAULTS, ConfigError, parse_config
-from .pipeline import (condition_verdicts, energy_estimate, energy_payload,
-                       resolve_g, run_pipeline, verdict_payload, _csv_text,
-                       _json_text, _sanitize, _sweep_csv_text, _write_file)
-from .svgreport import render_hierarchy_svg, render_sweep_svg
+from .pipeline import (condition_verdicts, run_pipeline, verdict_payload,
+                       _csv_text, _json_text, _sanitize, _write_file)
 
 _FLAGS = {
     "--config": {"help": "path to a JSON run config"},
@@ -101,46 +102,6 @@ def cmd_gauge_check(args) -> int:
     return 0
 
 
-def cmd_construct(args) -> int:
-    cfg = _load_config(args)
-    h = hierarchy.build_from_gauge(cfg.gauge_f(), cfg.depth)
-    report = hierarchy.validate_hierarchy(h)
-    _write(args, "hierarchy.json", _json_text(
-        {"hierarchy": h.to_dict(),
-         "validation": report.to_dict()}))
-    _write(args, "validation.csv", _csv_text(
-        ["check_id", "level", "passed", "margin", "note"],
-        [[r.check, r.level, r.passed, r.margin, r.note] for r in report.rows]))
-    if cfg.emit["svg"] and args.out:
-        _write(args, "hierarchy.svg", render_hierarchy_svg(h, report))
-    return 0 if report.passed else 1
-
-
-def cmd_sweep(args) -> int:
-    cfg = _load_config(args)
-    f = cfg.gauge_f()
-    g = resolve_g(cfg, f)
-    h = hierarchy.build_from_gauge(f, cfg.depth)
-    table = projection.sweep_directions(h, g, cfg.angles)
-    rows = table.to_dicts()
-    _write(args, "sweep.csv", _sweep_csv_text(rows))
-    if cfg.emit["svg"] and args.out:
-        _write(args, "sweep.svg", render_sweep_svg(rows))
-    return 0 if not table.violations() else 1
-
-
-def cmd_energy(args) -> int:
-    cfg = _load_config(args)
-    f = cfg.gauge_f()
-    g = resolve_g(cfg, f)
-    h = hierarchy.build_from_gauge(f, cfg.depth)
-    est = energy_estimate(cfg, g, measure.NaturalMeasure(h, h.depth))
-    payload = {"gauge": g.to_dict(), "pairs": est.pairs_used,
-               **energy_payload(est), "seed": cfg.seed}
-    _write(args, "energy.json", _json_text(payload))
-    return 0
-
-
 def cmd_classify(args) -> int:
     f = _gauge_arg(args.f, "--f")
     psi = diophantine.parse_approx(_json_arg(args.psi, "--psi"))
@@ -175,7 +136,11 @@ def cmd_gap_report(args) -> int:
 
 
 def cmd_run(args) -> int:
-    result = run_pipeline(_load_config(args), args.out)
+    """``run`` and the subcommands that run part of it: the pipeline over
+    ``args.stages`` (every stage when None)."""
+    result = run_pipeline(_load_config(args), args.out, args.stages)
+    for stage, error in result.errors:
+        sys.stderr.write(f"error: {stage}: {error}\n")
     summary = result.bundle["summary"]
     sys.stdout.write(json.dumps(_sanitize(summary), sort_keys=True) + "\n")
     return result.exit_code
@@ -203,20 +168,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("construct", help="build and validate a hierarchy")
     p.add_argument("--f", help="gauge spec JSON")
     _flags(p, "--config", "--out", "--emit", "--depth")
-    p.set_defaults(fn=cmd_construct)
+    p.set_defaults(fn=cmd_run, stages=("construct", "validate"))
 
     p = sub.add_parser("sweep", help="angle sweep of projected cover costs")
     p.add_argument("--f", help="gauge spec JSON")
     p.add_argument("--g", help="cover-cost gauge spec JSON")
     _flags(p, "--config", "--out", "--emit", "--depth", "--angles")
-    p.set_defaults(fn=cmd_sweep)
+    p.set_defaults(fn=cmd_run, stages=("sweep",))
 
     p = sub.add_parser("energy", help="Monte Carlo energy and capacity witness")
     p.add_argument("--f", help="gauge spec JSON")
     p.add_argument("--g", help="energy gauge spec JSON")
     p.add_argument("--pairs", type=int, help="pair count override")
     _flags(p, "--config", "--seed", "--out", "--depth")
-    p.set_defaults(fn=cmd_energy)
+    p.set_defaults(fn=cmd_run, stages=("energy",))
 
     p = sub.add_parser("classify", help="series criterion for approximable sets")
     p.add_argument("--f", required=True, help="gauge spec JSON")
@@ -236,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="full pipeline")
     _flags(p, "--config", "--seed", "--out", "--emit", "--depth", "--angles")
-    p.set_defaults(fn=cmd_run)
+    p.set_defaults(fn=cmd_run, stages=None)
 
     return parser
 
@@ -245,7 +210,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, gauges.GaugeError, hierarchy.DiscCapExceeded) as e:
+    except (ConfigError, gauges.GaugeError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

@@ -349,14 +349,6 @@ class HierarchyReport:
     def by_check(self, check: str) -> list[CheckRow]:
         return [r for r in self.rows if r.check == check]
 
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "rows": [{"check": r.check, "level": r.level, "passed": r.passed,
-                      "margin": r.margin, "note": r.note} for r in self.rows],
-            "assumptions": list(self.assumptions),
-        }
-
 
 def validate_hierarchy(h: DiscHierarchy) -> HierarchyReport:
     """Exact per-level verification of every construction inequality.

@@ -368,7 +368,12 @@ def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
     mean = float(vals.mean())
     if not math.isfinite(mean):  # distinct atoms coincide
         return mean, math.inf
-    return mean, float(vals.std(ddof=1) / math.sqrt(len(vals)))
+    # the std of vals / 2**e, with e the exponent of their maximum, scaled
+    # back: the squares stay finite at any magnitude, and scaling by a
+    # power of two is exact in the normal range
+    e = math.frexp(float(vals.max()))[1]
+    std = float(np.ldexp((vals * math.ldexp(1.0, -e)).std(ddof=1), e))
+    return mean, std / math.sqrt(len(vals))
 
 
 def discrete_energy(f: GaugeFunction, points, masses=None) -> float:

@@ -1,13 +1,14 @@
 """Pipeline orchestration: schedule, construction, scans, sweeps, verdicts.
 
 ``STAGES`` is the run's stage table.  Each row names a stage, the run
-values it reads (f, g or h) and its function, which sets the values later
-stages read.  One loop records every stage as ok, failed (with its error)
-or skipped (with the ``SKIP_REASONS`` entry of the first value it reads
-that the run lacks).  The CLI subcommands call the same functions for
-what they share with a run: ``hierarchy.build_from_gauge``,
-``projection.sweep_directions``, ``energy_estimate`` with
-``energy_payload``, and ``condition_verdicts``.
+values it reads (f, g or h), the values it sets for later stages and its
+function.  ``run_pipeline`` runs the stages it is asked for, each with the
+earlier stages that set the values it reads: the ``construct``, ``sweep``
+and ``energy`` subcommands ask for their own stages and ``run`` asks for
+every stage.  One loop records every stage it runs as ok, failed (with
+its error) or skipped (with the ``SKIP_REASONS`` entry of the first value
+it reads that the run lacks).  ``gauge-check`` shares
+``condition_verdicts`` with the conditions stage.
 The bundle tags each inequality check with the stable id it verifies
 (Eq20 .. Eq36trend) and serialises to byte-identical CSV/JSON for
 identical configs.
@@ -46,27 +47,6 @@ def sweep_partner(f: gauges.GaugeFunction) -> gauges.GaugeFunction:
     return gauges.power_log(f.s, SWEEP_PARTNER_LOG_EXPONENT, 1.0)
 
 
-def resolve_g(config: RunConfig, f: gauges.GaugeFunction) -> gauges.GaugeFunction:
-    """The config's gauge g, or sweep_partner(f) when g is "auto"."""
-    return config.gauge_g() or sweep_partner(f)
-
-
-def energy_estimate(config: RunConfig, g: gauges.GaugeFunction,
-                    m: measure.NaturalMeasure) -> measure.EnergyEstimate:
-    """The config's Monte Carlo g-energy of m, drawn at seed + 1 (the
-    Frostman scan draws at seed, the averaged projection at seed + 2)."""
-    return measure.mc_energy(g, m, config.pairs, seed=config.seed + 1)
-
-
-def energy_payload(est: measure.EnergyEstimate) -> dict:
-    """The JSON payload of one energy estimate, with its capacity witness
-    1/mean and one entry per divergence level."""
-    return {"mean": est.mean, "stderr": est.stderr,
-            "capacity_lower_bound": 1.0 / est.mean,
-            "collisions_rejected": est.collisions_rejected,
-            "levels": [asdict(lv) for lv in est.levels]}
-
-
 def verdict_payload(v: conditions.ConditionVerdict) -> dict:
     """The JSON payload of one condition verdict."""
     return {"status": v.status, "value": v.value, "diagnostics": v.diagnostics}
@@ -93,12 +73,27 @@ def condition_verdicts(f: gauges.GaugeFunction, g: gauges.GaugeFunction | None):
 @dataclass
 class PipelineResult:
     bundle: dict
+    asked: frozenset  # the stages the caller asked for, prerequisites aside
+
+    @property
+    def errors(self) -> list[tuple[str, str]]:
+        """(stage, error) of each failed stage that was asked for; when an
+        asked stage was skipped, of every failed stage, so that the
+        failures behind the skip are named too."""
+        records = self.bundle["stages"]
+        skipped = any(s["status"] == "skipped" and s["stage"] in self.asked
+                      for s in records)
+        return [(s["stage"], s["error"]) for s in records
+                if s["status"] == "failed" and (skipped or s["stage"] in self.asked)]
 
     @property
     def exit_code(self) -> int:
+        """1 when a verified inequality fails, else 2 when a stage asked
+        for failed or was skipped; a failed prerequisite alone is 0."""
         if self.bundle["summary"]["inequalities"]["fail"] > 0:
             return 1
-        if any(s["status"] == "failed" for s in self.bundle["stages"]):
+        if any(s["status"] != "ok" and s["stage"] in self.asked
+               for s in self.bundle["stages"]):
             return 2
         return 0
 
@@ -136,10 +131,6 @@ def _csv_text(header: list[str], rows) -> str:
     return buf.getvalue()
 
 
-def _sweep_csv_text(rows: list[dict]) -> str:
-    return _csv_text(SWEEP_COLUMNS, ([r[c] for c in SWEEP_COLUMNS] for r in rows))
-
-
 def _write_file(out: Path, name: str, text: str) -> None:
     out.mkdir(parents=True, exist_ok=True)
     (out / name).write_text(text, encoding="utf-8", newline="\n")
@@ -171,7 +162,7 @@ class _Run:
 
 def _gauges(run: _Run):
     run.f = run.config.gauge_f()
-    run.g = resolve_g(run.config, run.f)
+    run.g = run.config.gauge_g() or sweep_partner(run.f)
     fits = {"f": run.f.doubling, "g": run.g.doubling}
     run.bundle["gauges"] = {
         "f": run.f.to_dict(), "g": run.g.to_dict(),
@@ -210,8 +201,14 @@ def _frostman(run: _Run):
 
 def _energy(run: _Run):
     config = run.config
-    est = energy_estimate(config, run.g, run.m)
-    energy = run.bundle["energy"] = {"gauge": "g", **energy_payload(est)}
+    # drawn at seed + 1: the Frostman scan draws at seed, the averaged
+    # projection at seed + 2
+    est = measure.mc_energy(run.g, run.m, config.pairs, seed=config.seed + 1)
+    energy = run.bundle["energy"] = {
+        "gauge": "g", "mean": est.mean, "stderr": est.stderr,
+        "capacity_lower_bound": 1.0 / est.mean,
+        "collisions_rejected": est.collisions_rejected,
+        "levels": [asdict(lv) for lv in est.levels]}
     # g's doubling fit is cached on g; when the gauges stage could not fit
     # it, this read fails the stage with the fit's own error
     fit_s = run.g.doubling.s
@@ -252,42 +249,62 @@ def _sweep(run: _Run):
 SKIP_REASONS = {"f": "gauge f unavailable", "g": "gauges unavailable",
                 "h": "no hierarchy"}
 
-# stage, the run values it reads, function
+# stage, the run values it reads, the run values it sets, function
 STAGES = (
-    ("gauges", (), _gauges),
-    ("conditions", ("f", "g"), _conditions),
-    ("construct", ("f",), _construct),
-    ("validate", ("h",), _validate),
-    ("frostman", ("h",), _frostman),
-    ("energy", ("h", "g"), _energy),
-    ("sweep", ("h", "g"), _sweep),
+    ("gauges", (), ("f", "g"), _gauges),
+    ("conditions", ("f", "g"), (), _conditions),
+    ("construct", ("f",), ("h",), _construct),
+    ("validate", ("h",), (), _validate),
+    ("frostman", ("h",), (), _frostman),
+    ("energy", ("h", "g"), (), _energy),
+    ("sweep", ("h", "g"), (), _sweep),
 )
 
 
-def run_pipeline(config: RunConfig, out_dir=None) -> PipelineResult:
-    """Execute the full report pipeline for one config.
+def _with_prerequisites(asked) -> set[str]:
+    """The asked stages and, transitively, each earlier stage that sets a
+    value one of them reads."""
+    setter = {v: stage for stage, _, sets, _ in STAGES for v in sets}
+    unknown = set(asked) - {stage for stage, *_ in STAGES}
+    if unknown:
+        raise ValueError(f"unknown stages: {sorted(unknown)}")
+    wanted = set(asked)
+    for stage, needs, _, _ in reversed(STAGES):
+        if stage in wanted:
+            wanted.update(setter[v] for v in needs)
+    return wanted
 
-    Writes the emitted files under ``out_dir`` when it is given: it is the
-    one output route (the CLI's --out), since the config names no
-    directory.  Returns the in-memory bundle; exit_code is nonzero when
-    any verified inequality fails (1) or a stage could not run at all (2).
+
+def run_pipeline(config: RunConfig, out_dir=None, stages=None) -> PipelineResult:
+    """Execute the report pipeline for one config.
+
+    Runs the named ``stages`` (every stage when None) and their
+    prerequisites, in ``STAGES`` order.  Writes the emitted files of the
+    stages that ran under ``out_dir`` when it is given: it is the one
+    output route (the CLI's --out), since the config names no directory.
+    Returns the in-memory bundle; exit_code is nonzero when any verified
+    inequality fails (1) or an asked stage could not run (2).
     """
-    stages: list[dict] = []
+    asked = frozenset(s for s, *_ in STAGES) if stages is None else frozenset(stages)
+    scheduled = _with_prerequisites(asked)
+    records: list[dict] = []
     bundle: dict = {"schema_version": SCHEMA_VERSION, "config": config.to_dict(),
-                    "stages": stages, "checks": [], "verdicts": {}}
+                    "stages": records, "checks": [], "verdicts": {}}
     run = _Run(config, bundle)
-    for stage, needs, fn in STAGES:
+    for stage, needs, _, fn in STAGES:
+        if stage not in scheduled:
+            continue
         missing = next((v for v in needs if getattr(run, v) is None), None)
         if missing:
-            stages.append({"stage": stage, "status": "skipped",
-                           "reason": SKIP_REASONS[missing]})
+            records.append({"stage": stage, "status": "skipped",
+                            "reason": SKIP_REASONS[missing]})
             continue
         try:
             extra = fn(run) or {}
         except Exception as e:
-            stages.append({"stage": stage, "status": "failed", "error": str(e)})
+            records.append({"stage": stage, "status": "failed", "error": str(e)})
         else:
-            stages.append({"stage": stage, "status": "ok", **extra})
+            records.append({"stage": stage, "status": "ok", **extra})
 
     check_rows = bundle["checks"]
     n_pass = sum(1 for r in check_rows if r["passed"])
@@ -298,8 +315,8 @@ def run_pipeline(config: RunConfig, out_dir=None) -> PipelineResult:
         "margins": _least_margins(check_rows),
     }
 
-    _emit(run, out_dir)
-    return PipelineResult(bundle)
+    _emit(run, out_dir, scheduled)
+    return PipelineResult(bundle, asked)
 
 
 def _least_margins(check_rows: list[dict]) -> dict:
@@ -313,12 +330,17 @@ def _least_margins(check_rows: list[dict]) -> dict:
     return margins
 
 
-def _emit(run: _Run, out_dir) -> None:
+def _emit(run: _Run, out_dir, scheduled) -> None:
+    """Write the bundle and the files of the ``scheduled`` stages: the
+    sweep's table and figure whenever the sweep stage was scheduled (with
+    no rows when it did not finish), the hierarchy and shell figures when
+    their stages produced them."""
     if out_dir is None:
         return
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     emit = run.config.emit
+    sweep = "sweep" in scheduled
     if emit["json"]:
         _write_file(out, "report.json", _json_text(run.bundle))
     if emit["csv"]:
@@ -326,11 +348,14 @@ def _emit(run: _Run, out_dir) -> None:
             ["check_id", "where", "passed", "margin", "note"],
             ([r["check_id"], r["where"], r["passed"], r["margin"], r["note"]]
              for r in run.bundle["checks"])))
-        _write_file(out, "sweep.csv", _sweep_csv_text(run.sweep_rows))
+        if sweep:
+            _write_file(out, "sweep.csv", _csv_text(SWEEP_COLUMNS, (
+                [r[c] for c in SWEEP_COLUMNS] for r in run.sweep_rows)))
     if emit["svg"]:
         if run.report is not None:
             _write_file(out, "hierarchy.svg",
                         render_hierarchy_svg(run.h, run.report))
-        _write_file(out, "sweep.svg", render_sweep_svg(run.sweep_rows))
+        if sweep:
+            _write_file(out, "sweep.svg", render_sweep_svg(run.sweep_rows))
         if run.shells is not None:
             _write_file(out, "shells.svg", render_shells_svg(run.shells))

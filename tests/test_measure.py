@@ -10,7 +10,6 @@ from gaugeproj import (GaugeError, NaturalMeasure, BranchingPlan,
                        build_from_gauge, build_hierarchy, discrete_energy,
                        frostman_scan, hierarchy, mc_energy, mc_energy_atoms,
                        measure, potential, power, power_log, sweep_partner)
-from gaugeproj.pipeline import energy_payload
 
 from conftest import level_centers, schedule_from_radii
 
@@ -866,6 +865,28 @@ def test_mc_energy_at_depth_100_has_no_coinciding_children():
     assert math.isfinite(est.mean) and est.mean > 0
 
 
+def test_mc_energy_stderr_stays_finite_at_depth():
+    # at power(0.8) depth 95 the deep strata's 1/f values pass 1e154, where
+    # their squares overflow: each stratum's std is taken on values scaled
+    # by a power of two, with no overflow warning
+    h = build_from_gauge(power(0.8), 95)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = mc_energy(power(0.8), NaturalMeasure(h, 95), 5000, seed=1)
+    assert math.isfinite(est.stderr) and est.stderr > 0
+    assert max(lv.mean for lv in est.levels) > 1e154
+    assert all(math.isfinite(lv.stderr) for lv in est.levels)
+
+
+def test_mean_stderr_scaling_is_exact():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        vals = rng.lognormal(rng.uniform(-300, 300), rng.uniform(0, 5),
+                             rng.integers(2, 500))
+        mean, stderr = measure._mean_stderr(vals)
+        assert stderr == float(vals.std(ddof=1) / math.sqrt(len(vals)))
+
+
 def test_mc_energy_atoms_keeps_its_draw_order():
     # one draw of index pairs; a same-index pair counts 0 and is not redrawn
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [3.0, 1.0]])
@@ -940,8 +961,9 @@ def test_potential_energy_identity(m4):
 
 
 def test_capacity_lower_bound(m4):
+    # the run's energy block reports 1 / mean as its capacity_lower_bound
     def capacity_lower_bound(g, m, pairs, seed):
-        return energy_payload(mc_energy(g, m, pairs, seed))["capacity_lower_bound"]
+        return 1.0 / mc_energy(g, m, pairs, seed).mean
 
     m = two_atom_measure()
     assert capacity_lower_bound(power(1.0), m, 2000, seed=6) == pytest.approx(1.0)

@@ -490,40 +490,6 @@ def test_cli_gauge_check(tmp_path):
     assert doc["doubling"]["s"] == pytest.approx(0.5)
 
 
-def test_cli_construct(tmp_path):
-    code = cli_main(["construct", "--f", '{"family":"power","s":0.5}',
-                     "--depth", "3", "--out", str(tmp_path)])
-    assert code == 0
-    doc = json.loads((tmp_path / "hierarchy.json").read_text())
-    assert doc["hierarchy"]["N"] == [9, 9, 9]
-    assert doc["validation"]["passed"] is True
-    assert (tmp_path / "validation.csv").exists()
-
-
-def test_cli_sweep(tmp_path):
-    code = cli_main(["sweep", "--f", '{"family":"power","s":0.5}',
-                     "--depth", "4", "--angles", "64",
-                     "--out", str(tmp_path)])
-    assert code == 0
-    lines = (tmp_path / "sweep.csv").read_text().splitlines()
-    assert lines[0] == "theta,k,cost,bound,margin"
-
-
-def test_cli_energy(tmp_path):
-    code = cli_main(["energy", "--f", '{"family":"power","s":0.5}',
-                     "--depth", "3", "--pairs", "5000", "--seed", "3",
-                     "--out", str(tmp_path)])
-    assert code == 0
-    doc = json.loads((tmp_path / "energy.json").read_text())
-    assert doc["mean"] > 0 and doc["capacity_lower_bound"] > 0
-    assert doc["collisions_rejected"] == 0
-    # one stratum per divergence level; the mean is their p-weighted sum
-    assert [lv["level"] for lv in doc["levels"]] == [1, 2, 3]
-    assert sum(lv["pairs"] for lv in doc["levels"]) == 5000
-    assert doc["mean"] == pytest.approx(
-        sum(lv["p"] * lv["mean"] for lv in doc["levels"]), rel=1e-12)
-
-
 def test_cli_classify(tmp_path):
     code = cli_main(["classify", "--f", '{"family":"logpower","s":1.1}',
                      "--psi", '{"family":"exp_power","tau":3}', "--k", "2",
@@ -681,57 +647,156 @@ def test_cli_rejects_flags_a_subcommand_does_not_read(cmd, flag, value, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+# each subcommand's stages, and a config (svg on) that gives them something
+# to check: depth 4 and 256 angles give the sweep measured rows, where
+# FAST's depth 3 and 64 angles give none
+_SUBCOMMANDS = {
+    "construct": (("gauges", "construct", "validate"), dict(FAST, depth=3)),
+    "sweep": (("gauges", "construct", "sweep"), dict(FAST, depth=4, angles=256)),
+    "energy": (("gauges", "construct", "energy"), dict(FAST, depth=3, seed=3)),
+}
+# the check ids each stage writes; validate writes every other id
+_STAGE_CHECKS = {"frostman": {"Eq34"}, "energy": {"AvgProjEnergy", "AvgProjTransfer"},
+                 "sweep": {"Eq35", "Eq36trend"}}
+
+
+def _check_stage(check_id: str) -> str:
+    return next((stage for stage, ids in _STAGE_CHECKS.items()
+                 if check_id in ids), "validate")
+
+
 @pytest.fixture(scope="module")
-def fast_svg_run(tmp_path_factory):
-    """The FAST config with svg on, through ``run``, ``sweep``,
-    ``construct`` and ``energy`` into sibling directories.  Depth 4 and 256
-    angles give the sweep measured rows; FAST's depth 3 and 64 angles give
-    none."""
-    root = tmp_path_factory.mktemp("shared")
-    cfg = root / "config.json"
-    cfg.write_text(json.dumps(dict(FAST, depth=4, angles=256, emit={
-        "csv": True, "json": True, "svg": True})))
-    for cmd in ("run", "sweep", "construct", "energy"):
-        assert cli_main([cmd, "--config", str(cfg), "--out",
-                         str(root / cmd)]) == 0
-    return root
+def subcommand_runs(tmp_path_factory):
+    """Each subcommand and ``run`` on that subcommand's config, into
+    ``<cmd>/<cmd>`` and ``<cmd>/run``, with their exit codes and stdout."""
+    root = tmp_path_factory.mktemp("subcommands")
+    outcomes = {}
+    for cmd, (_, doc) in _SUBCOMMANDS.items():
+        cfg = root / f"{cmd}.json"
+        cfg.write_text(json.dumps(dict(doc, emit={
+            "csv": True, "json": True, "svg": True})))
+        for name in (cmd, "run"):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                rc = cli_main([name, "--config", str(cfg), "--out",
+                               str(root / cmd / name)])
+            outcomes[cmd, name] = (rc, buf.getvalue())
+    return root, outcomes
 
 
-def test_cli_sweep_writes_the_run_files(fast_svg_run):
-    assert len((fast_svg_run / "run" / "sweep.csv").read_text().splitlines()) > 2
-    for name in ("sweep.csv", "sweep.svg"):
-        assert (fast_svg_run / "sweep" / name).read_bytes() == \
-            (fast_svg_run / "run" / name).read_bytes()
+@pytest.mark.parametrize("cmd", list(_SUBCOMMANDS))
+def test_cli_subcommand_writes_the_run_files(cmd, subcommand_runs):
+    root, outcomes = subcommand_runs
+    sub_dir, run_dir = root / cmd / cmd, root / cmd / "run"
+    (rc, out), (run_rc, run_out) = outcomes[cmd, cmd], outcomes[cmd, "run"]
+    assert rc == run_rc == 0
+    sub = json.loads((sub_dir / "report.json").read_text())
+    run = json.loads((run_dir / "report.json").read_text())
+    assert json.loads(out) == sub["summary"]
+
+    # the subcommand's stages, its prerequisites included, as the run
+    # records them, and the keys those stages set
+    stages, _ = _SUBCOMMANDS[cmd]
+    assert [s["stage"] for s in sub["stages"]] == list(stages)
+    assert sub["stages"] == [s for s in run["stages"] if s["stage"] in stages]
+    assert all(s["status"] == "ok" for s in sub["stages"])
+    shared = set(sub) - {"stages", "checks", "verdicts", "summary"}
+    assert shared <= set(run)
+    assert {k: sub[k] for k in shared} == {k: run[k] for k in shared}
+
+    # its check rows are the run's rows from the same stages
+    assert sub["checks"] == [r for r in run["checks"]
+                             if _check_stage(r["check_id"]) in stages]
+    sub_csv = (sub_dir / "checks.csv").read_text().splitlines()
+    run_csv = (run_dir / "checks.csv").read_text().splitlines()
+    assert sub_csv == run_csv[:1] + [
+        line for line in run_csv[1:]
+        if _check_stage(line.split(",", 1)[0]) in stages]
+
+    # every other file it writes is byte-equal to the run's
+    others = {p.name for p in sub_dir.iterdir()} - {"report.json", "checks.csv"}
+    assert others == {"construct": {"hierarchy.svg"},
+                      "sweep": {"sweep.csv", "sweep.svg"},
+                      "energy": set()}[cmd]
+    for name in others:
+        assert (sub_dir / name).read_bytes() == (run_dir / name).read_bytes()
+
+    if cmd == "construct":
+        # one serialiser, DiscHierarchy.to_dict, for both documents
+        assert set(sub["hierarchy"]) == {"schedule", "a", "N", "theta", "d"}
+        assert sub["hierarchy"]["N"] == [9, 9, 9]
+        assert sub["checks"] and all(r["passed"] for r in sub["checks"])
+    elif cmd == "sweep":
+        lines = (sub_dir / "sweep.csv").read_text().splitlines()
+        assert lines[0] == "theta,k,cost,bound,margin" and len(lines) > 2
+    else:
+        energy = sub["energy"]
+        assert energy["mean"] > 0 and energy["capacity_lower_bound"] > 0
+        assert energy["capacity_lower_bound"] == 1.0 / energy["mean"]
+        assert energy["collisions_rejected"] == 0
+        # one stratum per divergence level; the mean is their p-weighted sum
+        assert [lv["level"] for lv in energy["levels"]] == [1, 2, 3]
+        assert sum(lv["pairs"] for lv in energy["levels"]) == 5000
+        assert energy["mean"] == pytest.approx(
+            sum(lv["p"] * lv["mean"] for lv in energy["levels"]), rel=1e-12)
+        assert sub["config"]["pairs"] == 5000 and sub["config"]["seed"] == 3
 
 
-def test_cli_construct_writes_the_run_hierarchy_svg(fast_svg_run):
-    assert (fast_svg_run / "construct" / "hierarchy.svg").read_bytes() == \
-        (fast_svg_run / "run" / "hierarchy.svg").read_bytes()
+@pytest.mark.parametrize("f", [
+    {"family": "powerlog", "delta": 0.5, "s": 0.5},
+    {"family": "table", "table": [[-10.0, -5.0], [-1.0, -0.6]]},
+])
+def test_cli_construct_needs_no_sweep_partner(f, tmp_path, capsys):
+    # the gauges stage cannot pick g for a non-power f, but construct
+    # reads only f: the failed prerequisite alone does not exit 2
+    code = cli_main(["construct", "--f", json.dumps(f), "--depth", "3",
+                     "--out", str(tmp_path)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "report.json").read_text())
+    stages = {s["stage"]: s["status"] for s in report["stages"]}
+    assert stages == {"gauges": "failed", "construct": "ok", "validate": "ok"}
 
 
-def test_cli_construct_writes_the_run_hierarchy(fast_svg_run):
-    # one serialiser, DiscHierarchy.to_dict, for both documents
-    doc = json.loads((fast_svg_run / "construct" / "hierarchy.json").read_text())
-    report = json.loads((fast_svg_run / "run" / "report.json").read_text())
-    assert set(report["hierarchy"]) == {"schedule", "a", "N", "theta", "d"}
-    assert doc["hierarchy"] == report["hierarchy"]
+def test_cli_construct_names_the_failed_construction(capsys):
+    # a dimension-zero gauge admits no shift: construct fails, validate is
+    # skipped, and the failures behind the skip are named
+    f = '{"family":"logpower","s":1.0}'
+    assert cli_main(["construct", "--f", f, "--depth", "3"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert "error: construct: no admissible start k1 <= 1000000" in err[-1]
+    assert all(line.startswith("error: ") for line in err)
+    # sweep asks for no construction of its own, yet its skip names it
+    assert cli_main(["sweep", "--f", f, "--g", '{"family":"power","s":0.5}',
+                     "--depth", "3"]) == 2
+    err = capsys.readouterr().err
+    assert "error: construct: no admissible start k1 <= 1000000" in err
 
 
-def test_cli_energy_draws_the_run_energy(fast_svg_run):
-    energy = json.loads((fast_svg_run / "energy" / "energy.json").read_text())
-    report = json.loads((fast_svg_run / "run" / "report.json").read_text())
-    for key in ("mean", "stderr", "capacity_lower_bound", "collisions_rejected",
-                "levels"):
-        assert energy[key] == report["energy"][key]
+def test_pipeline_rejects_unknown_stages():
+    with pytest.raises(ValueError, match=r"unknown stages: \['swep'\]"):
+        run_pipeline(parse_config(json.dumps(FAST)), stages=("construct", "swep"))
 
 
-def test_run_shells_svg_is_the_1024_shell_integral(fast_svg_run, monkeypatch):
+def test_cli_run_names_a_failed_stage(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise hierarchy.DiscCapExceeded("no energy today")
+
+    monkeypatch.setattr(measure, "mc_energy", refuse)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(FAST))
+    assert cli_main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: energy: no energy today\n"
+
+
+def test_run_shells_svg_is_the_1024_shell_integral(subcommand_runs, monkeypatch):
     # reference: a separate 1024-shell run of the integral condition
     monkeypatch.setattr(conditions, "SHELLS", 1024)
     f = power(0.5)
     shells = conditions.check_integral_condition(f, sweep_partner(f))
     assert len(shells.shell_sums) == 1024
-    assert (fast_svg_run / "run" / "shells.svg").read_text(encoding="utf-8") == \
+    root, _ = subcommand_runs
+    assert (root / "sweep" / "run" / "shells.svg").read_text(encoding="utf-8") == \
         render_shells_svg(shells.shell_sums)
 
 
