@@ -721,25 +721,74 @@ def test_cli_subcommand_writes_the_run_files(cmd, subcommand_runs):
     for name in others:
         assert (sub_dir / name).read_bytes() == (run_dir / name).read_bytes()
 
-    if cmd == "construct":
-        # one serialiser, DiscHierarchy.to_dict, for both documents
-        assert set(sub["hierarchy"]) == {"schedule", "a", "N", "theta", "d"}
-        assert sub["hierarchy"]["N"] == [9, 9, 9]
-        assert sub["checks"] and all(r["passed"] for r in sub["checks"])
-    elif cmd == "sweep":
-        lines = (sub_dir / "sweep.csv").read_text().splitlines()
-        assert lines[0] == "theta,k,cost,bound,margin" and len(lines) > 2
-    else:
-        energy = sub["energy"]
-        assert energy["mean"] > 0 and energy["capacity_lower_bound"] > 0
-        assert energy["capacity_lower_bound"] == 1.0 / energy["mean"]
-        assert energy["collisions_rejected"] == 0
-        # one stratum per divergence level; the mean is their p-weighted sum
-        assert [lv["level"] for lv in energy["levels"]] == [1, 2, 3]
-        assert sum(lv["pairs"] for lv in energy["levels"]) == 5000
-        assert energy["mean"] == pytest.approx(
-            sum(lv["p"] * lv["mean"] for lv in energy["levels"]), rel=1e-12)
-        assert sub["config"]["pairs"] == 5000 and sub["config"]["seed"] == 3
+
+def test_cli_construct(tmp_path):
+    code = cli_main(["construct", "--f", '{"family":"power","s":0.5}',
+                     "--depth", "3", "--out", str(tmp_path)])
+    assert code == 0
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc["hierarchy"]["N"] == [9, 9, 9]
+    assert doc["checks"] and all(r["passed"] for r in doc["checks"])
+    assert (tmp_path / "checks.csv").exists()
+
+
+def test_cli_sweep(tmp_path):
+    code = cli_main(["sweep", "--f", '{"family":"power","s":0.5}',
+                     "--depth", "4", "--angles", "64",
+                     "--out", str(tmp_path)])
+    assert code == 0
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines[0] == "theta,k,cost,bound,margin"
+
+
+def test_cli_energy(tmp_path):
+    code = cli_main(["energy", "--f", '{"family":"power","s":0.5}',
+                     "--depth", "3", "--pairs", "5000", "--seed", "3",
+                     "--out", str(tmp_path)])
+    assert code == 0
+    doc = json.loads((tmp_path / "report.json").read_text())["energy"]
+    assert doc["mean"] > 0 and doc["capacity_lower_bound"] > 0
+    assert doc["capacity_lower_bound"] == 1.0 / doc["mean"]
+    assert doc["collisions_rejected"] == 0
+    # one stratum per divergence level; the mean is their p-weighted sum
+    assert [lv["level"] for lv in doc["levels"]] == [1, 2, 3]
+    assert sum(lv["pairs"] for lv in doc["levels"]) == 5000
+    assert doc["mean"] == pytest.approx(
+        sum(lv["p"] * lv["mean"] for lv in doc["levels"]), rel=1e-12)
+
+
+def test_cli_sweep_writes_the_run_files(subcommand_runs):
+    root, _ = subcommand_runs
+    assert len((root / "sweep" / "run" / "sweep.csv").read_text()
+               .splitlines()) > 2
+    for name in ("sweep.csv", "sweep.svg"):
+        assert (root / "sweep" / "sweep" / name).read_bytes() == \
+            (root / "sweep" / "run" / name).read_bytes()
+
+
+def test_cli_construct_writes_the_run_hierarchy_svg(subcommand_runs):
+    root, _ = subcommand_runs
+    assert (root / "construct" / "construct" / "hierarchy.svg").read_bytes() == \
+        (root / "construct" / "run" / "hierarchy.svg").read_bytes()
+
+
+def test_cli_construct_writes_the_run_hierarchy(subcommand_runs):
+    # one serialiser, DiscHierarchy.to_dict, for both documents
+    root, _ = subcommand_runs
+    doc = json.loads((root / "construct" / "construct" / "report.json").read_text())
+    report = json.loads((root / "construct" / "run" / "report.json").read_text())
+    assert set(report["hierarchy"]) == {"schedule", "a", "N", "theta", "d"}
+    assert doc["hierarchy"] == report["hierarchy"]
+
+
+def test_cli_energy_draws_the_run_energy(subcommand_runs):
+    root, _ = subcommand_runs
+    energy = json.loads((root / "energy" / "energy" / "report.json").read_text())
+    report = json.loads((root / "energy" / "run" / "report.json").read_text())
+    for key in ("mean", "stderr", "capacity_lower_bound", "collisions_rejected",
+                "levels"):
+        assert energy["energy"][key] == report["energy"][key]
+    assert energy["config"]["pairs"] == 5000 and energy["config"]["seed"] == 3
 
 
 @pytest.mark.parametrize("f", [
