@@ -45,9 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauges import GaugeFunction, GaugeError, _ls_slope, log_ratio
-
-LOG2 = math.log(2.0)
+from .gauges import LOG2, GaugeFunction, GaugeError, _ls_slope, log_ratio
 
 FINITE = "finite"
 DIVERGENT = "divergent"
@@ -402,8 +400,8 @@ def _ratio_integrand(f: GaugeFunction, g: GaugeFunction, shift: float = 0.0):
     slowly varying part at its nodes as an optional second argument, for
     callers that hold it from another shift.
     """
-    d_alpha = f.power_part - g.power_part
-    g_alpha_shift = g.power_part * shift
+    d_alpha = f.exponents[0] - g.exponents[0]
+    g_alpha_shift = g.exponents[0] * shift
 
     def fn(v, f_slow=None):
         v = np.asarray(v, dtype=float)

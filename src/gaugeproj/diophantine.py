@@ -26,9 +26,8 @@ import numpy as np
 from .conditions import (BLOCK_NODES, ConditionVerdict, FINITE, DIVERGENT,
                          _block_logsumexp, _exp, _logsumexp, classify_log_tail,
                          check_integral_condition)
-from .gauges import GaugeFunction, GaugeError, _ls_slope, power_log, spec_float
-
-LOG2 = math.log(2.0)
+from .gauges import (LOG2, GaugeFunction, GaugeError, _ls_slope, power_log,
+                     spec_float)
 
 APPROX_FAMILIES = ("exp_power", "power_log_power", "pure_power")
 

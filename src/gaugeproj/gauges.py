@@ -1,16 +1,19 @@
 """Dimension (gauge) functions and their scaling diagnostics.
 
 A gauge is an increasing, continuous function f on (0, 1] with f(r) -> 0
-as r -> 0.  Four families are provided:
+as r -> 0.  The three closed families are one law, f(r) = r**alpha *
+(beta * (-logstar r))**lam, with the pair ``GaugeFunction.exponents``
+(beta = 1 outside powerlog):
 
-* ``power``      f(r) = r**s                        (s > 0)
-* ``logpower``   f(r) = (-logstar r)**(-s)          (s > 0)
-* ``powerlog``   f(r) = r**delta * (-beta*logstar r)**s   (beta > 0)
-* ``table``      monotone interpolation of (log r, log f) samples
+* ``power``      f(r) = r**s                              (s, 0),  s > 0
+* ``logpower``   f(r) = (-logstar r)**(-s)                (0, -s), s > 0
+* ``powerlog``   f(r) = r**delta * (-beta*logstar r)**s   (delta, s), beta > 0
+* ``table``      monotone interpolation of (log r, log f) samples, whose
+  log f must rise between its first two samples; (first-knot slope, 0)
 
 ``logstar r`` is log r for r < 1/2 and log(1/2) above, so every family is
-defined for all r > 0.  The powerlog family with s > 0 has an interior
-maximum at r = exp(-s/delta); values above that point are clamped to the
+defined for all r > 0.  With alpha, lam > 0 the law has an interior
+maximum at r = exp(-lam/alpha); values above that point are clamped to the
 maximum so the function stays (weakly) increasing.
 
 All deep evaluation happens in log coordinates: radii far below the
@@ -58,10 +61,8 @@ class GaugeFunction:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise GaugeError(f"unknown gauge family {self.family!r}")
-        if self.family == "power" and not self.s > 0:
-            raise GaugeError("power gauge needs s > 0")
-        if self.family == "logpower" and not self.s > 0:
-            raise GaugeError("logpower gauge needs s > 0")
+        if self.family in ("power", "logpower") and not self.s > 0:
+            raise GaugeError(f"{self.family} gauge needs s > 0")
         if self.family == "powerlog":
             if not self.beta > 0:
                 raise GaugeError("powerlog gauge needs beta > 0")
@@ -69,63 +70,81 @@ class GaugeFunction:
                 raise GaugeError("powerlog gauge needs delta >= 0")
             if self.delta == 0 and self.s >= 0:
                 raise GaugeError("powerlog with delta = 0 needs s < 0 to vanish at 0")
+        if self.family != "powerlog" and self.beta != 1.0:
+            raise GaugeError("beta belongs to the powerlog family")
         if self.family == "table":
             if self.table is None or len(self.table) < 2:
                 raise GaugeError("table gauge needs at least two (log r, log f) samples")
-            log_r = [p[0] for p in self.table]
-            log_f = [p[1] for p in self.table]
+            log_r, log_f = zip(*self.table)
             if any(b <= a for a, b in zip(log_r, log_r[1:])):
                 raise GaugeError("table log r values must be strictly increasing")
             if any(b < a for a, b in zip(log_f, log_f[1:])):
                 raise GaugeError("table log f values must be non-decreasing")
+            if log_f[1] == log_f[0]:
+                raise GaugeError("table log f must rise between its first two "
+                                 "samples, or f does not vanish at 0")
 
-    # -- clamp point of the powerlog family (log-radius of its maximum) ----
-    @property
+    @functools.cached_property
+    def exponents(self) -> tuple[float, float]:
+        """(alpha, lam) of the law f(r) = r**alpha * (beta*(-logstar r))**lam;
+        a table gives (first-knot slope, 0), its behaviour as r -> 0."""
+        if self.family == "power":
+            return (self.s, 0.0)
+        if self.family == "logpower":
+            return (0.0, -self.s)
+        if self.family == "powerlog":
+            return (self.delta, self.s)
+        (v0, f0), (v1, f1) = self.table[:2]
+        return ((f1 - f0) / (v1 - v0), 0.0)
+
+    @functools.cached_property
     def _clamp_v(self) -> float:
-        if self.family != "powerlog" or self.s <= 0 or self.delta <= 0:
-            return math.inf
-        v_m = -self.s / self.delta
+        """log r of the law's interior maximum, where alpha, lam > 0; inf
+        when there is none or it lies above the logstar cutoff."""
+        alpha, lam = self.exponents
+        v_m = -lam / alpha if alpha > 0 and lam > 0 else math.inf
         return v_m if v_m < LOG_HALF else math.inf
 
     @functools.cached_property
     def _clamp_peak(self) -> float:
-        """log f at the powerlog clamp point, its maximum."""
+        """log f at the clamp point, its maximum."""
         return self.log_value(self._clamp_v)
+
+    def _log_term(self, vc: np.ndarray) -> np.ndarray:
+        """lam * log(beta * max(-vc, LOG2)), step by step in place on a
+        fresh array, so each step is the float op of the formula."""
+        u = np.negative(vc, out=np.empty_like(vc))
+        np.maximum(u, LOG2, out=u)
+        if self.beta != 1.0:
+            np.multiply(self.beta, u, out=u)
+        np.log(u, out=u)
+        return np.multiply(self.exponents[1], u, out=u)
 
     def log_value(self, log_r):
         """log f(e**log_r), computed without forming e**log_r.
 
-        The logpower and powerlog formulas (in the comments) run step by
-        step in place on working arrays of their own, never on the
-        caller's array, so each step is the float op of the formula.
+        The law alpha * vc + lam * log(beta * max(-vc, LOG2)), with
+        vc = min(v, clamp), runs on working arrays of its own, never on the
+        caller's array; a term whose exponent is 0 is left out.
         """
         v = np.asarray(log_r, dtype=float)
-        if self.family == "power":
-            out = self.s * v
-        elif self.family == "logpower":
-            # -s * log(max(-v, LOG2))
-            out = np.negative(v, out=np.empty_like(v))
-            np.maximum(out, LOG2, out=out)
-            np.log(out, out=out)
-            np.multiply(-self.s, out, out=out)
-        elif self.family == "powerlog":
-            # delta * vc + s * log(beta * max(-vc, LOG2)),  vc = min(v, clamp)
-            vc = np.minimum(v, self._clamp_v, out=np.empty_like(v))
-            u = np.negative(vc, out=np.empty_like(vc))
-            np.maximum(u, LOG2, out=u)
-            np.multiply(self.beta, u, out=u)
-            np.log(u, out=u)
-            np.multiply(self.s, u, out=u)
-            out = np.multiply(self.delta, vc, out=vc)
-            np.add(out, u, out=out)
-        else:
+        alpha, lam = self.exponents
+        if self.family == "table":
             knots = np.asarray(self.table, dtype=float)
             out = np.interp(v, knots[:, 0], knots[:, 1])
             # linear extrapolation below the first knot; constant above the last
-            slope0 = (knots[1, 1] - knots[0, 1]) / (knots[1, 0] - knots[0, 0])
             below = v < knots[0, 0]
             if np.any(below):
-                out = np.where(below, knots[0, 1] + slope0 * (v - knots[0, 0]), out)
+                out = np.where(below, knots[0, 1] + alpha * (v - knots[0, 0]), out)
+        elif not lam:
+            out = alpha * v
+        else:
+            # vc is a working array only under a power factor, the one
+            # term that can clamp; it then holds alpha * vc and the sum
+            vc = np.minimum(v, self._clamp_v, out=np.empty_like(v)) if alpha else v
+            out = self._log_term(vc)
+            if alpha:
+                out = np.add(np.multiply(alpha, vc, out=vc), out, out=vc)
         return out if out.ndim else float(out)
 
     def dlog(self, log_r):
@@ -135,90 +154,70 @@ class GaugeFunction:
         maximum); this is what makes Stieltjes integrands vanish there.
         """
         v = np.asarray(log_r, dtype=float)
-        if self.family == "power":
-            out = np.full_like(v, self.s)
-        elif self.family == "logpower":
-            out = np.where(v < LOG_HALF, -self.s / np.minimum(v, -LOG2), 0.0)
-        elif self.family == "powerlog":
-            out = np.where(v < LOG_HALF, self.delta + self.s / np.minimum(v, -LOG2),
-                           self.delta)
-            out = np.where(v >= self._clamp_v, 0.0, out)
-        else:
+        alpha, lam = self.exponents
+        if self.family == "table":
             knots = np.asarray(self.table, dtype=float)
             slopes = np.diff(knots[:, 1]) / np.diff(knots[:, 0])
             idx = np.clip(np.searchsorted(knots[:, 0], v, side="right") - 1,
                           0, len(slopes) - 1)
-            out = slopes[idx]
-            out = np.where(v >= knots[-1, 0], 0.0, out)
+            out = np.where(v >= knots[-1, 0], 0.0, slopes[idx])
+        elif not lam:
+            out = np.full_like(v, alpha)
+        else:
+            out = np.where(v < LOG_HALF, alpha + lam / np.minimum(v, -LOG2), alpha)
+            if alpha:
+                out = np.where(v >= self._clamp_v, 0.0, out)
         return out if out.ndim else float(out)
 
-    @property
-    def power_part(self) -> float:
-        """The exponent alpha of the exact power factor in log f = alpha*v + phi(v)."""
-        if self.family == "power":
-            return self.s
-        if self.family == "powerlog":
-            return self.delta
-        if self.family == "table":
-            knots = self.table
-            return (knots[1][1] - knots[0][1]) / (knots[1][0] - knots[0][0])
-        return 0.0
-
     def log_value_slow(self, log_r):
-        """The slowly varying part phi(v) = log f(v) - power_part * v.
+        """The slowly varying part phi(v) = log f(v) - alpha * v.
 
         Kept separate so ratios of gauges sharing a power factor can be
         formed without catastrophic cancellation at extreme depths.
         """
         v = np.asarray(log_r, dtype=float)
-        if self.family == "power":
-            out = np.zeros_like(v)
-        elif self.family == "logpower":
-            out = np.asarray(self.log_value(v), dtype=float)
-        elif self.family == "powerlog":
-            vc = np.minimum(v, self._clamp_v)
-            u = np.maximum(-vc, LOG2)
-            out = self.s * np.log(self.beta * u) + self.delta * (vc - v)
-        else:
+        alpha, lam = self.exponents
+        if self.family == "table":
             knots = np.asarray(self.table, dtype=float)
-            alpha = self.power_part
             out = np.interp(v, knots[:, 0], knots[:, 1]) - alpha * v
             out = np.where(v < knots[0, 0], knots[0, 1] - alpha * knots[0, 0], out)
+        elif not lam:
+            out = np.zeros_like(v)
+        else:
+            vc = np.minimum(v, self._clamp_v) if alpha else v
+            out = self._log_term(vc)
+            if alpha:
+                out += alpha * (vc - v)
         return out if out.ndim else float(out)
 
     def log_value_deep(self, log_u):
         """log f(r) parametrised by w = log(-log r), for radii so deep that
         even log r overflows the float range.
 
-        Power-type factors honestly underflow to -inf there; log-type
-        factors stay linear in w.  Used by the series machinery, where
-        -log psi(q) can reach e**(tau * log q).
-
-        Only the families with a power factor form u = -log r = e**w, and
-        they take u = inf past w = 709 without calling exp, which is slow
-        near overflow; logpower reads w alone.
+        Power factors honestly underflow to -inf there; log factors stay
+        linear in w.  Used by the series machinery, where -log psi(q) can
+        reach e**(tau * log q).  Only alpha > 0 forms u = -log r = e**w,
+        taking u = inf past w = 709 without calling exp, which is slow near
+        overflow; with alpha = 0 the law reads w alone.
         """
         w = np.asarray(log_u, dtype=float)
-        if self.family == "logpower":
-            out = -self.s * np.maximum(w, math.log(LOG2))
-            return out if out.ndim else float(out)
-        v = -np.exp(w, out=np.full_like(w, np.inf), where=~(w > 709.0))
-        if self.family == "power":
-            out = self.s * v
-        elif self.family == "powerlog":
-            wl = np.maximum(w, math.log(LOG2))
-            radial = self.delta * v if self.delta else np.zeros_like(v)
-            out = radial + self.s * (math.log(self.beta) + wl)
-            if math.isfinite(self._clamp_v):
-                out = np.where(v >= self._clamp_v, self._clamp_peak, out)
-        else:
-            alpha = self.power_part
+        alpha, lam = self.exponents
+        if alpha:
+            v = -np.exp(w, out=np.full_like(w, np.inf), where=~(w > 709.0))
+        if self.family == "table":
             knots = np.asarray(self.table, dtype=float)
-            deep_const = knots[0, 1] - alpha * knots[0, 0]
-            radial = alpha * v if alpha else np.zeros_like(v)
             shallow = np.isfinite(v) & (v >= knots[0, 0])
             out = np.where(shallow, self.log_value(np.where(shallow, v, 0.0)),
-                           radial + deep_const)
+                           alpha * v + (knots[0, 1] - alpha * knots[0, 0]))
+        elif not lam:
+            out = alpha * v
+        else:
+            wl = np.maximum(w, math.log(LOG2))
+            out = lam * (math.log(self.beta) + wl) if self.beta != 1.0 else lam * wl
+            if alpha:
+                out = alpha * v + out
+                if math.isfinite(self._clamp_v):
+                    out = np.where(v >= self._clamp_v, self._clamp_peak, out)
         return out if out.ndim else float(out)
 
     def value(self, r):
@@ -333,7 +332,7 @@ def spec_float(doc: dict, key: str, default: float | None = None) -> float:
 def log_ratio(f: GaugeFunction, g: GaugeFunction, log_r):
     """log(f(r)/g(r)) formed stably even when f and g share a power factor."""
     v = np.asarray(log_r, dtype=float)
-    out = ((f.power_part - g.power_part) * v
+    out = ((f.exponents[0] - g.exponents[0]) * v
            + np.asarray(f.log_value_slow(v)) - np.asarray(g.log_value_slow(v)))
     return out if out.ndim else float(out)
 

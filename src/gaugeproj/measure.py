@@ -287,13 +287,14 @@ class FrostmanScan:
     samples: int
 
 
-def frostman_scan(m: NaturalMeasure, f: GaugeFunction, samples: int, seed: int,
+def frostman_scan(m: NaturalMeasure, samples: int, seed: int,
                   mass_scale: float = 1.0) -> FrostmanScan:
-    """Sample ratios mass(B(x, r)) / f(r) against the construction bound
-    C = max(8/(a*kappa), 1/a), with kappa the prefactor of f's doubling fit
-    (``f.doubling.kappa``; 1 for power gauges).  The ratios are compared
-    in log space, log mass - ``f.log_value(log r)`` against log C (to
-    1e-9 relative), so f(r) is never formed; ``c_emp`` is e**max.
+    """Sample ratios mass(B(x, r)) / f(r), f the gauge the hierarchy was
+    built from, against the construction bound C = max(8/(a*kappa), 1/a),
+    with kappa the prefactor of f's doubling fit (``f.doubling.kappa``; 1
+    for power gauges).  The ratios are compared in log space, log mass -
+    ``f.log_value(log r)`` against log C (to 1e-9 relative), so f(r) is
+    never formed; ``c_emp`` is e**max.
 
     x ranges over atoms, log r uniformly over [log r_depth, log r_0]; a
     deterministic probe at each level's first disc center, the center of
@@ -307,6 +308,7 @@ def frostman_scan(m: NaturalMeasure, f: GaugeFunction, samples: int, seed: int,
     of level k) and the masses equal :func:`ball_masses`' bit for bit.
     """
     h = m.hierarchy
+    f = h.gauge
     c_bound = max(8.0 / (h.a * f.doubling.kappa), 1.0 / h.a)
     rng = np.random.default_rng(seed)
     n_random = max(samples - m.depth, 0)

@@ -191,7 +191,7 @@ def _validate(run: _Run):
 
 
 def _frostman(run: _Run):
-    scan = measure.frostman_scan(run.m, run.f, run.config.scan_samples,
+    scan = measure.frostman_scan(run.m, run.config.scan_samples,
                                  seed=run.config.seed)
     run.check("Eq34", run.h.depth, scan.violations == 0,
               scan.c_bound - scan.c_emp, f"{scan.samples} samples")

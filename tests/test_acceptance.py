@@ -70,10 +70,10 @@ def test_criterion_2_frostman_suite(hierarchies):
     with criterion(2, "mass-bound scans: zero violations; scaled control violates"):
         for s, h in hierarchies.items():
             m = NaturalMeasure(h, h.depth)
-            scan = frostman_scan(m, h.gauge, 10_000, seed=101)
+            scan = frostman_scan(m, 10_000, seed=101)
             assert scan.violations == 0, f"s={s}: {scan.violations} violations"
             assert scan.c_bound == max(8.0 / h.a, 1.0 / h.a)
-            control = frostman_scan(m, h.gauge, 10_000, seed=101, mass_scale=10.0)
+            control = frostman_scan(m, 10_000, seed=101, mass_scale=10.0)
             assert control.violations >= 1, f"s={s}: control did not trip"
 
 

@@ -5,11 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gaugeproj import (GaugeError, GaugeFitError, codoubling_exponent,
-                       doubling_constant, doubling_exponent,
-                       doubling_roundtrip_violations, log_power,
-                       log_radius_grid, log_ratio, parse_gauge, power,
-                       power_log, tabulated)
+from gaugeproj import (GaugeError, GaugeFitError, GaugeFunction,
+                       codoubling_exponent, doubling_constant,
+                       doubling_exponent, doubling_roundtrip_violations,
+                       log_power, log_radius_grid, log_ratio, parse_gauge,
+                       power, power_log, tabulated)
 
 GRID = log_radius_grid()
 
@@ -100,6 +100,27 @@ def test_gauge_validation():
         tabulated([(-2.0, -1.0), (-1.0, -2.0)])  # decreasing log f
     with pytest.raises(GaugeError):
         tabulated([(-1.0, -1.0), (-1.0, -0.5)])  # non-increasing log r
+    # flat below the first knot, so f(r) does not vanish as r -> 0
+    with pytest.raises(GaugeError, match="rise between its first two"):
+        tabulated([(-20.0, -3.0), (-1.0, -3.0), (0.0, -1.0)])
+    with pytest.raises(GaugeError, match="powerlog family"):
+        GaugeFunction("logpower", s=1.0, beta=2.0)
+
+
+@pytest.mark.parametrize("g,want", [
+    (power(0.3), (0.3, 0.0)), (log_power(1.5), (0.0, -1.5)),
+    (power_log(0.5, 2.0, 0.25), (0.5, 2.0)), (power_log(0.0, -1.0), (0.0, -1.0)),
+    (tabulated([(-10.0, -4.0), (-2.0, -1.0), (0.0, -1.0)]), (0.375, 0.0))],
+    ids=["power", "logpower", "powerlog", "powerlog-delta0", "table"])
+def test_exponents_are_the_laws_pair(g, want):
+    assert g.exponents == want
+    if g.family != "table":
+        # log f = alpha * v + lam * log(beta * (-v)) below the logstar
+        # cutoff and the clamp (log r = -4 for powerlog(0.5, 2))
+        alpha, lam = want
+        v = np.linspace(-300.0, -5.0, 50)
+        assert np.allclose(g.log_value(v),
+                           alpha * v + lam * np.log(g.beta * -v), rtol=1e-13)
 
 
 def test_table_interpolation_log_linear():
@@ -317,20 +338,19 @@ def _log_value_deep_reference(f, log_u):
         if math.isfinite(f._clamp_v):
             out = np.where(v >= f._clamp_v, f.log_value(f._clamp_v), out)
     else:
-        alpha = f.power_part
+        alpha = f.exponents[0]
         knots = np.asarray(f.table, dtype=float)
         deep_const = knots[0, 1] - alpha * knots[0, 0]
-        radial = alpha * v if alpha else np.zeros_like(v)
         shallow = np.isfinite(v) & (v >= knots[0, 0])
         out = np.where(shallow, f.log_value(np.where(shallow, v, 0.0)),
-                       radial + deep_const)
+                       alpha * v + deep_const)
     return out if out.ndim else float(out)
 
 
 DEEP_GAUGES = [power(0.5), log_power(1.1), power_log(0.75, 1.5, 0.25),
                power_log(0.5, 2.0, 1.0), power_log(0.0, -1.0, 2.0),
                tabulated([(v, 0.4 * v) for v in (-400.0, -100.0, -10.0, -1.0, 0.0)]),
-               tabulated([(-5.0, -3.0), (0.0, -3.0)])]
+               tabulated([(-200.0, -100.0), (-100.0, -5.0), (-1.0, -5.0)])]
 
 
 @pytest.mark.parametrize("f", DEEP_GAUGES, ids=lambda f: f.family)

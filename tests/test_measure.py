@@ -394,27 +394,30 @@ def test_every_ball_mass_descends_once_per_chunk(m4, monkeypatch):
 
     rng = np.random.default_rng(9)
     xs, rs = m4.sample_atoms(20, rng), m4.hierarchy.radius(2) * rng.random(20)
-    f = m4.hierarchy.gauge
-    want_masses, want_scan = ball_masses(m4, xs, rs), frostman_scan(m4, f, 20, 9)
+    want_masses, want_scan = ball_masses(m4, xs, rs), frostman_scan(m4, 20, 9)
     monkeypatch.setattr(measure, "PROBE_CHUNK", 7)
     monkeypatch.setattr(measure, "_descend", counting_descend)
     assert ball_masses(m4, xs, rs).tobytes() == want_masses.tobytes()
     assert calls == [(7, (0, 7)), (7, (0, 7)), (6, (0, 6))]
     calls.clear()
-    assert frostman_scan(m4, f, 20, 9) == want_scan
+    assert frostman_scan(m4, 20, 9) == want_scan
     assert calls == [(7, (4, 7)), (7, (4, 7)), (6, (4, 6))]
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
 @pytest.mark.parametrize("s,depth", [(0.3, 8), (0.5, 9)])
 def test_ball_around_a_deep_atom_holds_its_mass(s, depth):
-    # the all-zero path's atom: the descent's absolute coordinates give
-    # 0.0 at power(0.3) depth 8 and 1.71e-9 at power(0.5) depth 9
+    # the ball of radius r_K addressed by the all-zero index path, as the
+    # Frostman scan's first-path probe reaches it, holds exactly that
+    # path's atom: mass 1/(N_1...N_K).  The descent's root-scale
+    # tolerance gives 0.0 at power(0.3) depth 8 and 1.71e-9 (3 atoms) at
+    # power(0.5) depth 9
     h = build_from_gauge(power(s), depth)
     m = NaturalMeasure(h, depth)
-    x = measure._path_centers(h, np.zeros((depth, 1), dtype=np.intp))[0]
-    assert ball_mass(m, x, h.radius(depth)) == pytest.approx(
-        1.0 / h.disc_count(depth), rel=1e-12)
+    paths = np.zeros((depth, 1), dtype=np.intp)
+    x = measure._path_centers(h, paths)
+    mass = measure._chunked_masses(m, x, np.array([h.radius(depth)]), paths)[0]
+    assert mass == pytest.approx(1.0 / h.disc_count(depth), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -422,14 +425,14 @@ def test_ball_around_a_deep_atom_holds_its_mass(s, depth):
 # ---------------------------------------------------------------------------
 
 def test_frostman_scan_zero_violations(m4):
-    scan = frostman_scan(m4, m4.hierarchy.gauge, 2000, seed=3)
+    scan = frostman_scan(m4, 2000, seed=3)
     assert scan.violations == 0
     assert scan.c_emp <= scan.c_bound
     assert scan.c_emp >= 1.0 / (2.0 * m4.hierarchy.a)  # scan sensitivity
 
 
 def test_frostman_negative_control(m4):
-    scan = frostman_scan(m4, m4.hierarchy.gauge, 2000, seed=3, mass_scale=10.0)
+    scan = frostman_scan(m4, 2000, seed=3, mass_scale=10.0)
     assert scan.violations >= 1
 
 
@@ -478,7 +481,7 @@ def test_frostman_scan_equals_sequential_reference(s, mass_scale, h03_depth5,
     h = {0.3: h03_depth5, 0.5: h05_depth5, 0.8: h08_depth5}[s]
     m = NaturalMeasure(h, 4)
     # more probes than one batch, so chunk boundaries are crossed
-    scan = frostman_scan(m, h.gauge, 2500, seed=13, mass_scale=mass_scale)
+    scan = frostman_scan(m, 2500, seed=13, mass_scale=mass_scale)
     assert scan == reference_scan(m, h.gauge, 2500, seed=13, mass_scale=mass_scale)
     assert scan.samples == 2500
     assert (scan.violations > 0) == (mass_scale > 1.0)
@@ -493,7 +496,7 @@ def test_frostman_scan_equals_per_child_reference_on_run_matrix(
     h = ({0.3: h03_depth5, 0.5: h05_depth5, 0.8: h08_depth5}[s] if depth == 5
          else build_from_gauge(power(s), depth))
     m = NaturalMeasure(h, depth)
-    scan = frostman_scan(m, h.gauge, 10_000, seed=1)
+    scan = frostman_scan(m, 10_000, seed=1)
     ref = reference_scan(m, h.gauge, 10_000, seed=1, batched=True)
     assert (scan.c_emp, scan.violations) == (ref.c_emp, ref.violations)
     assert scan.samples == 10_000 and scan.violations == 0
@@ -501,10 +504,10 @@ def test_frostman_scan_equals_per_child_reference_on_run_matrix(
 
 def test_frostman_scan_below_depth_keeps_first_path_probes(m4):
     f = m4.hierarchy.gauge
-    scan = frostman_scan(m4, f, 2, seed=1)
+    scan = frostman_scan(m4, 2, seed=1)
     assert scan.samples == m4.depth
     assert scan == reference_scan(m4, f, 2, seed=1)
-    assert scan == frostman_scan(m4, f, 0, seed=2)  # no random probes
+    assert scan == frostman_scan(m4, 0, seed=2)  # no random probes
 
 
 @pytest.mark.parametrize("fixture", ["h03_depth5", "h05_depth5", "h08_depth5"])
@@ -520,7 +523,7 @@ def test_frostman_fixed_probes_are_the_first_paths(fixture, request,
         return descend(m, x, r, paths)
 
     monkeypatch.setattr(measure, "_descend", recording_descend)
-    frostman_scan(m, h.gauge, 50, seed=4)
+    frostman_scan(m, 50, seed=4)
     (xs,) = seen
     for k in range(1, h.depth + 1):
         want = reference_first_path_center(h, k)
@@ -545,7 +548,7 @@ def recorded_scan(m, samples, seed, monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(measure, "_descend", recording_descend)
         mp.setattr(measure, "_start_levels", recording_start_levels)
-        frostman_scan(m, m.hierarchy.gauge, samples, seed)
+        frostman_scan(m, samples, seed)
     xs, rs, masses = (np.concatenate(parts) for parts in zip(*calls))
     return xs, rs, masses, np.concatenate(starts)
 
@@ -594,7 +597,7 @@ def test_frostman_bound_reads_kappa_from_the_gauge():
     # exceeds the power-gauge value 8/a
     f = power_log(0.5, 0.5)
     h = build_from_gauge(f, 4)
-    scan = frostman_scan(NaturalMeasure(h, 4), f, 2000, seed=1)
+    scan = frostman_scan(NaturalMeasure(h, 4), 2000, seed=1)
     kappa = f.doubling.kappa
     assert 0.0 < kappa < 1.0
     assert scan.c_bound == max(8.0 / (h.a * kappa), 1.0 / h.a)
@@ -606,7 +609,7 @@ def test_frostman_bound_reads_kappa_from_the_gauge():
 def test_frostman_scan_on_huge_hierarchy(h08_depth5):
     # depth-5 branching product is ~8.5e9 discs; the scan never materialises
     m = NaturalMeasure(h08_depth5, 5)
-    scan = frostman_scan(m, h08_depth5.gauge, 500, seed=11)
+    scan = frostman_scan(m, 500, seed=11)
     assert scan.violations == 0
 
 

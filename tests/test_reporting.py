@@ -606,6 +606,9 @@ def test_cli_read_errors_exit_2(argv, message, tmp_path, capsys):
     (["gap-report", "--delta", "0.5", "--s", "nan"], "positive finite"),
     (["classify", "--f", _POWER, "--psi", '{"family":"exp_power","tau":3}',
       "--blocks", "-5"], "block count"),
+    # flat below its first knot, so f does not vanish at 0
+    (["gauge-check", "--f", '{"family":"table","table":[[-20,-3],[-1,-3],[0,-1]]}'],
+     "log f must rise between its first two samples"),
 ])
 def test_cli_incomplete_specs_exit_2(argv, message, capsys):
     assert cli_main(argv) == 2
