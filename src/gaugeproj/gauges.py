@@ -112,12 +112,20 @@ class GaugeFunction:
 
     def _log_term(self, vc: np.ndarray) -> np.ndarray:
         """lam * log(beta * max(-vc, LOG2)), step by step in place on a
-        fresh array, so each step is the float op of the formula."""
+        fresh array, so each step is the float op of the formula.  Where
+        beta * -vc overflows (beta > 1, |vc| near the float range), the
+        log is log beta + log(-vc) instead, so log f stays finite."""
         u = np.negative(vc, out=np.empty_like(vc))
         np.maximum(u, LOG2, out=u)
         if self.beta != 1.0:
-            np.multiply(self.beta, u, out=u)
+            with np.errstate(over="ignore"):
+                np.multiply(self.beta, u, out=u)
         np.log(u, out=u)
+        if self.beta > 1.0:
+            over = np.isinf(u)
+            if over.any():
+                over &= np.isfinite(vc)
+                u[over] = math.log(self.beta) + np.log(-vc[over])
         return np.multiply(self.exponents[1], u, out=u)
 
     def log_value(self, log_r):

@@ -21,6 +21,7 @@ import functools
 import io
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -242,7 +243,11 @@ def _sweep(run: _Run):
     steps = [a - b for a, b in zip(bounds, bounds[1:])]
     run.check("Eq36trend", h.depth - 1, all(d > 0 for d in steps),
               min(steps, default=math.nan), "per-level budget sequence")
-    run.bundle["sweep"] = {"rows": len(run.sweep_rows), "bounds": bounds}
+    # the measured rows of each level 1 .. K - 1, zeros kept
+    per_level = Counter(r.k for r in table.rows)
+    run.bundle["sweep"] = {"rows": len(run.sweep_rows),
+                           "levels": [per_level[k] for k in range(1, h.depth)],
+                           "bounds": bounds}
 
 
 # why a stage is skipped: the first value it reads that the run lacks

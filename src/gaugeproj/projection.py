@@ -5,8 +5,12 @@ diameter, so projecting a disc cover and merging overlaps yields an
 interval cover whose gauge cost upper-bounds the projected set's cover
 cost at that mesh.  The direction sweep marks, in one table over an angle
 grid, the construction levels whose placement arc contains each projection
-direction; each level climbs to the root once for all its angles, and the
-measured cover costs are compared against its budget 8a g(r_{k+1}) / f(r_k).
+direction; one climb to the root serves every (angle, level) row, and each
+measured cover cost is compared against its level's budget
+8a g(r_{k+1}) / f(r_k).  A row whose pattern the climb proves to be one
+interval (one child piece, and translates that overlap or touch pairwise
+at every level from its own down to its last merge) is costed from its
+hull and never built.
 
 Costs reported here are upper bounds for one admissible cover; no
 infimum claim is made.
@@ -119,51 +123,90 @@ class LevelProjection:
     copies: int
 
 
-def _climb(h: DiscHierarchy, thetas: np.ndarray, level: int):
-    """:func:`project_hierarchy` at every angle of ``thetas`` at once: each
-    row's pattern hull [lo, hi], its last merge level (N_1 ... N_{last - 1}
-    copies) and a generator of (row, lo, hi) building the other rows' patterns
-    one row at a time.  Rounding is monotone, so merged translates span what
-    counted ones would: all disjointness tests run before any row is built.
+def _climb(h: DiscHierarchy, thetas: np.ndarray, levels: np.ndarray):
+    """:func:`project_hierarchy` at every (angle, level) row at once, in one
+    pass up the levels: each row's pattern hull [lo, hi], its last merge
+    level (N_1 ... N_{last - 1} copies) and a generator of (row, lo, hi)
+    building the patterns the climb cannot prove to be one interval, one
+    row at a time.
+
+    Level j projects the steps of every row with level >= j once: a row
+    whose level is j starts its child pattern there, and the others test
+    their translates.  Rounding is monotone, so merged translates span what
+    counted ones would, and all disjointness tests run before any row is
+    built.  A one-piece child pattern whose translates overlap or touch
+    pairwise at every level from its own down to j is one interval at j,
+    bit for bit its hull: that is the test the merge itself makes.  A row
+    is built only when it has several child pieces, or merges translates
+    at or below the level where that chain breaks.
     """
-    def projected(j):  # rows sorted; math.cos gives one angle's bits
-        cos = [math.cos(x) for x in (h.d[j - 1] - thetas).tolist()]
+    def projected(j, th):  # rows sorted; math.cos gives one angle's bits
+        cos = [math.cos(x) for x in (h.d[j - 1] - th).tolist()]
         return np.sort(np.multiply.outer(cos, h.offsets(j)), axis=1)
 
-    steps = {j: projected(j) for j in range(1, level + 1)}
-    r = h.radius(level)
-    c_lo, c_hi = steps[level] - r, steps[level] + r  # c_hi is the running max
-    pieces = 1 + np.count_nonzero(c_lo[:, 1:] > c_hi[:, :-1], axis=1)
-    span = np.stack([c_lo[:, 0], c_hi[:, -1]], axis=1)  # [lo, hi] per row
-    hull = span.copy()
-    # [row, j]: the row merges at level j; at `level`, its child pattern
-    merges = np.tile(np.arange(level + 1) == level, (len(thetas), 1))
-    for j in range(level - 1, 0, -1):
-        s = steps[j]
-        hit = merges[:, j] = ~(s[:, 1:] + span[:, :1]
-                               > s[:, :-1] + span[:, 1:]).all(axis=1)
-        span += s[:, [0, -1]]
-        np.copyto(hull, span, where=hit[:, None])
-    last = merges.argmax(axis=1).tolist()  # the first True; column 0 never is
+    # deepest rows first, so the rows with level >= j are a prefix
+    order = np.argsort(-levels, kind="stable")
+    th, lv = thetas[order], levels[order]
+    top = int(lv.max(initial=0))
+    span = np.empty((len(lv), 2))   # [lo, hi] per row, in its ancestor's frame
+    hull = np.empty((len(lv), 2))
+    # [row, j]: the row merges its translates at level j, or some of them
+    # have a gap there; at its own level, the child pattern is merged and
+    # has a gap between pieces.  Column 0 is a sentinel gap.
+    merges = np.zeros((len(lv), top + 1), dtype=bool)
+    gaps = np.zeros((len(lv), top + 1), dtype=bool)
+    gaps[:, 0] = True
+    counts = np.bincount(lv, minlength=top + 1).tolist()
+    steps, child, n = {}, {}, 0
+    for j in range(top, 0, -1):
+        # rows [0, n_old) climb through level j, rows [n_old, n) start there
+        n_old, n = n, n + counts[j]
+        steps[j] = projected(j, th[:n])
+        if n_old:
+            s, sp = steps[j][:n_old], span[:n_old]
+            gap = s[:, 1:] + sp[:, :1] > s[:, :-1] + sp[:, 1:]
+            hit = merges[:n_old, j] = ~gap.all(axis=1)
+            gaps[:n_old, j] = gap.any(axis=1)
+            sp += s[:, [0, -1]]
+            np.copyto(hull[:n_old], sp, where=hit[:, None])
+        if n > n_old:
+            r = h.radius(j)
+            c_lo, c_hi = steps[j][n_old:] - r, steps[j][n_old:] + r  # c_hi: running max
+            pieces = 1 + np.count_nonzero(c_lo[:, 1:] > c_hi[:, :-1], axis=1)
+            span[n_old:n, 0], span[n_old:n, 1] = c_lo[:, 0], c_hi[:, -1]
+            hull[n_old:n] = span[n_old:n]
+            merges[n_old:n, j] = True
+            gaps[n_old:n, j] = pieces > 1
+            child[j] = (n_old, c_lo, c_hi, pieces)
+    # a pattern whose lowest merge level lies above its highest gap level
+    # is one interval, its hull; only the other rows are built
+    last = merges.argmax(axis=1)
+    build = last <= top - gaps[:, ::-1].argmax(axis=1)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
 
     def built():
-        for a in np.flatnonzero((np.array(last) < level) | (pieces > 1)).tolist():
-            js = np.flatnonzero(merges[a, :level])[::-1].tolist()
-            p_lo, p_hi = ((c_lo[a, :1], c_hi[a, -1:]) if pieces[a] == 1
-                          else _merge_array(c_lo[a], c_hi[a]))
+        for a in np.flatnonzero(build[rank]).tolist():
+            i = int(rank[a])
+            level = int(lv[i])
+            js = np.flatnonzero(merges[i, :level])[::-1].tolist()
+            n_old, c_lo, c_hi, pieces = child[level]
+            c_lo, c_hi = c_lo[i - n_old], c_hi[i - n_old]
+            p_lo, p_hi = ((c_lo[:1], c_hi[-1:]) if pieces[i - n_old] == 1
+                          else _merge_array(c_lo, c_hi))
             for j, m in zip(js, [level] + js):
                 size = len(p_lo) * math.prod(h.counts[j - 1:m - 1])
                 if size > hierarchy.DISC_CAP:
                     raise DiscCapExceeded(
-                        f"projecting level {level} at angle {float(thetas[a])!r} "
+                        f"projecting level {level} at angle {float(th[i])!r} "
                         f"would merge {size} intervals, over the cap of "
                         f"{hierarchy.DISC_CAP}")
-                for i in range(m - 1, j - 1, -1):  # inner level first
-                    p_lo = np.add.outer(steps[i][a], p_lo).ravel()
-                    p_hi = np.add.outer(steps[i][a], p_hi).ravel()
+                for k in range(m - 1, j - 1, -1):  # inner level first
+                    p_lo = np.add.outer(steps[k][i], p_lo).ravel()
+                    p_hi = np.add.outer(steps[k][i], p_hi).ravel()
                 p_lo, p_hi = _merge_array(p_lo, p_hi)
             yield a, p_lo, p_hi
-    return hull[:, 0], hull[:, 1], last, built()
+    return hull[rank, 0], hull[rank, 1], last[rank].tolist(), built()
 
 
 def project_hierarchy(h: DiscHierarchy, theta: float, level: int) -> LevelProjection:
@@ -173,18 +216,20 @@ def project_hierarchy(h: DiscHierarchy, theta: float, level: int) -> LevelProjec
     so the pattern is merged once.  Climbing towards the root, each level
     translates the current pattern by its sorted projected offsets: when
     adjacent translates are disjoint (touching endpoints merge, as in the
-    merge itself) they are only counted, and only overlapping translates
-    are materialised, together with the counted levels below them, and
-    merged.  Every coordinate is relative to an ancestor, never the origin.
-    A merge of more than ``hierarchy.DISC_CAP`` intervals raises
-    :class:`DiscCapExceeded` before anything is built.  One angle of
-    the sweep's climb.
+    merge itself) they are only counted; when they overlap or touch pairwise
+    and the pattern is one interval, the merge is one interval, their hull;
+    only other overlapping translates are materialised, together with the
+    counted levels below them, and merged.  Every coordinate is relative to
+    an ancestor, never the origin.  A merge of more than
+    ``hierarchy.DISC_CAP`` intervals raises :class:`DiscCapExceeded` before
+    anything is built.  The one-row case of the sweep's climb.
     """
     if not math.isfinite(theta):
         raise GaugeError("projection angle must be finite")
     if not 1 <= level <= h.depth:
         raise GaugeError("level must lie within the built hierarchy")
-    lo, hi, last, built = _climb(h, np.array([theta], dtype=float), level)
+    lo, hi, last, built = _climb(h, np.array([theta], dtype=float),
+                                 np.array([level]))
     _, lo, hi = next(built, (0, lo, hi))
     return LevelProjection(IntervalCover(lo, hi), h.disc_count(last[0] - 1))
 
@@ -246,10 +291,12 @@ def sweep_directions(h: DiscHierarchy, g: GaugeFunction, theta_grid) -> SweepTab
 
     ``theta_grid`` is either an integral count (uniform grid on [0, pi))
     or explicit finite angles.  One arc table picks the rows, θ-major, and
-    each level climbs once over all its angles (see :func:`project_hierarchy`).
-    Every row is measured: its cost is the pattern's cover cost times its
-    count of disjoint copies, so no level is too deep to sweep.  Each level's
-    budget is computed once and kept in ``SweepTable.bounds``.
+    one climb serves them all, one projected-steps pass per level (see
+    :func:`project_hierarchy`); a row proved to be one interval is costed
+    from its hull in the one ``g.log_value`` call, and only the others are
+    built.  Every row is measured: its cost is the pattern's cover cost
+    times its count of disjoint copies, so no level is too deep to sweep.
+    Each level's budget is computed once and kept in ``SweepTable.bounds``.
     """
     if isinstance(theta_grid, bool):
         raise GaugeError("angle grid must be a point count or a sequence of angles")
@@ -263,20 +310,16 @@ def sweep_directions(h: DiscHierarchy, g: GaugeFunction, theta_grid) -> SweepTab
     angles = np.array(thetas)
     table = _arc_table(h, angles)
     bounds = tuple(eq35_bound(h, g, k) for k in range(1, h.depth))
-    costs = np.zeros(table.shape)
-    for k in (np.flatnonzero(table.any(axis=0)) + 1).tolist():
-        at = np.flatnonzero(table[:, k - 1])
-        lo, hi, last, built = _climb(h, angles[at], k + 1)
-        # one g call for every row; rows with several intervals are redone
-        cost = np.exp(np.asarray(g.log_value(np.log(hi - lo)), dtype=float))
-        for a, p_lo, p_hi in built:
-            if len(p_lo) > 1:
-                cost[a] = cover_cost(g, IntervalCover(p_lo, p_hi))
-        costs[at, k - 1] = [float(h.disc_count(m - 1)) for m in last] * cost
-    at, ks = np.nonzero(table)
-    rows = tuple(SweepRow(thetas[a], k + 1, cost, bounds[k], bounds[k] - cost)
-                 for a, k, cost in zip(at.tolist(), ks.tolist(),
-                                       costs[at, ks].tolist()))
+    at, ks = np.nonzero(table)  # θ-major rows; row (a, k) projects level k + 1
+    lo, hi, last, built = _climb(h, angles[at], ks + 2)
+    # one g call for every row; rows with several intervals are redone
+    cost = np.exp(np.asarray(g.log_value(np.log(hi - lo)), dtype=float))
+    for a, p_lo, p_hi in built:
+        if len(p_lo) > 1:
+            cost[a] = cover_cost(g, IntervalCover(p_lo, p_hi))
+    cost = [float(h.disc_count(m - 1)) for m in last] * cost
+    rows = tuple(SweepRow(thetas[a], k + 1, c, bounds[k], bounds[k] - c)
+                 for a, k, c in zip(at.tolist(), ks.tolist(), cost.tolist()))
     return SweepTable(rows, bounds)
 
 

@@ -157,6 +157,23 @@ def test_log_ratio_stable_at_extreme_depth():
     assert log_ratio(f, g, v) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("s", [2.0, -1.0])
+def test_log_term_stays_finite_where_beta_times_log_r_overflows(s):
+    # beta |log r| = 3.4e308 overflows; log f = 0.5 log r + s log(beta |log r|)
+    g = power_log(0.5, s, 2.0)
+    v = -1.7e308
+    want = 0.5 * v + s * (math.log(2.0) + math.log(-v))
+    for arg in (v, np.array([v, -1e308])):
+        got = np.atleast_1d(g.log_value(arg))
+        assert np.all(np.isfinite(got))
+        assert got[0] == pytest.approx(want, rel=1e-15)
+    assert g.log_value_slow(v) == pytest.approx(s * (math.log(2.0) + math.log(-v)),
+                                                rel=1e-15)
+    # below the overflow the formula's own float ops are kept
+    assert g.log_value(-1e300) == 0.5 * -1e300 + s * math.log(2.0 * 1e300)
+
+
 # ---------------------------------------------------------------------------
 # Scaling exponent fits
 # ---------------------------------------------------------------------------

@@ -451,6 +451,104 @@ def test_overlap_guard_boundary(monkeypatch):
     assert project_hierarchy(h, 0.0, 2).copies == h.counts[0]
 
 
+def _translated_pattern(h, theta, level, top):
+    """The merged projection of one level-(top - 1) disc's level-`level`
+    descendants, in that disc's frame: the child intervals translated by
+    each level's sorted projected offsets and merged at every level from
+    `level` up to `top`, with no copy counted and no hull taken."""
+    lo = hi = None
+    for j in range(level, top - 1, -1):
+        step = np.sort(math.cos(h.d[j - 1] - theta) * h.offsets(j))
+        if lo is None:
+            lo, hi = step - h.radius(level), step + h.radius(level)
+        else:
+            lo, hi = np.add.outer(step, lo).ravel(), np.add.outer(step, hi).ravel()
+        order = np.argsort(lo, kind="stable")
+        lo, running = lo[order], np.maximum.accumulate(hi[order])
+        starts = np.flatnonzero(np.append(True, lo[1:] > running[:-1]))
+        lo, hi = lo[starts], running[np.append(starts[1:], len(lo)) - 1]
+    return tuple(zip(lo.tolist(), hi.tolist()))
+
+
+def test_partly_overlapping_translates_are_built(h08_depth5, monkeypatch):
+    # where a level's translates turn from disjoint to overlapping, rounding
+    # leaves some adjacent pairs overlapping and others apart; bisecting
+    # the (copies, one interval) state over each placement arc down to
+    # adjacent floats finds such angles, e.g. theta = 1.5712106249285243
+    # (level 2: 83 intervals), 1.5786143321447266 (level 4: 86 copies of 2)
+    # and 1.5818913439839717 (level 5: 7 912 copies of 5).  Their pattern
+    # is not one interval, so it must be built, not taken for its hull.
+    h = h08_depth5
+    monkeypatch.setattr(hierarchy, "DISC_CAP", 100_000)  # skip heavy merges
+
+    def state(theta, level):
+        try:
+            pr = project_hierarchy(h, theta, level)
+        except DiscCapExceeded:
+            return None
+        return pr.copies, len(pr.pattern.lo) == 1
+
+    starts = (0.0,) + h.d[:-1]  # arc k spans [d_k, d_k + theta_{k+1}]
+    partial = set()
+    for k in range(h.depth):
+        grid = [starts[k] + u * h.theta[k] + math.pi / 2 for u in np.linspace(0, 1, 9)]
+        for level in range(2, h.depth + 1):
+            states = [state(t, level) for t in grid]
+            for a, b, sa, sb in zip(grid, grid[1:], states, states[1:]):
+                if sa == sb or None in (sa, sb):
+                    continue
+                while (a + b) / 2 not in (a, b):
+                    if state((a + b) / 2, level) == sa:
+                        a = (a + b) / 2
+                    else:
+                        b = (a + b) / 2
+                for theta in (a, b):
+                    pr = project_hierarchy(h, theta, level)
+                    # the pattern lives in the frame of a level top - 1 disc
+                    top = [h.disc_count(m) for m in range(level)].index(pr.copies) + 1
+                    assert (pr.pattern.intervals
+                            == _translated_pattern(h, theta, level, top)), (theta, level)
+                    if len(pr.pattern.lo) > 1:
+                        partial.add((theta, level, pr.copies))
+    assert len(partial) >= 6
+    assert {lv for _, lv, _ in partial} == {2, 3, 4, 5}
+    assert any(c == 1 for *_, c in partial) and any(c > 1 for *_, c in partial)
+
+
+@pytest.mark.parametrize("theta,level,copies,pieces", [
+    (1.5712106249285243, 2, 1, 83),
+    (1.5786143321447266, 4, 86, 2),
+    (1.5818913439839717, 5, 86 * 92, 5),
+])
+def test_partial_overlap_angles_keep_their_pieces(h08_depth5, theta, level,
+                                                  copies, pieces):
+    # angles the bisection above finds: some adjacent translates overlap
+    # and others do not, so the pattern has several pieces, not one hull
+    pr = project_hierarchy(h08_depth5, theta, level)
+    assert (pr.copies, len(pr.pattern.lo)) == (copies, pieces)
+    top = [h08_depth5.disc_count(m) for m in range(level)].index(copies) + 1
+    assert pr.pattern.intervals == _translated_pattern(h08_depth5, theta, level, top)
+
+
+@pytest.mark.parametrize("s,depth", [(0.5, 6), (0.8, 5)])
+def test_arc_sweep_rows_build_no_pattern(s, depth, monkeypatch):
+    # the grid and arc angles the arc-sweep benchmark sweeps: every row's
+    # pattern is provably one interval, so no row is built or merged
+    h = build_from_gauge(power(s), depth)
+    thetas = [i * math.pi / 256 for i in range(256)] + [t for t, _ in _arc_angles(h)]
+    merges = []
+    merge = projection._merge_array
+    monkeypatch.setattr(projection, "_merge_array",
+                        lambda lo, hi: merges.append(len(lo)) or merge(lo, hi))
+    table = sweep_directions(h, sweep_partner(h.gauge), thetas)
+    assert {r.k for r in table.rows} == set(range(1, depth))
+    assert merges == []
+    # the same rows one angle at a time merge nothing either
+    for r in table.rows:
+        assert len(project_hierarchy(h, r.theta, r.k + 1).pattern.lo) == 1
+    assert merges == []
+
+
 def _one_angle_rows(h, g, thetas):
     """Sweep rows from the one-angle calls, angle by angle."""
     rows = []

@@ -161,6 +161,20 @@ def test_summary_eq32_is_its_worst_level(s, depth):
     assert margins["Eq32"] == 1e-9 - max(resid)
 
 
+@pytest.mark.parametrize("s,depth", [(s, d) for s in (0.3, 0.5, 0.8) for d in (4, 5)])
+def test_sweep_block_counts_the_rows_of_each_level(s, depth):
+    # sweep.levels[k - 1] is level k's count of measured rows, zeros kept
+    cfg = parse_config(json.dumps({"f": {"family": "power", "s": s},
+                                   "depth": depth, "seed": 1}))
+    sweep = run_pipeline(cfg, stages=("sweep",)).bundle["sweep"]
+    table = projection.sweep_directions(build_from_gauge(power(s), depth),
+                                        sweep_partner(power(s)), cfg.angles)
+    assert sweep["levels"] == [sum(r.k == k for r in table.rows)
+                               for k in range(1, depth)]
+    assert sum(sweep["levels"]) == sweep["rows"] == len(table.rows)
+    assert list(sweep) == ["rows", "levels", "bounds"]
+
+
 def test_summary_margin_is_null_only_without_a_finite_margin():
     rows = [{"check_id": "Eq35", "margin": math.nan},
             {"check_id": "Eq20", "margin": math.nan},
