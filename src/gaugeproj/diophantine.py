@@ -34,7 +34,9 @@ APPROX_FAMILIES = ("exp_power", "power_log_power", "pure_power")
 
 @dataclass(frozen=True)
 class ApproxFunction:
-    """A decreasing approximation-rate function of the integer denominator."""
+    """A decreasing approximation-rate function psi of the integer
+    denominator q, with one parametrisation, :meth:`log_depth`: log(-log
+    psi(q)) in log q, finite even for rates as steep as exp(-q**tau)."""
 
     family: str
     tau: float
@@ -44,17 +46,6 @@ class ApproxFunction:
             raise GaugeError(f"unknown approximation family {self.family!r}")
         if not self.tau > 0:
             raise GaugeError("rate exponent tau must be positive")
-
-    def log_psi(self, log_q):
-        """log psi(q) as a function of log q (may be -inf for steep rates)."""
-        lq = np.asarray(log_q, dtype=float)
-        if self.family == "exp_power":
-            out = -np.exp(np.minimum(self.tau * lq, 709.0))
-        elif self.family == "power_log_power":
-            out = -self.tau * (lq + np.log(lq))
-        else:
-            out = -self.tau * lq
-        return out if out.ndim else float(out)
 
     def log_depth(self, log_q):
         """log(-log psi(q)): the stable parametrisation for steep rates."""
@@ -113,8 +104,10 @@ def _check_monotone_premise(f: GaugeFunction, psi: ApproxFunction, k: int,
                             n_blocks: int) -> None:
     # r**-k f(r) must be monotone over the sampled psi range
     lq = LOG2 * np.arange(1, min(n_blocks, 64) + 1, dtype=float)
-    t = np.asarray(f.log_value_deep(psi.log_depth(lq)), dtype=float)
-    vals = t - k * np.asarray(psi.log_psi(lq), dtype=float)
+    depth = psi.log_depth(lq)
+    # log(r**-k f(r)) at r = psi(q), where log r = -exp(depth), capped
+    vals = (np.asarray(f.log_value_deep(depth), dtype=float)
+            + k * np.exp(np.minimum(depth, 709.0)))
     vals = vals[np.isfinite(vals)]
     d = np.diff(vals)
     if len(d) and not (np.all(d >= -1e-9) or np.all(d <= 1e-9)):

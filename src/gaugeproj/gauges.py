@@ -152,6 +152,10 @@ class GaugeFunction:
             vc = np.minimum(v, self._clamp_v, out=np.empty_like(v)) if alpha else v
             out = self._log_term(vc)
             if alpha:
+                # at r = 0 the power factor wins: -inf, not -inf + inf; the
+                # min keeps the mask out of the common case
+                if lam > 0 and not vc.min(initial=math.inf) > -math.inf:
+                    np.copyto(out, 0.0, where=np.isneginf(vc))
                 out = np.add(np.multiply(alpha, vc, out=vc), out, out=vc)
         return out if out.ndim else float(out)
 
@@ -195,7 +199,8 @@ class GaugeFunction:
             vc = np.minimum(v, self._clamp_v) if alpha else v
             out = self._log_term(vc)
             if alpha:
-                out += alpha * (vc - v)
+                # alpha * (vc - v), written so that r = 0 adds 0, not NaN
+                out += alpha * np.minimum(self._clamp_v - v, 0.0)
         return out if out.ndim else float(out)
 
     def log_value_deep(self, log_u):
@@ -220,7 +225,10 @@ class GaugeFunction:
         elif not lam:
             out = alpha * v
         else:
-            wl = np.maximum(w, math.log(LOG2))
+            # past w = 709 a power factor is -inf whatever the log term, so
+            # w is capped there: r = 0 (w = inf) gives -inf, not NaN
+            wl = (np.clip(w, math.log(LOG2), 709.0) if alpha
+                  else np.maximum(w, math.log(LOG2)))
             out = lam * (math.log(self.beta) + wl) if self.beta != 1.0 else lam * wl
             if alpha:
                 out = alpha * v + out

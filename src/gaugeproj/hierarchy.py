@@ -291,17 +291,17 @@ class DiscHierarchy:
 
 
 def build_hierarchy(f: GaugeFunction, schedule: RadiusSchedule,
-                    branching: BranchingPlan, theta="default") -> DiscHierarchy:
+                    branching: BranchingPlan, theta=None) -> DiscHierarchy:
     """Assemble the hierarchy from a schedule and branching plan.
 
-    ``theta`` is either "default" (increments r_{k+1}/r_k) or a sequence
-    of K placement-angle increments.  Construction itself is O(sum N_k);
-    no center is materialised.
+    ``theta`` is either None, for the increments r_{k+1}/r_k, or a
+    sequence (list, tuple or 1-d array) of K placement-angle increments.
+    Construction itself is O(sum N_k); no center is materialised.
     """
     K = schedule.depth
     if len(branching.counts) != K:
         raise BranchingError("branching counts must match the schedule depth")
-    if theta == "default":
+    if theta is None:
         lr = schedule.log_r
         th = tuple(math.exp(lr[k + 1] - lr[k]) for k in range(K))
     else:

@@ -378,6 +378,13 @@ def _mean_stderr(vals: np.ndarray) -> tuple[float, float]:
     return mean, std / math.sqrt(len(vals))
 
 
+def _stratified(levels) -> tuple[float, float]:
+    """The stratified estimate over ``LevelEnergy`` strata: sum_k p_k mean_k
+    with standard error sqrt(sum_k (p_k stderr_k)**2)."""
+    return (sum(lv.p * lv.mean for lv in levels),
+            math.sqrt(sum((lv.p * lv.stderr) ** 2 for lv in levels)))
+
+
 def discrete_energy(f: GaugeFunction, points, masses=None) -> float:
     """Exact off-diagonal double sum of m_i m_j / f(|x_i - x_j|).
 
@@ -505,12 +512,12 @@ def mc_energy_atoms(f: GaugeFunction, points, masses, pairs: int,
 
 def mc_energy(f: GaugeFunction, m: NaturalMeasure, pairs: int,
               seed: int) -> EnergyEstimate:
-    """Monte Carlo estimate of the natural measure's energy for gauge f:
-    sum_k p_k mean_k over the levels of :func:`divergence_pairs`, the
-    off-diagonal double sum :func:`discrete_energy` computes on the atoms,
-    with stderr sqrt(sum_k p_k**2 stderr_k**2).  A pair costs one uniform
-    draw per level from that level's ordered-pair step table.  No pair
-    coincides, so ``collisions_rejected`` is 0."""
+    """Monte Carlo estimate of the natural measure's energy for gauge f,
+    the off-diagonal double sum :func:`discrete_energy` computes on the
+    atoms: one ``LevelEnergy`` stratum of 1/f per level of
+    :func:`divergence_pairs`, reduced by :func:`_stratified`.  A pair costs
+    one uniform draw per level from that level's ordered-pair step table.
+    No pair coincides, so ``collisions_rejected`` is 0."""
     _require_pairs(pairs)
     rng = np.random.default_rng(seed)
     levels = []
@@ -518,9 +525,7 @@ def mc_energy(f: GaugeFunction, m: NaturalMeasure, pairs: int,
         # the moduli overwrite the stratum's real parts, read once
         vals = f.reciprocal(np.abs(dz, out=dz.real))
         levels.append(LevelEnergy(k, p, len(dz), *_mean_stderr(vals)))
-    mean = sum(lv.p * lv.mean for lv in levels)
-    stderr = math.sqrt(sum((lv.p * lv.stderr) ** 2 for lv in levels))
-    return EnergyEstimate(mean, stderr, pairs, 0, tuple(levels))
+    return EnergyEstimate(*_stratified(levels), pairs, 0, tuple(levels))
 
 
 def potential(f: GaugeFunction, m: NaturalMeasure, x, pairs: int,

@@ -22,7 +22,7 @@ import io
 import json
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import conditions, gauges, hierarchy, measure, projection
@@ -32,7 +32,9 @@ from .svgreport import render_hierarchy_svg, render_shells_svg, render_sweep_svg
 SWEEP_PARTNER_LOG_EXPONENT = 0.15
 SHELLS_DRAWN = 1024  # dyadic shells in shells.svg
 AVERAGED_PAIRS = 100_000  # most pairs the averaged projection draws
-SWEEP_COLUMNS = ["theta", "k", "cost", "bound", "margin"]
+# the emitted tables' columns: a check row's keys, a sweep row's fields
+CHECK_COLUMNS = ("check_id", "where", "passed", "margin", "note")
+SWEEP_COLUMNS = tuple(f.name for f in fields(projection.SweepRow))
 
 
 def sweep_partner(f: gauges.GaugeFunction) -> gauges.GaugeFunction:
@@ -122,7 +124,7 @@ def _json_text(payload: dict) -> str:
     return json.dumps(_sanitize(payload), sort_keys=True, indent=2) + "\n"
 
 
-def _csv_text(header: list[str], rows) -> str:
+def _csv_text(header, rows) -> str:
     """CSV document with floats as repr and None as an empty cell."""
     buf = io.StringIO()
     wr = csv.writer(buf, lineterminator="\n")
@@ -155,10 +157,9 @@ class _Run:
         """The natural measure at the construction's depth."""
         return measure.NaturalMeasure(self.h, self.h.depth)
 
-    def check(self, check_id: str, where, passed: bool, margin, note: str):
-        self.bundle["checks"].append({"check_id": check_id, "where": where,
-                                      "passed": passed, "margin": margin,
-                                      "note": note})
+    def check(self, *row):
+        """Append one check row, its values in ``CHECK_COLUMNS`` order."""
+        self.bundle["checks"].append(dict(zip(CHECK_COLUMNS, row, strict=True)))
 
 
 def _gauges(run: _Run):
@@ -349,10 +350,8 @@ def _emit(run: _Run, out_dir, scheduled) -> None:
     if emit["json"]:
         _write_file(out, "report.json", _json_text(run.bundle))
     if emit["csv"]:
-        _write_file(out, "checks.csv", _csv_text(
-            ["check_id", "where", "passed", "margin", "note"],
-            ([r["check_id"], r["where"], r["passed"], r["margin"], r["note"]]
-             for r in run.bundle["checks"])))
+        _write_file(out, "checks.csv", _csv_text(CHECK_COLUMNS, (
+            [r[c] for c in CHECK_COLUMNS] for r in run.bundle["checks"])))
         if sweep:
             _write_file(out, "sweep.csv", _csv_text(SWEEP_COLUMNS, (
                 [r[c] for c in SWEEP_COLUMNS] for r in run.sweep_rows)))

@@ -28,7 +28,8 @@ from . import hierarchy
 from .conditions import _gl, _logsumexp
 from .gauges import GaugeFunction, GaugeError, _ls_slope
 from .hierarchy import DiscCapExceeded, DiscHierarchy
-from .measure import NaturalMeasure, _mean_stderr, divergence_pairs
+from .measure import (LevelEnergy, NaturalMeasure, _mean_stderr, _stratified,
+                      divergence_pairs)
 
 MIN_ANGLES = 32  # fewest directions a sweep's angle grid may hold
 
@@ -100,11 +101,13 @@ def project_disc_cover(centers, radii, theta: float) -> IntervalCover:
 
 def cover_cost(g: GaugeFunction, cover: IntervalCover) -> float:
     """Sum of g(interval length): the cost of this one cover, an upper
-    bound for the gauge cover cost at a mesh of its longest interval."""
+    bound for the gauge cover cost at a mesh of its longest interval.  A
+    zero-length interval costs g(0) = 0."""
     if cover.lo.size == 0:
         return 0.0
-    costs = np.exp(np.asarray(g.log_value(np.log(cover.hi - cover.lo)),
-                              dtype=float))
+    with np.errstate(divide="ignore"):  # log 0 = -inf, where log g is -inf
+        log_len = np.log(cover.hi - cover.lo)
+    costs = np.exp(np.asarray(g.log_value(log_len), dtype=float))
     return float(np.sum(np.sort(costs)))
 
 
@@ -280,8 +283,8 @@ class SweepTable:
         return [r for r in self.rows if r.cost > r.bound * (1.0 + 1e-9)]
 
     def to_dicts(self) -> list[dict]:
-        return [{"theta": r.theta, "k": r.k, "cost": r.cost, "bound": r.bound,
-                 "margin": r.margin} for r in self.rows]
+        # a row's fields, in order: dataclasses.asdict would deep-copy
+        return [dict(vars(r)) for r in self.rows]
 
 
 def sweep_directions(h: DiscHierarchy, g: GaugeFunction, theta_grid) -> SweepTable:
@@ -297,6 +300,8 @@ def sweep_directions(h: DiscHierarchy, g: GaugeFunction, theta_grid) -> SweepTab
     built.  Every row is measured: its cost is the pattern's cover cost
     times its count of disjoint copies, so no level is too deep to sweep.
     Each level's budget is computed once and kept in ``SweepTable.bounds``.
+    A row level k whose r_{k+1} is 0.0 in float64 is refused before the
+    climb, naming the first such level.
     """
     if isinstance(theta_grid, bool):
         raise GaugeError("angle grid must be a point count or a sequence of angles")
@@ -311,6 +316,12 @@ def sweep_directions(h: DiscHierarchy, g: GaugeFunction, theta_grid) -> SweepTab
     table = _arc_table(h, angles)
     bounds = tuple(eq35_bound(h, g, k) for k in range(1, h.depth))
     at, ks = np.nonzero(table)  # θ-major rows; row (a, k) projects level k + 1
+    # r_{k+1} = 0.0 would cost log 0; radii decrease, so the deepest row
+    # tells whether any row does
+    if ks.size and h.radius(int(ks.max()) + 2) == 0.0:
+        k = min(k for k in set((ks + 1).tolist()) if h.radius(k + 1) == 0.0)
+        raise GaugeError(f"level {k}'s rows project level {k + 1}, whose "
+                         f"radius r_{k + 1} is 0.0 in float64")
     lo, hi, last, built = _climb(h, angles[at], ks + 2)
     # one g call for every row; rows with several intervals are redone
     cost = np.exp(np.asarray(g.log_value(np.log(hi - lo)), dtype=float))
@@ -448,13 +459,13 @@ class AveragedProjection:
     """Angle average of the projected g-energies, by the exact angle
     kernel, against its theoretical budget.
 
-    ``average`` is int_0^pi I_g(pi_theta mu) dtheta estimated from
-    stratified pairs, with ``stderr`` sqrt(sum_k (p_k stderr_k)**2) over
-    the strata (times pi); ``bound`` is ``kernel`` / kappa times the
-    planar g-energy, with kappa the prefactor of g's doubling fit
-    (``g.doubling``).  ``transfer_max`` is the largest g(r) K_g(r) on the
-    kernel table and ``transfer_bound`` the doubling fit's per-distance
-    budget B(s) / (pi kappa) for it.
+    ``average`` is int_0^pi I_g(pi_theta mu) dtheta and ``stderr`` its
+    standard error, pi times the stratified estimate of the kernel-weighted
+    strata; ``bound`` is ``kernel`` / kappa times the planar g-energy,
+    with kappa the prefactor of g's doubling fit (``g.doubling``).
+    ``transfer_max`` is the largest g(r) K_g(r) on the kernel table and
+    ``transfer_bound`` the doubling fit's per-distance budget
+    B(s) / (pi kappa) for it.
     """
 
     average: float
@@ -479,9 +490,10 @@ def averaged_projected_energy(m: NaturalMeasure, g: GaugeFunction,
     :func:`kernel_lookup`.  Each divergence-level pair
     (:func:`divergence_pairs`, one uniform draw per level from that
     level's ordered-pair step table) weighs 1/g(d), the planar energy's
-    term, times the table's g(d) K_g(d); level k's pairs weigh p_k over
-    their count, as in ``mc_energy``.  Requires g doubling with fitted
-    exponent below 1.
+    term, times the table's g(d) K_g(d).  Each level's weighted pairs are
+    one ``LevelEnergy`` stratum, reduced as in ``mc_energy``; the planar
+    sum weighs level k's 1/g terms p_k over their count.  Requires g
+    doubling with fitted exponent below 1.
     """
     fit = g.doubling
     if fit.s >= 1.0:
@@ -491,8 +503,8 @@ def averaged_projected_energy(m: NaturalMeasure, g: GaugeFunction,
     grid, log_transfer = angle_kernel_table(
         g, h.log_radius(m.depth) - 3.0, math.log(2.0) + h.log_radius(0))
     rng = np.random.default_rng(seed)
-    planar = average = var = 0.0
-    for _, p, dz in divergence_pairs(m, pairs, rng):
+    planar, strata = 0.0, []
+    for k, p, dz in divergence_pairs(m, pairs, rng):
         w = p / len(dz)
         # the moduli overwrite the stratum's real parts; one log serves
         # both 1/g and the kernel lookup
@@ -501,12 +513,11 @@ def averaged_projected_energy(m: NaturalMeasure, g: GaugeFunction,
         inv = g._reciprocal(d, log_d)
         planar += w * float(np.sum(inv))
         inv *= np.exp(kernel_lookup(grid, log_transfer, log_d))
-        mean, stderr = _mean_stderr(inv)
-        average += p * mean
-        var += (p * stderr) ** 2
+        strata.append(LevelEnergy(k, p, len(dz), *_mean_stderr(inv)))
+    average, stderr = _stratified(strata)
     bound = kernel / fit.kappa * planar
     return AveragedProjection(
-        math.pi * average, math.pi * math.sqrt(var), bound, kernel,
+        math.pi * average, math.pi * stderr, bound, kernel,
         float(np.exp(log_transfer.max())), kernel / (math.pi * fit.kappa))
 
 

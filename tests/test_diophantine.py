@@ -22,14 +22,18 @@ def series_term(f, psi, k, q):
 
 
 def test_approx_functions_decrease():
+    # psi decreases exactly where its one parametrisation, log(-log psi),
+    # increases
     qs = np.arange(2, 20)
     for psi in (exp_power(2.0), power_log_power(3.0), pure_power(1.5)):
-        vals = np.exp(psi.log_psi(np.log(qs)))
+        vals = np.exp(-np.exp(psi.log_depth(np.log(qs))))
         assert np.all(vals > 0)
         assert np.all(np.diff(vals) < 0)
-        # log form keeps decreasing far beyond the representable range
-        deep = psi.log_psi(np.log(2.0) * np.arange(1, 64))
-        assert np.all(np.diff(deep) < 0)
+        # the parametrisation keeps increasing far beyond the range where
+        # psi itself is representable
+        deep = psi.log_depth(np.log(2.0) * np.arange(1, 64))
+        assert np.all(np.isfinite(deep))
+        assert np.all(np.diff(deep) > 0)
 
 
 def test_parse_approx_round_trip():

@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gaugeproj import (GaugeError, GaugeFitError, GaugeFunction,
-                       codoubling_exponent, doubling_constant,
+from gaugeproj import (GaugeError, GaugeFitError, GaugeFunction, IntervalCover,
+                       codoubling_exponent, cover_cost, doubling_constant,
                        doubling_exponent, doubling_roundtrip_violations,
                        log_power, log_radius_grid, log_ratio, parse_gauge,
                        power, power_log, tabulated)
@@ -172,6 +172,29 @@ def test_log_term_stays_finite_where_beta_times_log_r_overflows(s):
                                                 rel=1e-15)
     # below the overflow the formula's own float ops are kept
     assert g.log_value(-1e300) == 0.5 * -1e300 + s * math.log(2.0 * 1e300)
+
+
+@pytest.mark.parametrize("g", [power_log(0.5, 2.0, 2.0), power_log(0.5, -1.0, 2.0),
+                               power_log(0.3, 0.15, 1.0)])
+def test_law_limits_at_zero_radius(g):
+    # r = 0 is log r = -inf and w = log(-log r) = inf: log f(0) = -inf for
+    # any lam, since the power factor wins, and the slowly varying part
+    # tends to lam * inf.  pytest turns a RuntimeWarning into an error.
+    lam = g.exponents[1]
+    assert g.log_value(-math.inf) == -math.inf
+    assert g.log_value_slow(-math.inf) == math.copysign(math.inf, lam)
+    assert g.log_value_deep(math.inf) == -math.inf
+    # in arrays too, next to a finite entry and a NaN, which stays NaN
+    v, w = np.array([-math.inf, -3.0, math.nan]), np.array([math.inf, 1.0, math.nan])
+    for got, want in ((g.log_value(v), [-math.inf, g.log_value(-3.0)]),
+                      (g.log_value_slow(v), [math.copysign(math.inf, lam),
+                                             g.log_value_slow(-3.0)]),
+                      (g.log_value_deep(w), [-math.inf, g.log_value_deep(1.0)])):
+        assert got[:2].tolist() == want and math.isnan(got[2])
+    # a zero-length interval costs g(0) = 0
+    assert cover_cost(g, IntervalCover([0.0, 1.0], [0.0, 1.5])) == cover_cost(
+        g, IntervalCover([1.0], [1.5]))
+    assert cover_cost(g, IntervalCover([0.0], [0.0])) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -352,6 +375,8 @@ def _log_value_deep_reference(f, log_u):
         wl = np.maximum(w, math.log(math.log(2.0)))
         radial = f.delta * v if f.delta else np.zeros_like(v)
         out = radial + f.s * (math.log(f.beta) + wl)
+        # at r = 0 (w = inf) a power factor wins: f(0) = 0
+        out = np.where(np.isneginf(radial), -np.inf, out)
         if math.isfinite(f._clamp_v):
             out = np.where(v >= f._clamp_v, f.log_value(f._clamp_v), out)
     else:

@@ -194,6 +194,19 @@ def test_build_three_children_vertical():
     assert float(off[1] - off[0]) - 2 * rho == pytest.approx(0.4)
 
 
+def test_build_takes_increments_as_an_array():
+    sched = schedule_from_radii([1.0, 0.2, 0.02, 0.002])
+    plan = BranchingPlan(1.0, (3, 3, 3))
+    h = build_hierarchy(power(0.5), sched, plan, theta=np.array([0.1, 0.2, 0.3]))
+    listed = build_hierarchy(power(0.5), sched, plan, theta=[0.1, 0.2, 0.3])
+    assert h.theta == listed.theta == (0.1, 0.2, 0.3)
+    assert all(type(t) is float for t in h.theta)
+    assert h.d == listed.d
+    # no theta: the increments r_{k+1}/r_k
+    default = build_hierarchy(power(0.5), sched, plan)
+    assert default.theta == pytest.approx((0.2, 0.1, 0.1), rel=1e-12)
+
+
 def test_validate_constructive_hierarchies_pass(h05_depth5, h03_depth5, h08_depth5):
     for h in (h05_depth5, h03_depth5, h08_depth5):
         report = validate_hierarchy(h)

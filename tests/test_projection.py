@@ -620,6 +620,23 @@ def test_sweep_batch_refuses_before_building():
     assert _row_tuples(table) == _one_angle_rows(h, g, thetas[:-1])
 
 
+def test_sweep_refuses_rows_at_zero_radius():
+    # power(0.3)'s r_k is 0.0 in float64 from level 104 on.  At depth 110
+    # the 4096-angle grid has rows at levels 104, 107 and 109, whose
+    # projected levels would cost log 0; the 256-angle grid has 11 rows,
+    # all shallower.  pytest turns a RuntimeWarning into an error.
+    h = build_from_gauge(power(0.3), 110)
+    g = sweep_partner(h.gauge)
+    assert h.radius(103) > 0.0 == h.radius(104)
+    with pytest.raises(GaugeError, match=r"^level 104's rows project level "
+                       r"105, whose radius r_105 is 0\.0 in float64$"):
+        sweep_directions(h, g, 4096)
+    table = sweep_directions(h, g, 256)
+    assert len(table.rows) == 11 and max(r.k for r in table.rows) < 103
+    assert all(0.0 < r.cost < r.bound for r in table.rows)
+    assert table.violations() == []
+
+
 def test_arc_table_matches_scalar_definition(h05_depth5):
     # custom placements with zero and quarter-turn increments put grid
     # angles exactly on arc ends, where the comparison is decided by equality

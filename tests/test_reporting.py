@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -199,6 +200,27 @@ def test_pipeline_happy_path(tmp_path):
     assert {r["check_id"] for r in report["checks"]} >= {
         "Eq20", "Eq21", "Eq22", "Eq23", "Eq25", "Eq32", "Eq33", "Eq34",
         "Eq35", "Eq36trend"}
+
+
+def test_emitted_tables_have_one_schema_each(tmp_path):
+    # checks.csv's columns are the keys of every report.json check row, and
+    # sweep.csv's are SweepRow's fields, in their order
+    run_pipeline(parse_config(json.dumps(dict(FAST, depth=4, angles=256))),
+                 tmp_path)
+    checks = (tmp_path / "checks.csv").read_text().splitlines()
+    report = json.loads((tmp_path / "report.json").read_text())
+    header = checks[0].split(",")
+    assert len(checks) == len(report["checks"]) + 1 > 10
+    assert all(sorted(r) == sorted(header) for r in report["checks"])
+    assert tuple(header) == pipeline.CHECK_COLUMNS
+    sweep = (tmp_path / "sweep.csv").read_text().splitlines()
+    fields = tuple(f.name for f in dataclasses.fields(projection.SweepRow))
+    assert tuple(sweep[0].split(",")) == fields == pipeline.SWEEP_COLUMNS
+    assert len(sweep) == report["sweep"]["rows"] + 1 > 1
+    # to_dicts, which the sweep rows are written from, keys them the same
+    values = (0.5, 2, 1.0, 3.0, 2.0)
+    table = projection.SweepTable((projection.SweepRow(*values),), (3.0,))
+    assert [tuple(d.items()) for d in table.to_dicts()] == [tuple(zip(fields, values))]
 
 
 def test_pipeline_records_schedule_failure(tmp_path):
